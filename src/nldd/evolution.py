@@ -32,7 +32,6 @@ __all__ = [
     "TrajectoryStore",
     "ComparisonPair",
     "CFLError",
-    "advance_step",
     "solve",
     "solve_sqg",
     "comparison_solve",
@@ -267,21 +266,6 @@ def measure_forcing(
     if mu.density is not None:
         out += mu.density.sample(t + 0.5 * dt)
     return ScalarField(grid, out, t)
-
-
-def advance_step(
-    state: ScalarField,
-    b: VectorField | None,
-    forcing: ScalarField | None,
-    config: SolverConfig,
-) -> ScalarField:
-    """One ETD-RK2 step from state.time to state.time + dt."""
-    stepper = _Stepper(state.grid, config)
-    drift = DriftProvider(b)
-    uhat = forward(state).coefficients
-    fvals = forcing.values if forcing is not None else None
-    unew, _ = stepper.step(uhat, state.time, drift, fvals)
-    return ScalarField(state.grid, np.fft.ifftn(unew).real, state.time + config.dt)
 
 
 def _run(

@@ -172,9 +172,6 @@ class Cylinder:
     def t_start(self) -> float:
         return self.t0 - self.time_depth
 
-    def with_radius(self, r: float) -> "Cylinder":
-        return Cylinder(self.t0, self.x0, r, self.s)
-
 
 @dataclass
 class SlantPath:

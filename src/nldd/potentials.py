@@ -207,7 +207,7 @@ def riesz_potential(
     R: float,
     kernel: KernelSpec,
     a: float,
-    slant: SlantPath | Callable[[float], SlantPath] | None = None,
+    slant: Callable[[np.ndarray], list[SlantPath]] | None = None,
     rho_min: float | None = None,
     points_per_octave: int = 24,
 ) -> PotentialProfile:
@@ -218,6 +218,11 @@ def riesz_potential(
     exact breakpoints so purely atomic measures integrate in closed form; a
     positive mass already present at rho_min marks the profile divergent and
     the value is reported as +inf.
+
+    With ``slant``, Q_rho is the slanted cylinder along the path that
+    ``slant(radii)`` returns for each radius.  It is asked, in one call, only
+    for the radii whose time slab (t0 - rho^(2s), t0) holds mass of |mu|;
+    every other cylinder has mass 0 whatever its path.
     """
     d = mu.atom_positions.shape[-1] if mu.num_atoms else (
         mu.density.grid.d if mu.density is not None else 2
@@ -234,46 +239,44 @@ def riesz_potential(
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    def path_for(rho: float) -> SlantPath | None:
-        if slant is None:
-            return None
-        return slant(rho) if callable(slant) else slant
-
-    def mass_at(rho: float) -> float:
-        Q = Cylinder(t0, tuple(x0), rho, s)
-        p = path_for(rho)
-        if p is None:
-            return cylinder_mass(mu, Q)
-        return slanted_cylinder_mass(mu, SlantedCylinder(Q, p))
-
-    # Radial grid: log-spaced plus exact atom breakpoints (straight case only).
-    n_log = max(8, int(np.ceil(points_per_octave * np.log2(R / rho_min))))
-    radii = np.geomspace(rho_min, R, n_log)
-    if mu.num_atoms and slant is None:
-        dt_atoms = t0 - mu.atom_times
-        dist = torus_distance(mu.atom_positions, x0, length)
-        valid = dt_atoms > 0
-        entry = np.maximum(
-            np.where(valid, dt_atoms, np.inf) ** (1.0 / (2.0 * s)), dist
-        )
-        entry = entry[valid & (entry > rho_min) & (entry < R)]
-        radii = np.unique(np.concatenate([radii, entry]))
-    masses = np.array([mass_at(rho) for rho in radii])
-
-    # atoms already inside the smallest cylinder make the integral diverge;
-    # a density contributes mass ~ rho^(d+2s) there and stays integrable
+    # Atom entry radii max((t0 - t_i)^(1/2s), |x_i - x0|); +inf for atoms at
+    # or after t0, which no backward cylinder holds.
+    entry = np.zeros(0)
     if mu.num_atoms:
         dt_atoms = t0 - mu.atom_times
         dist = torus_distance(mu.atom_positions, x0, length)
         entry = np.maximum(
             np.where(dt_atoms > 0, dt_atoms, np.inf) ** (1.0 / (2.0 * s)), dist
         )
-        if np.any((dt_atoms > 0) & (entry <= rho_min)):
-            return PotentialProfile(radii, masses, np.inf, a, divergent=True)
+
+    # Radial grid: log-spaced plus exact atom breakpoints (straight case only),
+    # and the geometric midpoints of its intervals.
+    n_log = max(8, int(np.ceil(points_per_octave * np.log2(R / rho_min))))
+    radii = np.geomspace(rho_min, R, n_log)
+    if slant is None:
+        breaks = entry[(entry > rho_min) & (entry < R)]
+        radii = np.unique(np.concatenate([radii, breaks]))
+    lo, hi = radii[:-1], radii[1:]
+    mids = np.sqrt(lo * hi)
+
+    all_radii = np.concatenate([radii, mids])
+    all_masses = np.zeros(all_radii.size)
+    active = np.flatnonzero(_slab_holds_mass(mu, t0, all_radii, s))
+    paths = slant(all_radii[active]) if slant is not None and active.size else None
+    for k, i in enumerate(active):
+        Q = Cylinder(t0, tuple(x0), all_radii[i], s)
+        all_masses[i] = (
+            cylinder_mass(mu, Q) if paths is None
+            else slanted_cylinder_mass(mu, SlantedCylinder(Q, paths[k]))
+        )
+    masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
+
+    # atoms already inside the smallest cylinder make the integral diverge;
+    # a density contributes mass ~ rho^(d+2s) there and stays integrable
+    if np.any(entry <= rho_min):
+        return PotentialProfile(radii, masses, np.inf, a, divergent=True)
 
     # Per-interval closed-form weight times the geometric-midpoint mass.
-    lo, hi = radii[:-1], radii[1:]
-    mid_mass = np.array([mass_at(np.sqrt(l * h)) for l, h in zip(lo, hi)])
     weights = (lo ** (-beta) - hi ** (-beta)) / beta
     value = float((mid_mass * weights).sum())
     # head below rho_min under the density scaling law mass ~ rho^(d+2s)
@@ -281,6 +284,24 @@ def riesz_potential(
     if head_mass > 0.0:
         value += head_mass * rho_min ** (-beta) / a
     return PotentialProfile(radii, masses, value, a)
+
+
+def _slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
+    """Whether |mu| has mass in each time slab (t0 - rho^(2s), t0).
+
+    The slab starts are scalar powers, as Cylinder.t_start computes them, so
+    that a radius judged empty gets mass 0 from cylinder_mass and
+    slanted_cylinder_mass too.
+    """
+    t_start = np.array([t0 - rho ** (2.0 * s) for rho in radii])
+    held = np.zeros(radii.size, dtype=bool)
+    if mu.num_atoms:
+        charged = (mu.atom_times < t0) & (mu.atom_masses != 0.0)
+        held |= (mu.atom_times[charged] > t_start[:, None]).any(axis=1)
+    if mu.density is not None:
+        ts = mu.density.times
+        held |= np.minimum(t0, ts[-1]) > np.maximum(t_start, ts[0])
+    return held
 
 
 def slanted_potential_majorant(
@@ -372,65 +393,64 @@ def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
 
 
 def slant_ode(
-    b,
-    r: float,
+    b: VectorField,
+    scales,
     t0: float = 0.0,
     x0=None,
     num_steps: int = 64,
-) -> SlantPath:
-    """Backward RK4 integration of the ball-averaged drift ODE on [-1, 0].
+) -> list[SlantPath]:
+    """Backward RK4 integration of the ball-averaged drift ODE on [-1, 0],
+    one path per scale r in ``scales``.
 
-    ``b`` is an autonomous VectorField or a callable t -> VectorField.  The
-    right-hand side at rescaled time t is the average of b(t0 + r t, .) over
-    the ball of radius r centered at x0 + r z(t).
+    ``b`` is an autonomous VectorField.  For scale r, the right-hand side is
+    the average of b over the ball of radius r centered at x0 + r z_r(t).
+    All scales advance together in one RK4 loop with state shape
+    (len(scales), d); each path is computed with the same arithmetic as a
+    solve of its scale alone.
     """
-    if not 0.0 < r <= 1.0:
-        raise ValueError("slant scale must lie in (0, 1]")
-    b0 = b(t0) if callable(b) else b
-    grid = b0.grid
+    r = np.asarray(scales, dtype=float).reshape(-1)
+    bad = ~((r > 0.0) & (r <= 1.0))
+    if bad.any():
+        raise ValueError(f"slant scale must lie in (0, 1], got {r[bad][0]}")
+    grid = b.grid
     d = grid.d
     if x0 is None:
         x0 = np.zeros(d)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     pts_unit, wts = _disk_quadrature(d)
 
-    def drift_at(t_phys: float) -> VectorField:
-        if callable(b):
-            return b(t_phys)
-        return b
-
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        bf = drift_at(t0 + r * t)
-        centers = x0 + r * z
-        pts = centers + r * pts_unit
-        return np.array(
-            [
-                float((interpolate_periodic(c, grid, pts) * wts).sum())
-                for c in bf.components
-            ]
+    def rhs(z: np.ndarray) -> np.ndarray:
+        centers = x0 + r[:, None] * z
+        pts = centers[:, None, :] + r[:, None, None] * pts_unit
+        return np.stack(
+            [(interpolate_periodic(c, grid, pts) * wts).sum(axis=1) for c in b.components],
+            axis=-1,
         )
 
     h = -1.0 / num_steps
     times = [0.0]
-    zs = [np.zeros(d)]
-    derivs = [rhs(0.0, zs[0])]
+    zs = [np.zeros((r.size, d))]
+    derivs = [rhs(zs[0])]
     t, z = 0.0, zs[0]
     for _ in range(num_steps):
-        k1 = rhs(t, z)
-        k2 = rhs(t + h / 2.0, z + h / 2.0 * k1)
-        k3 = rhs(t + h / 2.0, z + h / 2.0 * k2)
-        k4 = rhs(t + h, z + h * k3)
+        k1 = rhs(z)
+        k2 = rhs(z + h / 2.0 * k1)
+        k3 = rhs(z + h / 2.0 * k2)
+        k4 = rhs(z + h * k3)
         z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
         times.append(t)
         zs.append(z)
-        derivs.append(rhs(t, z))
+        derivs.append(rhs(z))
     times = np.array(times[::-1])
     samples = np.array(zs[::-1])
     derivs = np.array(derivs[::-1])
-    sup_z = float(np.abs(np.linalg.norm(samples, axis=1)).max())
-    sup_dz = float(np.abs(np.linalg.norm(derivs, axis=1)).max())
-    return SlantPath(r, times, samples, sup_z + sup_dz)
+    sup_z = np.linalg.norm(samples, axis=-1).max(axis=0)
+    sup_dz = np.linalg.norm(derivs, axis=-1).max(axis=0)
+    return [
+        SlantPath(float(ri), times, samples[:, i], float(sup_z[i] + sup_dz[i]))
+        for i, ri in enumerate(r)
+    ]
 
 
 def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray:

@@ -266,11 +266,11 @@ def fit_holder_exponent(
     for t0, x0, _ in _placements(exp, rng, num_points):
         t0 = max(t0, exp.traj.t_start + r0 ** (2.0 * s))
         radii = r0 / 2.0 ** np.arange(num_scales)
+        paths = slant_ode(exp.drift, np.minimum(radii, 1.0), t0=t0, x0=x0) if (
+            slanted and exp.drift is not None
+        ) else [None] * num_scales
         oscs = np.empty(num_scales)
-        for j, r in enumerate(radii):
-            path = slant_ode(exp.drift, min(r, 1.0), t0=t0, x0=x0) if (
-                slanted and exp.drift is not None
-            ) else None
+        for j, (r, path) in enumerate(zip(radii, paths)):
             idx = exp.traj.window(t0 - r ** (2.0 * s), t0)
             lo, hi = np.inf, -np.inf
             for i in idx:
@@ -429,13 +429,8 @@ def verify_bmo_slanted(
 
     report.extras["mode"] = "BMO, critical slanted"
     # path size against the c (C1 + C2 |log r|) functional form
-    norms, envelopes = [], []
-    for r in radii:
-        path = slant_ode(b, r)
-        env = C1 + C2 * abs(np.log(r))
-        norms.append(path.c1_norm)
-        envelopes.append(env)
-    norms, envelopes = np.array(norms), np.array(envelopes)
+    norms = np.array([path.c1_norm for path in slant_ode(b, radii)])
+    envelopes = np.array([C1 + C2 * abs(np.log(r)) for r in radii])
     c_fit = float((norms * envelopes).sum() / (envelopes**2).sum())
     residual = float(np.abs(norms - c_fit * envelopes).max() / max(norms.max(), 1e-300))
     report.extras["path_norms"] = norms.tolist()
@@ -454,7 +449,7 @@ def verify_bmo_slanted(
     for t0, x0, R in _placements(exp, rng, num_placements):
         R = min(R, 1.0)
         Q = Cylinder(t0, x0, R, s)
-        path = slant_ode(b, R, t0=t0, x0=x0)
+        (path,) = slant_ode(b, [R], t0=t0, x0=x0)
 
         def center_at(t, _path=path, _t0=t0, _R=R, _x0=np.asarray(x0)):
             return _x0 + _R * _path.at(np.clip((t - _t0) / _R, -1.0, 0.0))
@@ -471,7 +466,7 @@ def verify_bmo_slanted(
         if exp.mu is not None:
             pot = riesz_potential(
                 exp.mu, t0, x0, R, exp.kernel, a=2.0 * s,
-                slant=lambda rho: slant_ode(b, min(rho, 1.0), t0=t0, x0=x0),
+                slant=lambda rhos: slant_ode(b, np.minimum(rhos, 1.0), t0=t0, x0=x0),
             ).value
         else:
             pot = 0.0

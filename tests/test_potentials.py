@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nldd.config import shear_drift
+from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import SolverConfig, TrajectoryStore, solve
 from nldd.fields import ScalarField, VectorField, grid_coordinates, make_grid
-from nldd.measures import MeasureData, SlantPath
+from nldd.measures import DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
@@ -141,7 +141,7 @@ class TestSlantOde:
     def test_constant_drift_gives_linear_path(self):
         g = make_grid(2, 32, 8.0)
         b = constant_drift(g, (0.75, -0.25))
-        path = slant_ode(b, r=0.5, t0=1.0, x0=(4.0, 4.0))
+        (path,) = slant_ode(b, [0.5], t0=1.0, x0=(4.0, 4.0))
         # dz/dt = b everywhere: z(t) = b t on [-1, 0]
         for t in (-1.0, -0.5, -0.25):
             np.testing.assert_allclose(path.at(t), [0.75 * t, -0.25 * t], atol=1e-10)
@@ -150,14 +150,30 @@ class TestSlantOde:
 
     def test_zero_drift_gives_zero_path(self):
         g = make_grid(2, 16, 8.0)
-        path = slant_ode(constant_drift(g, (0.0, 0.0)), r=1.0)
+        (path,) = slant_ode(constant_drift(g, (0.0, 0.0)), [1.0])
         assert np.abs(path.samples).max() == 0.0
         assert path.c1_norm == 0.0
 
     def test_scale_validation(self):
         g = make_grid(2, 16, 8.0)
-        with pytest.raises(ValueError):
-            slant_ode(constant_drift(g, (1.0, 0.0)), r=2.0)
+        b = constant_drift(g, (1.0, 0.0))
+        with pytest.raises(ValueError, match=r"slant scale must lie in \(0, 1\], got 2.0"):
+            slant_ode(b, [2.0])
+        with pytest.raises(ValueError, match=r"got 0.0$"):
+            slant_ode(b, [0.5, 1.0, 0.0, 0.25])
+
+    def test_batch_matches_single_scale_solves(self):
+        g = make_grid(2, 32, 8.0)
+        b = lacunary_drift(g, [0.3] * 5)
+        scales = [1.0, 0.5, 0.3, 0.0625]
+        batch = slant_ode(b, scales, t0=0.7, x0=(3.1, 4.6))
+        assert [p.r for p in batch] == scales
+        for r, path in zip(scales, batch):
+            (single,) = slant_ode(b, [r], t0=0.7, x0=(3.1, 4.6))
+            np.testing.assert_array_equal(path.times, single.times)
+            np.testing.assert_array_equal(path.samples, single.samples)
+            assert path.c1_norm == single.c1_norm
+        assert np.abs(batch[0].samples).max() > 0.0
 
 
 class TestExcess:
@@ -303,6 +319,38 @@ class TestSlantedRiesz:
         straight = riesz_potential(mu, 1.0, (4.0, 4.0), 3.0, kern, 1.0, rho_min=0.05)
         slanted = riesz_potential(
             mu, 1.0, (4.0, 4.0), 3.0, kern, 1.0,
-            slant=lambda rho: SlantPath.zero(rho), rho_min=0.05,
+            slant=lambda rhos: [SlantPath.zero(r) for r in rhos], rho_min=0.05,
         )
         assert slanted.value == pytest.approx(straight.value, rel=0.02)
+
+    @staticmethod
+    def _requested(mu, t0, R, rho_min):
+        asked = []
+
+        def slant(rhos):
+            asked.extend(rhos)
+            return [SlantPath.zero(r) for r in rhos]
+
+        prof = riesz_potential(
+            mu, t0, (4.0, 4.0), R, KernelSpec(s=0.5), 1.0, slant, rho_min=rho_min
+        )
+        mids = np.sqrt(prof.radii[:-1] * prof.radii[1:])
+        return np.sort(asked), np.sort(np.concatenate([prof.radii, mids]))
+
+    def test_paths_only_for_slabs_holding_atoms(self):
+        mu = MeasureData.from_atoms(
+            [(0.7, (4.6, 4.0), 1.0), (0.9, (4.0, 4.3), 0.5), (1.5, (4.0, 4.0), 2.0)],
+            domain_length=16.0,
+        )
+        asked, radii = self._requested(mu, 1.0, 3.0, 0.05)
+        # at s = 1/2 the slab of rho is (1 - rho, 1): it holds the atom at
+        # t = 0.9 exactly when rho > 0.1; the atom at t = 1.5 is in no slab
+        np.testing.assert_array_equal(asked, radii[radii > 0.1])
+        assert 0 < asked.size < radii.size
+
+    def test_density_asks_every_radius(self):
+        g = make_grid(2, 16, 8.0)
+        track = DensityTrack(g, [0.0, 2.0], [np.ones(g.shape)] * 2)
+        mu = MeasureData(density=track)
+        asked, radii = self._requested(mu, 1.0, 1.0, 0.1)
+        np.testing.assert_array_equal(asked, radii)
