@@ -44,7 +44,7 @@ import numpy as np
 import yaml
 
 from .evolution import SolverConfig
-from .fields import GridSpec, ScalarField, VectorField, grid_coordinates, make_grid, torus_distance
+from .fields import GridSpec, ScalarField, VectorField, grid_coordinates, grid_distance, make_grid
 from .measures import DensityTrack, MeasureData
 from .operators import KernelSpec
 
@@ -226,9 +226,7 @@ class ExperimentConfig:
                 _get(dsec, "measure.density", "center", [grid.domain_length / 2.0] * grid.d),
                 dtype=float,
             )
-            coords = np.stack(grid_coordinates(grid), axis=-1)
-            dist = torus_distance(coords, center, grid.domain_length)
-            vals = np.maximum(dist, grid.spacing) ** (-expo)
+            vals = np.maximum(grid_distance(grid, center), grid.spacing) ** (-expo)
             slices = [vals.copy() for _ in times]
         elif kind == "uniform":
             level = float(_get(dsec, "measure.density", "level", 1.0))

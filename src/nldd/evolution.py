@@ -9,19 +9,18 @@ Biot-Savart drift from the predictor stage inside each step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     VectorField,
+    ball_mask,
     dealias_mask,
     forward,
-    grid_coordinates,
-    torus_distance,
+    grid_distance,
     wavevectors,
 )
 from .measures import Cylinder, MeasureData
@@ -255,11 +254,10 @@ def measure_forcing(
     if mu.num_atoms and h_moll < grid.spacing:
         raise ValueError("mollification width must be at least one grid spacing")
     out = np.zeros(grid.shape)
-    coords = np.stack(grid_coordinates(grid), axis=-1)
     if mu.num_atoms:
         in_slab = (mu.atom_times >= t) & (mu.atom_times < t + dt)
         for i in np.flatnonzero(in_slab):
-            dist = torus_distance(coords, mu.atom_positions[i], grid.domain_length)
+            dist = grid_distance(grid, mu.atom_positions[i])
             bump = np.exp(-0.5 * (dist / h_moll) ** 2)
             bump /= bump.sum() * grid.cell_volume
             out += (mu.atom_masses[i] / dt) * bump
@@ -363,8 +361,7 @@ def comparison_solve(
         raise ValueError("comparison solve needs uniformly spaced snapshots")
     dt = float(dts[0])
 
-    coords = np.stack(grid_coordinates(grid), axis=-1)
-    inside = torus_distance(coords, np.asarray(Q.x0), grid.domain_length) < Q.r
+    inside = ball_mask(grid, Q.x0, Q.r)
 
     cmp_config = replace(config, dt=dt, drift_mode="given" if b is not None else "none")
     stepper = _Stepper(grid, cmp_config)

@@ -7,7 +7,7 @@ wavevectors m in [-n/2, n/2)^d, matching ``numpy.fft.fftfreq``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,14 +20,14 @@ __all__ = [
     "make_grid",
     "forward",
     "inverse",
-    "transform_roundtrip",
     "dealias",
     "dealias_mask",
     "grid_coordinates",
     "wavevectors",
     "torus_distance",
+    "grid_distance",
+    "ball_mask",
     "l2_norm",
-    "spectral_l2_norm",
 ]
 
 DIVERGENCE_FREE_TOL = 1e-10
@@ -74,9 +74,13 @@ def make_grid(d: int, n: int, domain_length: float) -> GridSpec:
 
 
 @lru_cache(maxsize=64)
+def _axis(n: int, length: float) -> np.ndarray:
+    return np.arange(n) * (length / n)
+
+
+@lru_cache(maxsize=64)
 def _coordinate_axes(d: int, n: int, length: float) -> tuple[np.ndarray, ...]:
-    x = np.arange(n) * (length / n)
-    return tuple(np.meshgrid(*([x] * d), indexing="ij"))
+    return tuple(np.meshgrid(*([_axis(n, length)] * d), indexing="ij"))
 
 
 def grid_coordinates(grid: GridSpec) -> tuple[np.ndarray, ...]:
@@ -202,11 +206,6 @@ def inverse(fhat: SpectralField, time: float = 0.0) -> ScalarField:
     return ScalarField(fhat.grid, np.fft.ifftn(fhat.coefficients).real, time)
 
 
-def transform_roundtrip(f: ScalarField) -> ScalarField:
-    """forward followed by inverse; used as a self-check of the transform pair."""
-    return inverse(forward(f), time=f.time)
-
-
 @lru_cache(maxsize=64)
 def _dealias_mask(d: int, n: int) -> np.ndarray:
     m = np.fft.fftfreq(n) * n
@@ -235,13 +234,31 @@ def torus_distance(points: np.ndarray, center: np.ndarray, length: float) -> np.
     return np.sqrt((delta**2).sum(axis=-1))
 
 
+def grid_distance(grid: GridSpec, center) -> np.ndarray:
+    """Minimum-image distance from every grid point to center, shape grid.shape.
+
+    Equal to torus_distance over the stacked grid coordinates, built from
+    per-axis offsets broadcast together instead.
+    """
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    length = grid.domain_length
+    x = _axis(grid.n, length)
+    dist2 = 0.0
+    for j in range(grid.d):
+        delta = x - center[j]
+        delta = delta - length * np.round(delta / length)
+        shape = [1] * grid.d
+        shape[j] = grid.n
+        dist2 = dist2 + (delta**2).reshape(shape)
+    return np.sqrt(dist2)
+
+
+def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray:
+    """Grid points at torus distance below radius from center."""
+    return grid_distance(grid, center) < radius
+
+
 def l2_norm(f: ScalarField) -> float:
     """Physical-space L2 norm with the cell-volume quadrature weight."""
     return float(np.sqrt((f.values**2).sum() * f.grid.cell_volume))
 
-
-def spectral_l2_norm(fhat: SpectralField) -> float:
-    """Parseval partner of :func:`l2_norm` for the fftn convention."""
-    g = fhat.grid
-    vol = g.domain_length**g.d
-    return float(np.sqrt((np.abs(fhat.coefficients) ** 2).sum() * vol / g.num_points**2))

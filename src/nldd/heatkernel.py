@@ -18,9 +18,8 @@ from .evolution import DriftProvider, SolverConfig, _Stepper
 from .fields import (
     GridSpec,
     ScalarField,
-    grid_coordinates,
-    torus_distance,
-    wavenumber_magnitude,
+    VectorField,
+    grid_distance,
     wavevectors,
 )
 from .operators import KernelSpec, QuadratureError
@@ -47,7 +46,7 @@ class HeatKernelEstimate:
     raw_fields: dict[float, list[ScalarField]] = field(default_factory=dict)
     mollification_widths: tuple[float, ...] = ()
     kernel: KernelSpec | None = None
-    drift = None
+    drift: VectorField | None = None
     config: SolverConfig | None = None
 
     def mass(self, i: int) -> float:
@@ -55,8 +54,7 @@ class HeatKernelEstimate:
         return float(self.fields[i].values.mean() * g.domain_length**g.d)
 
     def distance_to_source(self) -> np.ndarray:
-        coords = np.stack(grid_coordinates(self.grid), axis=-1)
-        return torus_distance(coords, np.asarray(self.y), self.grid.domain_length)
+        return grid_distance(self.grid, self.y)
 
 
 def _gaussian_spectral(grid: GridSpec, y: np.ndarray, width: float) -> np.ndarray:
@@ -122,7 +120,7 @@ def estimate_kernel(
     for i, t in enumerate(times):
         extrap = (4.0 * raw[widths[1]][i].values - raw[widths[0]][i].values) / 3.0
         fields.append(ScalarField(grid, extrap, t))
-    est = HeatKernelEstimate(
+    return HeatKernelEstimate(
         grid=grid,
         eta=eta,
         y=tuple(y),
@@ -131,10 +129,9 @@ def estimate_kernel(
         raw_fields=raw,
         mollification_widths=widths,
         kernel=kernel,
+        drift=b,
         config=config,
     )
-    est.drift = b
-    return est
 
 
 def exact_free_kernel(kernel: KernelSpec, d: int, t: float, r) -> np.ndarray | float:

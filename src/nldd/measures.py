@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, grid_coordinates, torus_distance
+from .fields import GridSpec, ball_mask, torus_distance
 
 __all__ = [
     "MeasureData",
@@ -22,7 +22,6 @@ __all__ = [
     "SlantedCylinder",
     "cylinder_mass",
     "slanted_cylinder_mass",
-    "restrict",
 ]
 
 
@@ -239,9 +238,7 @@ def cylinder_mass(mu: MeasureData, Q: Cylinder) -> float:
         sel = _atoms_in_cylinder(mu, Q, length)
         total += float(np.abs(mu.atom_masses[sel]).sum())
     if mu.density is not None:
-        coords = np.stack(grid_coordinates(mu.density.grid), axis=-1)
-        dist = torus_distance(coords, np.asarray(Q.x0), length)
-        mask = dist < Q.r
+        mask = ball_mask(mu.density.grid, Q.x0, Q.r)
         total += mu.density.windowed_spatial_mass(Q.t_start, Q.t0, lambda t: mask)
     return total
 
@@ -260,37 +257,8 @@ def slanted_cylinder_mass(mu: MeasureData, Qs: SlantedCylinder) -> float:
             if torus_distance(mu.atom_positions[i], center, length) < Q.r:
                 total += abs(float(mu.atom_masses[i]))
     if mu.density is not None:
-        coords = np.stack(grid_coordinates(mu.density.grid), axis=-1)
-
-        def mask_fn(t):
-            return torus_distance(coords, Qs.center_at(t), length) < Q.r
-
-        total += mu.density.windowed_spatial_mass(Q.t_start, Q.t0, mask_fn)
+        total += mu.density.windowed_spatial_mass(
+            Q.t_start, Q.t0, lambda t: ball_mask(mu.density.grid, Qs.center_at(t), Q.r)
+        )
     return total
 
-
-def restrict(mu: MeasureData, t_interval: tuple[float, float], box: tuple) -> MeasureData:
-    """Keep only mass inside [t0, t1] x box; box is ((lo_i, hi_i) per axis)."""
-    t_lo, t_hi = t_interval
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    keep = np.ones(mu.num_atoms, dtype=bool)
-    if mu.num_atoms:
-        keep &= (mu.atom_times >= t_lo) & (mu.atom_times <= t_hi)
-        keep &= np.all((mu.atom_positions >= lo) & (mu.atom_positions <= hi), axis=1)
-    density = mu.density
-    if density is not None:
-        coords = np.stack(grid_coordinates(density.grid), axis=-1)
-        space_mask = np.all((coords >= lo) & (coords <= hi), axis=-1)
-        kept_values = []
-        for t, v in zip(density.times, density.values):
-            inside_t = t_lo <= t <= t_hi
-            kept_values.append(v * space_mask if inside_t else np.zeros_like(v))
-        density = DensityTrack(density.grid, density.times.copy(), kept_values)
-    return MeasureData(
-        mu.atom_times[keep],
-        mu.atom_positions[keep] if mu.num_atoms else mu.atom_positions,
-        mu.atom_masses[keep],
-        density,
-        mu.domain_length,
-    )

@@ -38,7 +38,6 @@ __all__ = [
     "apply_fractional_laplacian",
     "truncated_multiplier",
     "truncated_multiplier_table",
-    "apply_truncated_operator",
     "biot_savart_sqg",
     "leray_project",
     "gradient",
@@ -128,15 +127,24 @@ def normalization_constant(d: int, s: float) -> float:
         return float(area * r ** (-1.0 - 2.0 * s) * _one_minus_angular(d, np.atleast_1d(r))[0])
 
     head, ehead = integrate.quad(integrand, 0.0, 1.0, limit=200)
-    # split the tail: the pure power integrates in closed form, the oscillatory
-    # remainder is absolutely convergent
+    # split the tail: the pure power integrates in closed form; the oscillatory
+    # remainder goes to the Fourier-sine rule (QAWF) in d = 3, and in d = 2 to
+    # panels between zeros of J0, averaging the last two partial sums of that
+    # alternating series
     tail_power = area / (2.0 * s)
-    tail_osc, eosc = integrate.quad(
-        lambda r: area * r ** (-1.0 - 2.0 * s) * _angular_factor(d, np.atleast_1d(r))[0],
-        1.0,
-        np.inf,
-        limit=400,
-    )
+    if d == 3:
+        tail_osc, eosc = integrate.quad(
+            lambda r: area * r ** (-2.0 - 2.0 * s), 1.0, np.inf, weight="sin", wvar=1.0
+        )
+    else:
+        edges = np.concatenate(([1.0], special.jn_zeros(0, 100)))
+        panels = [
+            integrate.quad(lambda r: area * r ** (-1.0 - 2.0 * s) * special.j0(r), lo, hi)
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        partial = np.cumsum([v for v, _ in panels])
+        tail_osc = 0.5 * (partial[-2] + partial[-1])
+        eosc = sum(e for _, e in panels)
     check = head + tail_power - tail_osc
     if abs(check - value) > 1e-6 * abs(value) + ehead + eosc:
         raise QuadratureError(
@@ -256,15 +264,10 @@ def diffusion_multiplier(grid: GridSpec, kernel: KernelSpec) -> np.ndarray:
 def apply_fractional_laplacian(f: ScalarField, kernel: KernelSpec) -> ScalarField:
     """(-Laplace)^s f via the |k|^(2s) multiplier; the zero mode maps to 0."""
     if kernel.truncation_radius is not None:
-        raise ValueError("use apply_truncated_operator for truncated kernels")
+        raise ValueError(
+            "truncated kernels have no closed-form multiplier; use diffusion_multiplier"
+        )
     mult = wavenumber_magnitude(f.grid) ** (2.0 * kernel.s)
-    fhat = forward(f)
-    return inverse(SpectralField(f.grid, mult * fhat.coefficients), time=f.time)
-
-
-def apply_truncated_operator(f: ScalarField, kernel: KernelSpec) -> ScalarField:
-    """Truncated nonlocal operator via its normalized multiplier table."""
-    mult = truncated_multiplier_table(f.grid, kernel)
     fhat = forward(f)
     return inverse(SpectralField(f.grid, mult * fhat.coefficients), time=f.time)
 

@@ -1,5 +1,5 @@
 """Nonlocal functionals: tails, parabolic Riesz potentials, excess, slant ODE,
-energy forms, and drift oscillation seminorms.
+and drift oscillation seminorms.
 
 Tail integrals over the complement of a ball are truncated at R_max <= L/2 on
 the torus and evaluated in polar coordinates: composite Gauss-Legendre panels
@@ -19,13 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.ndimage import map_coordinates
 
-from .fields import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    grid_coordinates,
-    torus_distance,
-)
+from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
 from .measures import (
     Cylinder,
     MeasureData,
@@ -34,7 +28,7 @@ from .measures import (
     cylinder_mass,
     slanted_cylinder_mass,
 )
-from .operators import KernelSpec, gradient
+from .operators import KernelSpec
 
 __all__ = [
     "TailOptions",
@@ -43,12 +37,9 @@ __all__ = [
     "tail",
     "tail_time_lq",
     "riesz_potential",
-    "slanted_potential_majorant",
     "slant_ode",
     "excess",
-    "energy_form",
     "bmo_seminorm",
-    "ball_mask",
     "interpolate_periodic",
 ]
 
@@ -304,63 +295,6 @@ def _slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) ->
     return held
 
 
-def slanted_potential_majorant(
-    mu: MeasureData,
-    t0: float,
-    x0,
-    R: float,
-    C1: float,
-    C2: float,
-    c: float,
-    kernel: KernelSpec,
-    rho_min: float | None = None,
-    points_per_octave: int = 24,
-) -> float:
-    """Straight-cylinder majorant of the slanted potential with dilated balls
-    B_f(rho), f(rho) = c * rho * (C1 + C2 |log rho|)."""
-    if C1 <= 0 or C2 < 0 or c <= 0:
-        raise ValueError("majorant constants must be positive")
-    length = mu.domain_length
-    if length is None:
-        raise ValueError("measure needs a domain length")
-    s = kernel.s
-    d = mu.atom_positions.shape[-1] if mu.num_atoms else (
-        mu.density.grid.d if mu.density is not None else 2
-    )
-    if rho_min is None:
-        rho_min = 1e-4 * R
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def f(rho: float) -> float:
-        return c * rho * (C1 + C2 * abs(np.log(rho)))
-
-    check = np.geomspace(rho_min, R, 64)
-    if max(f(r) for r in check) > length / 2.0:
-        raise ValueError("dilated ball radius exceeds L/2 inside the integration range")
-
-    def mass_at(rho: float) -> float:
-        total = 0.0
-        if mu.num_atoms:
-            in_time = (mu.atom_times > t0 - rho ** (2.0 * s)) & (mu.atom_times < t0)
-            dist = torus_distance(mu.atom_positions, x0, length)
-            total += float(np.abs(mu.atom_masses[in_time & (dist < f(rho))]).sum())
-        if mu.density is not None:
-            coords = np.stack(grid_coordinates(mu.density.grid), axis=-1)
-            dist = torus_distance(coords, x0, length)
-            mask = dist < f(rho)
-            total += mu.density.windowed_spatial_mass(
-                t0 - rho ** (2.0 * s), t0, lambda t: mask
-            )
-        return total
-
-    n_log = max(8, int(np.ceil(points_per_octave * np.log2(R / rho_min))))
-    radii = np.geomspace(rho_min, R, n_log)
-    lo, hi = radii[:-1], radii[1:]
-    mid_mass = np.array([mass_at(np.sqrt(l * h)) for l, h in zip(lo, hi)])
-    weights = (lo ** (-d) - hi ** (-d)) / d
-    return float((mid_mass * weights).sum())
-
-
 @lru_cache(maxsize=4)
 def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
     """Points/weights averaging a function over the unit ball."""
@@ -453,11 +387,6 @@ def slant_ode(
     ]
 
 
-def ball_mask(grid: GridSpec, center, radius: float) -> np.ndarray:
-    coords = np.stack(grid_coordinates(grid), axis=-1)
-    return torus_distance(coords, np.atleast_1d(np.asarray(center, dtype=float)), grid.domain_length) < radius
-
-
 def excess(
     traj,
     t0: float,
@@ -505,78 +434,6 @@ def excess(
         )
     tail_part = float((np.trapezoid(tails**q, times) / span) ** (1.0 / q))
     return ExcessReport(interior, tail_part, q, Q)
-
-
-@lru_cache(maxsize=16)
-def _touching_pair_integrals(d: int, beta: float, m: int = 48) -> dict:
-    """Dimensionless unit-cell pair integrals of |x - y|^(-beta) for the
-    self pair and touching-neighbor offsets, by midpoint subsampling with a
-    self-similar correction for the coincident subcell pairs."""
-    ax = (np.arange(m) + 0.5) / m
-    pts = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    out = {}
-    offsets = [off for off in np.ndindex(*([3] * d))]
-    for off in offsets:
-        shift = np.array(off) - 1
-        if np.abs(shift).max() > 1:
-            continue
-        delta = pts[None, :, :] + shift[None, None, :] - pts[:, None, :]
-        dist = np.sqrt((delta**2).sum(axis=-1))
-        if np.all(shift == 0):
-            nz = dist > 0
-            total = (dist[nz] ** (-beta)).sum() / m ** (2 * d)
-            # coincident subcell pairs contribute m^(beta-d) times the whole
-            # integral by self-similarity, so solve for it
-            out[tuple(shift)] = total / (1.0 - float(m) ** (beta - d))
-        else:
-            out[tuple(shift)] = (dist ** (-beta)).sum() / m ** (2 * d)
-    return out
-
-
-def energy_form(
-    w: ScalarField, center, radius: float, kernel: KernelSpec
-) -> float:
-    """Localized energy: double integral over B x B of
-    (w(x) - w(y))^2 |x - y|^(-d-2s), cell-midpoint quadrature with a
-    gradient-based local model on cells touching the diagonal."""
-    grid = w.grid
-    if radius > grid.domain_length / 2.0:
-        raise ValueError("ball must fit in the torus")
-    d, s = grid.d, kernel.s
-    beta = d + 2.0 * s
-    h = grid.spacing
-    mask = ball_mask(grid, center, radius)
-    idx = np.argwhere(mask)
-    if idx.size == 0:
-        return 0.0
-    coords = idx * h
-    vals = w.values[mask]
-    pair_ints = _touching_pair_integrals(d, beta - 2.0)
-    grads = gradient(w)
-    grad2 = sum(g**2 for g in grads)[mask]
-    near_scale = h ** (2 * d) * h ** (2.0 - beta)
-
-    total = 0.0
-    block = 256
-    for start in range(0, len(coords), block):
-        sl = slice(start, start + block)
-        delta = coords[None, :, :] - coords[sl, None, :]
-        delta -= grid.domain_length * np.round(delta / grid.domain_length)
-        dist2 = (delta**2).sum(axis=-1)
-        touching = (np.abs(delta).max(axis=-1) <= h * 1.5)
-        far = ~touching
-        diff2 = (vals[None, :] - vals[sl, None]) ** 2
-        total += float((diff2[far] * dist2[far] ** (-beta / 2.0)).sum()) * h ** (2 * d)
-        # touching pairs: |w(x)-w(y)|^2 ~ |grad w(x)|^2 |x-y|^2
-        bi, bj = np.nonzero(touching)
-        offs = np.round(delta[bi, bj] / h).astype(int) + 1
-        lut = np.zeros((3,) * d)
-        for off, val in pair_ints.items():
-            lut[tuple(np.array(off) + 1)] = val
-        total += float(
-            (grad2[start + bi] * lut[tuple(offs[:, j] for j in range(d))]).sum()
-        ) * near_scale
-    return float(total)
 
 
 def bmo_seminorm(

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .evolution import TrajectoryStore
-from .fields import GridSpec, ScalarField, make_grid
+from .fields import ScalarField, make_grid
 
 __all__ = [
     "SnapshotFormatError",

@@ -16,13 +16,12 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
-from .fields import GridSpec, ScalarField, VectorField
+from .fields import GridSpec, ScalarField, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
 from .measures import Cylinder, MeasureData, cylinder_mass
 from .operators import KernelSpec
 from .potentials import (
     TailOptions,
-    ball_mask,
     bmo_seminorm,
     excess,
     interpolate_periodic,
@@ -176,9 +175,10 @@ def verify_excess_decay(
     """Geometric excess decay across dyadic scales, plus the measure term."""
     exp0 = run_experiment(config, drop_measure=True)
     grid, s = exp0.grid, exp0.kernel.s
-    R = min(grid.domain_length / 8.0, exp0.traj.t_end - exp0.traj.t_start) \
-        if s == 0.5 else grid.domain_length / 8.0
-    R = min(R, ((exp0.traj.t_end - exp0.traj.t_start) * 0.95) ** (1.0 / (2.0 * s)))
+    R = min(
+        grid.domain_length / 8.0,
+        ((exp0.traj.t_end - exp0.traj.t_start) * 0.95) ** (1.0 / (2.0 * s)),
+    )
     if R / 2**m_max < 4.0 * grid.spacing:
         raise ValueError(
             f"insufficient scale separation: R/2^m = {R / 2 ** m_max:.3g} "

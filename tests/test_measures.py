@@ -11,7 +11,6 @@ from nldd.measures import (
     SlantPath,
     SlantedCylinder,
     cylinder_mass,
-    restrict,
     slanted_cylinder_mass,
 )
 
@@ -137,19 +136,3 @@ class TestSlant:
         with pytest.raises(ValueError):
             SlantPath(1.0, ts, np.ones((5, 2)), 1.0)
 
-
-class TestRestrict:
-    def test_atoms_and_density(self):
-        g = make_grid(2, 16, 4.0)
-        track = DensityTrack(g, [0.0, 1.0], [np.ones(g.shape)] * 2)
-        mu = MeasureData.from_atoms(
-            [(0.5, (1.0, 1.0), 1.0), (0.5, (3.5, 3.5), 1.0), (2.0, (1.0, 1.0), 1.0)],
-            domain_length=4.0,
-        )
-        mu.density = track
-        out = restrict(mu, (0.0, 1.0), ((0.0, 2.0), (0.0, 2.0)))
-        assert out.num_atoms == 1
-        assert out.atom_positions[0, 0] == pytest.approx(1.0)
-        # density kept only on the box: about a quarter of the torus, up to
-        # the inclusive boundary layer of grid cells
-        assert 3.5 <= out.density.total_mass() <= 5.5

@@ -8,14 +8,11 @@ from nldd.measures import DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
-    ball_mask,
     bmo_seminorm,
-    energy_form,
     excess,
     interpolate_periodic,
     riesz_potential,
     slant_ode,
-    slanted_potential_majorant,
     tail,
     tail_time_lq,
 )
@@ -215,54 +212,6 @@ class TestExcess:
         assert r2.total == pytest.approx(4.0 * r1.total, rel=1e-9)
 
 
-class TestEnergyForm:
-    def test_constant_field_zero(self):
-        g = make_grid(2, 32, 8.0)
-        w = constant_field(g, 2.0)
-        assert energy_form(w, (4.0, 4.0), 2.0, KernelSpec(s=0.5)) == 0.0
-
-    def test_quadratic_homogeneity(self):
-        g = make_grid(2, 32, 8.0)
-        rng = np.random.default_rng(3)
-        w = ScalarField(g, rng.standard_normal(g.shape))
-        kern = KernelSpec(s=0.5)
-        e1 = energy_form(w, (4.0, 4.0), 1.5, kern)
-        e2 = energy_form(w.with_values(3.0 * w.values), (4.0, 4.0), 1.5, kern)
-        assert e2 == pytest.approx(9.0 * e1, rel=1e-12)
-
-    def test_far_pair_sum_is_a_lower_bound(self):
-        # direct midpoint sum excluding touching cells must not exceed the
-        # full quadrature, and should account for most of a smooth field
-        g = make_grid(2, 32, 8.0)
-        xs = grid_coordinates(g)
-        w = ScalarField(g, np.sin(2 * np.pi * xs[0] / 8.0))
-        kern = KernelSpec(s=0.5)
-        full = energy_form(w, (4.0, 4.0), 2.0, kern)
-
-        mask = ball_mask(g, (4.0, 4.0), 2.0)
-        idx = np.argwhere(mask) * g.spacing
-        vals = w.values[mask]
-        delta = idx[None, :, :] - idx[:, None, :]
-        delta -= 8.0 * np.round(delta / 8.0)
-        dist = np.sqrt((delta**2).sum(-1))
-        far = np.abs(delta).max(-1) > 1.5 * g.spacing
-        diff2 = (vals[None, :] - vals[:, None]) ** 2
-        far_sum = (diff2[far] * dist[far] ** (-3.0)).sum() * g.cell_volume**2
-        assert far_sum < full
-        assert far_sum > 0.5 * full
-
-    def test_grid_convergence(self):
-        kern = KernelSpec(s=0.5)
-        out = []
-        for n in (32, 64):
-            g = make_grid(2, n, 8.0)
-            xs = grid_coordinates(g)
-            w = ScalarField(g, np.cos(2 * np.pi * xs[1] / 8.0))
-            out.append(energy_form(w, (4.0, 4.0), 2.0, kern))
-        # first-order convergence near the diagonal
-        assert out[1] == pytest.approx(out[0], rel=0.1)
-
-
 class TestBmoSeminorm:
     def test_constant_drift(self):
         g = make_grid(2, 32, 8.0)
@@ -283,31 +232,6 @@ class TestBmoSeminorm:
         b = constant_drift(g, (1.0, 0.0))
         with pytest.raises(ValueError):
             bmo_seminorm(b, scales=[8.0])
-
-
-class TestMajorant:
-    def test_majorant_bounds_straight_potential(self):
-        # with C2 = 0 and c C1 = 1 the dilated balls coincide with B_rho
-        kern = KernelSpec(s=0.5)
-        mu = MeasureData.from_atoms(
-            [(0.8, (4.5, 4.0), 1.0), (0.6, (3.0, 4.0), 2.0)], domain_length=16.0
-        )
-        base = riesz_potential(mu, 1.0, (4.0, 4.0), 3.0, kern, 1.0, rho_min=0.05)
-        maj = slanted_potential_majorant(
-            mu, 1.0, (4.0, 4.0), 3.0, 1.0, 0.0, 1.0, kern, rho_min=0.05
-        )
-        assert maj > 0.0
-        # growing the balls can only add mass at each scale
-        maj_big = slanted_potential_majorant(
-            mu, 1.0, (4.0, 4.0), 3.0, 2.0, 0.0, 1.0, kern, rho_min=0.05
-        )
-        assert maj_big >= maj
-
-    def test_rejects_oversized_balls(self):
-        kern = KernelSpec(s=0.5)
-        mu = MeasureData.from_atoms([(0.5, (4.0, 4.0), 1.0)], domain_length=16.0)
-        with pytest.raises(ValueError, match="L/2"):
-            slanted_potential_majorant(mu, 1.0, (4.0, 4.0), 3.0, 10.0, 0.0, 5.0, kern)
 
 
 class TestSlantedRiesz:
