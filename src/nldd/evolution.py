@@ -130,25 +130,31 @@ DriftLike = VectorField | Callable[[float], VectorField] | None
 
 
 class DriftProvider:
-    """Uniform access to autonomous, callable, or absent drifts."""
+    """Uniform access to autonomous, callable, or absent drifts.
+
+    A fixed field is validated (or Leray-projected) once, here; a callable
+    drift is validated at every call.
+    """
 
     def __init__(self, drift: DriftLike, project: bool = False):
-        self._drift = drift
         self._project = project
+        self._drift = self._checked(drift) if isinstance(drift, VectorField) else drift
 
-    def __call__(self, t: float) -> VectorField | None:
-        if self._drift is None:
-            return None
-        b = self._drift(t) if callable(self._drift) else self._drift
+    def _checked(self, b: VectorField) -> VectorField:
         if self._project:
-            b = leray_project(b)
-        elif not b.divergence_free:
+            return leray_project(b)
+        if not b.divergence_free:
             err = b.spectral_divergence_max()
             if err > 1e-10 * max(b.max_norm(), 1e-300):
                 raise ValueError(
                     "drift fails the divergence-free assertion; request Leray projection"
                 )
         return b
+
+    def __call__(self, t: float) -> VectorField | None:
+        if callable(self._drift):
+            return self._checked(self._drift(t))
+        return self._drift
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

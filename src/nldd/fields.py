@@ -20,7 +20,6 @@ __all__ = [
     "make_grid",
     "forward",
     "inverse",
-    "dealias",
     "dealias_mask",
     "grid_coordinates",
     "wavevectors",
@@ -221,10 +220,6 @@ def _dealias_mask(d: int, n: int) -> np.ndarray:
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Two-thirds rule mask: True where all |m_i| <= n/3."""
     return _dealias_mask(grid.d, grid.n)
-
-
-def dealias(fhat: SpectralField) -> SpectralField:
-    return SpectralField(fhat.grid, fhat.coefficients * dealias_mask(fhat.grid))
 
 
 def torus_distance(points: np.ndarray, center: np.ndarray, length: float) -> np.ndarray:

@@ -47,7 +47,7 @@ class HeatKernelEstimate:
     mollification_widths: tuple[float, ...] = ()
     kernel: KernelSpec | None = None
     drift: VectorField | None = None
-    config: SolverConfig | None = None
+    stepper: _Stepper | None = None
 
     def mass(self, i: int) -> float:
         g = self.grid
@@ -67,26 +67,32 @@ def _gaussian_spectral(grid: GridSpec, y: np.ndarray, width: float) -> np.ndarra
 
 
 def _solve_recording(
-    grid: GridSpec,
+    stepper: _Stepper,
     uhat0: np.ndarray,
     drift: DriftProvider,
-    config: SolverConfig,
     t_start: float,
     record_times: np.ndarray,
 ) -> list[ScalarField]:
-    stepper = _Stepper(grid, config)
+    """Solve from t_start and return the fields at the sorted record times,
+    each of which must lie a whole number of steps after t_start."""
+    dt = stepper.config.dt
+    targets = np.sort(np.asarray(record_times, dtype=float))
+    steps = np.rint((targets - t_start) / dt).astype(int)
+    for tt, k in zip(targets, steps):
+        if not tt > t_start:
+            raise ValueError(f"record time {tt} must lie after t_start = {t_start} (dt = {dt})")
+        if abs(k * dt - (tt - t_start)) > 1e-9 * (tt - t_start):
+            raise ValueError(
+                f"record time {tt} is not a whole number of steps of dt = {dt} "
+                f"after t_start = {t_start}"
+            )
     uhat = uhat0.copy()
-    t = t_start
     out = {}
-    targets = list(np.sort(record_times))
-    n_steps = int(round((targets[-1] - t_start) / config.dt))
-    for step in range(n_steps):
-        uhat, _ = stepper.step(uhat, t, drift, None, sqg=False)
-        t = t_start + (step + 1) * config.dt
-        for tt in targets:
-            if abs(t - tt) < 0.5 * config.dt and tt not in out:
-                out[tt] = ScalarField(grid, np.fft.ifftn(uhat).real, t)
-    return [out[tt] for tt in targets]
+    for step in range(1, steps[-1] + 1):
+        uhat, _ = stepper.step(uhat, t_start + (step - 1) * dt, drift, None, sqg=False)
+        if step in steps:
+            out[step] = ScalarField(stepper.grid, np.fft.ifftn(uhat).real, t_start + step * dt)
+    return [out[k] for k in steps]
 
 
 def estimate_kernel(
@@ -111,11 +117,12 @@ def estimate_kernel(
             f"first evaluation time too close to eta; need t - eta >= {min_gap:.4g}"
         )
     drift = DriftProvider(b)
+    stepper = _Stepper(grid, config)
     widths = (h, h / 2.0)
     raw = {}
     for w in widths:
         uhat0 = _gaussian_spectral(grid, y, w)
-        raw[w] = _solve_recording(grid, uhat0, drift, config, eta, times)
+        raw[w] = _solve_recording(stepper, uhat0, drift, eta, times)
     fields = []
     for i, t in enumerate(times):
         extrap = (4.0 * raw[widths[1]][i].values - raw[widths[0]][i].values) / 3.0
@@ -130,7 +137,7 @@ def estimate_kernel(
         mollification_widths=widths,
         kernel=kernel,
         drift=b,
-        config=config,
+        stepper=stepper,
     )
 
 
@@ -244,24 +251,21 @@ def kernel_sanity(
     report.extras["on_diag_fitted"] = float(on_diag.max())
     report.extras["on_diag_per_time"] = on_diag.tolist()
 
-    # semigroup: compose through the midpoint time on a coarse source grid
+    # semigroup: compose through the midpoint time on a coarse source grid.
+    # The solve is linear and the sources z sit on grid points, so the sum of
+    # a(z) H^d S[g_z] over z is one solve from g_0 convolved with those weights.
     mid = est.times.size // 2
     tau, t_final = float(est.times[mid]), float(est.times[-1])
     width = min(est.mollification_widths)
-    A = est.raw_fields[width][mid].values
-    drift = DriftProvider(est.drift)
-    centers_1d = np.arange(0, grid.n, z_stride) * grid.spacing
     H = z_stride * grid.spacing
-    composed = np.zeros(grid.shape)
-    for zi in np.ndindex(*([centers_1d.size] * d)):
-        z = np.array([centers_1d[j] for j in zi])
-        idx = tuple(int(round(c / grid.spacing)) % grid.n for c in z)
-        a_val = A[idx]
-        if a_val * H**d < 1e-10:
-            continue
-        uhat0 = _gaussian_spectral(grid, z, width)
-        kz = _solve_recording(grid, uhat0, drift, est.config, tau, np.array([t_final]))[0]
-        composed += a_val * kz.values * H**d
+    coarse = (slice(None, None, z_stride),) * d
+    weights = np.zeros(grid.shape)
+    weights[coarse] = est.raw_fields[width][mid].values[coarse] * H**d
+    weights[weights < 1e-10] = 0.0
+    uhat0 = _gaussian_spectral(grid, np.zeros(d), width) * np.fft.fftn(weights)
+    composed = _solve_recording(
+        est.stepper, uhat0, DriftProvider(est.drift), tau, np.array([t_final])
+    )[0].values
     direct = est.raw_fields[width][-1].values
     l1_err = np.abs(composed - direct).sum() / np.abs(direct).sum()
     report.extras["semigroup_l1_error"] = float(l1_err)

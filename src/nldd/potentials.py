@@ -413,11 +413,12 @@ def excess(
         return x0 + r * slant.at((t - t0) / r)
 
     ball_means = np.empty(times.size)
-    masks = []
+    if slant is None:
+        masks = [ball_mask(grid, x0, r)] * times.size
+    else:
+        masks = [ball_mask(grid, center_at(t), r) for t in times]
     for j, i in enumerate(idx):
-        mask = ball_mask(grid, center_at(times[j]), r)
-        masks.append(mask)
-        ball_means[j] = traj.snapshots[i].values[mask].mean()
+        ball_means[j] = traj.snapshots[i].values[masks[j]].mean()
     span = times[-1] - times[0]
     mean_Q = float(np.trapezoid(ball_means, times) / span)
 

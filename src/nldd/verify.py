@@ -101,11 +101,13 @@ def cylinder_lq_mean(
     if len(idx) < 2:
         raise ValueError("cylinder not resolved by the trajectory snapshots")
     times = np.array([traj.times[i] for i in idx])
-    means = np.empty(times.size)
-    for j, i in enumerate(idx):
-        ct = Q.x0 if center_at is None else center_at(times[j])
-        mask = ball_mask(traj.grid, ct, Q.r)
-        means[j] = (np.abs(traj.snapshots[i].values[mask]) ** q).mean()
+    if center_at is None:
+        masks = [ball_mask(traj.grid, Q.x0, Q.r)] * times.size
+    else:
+        masks = [ball_mask(traj.grid, center_at(t), Q.r) for t in times]
+    means = np.array(
+        [(np.abs(traj.snapshots[i].values[m]) ** q).mean() for i, m in zip(idx, masks)]
+    )
     span = times[-1] - times[0]
     return float((np.trapezoid(means, times) / span) ** (1.0 / q))
 

@@ -145,6 +145,17 @@ class TestDrift:
         # with Leray projection the same input is accepted
         solve(eigenmode(g), bad, None, cfg, project_drift=True)
 
+    def test_fixed_drift_checked_once_per_solve(self, monkeypatch):
+        g = make_grid(2, 16, 2 * np.pi)
+        calls = []
+        check = VectorField.spectral_divergence_max
+        monkeypatch.setattr(
+            VectorField, "spectral_divergence_max", lambda b: calls.append(1) or check(b)
+        )
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.02, t_end=0.2, drift_mode="given")
+        solve(eigenmode(g), shear_drift(g), None, cfg)
+        assert len(calls) == 1
+
     def test_snapshot_stride(self):
         g = make_grid(2, 16, 2 * np.pi)
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.1, t_end=1.0, snapshot_stride=5)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from nldd.fields import (
     GridSpec,
     ScalarField,
+    SpectralField,
     VectorField,
     ball_mask,
-    dealias,
     dealias_mask,
     forward,
     grid_coordinates,
@@ -76,7 +76,7 @@ class TestDealias:
         g = make_grid(2, 32, 2 * np.pi)
         xs = grid_coordinates(g)
         f = ScalarField(g, np.cos(15 * xs[0]))
-        cleaned = inverse(dealias(forward(f)))
+        cleaned = inverse(SpectralField(g, forward(f).coefficients * dealias_mask(g)))
         assert np.abs(cleaned.values).max() < 1e-12
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from nldd.evolution import SolverConfig
+from nldd.config import shear_drift
+from nldd.evolution import DriftProvider, SolverConfig
 from nldd.fields import make_grid
 from nldd.heatkernel import (
+    _gaussian_spectral,
+    _solve_recording,
     estimate_kernel,
     exact_free_kernel,
     gluing_check,
@@ -104,6 +107,17 @@ class TestEstimate:
         with pytest.raises(ValueError, match="eta"):
             estimate_kernel(None, kern, 0.0, (8.0, 8.0), [0.1], cfg, grid)
 
+    def test_rejects_off_step_record_time(self):
+        grid = make_grid(2, 64, 16.0)
+        kern = KernelSpec(s=0.5)
+        cfg = solver(kern, grid, dt=5e-3, t_end=2.0)
+        with pytest.raises(ValueError, match=r"record time 1\.0013 is not a whole number of steps of dt = 0\.005"):
+            estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0, 1.0013], cfg, grid)
+        est = estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0], cfg, grid)
+        uhat0 = _gaussian_spectral(grid, np.array([8.0, 8.0]), grid.spacing)
+        with pytest.raises(ValueError, match=r"record time 0\.5 must lie after t_start = 0\.5"):
+            _solve_recording(est.stepper, uhat0, DriftProvider(None), 0.5, np.array([0.5, 1.0]))
+
     def test_rejects_unresolved_mollifier(self):
         grid = make_grid(2, 64, 16.0)
         kern = KernelSpec(s=0.5)
@@ -122,6 +136,30 @@ class TestSanity:
         assert rep.extras["mass_ok"]
         assert rep.extras["semigroup_ok"]
         assert rep.rows[0].passed
+
+    def test_semigroup_matches_per_source_solves(self):
+        # reference: the composition summed one source solve at a time
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        b = shear_drift(grid)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
+        est = estimate_kernel(b, kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
+        width = min(est.mollification_widths)
+        a = est.raw_fields[width][1].values
+        H = 2 * grid.spacing
+        composed = np.zeros(grid.shape)
+        for i in range(0, grid.n, 2):
+            for j in range(0, grid.n, 2):
+                if a[i, j] * H**2 < 1e-10:
+                    continue
+                z = np.array([i, j]) * grid.spacing
+                uhat0 = _gaussian_spectral(grid, z, width)
+                kz = _solve_recording(est.stepper, uhat0, DriftProvider(b), 1.5, np.array([2.0]))[0]
+                composed += a[i, j] * kz.values * H**2
+        direct = est.raw_fields[width][-1].values
+        ref = np.abs(composed - direct).sum() / np.abs(direct).sum()
+        got = kernel_sanity(est).extras["semigroup_l1_error"]
+        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_needs_three_times(self):
         grid = make_grid(2, 64, 16.0)

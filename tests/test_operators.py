@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from nldd.fields import (
@@ -10,17 +11,45 @@ from nldd.fields import (
     inverse,
     make_grid,
     wavenumber_magnitude,
+    wavevectors,
 )
 from nldd.operators import (
     KernelSpec,
-    apply_fractional_laplacian,
+    _one_minus_angular,
     biot_savart_sqg,
-    gradient,
+    diffusion_multiplier,
     leray_project,
     normalization_constant,
-    truncated_multiplier,
     truncated_multiplier_table,
 )
+
+
+def apply_multiplier(f, mult):
+    return inverse(SpectralField(f.grid, mult * forward(f).coefficients))
+
+
+def per_wavenumber_table(grid, kernel):
+    """The truncated table as first written: one order-24 composite rule on
+    (0, rho] per distinct |k|, with no rescaling to (0, 1]."""
+    d, s, rho = grid.d, kernel.s, kernel.truncation_radius
+    area = 2 * np.pi if d == 2 else 4 * np.pi
+    xg, wg = leggauss(24)
+    kmag = wavenumber_magnitude(grid)
+    out = np.zeros(kmag.shape)
+    for k in np.unique(kmag[kmag > 0]):
+        nodes, weights = [], []
+        hi = rho
+        for _ in range(60):
+            lo = hi / 2.0
+            pieces = max(1, int(np.ceil(k * (hi - lo) / (2.0 * np.pi))))
+            edges = np.linspace(lo, hi, pieces + 1)
+            for a, b in zip(edges[:-1], edges[1:]):
+                nodes.append((a + b) / 2.0 + (b - a) / 2.0 * xg)
+                weights.append((b - a) / 2.0 * wg)
+            hi = lo
+        r, w = np.concatenate(nodes), np.concatenate(weights)
+        out[kmag == k] = area * (_one_minus_angular(d, k * r) * r ** (-1.0 - 2.0 * s) * w).sum()
+    return out / normalization_constant(d, s)
 
 
 class TestKernelSpec:
@@ -77,7 +106,7 @@ class TestFractionalLaplacian:
         xs = grid_coordinates(g)
         f = ScalarField(g, np.sin(2 * xs[0]))
         for s in (0.25, 0.5, 0.75):
-            out = apply_fractional_laplacian(f, KernelSpec(s=s))
+            out = apply_multiplier(f, diffusion_multiplier(g, KernelSpec(s=s)))
             np.testing.assert_allclose(
                 out.values, 2.0 ** (2 * s) * f.values, atol=1e-11
             )
@@ -85,21 +114,23 @@ class TestFractionalLaplacian:
     def test_kills_constants(self):
         g = make_grid(2, 16, 1.0)
         f = ScalarField(g, np.full(g.shape, 3.7))
-        out = apply_fractional_laplacian(f, KernelSpec(s=0.5))
+        out = apply_multiplier(f, diffusion_multiplier(g, KernelSpec(s=0.5)))
         assert np.abs(out.values).max() < 1e-12
 
-    def test_rejects_truncated(self):
+    def test_truncated_kernel_gets_the_table(self):
         g = make_grid(2, 16, 1.0)
-        f = ScalarField(g, np.zeros(g.shape))
-        with pytest.raises(ValueError):
-            apply_fractional_laplacian(f, KernelSpec(s=0.5, truncation_radius=1.0))
+        kern = KernelSpec(s=0.5, truncation_radius=0.25)
+        np.testing.assert_array_equal(
+            diffusion_multiplier(g, kern), truncated_multiplier_table(g, kern)
+        )
 
 
 class TestTruncatedMultiplier:
     def test_against_two_d_quadrature(self):
         # independent oracle: direct double integral over the disk in polar form
         s, rho = 0.5, 1.5
-        k = np.array([1.2, 0.7])
+        g = make_grid(2, 16, 2 * np.pi)
+        k = np.array([1.0, 2.0])
         kmag = np.sqrt((k**2).sum())
 
         def inner(r):
@@ -109,24 +140,34 @@ class TestTruncatedMultiplier:
 
         ref, _ = integrate.quad(inner, 1e-8, rho, limit=400)
         ref += np.pi * kmag**2 / 2 * (1e-8)  # series head, (1-cos) ~ (k.z)^2/2
-        val = truncated_multiplier(KernelSpec(s=s, truncation_radius=rho), k)
+        table = truncated_multiplier_table(g, KernelSpec(s=s, truncation_radius=rho))
+        val = table[1, 2] * normalization_constant(2, s)
         assert val == pytest.approx(ref, rel=1e-6)
 
     def test_monotone_in_rho(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        nz = wavenumber_magnitude(g) > 0
         k = KernelSpec(s=0.5)
-        vals = [
-            truncated_multiplier(k.truncated(rho), np.array([1.0, 0.0]))
-            for rho in (0.5, 1.0, 2.0, 4.0)
-        ]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        tables = [truncated_multiplier_table(g, k.truncated(rho)) for rho in (0.5, 1.0, 2.0, 4.0)]
+        assert all(np.all(a[nz] < b[nz]) for a, b in zip(tables, tables[1:]))
 
     def test_zero_wavevector(self):
-        k = KernelSpec(s=0.5, truncation_radius=1.0)
-        assert truncated_multiplier(k, np.zeros(2)) == 0.0
+        g = make_grid(2, 16, 2 * np.pi)
+        assert truncated_multiplier_table(g, KernelSpec(s=0.5, truncation_radius=1.0))[0, 0] == 0.0
 
     def test_requires_truncation(self):
-        with pytest.raises(ValueError):
-            truncated_multiplier(KernelSpec(s=0.5), np.array([1.0, 0.0]))
+        g = make_grid(2, 16, 2 * np.pi)
+        with pytest.raises(ValueError, match="truncation radius"):
+            truncated_multiplier_table(g, KernelSpec(s=0.5))
+
+    @pytest.mark.parametrize("rho", [0.5, 4.0, 32.0])
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+    def test_profile_matches_per_wavenumber_rule(self, d, n, rho):
+        g = make_grid(d, n, 4.0)
+        kern = KernelSpec(s=0.75, truncation_radius=rho)
+        np.testing.assert_allclose(
+            truncated_multiplier_table(g, kern), per_wavenumber_table(g, kern), rtol=1e-13, atol=0
+        )
 
     def test_table_converges_to_full_multiplier(self):
         g = make_grid(2, 16, 4.0)
@@ -145,8 +186,7 @@ class TestTruncatedMultiplier:
         xs = grid_coordinates(g)
         f = ScalarField(g, np.cos(3 * xs[1]))
         kern = KernelSpec(s=0.5, truncation_radius=50.0)
-        mult = truncated_multiplier_table(g, kern)
-        out = inverse(SpectralField(g, mult * forward(f).coefficients))
+        out = apply_multiplier(f, truncated_multiplier_table(g, kern))
         np.testing.assert_allclose(out.values, 3.0 * f.values, atol=0.06)
 
 
@@ -155,7 +195,7 @@ class TestGradient:
         g = make_grid(2, 32, 2 * np.pi)
         xs = grid_coordinates(g)
         f = ScalarField(g, np.sin(xs[0]) * np.cos(2 * xs[1]))
-        gx, gy = gradient(f)
+        gx, gy = (apply_multiplier(f, 1j * k).values for k in wavevectors(g))
         np.testing.assert_allclose(gx, np.cos(xs[0]) * np.cos(2 * xs[1]), atol=1e-11)
         np.testing.assert_allclose(gy, -2 * np.sin(xs[0]) * np.sin(2 * xs[1]), atol=1e-11)
 
