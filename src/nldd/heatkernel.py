@@ -231,6 +231,12 @@ def kernel_sanity(
     semigroup_tol: float = 0.02,
 ) -> VerificationReport:
     """Mass, on-diagonal decay, and Chapman-Kolmogorov composition checks."""
+    if not est.raw_fields or est.stepper is None:
+        raise ValueError(
+            "kernel_sanity needs an estimate from estimate_kernel: the semigroup "
+            "check re-solves from its raw fields with its stepper, which a loaded "
+            "estimate does not carry"
+        )
     if est.times.size < 3:
         raise ValueError("sanity checks need at least three evaluation times")
     grid = est.grid

@@ -4,7 +4,9 @@ and drift oscillation seminorms.
 Tail integrals over the complement of a ball are truncated at R_max <= L/2 on
 the torus and evaluated in polar coordinates: composite Gauss-Legendre panels
 in radius, uniform (trapezoid) angles, with the field sampled by periodic
-bilinear interpolation.  Radial grids for the parabolic potentials insert the
+bilinear interpolation.  The rule is a fixed weighted sum of |v| over sample
+offsets from the center, built once per time window and shared by every
+snapshot and every q.  Radial grids for the parabolic potentials insert the
 exact entry radii of atoms so that the piecewise-constant atom masses are
 integrated in closed form between breakpoints.
 """
@@ -99,36 +101,43 @@ def _radial_grid(r: float, R: float, order: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _angular_average_abs(
-    field: ScalarField, center: np.ndarray, radii: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """Mean of |v| over spheres of the given radii around center."""
+def _tail_nodes(
+    grid: GridSpec, r: float, R_max: float, order: int, s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets o_i and weights w_i with tail(v; x0, r) = sum_i w_i |v(x0 + o_i)|.
+
+    Composite GL panels in radius; on the sphere of radius rho, m uniform
+    angles in d = 2, or m uniform azimuths times the 12-node cos(theta) Gauss
+    rule in d = 3.  The weight of a node is r^(2s) area rho^(-1-2s) w_rad / m,
+    times wg_j / 2 in d = 3.
+    """
+    if r >= R_max:
+        raise ValueError(f"tail radius r = {r} must be below R_max = {R_max}")
+    if R_max > grid.domain_length / 2.0 + 1e-12:
+        raise ValueError("tail truncation radius exceeds L/2")
     d = grid.d
-    out = np.empty(radii.size)
+    radii, w_rad = _radial_grid(r, R_max, order)
+    per_circle = np.ceil(2.0 * np.pi * radii / grid.spacing).astype(int)
+    m = np.maximum(32, per_circle * 2) if d == 2 else np.maximum(16, per_circle)
+    k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    angle = 2.0 * np.pi * k / np.repeat(m, m)
+    rho = np.repeat(radii, m)
+    weights = np.repeat(
+        r ** (2.0 * s) * _sphere_area(d) * radii ** (-1.0 - 2.0 * s) * w_rad / m, m
+    )
     if d == 2:
-        for i, rho in enumerate(radii):
-            m = max(32, int(np.ceil(2.0 * np.pi * rho / grid.spacing)) * 2)
-            theta = 2.0 * np.pi * np.arange(m) / m
-            pts = center + rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            out[i] = np.abs(interpolate_periodic(field, grid, pts)).mean()
-    else:
-        xg, wg = _panel_nodes(12)  # cos(theta) Gauss nodes
-        for i, rho in enumerate(radii):
-            m = max(16, int(np.ceil(2.0 * np.pi * rho / grid.spacing)))
-            phi = 2.0 * np.pi * np.arange(m) / m
-            ct = xg
-            st = np.sqrt(1.0 - ct**2)
-            pts = center + rho * np.stack(
-                [
-                    np.outer(st, np.cos(phi)),
-                    np.outer(st, np.sin(phi)),
-                    np.outer(ct, np.ones(m)),
-                ],
-                axis=-1,
-            )
-            vals = np.abs(interpolate_periodic(field, grid, pts))
-            out[i] = (vals.mean(axis=1) * wg).sum() / 2.0
-    return out
+        return rho[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1), weights
+    ct, wct = _panel_nodes(12)
+    st = np.sqrt(1.0 - ct**2)
+    unit = np.stack(
+        [
+            np.outer(st, np.cos(angle)),
+            np.outer(st, np.sin(angle)),
+            np.outer(ct, np.ones(rho.size)),
+        ],
+        axis=-1,
+    )
+    return (rho[None, :, None] * unit).reshape(-1, 3), np.outer(wct / 2.0, weights).ravel()
 
 
 def _sphere_area(d: int) -> float:
@@ -138,57 +147,57 @@ def _sphere_area(d: int) -> float:
 def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) -> float:
     """tail(v; x0, r) = r^(2s) * integral over {r < |y-x0| < R_max} of
     |v(y)| |x0-y|^(-d-2s) dy, truncated at opts.truncation_radius."""
-    grid = v.grid
-    s = kernel.s
-    R_max = opts.truncation_radius
-    if r >= R_max:
-        raise ValueError(f"tail radius r = {r} must be below R_max = {R_max}")
-    if R_max > grid.domain_length / 2.0 + 1e-12:
-        raise ValueError("tail truncation radius exceeds L/2")
+    offsets, weights = _tail_nodes(
+        v.grid, r, opts.truncation_radius, opts.quadrature_order, kernel.s
+    )
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    radii, weights = _radial_grid(r, R_max, opts.quadrature_order)
-    sphere_means = _angular_average_abs(v, x0, radii, grid)
-    d = grid.d
-    integrand = _sphere_area(d) * radii ** (d - 1.0) * radii ** (-d - 2.0 * s) * sphere_means
-    return float(r ** (2.0 * s) * (integrand * weights).sum())
+    return float(weights @ np.abs(interpolate_periodic(v, v.grid, x0 + offsets)))
 
 
 def tail_time_lq(
     traj,
     x0,
     r: float,
-    q: float,
+    qs,
     interval: tuple[float, float],
     kernel: KernelSpec,
     opts: TailOptions,
     offset: float = 0.0,
     slant: SlantPath | None = None,
     t0: float | None = None,
-) -> float:
-    """(time-average of tail^q over the interval)^(1/q), trapezoid in time.
+) -> np.ndarray:
+    """(time-average of tail^q over the interval)^(1/q) for each q in qs,
+    trapezoid in time.
 
-    With a slant path, the tail of each slice is taken around the translated
-    center x0 + r * z_r((t - t0)/r).
+    The tail of each snapshot in the window is evaluated once, with one set
+    of sample nodes, and shared by every q.  ``offset`` is subtracted from
+    each snapshot first.  With a slant path, the tail of each slice is taken
+    around the translated center x0 + r * z_r((t - t0)/r).
     """
-    if q <= 1.0:
-        raise ValueError("the Lq-in-time tail requires q > 1")
+    qs = np.asarray(qs, dtype=float).reshape(-1)
+    bad = ~(qs > 1.0)
+    if bad.any():
+        raise ValueError(f"the Lq-in-time tail requires q > 1, got {qs[bad][0]}")
     t_lo, t_hi = interval
     idx = traj.window(t_lo, t_hi)
     if len(idx) < 2:
         raise ValueError("tail time average needs at least two snapshots in the interval")
+    grid = traj.grid
+    offsets, weights = _tail_nodes(
+        grid, r, opts.truncation_radius, opts.quadrature_order, kernel.s
+    )
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    ref = t_hi if t0 is None else t0
     times = np.array([traj.times[i] for i in idx])
     vals = np.empty(times.size)
     for j, i in enumerate(idx):
-        u = traj.snapshots[i]
+        u = traj.snapshots[i].values
         if offset:
-            u = u.with_values(u.values - offset)
-        center = np.atleast_1d(np.asarray(x0, dtype=float))
-        if slant is not None:
-            ref = t_hi if t0 is None else t0
-            center = center + r * slant.at((times[j] - ref) / r)
-        vals[j] = tail(u, center, r, kernel, opts)
-    avg_q = np.trapezoid(vals**q, times) / (times[-1] - times[0])
-    return float(avg_q ** (1.0 / q))
+            u = u - offset
+        center = x0 if slant is None else x0 + r * slant.at((times[j] - ref) / r)
+        vals[j] = weights @ np.abs(interpolate_periodic(u, grid, center + offsets))
+    span = times[-1] - times[0]
+    return np.array([(np.trapezoid(vals**q, times) / span) ** (1.0 / q) for q in qs])
 
 
 def riesz_potential(
@@ -407,16 +416,11 @@ def excess(
     times = np.array([traj.times[i] for i in idx])
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    def center_at(t: float) -> np.ndarray:
-        if slant is None:
-            return x0
-        return x0 + r * slant.at((t - t0) / r)
-
     ball_means = np.empty(times.size)
     if slant is None:
         masks = [ball_mask(grid, x0, r)] * times.size
     else:
-        masks = [ball_mask(grid, center_at(t), r) for t in times]
+        masks = [ball_mask(grid, x0 + r * slant.at((t - t0) / r), r) for t in times]
     for j, i in enumerate(idx):
         ball_means[j] = traj.snapshots[i].values[masks[j]].mean()
     span = times[-1] - times[0]
@@ -427,14 +431,11 @@ def excess(
         osc[j] = np.abs(traj.snapshots[i].values[masks[j]] - mean_Q).mean()
     interior = float((np.trapezoid(osc**q, times) / span) ** (1.0 / q))
 
-    tails = np.empty(times.size)
-    for j, i in enumerate(idx):
-        u = traj.snapshots[i]
-        tails[j] = tail(
-            u.with_values(u.values - mean_Q), center_at(times[j]), r, kernel, opts
-        )
-    tail_part = float((np.trapezoid(tails**q, times) / span) ** (1.0 / q))
-    return ExcessReport(interior, tail_part, q, Q)
+    (tail_part,) = tail_time_lq(
+        traj, x0, r, (q,), (Q.t_start, Q.t0), kernel, opts,
+        offset=mean_Q, slant=slant, t0=t0,
+    )
+    return ExcessReport(interior, float(tail_part), q, Q)
 
 
 def bmo_seminorm(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .evolution import TrajectoryStore
 from .fields import ScalarField, make_grid
+from .operators import KernelSpec
 
 __all__ = [
     "SnapshotFormatError",
@@ -145,4 +146,5 @@ def load_kernel_estimate(path):
         y=tuple(y),
         times=np.array([f.time for f in fields]),
         fields=fields,
+        kernel=KernelSpec(s=s) if s > 0.0 else None,
     )

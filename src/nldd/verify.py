@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time as _time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +95,10 @@ def point_value(traj: TrajectoryStore, t0: float, x0) -> float:
 
 
 def cylinder_lq_mean(
-    traj: TrajectoryStore, Q: Cylinder, q: float, center_at=None
-) -> float:
-    """(space-time average of |u|^q over the cylinder)^(1/q)."""
+    traj: TrajectoryStore, Q: Cylinder, qs, center_at=None
+) -> np.ndarray:
+    """(space-time average of |u|^q over the cylinder)^(1/q) for each q in qs;
+    the |u| samples of each snapshot are gathered once for all q."""
     idx = traj.window(Q.t_start, Q.t0)
     if len(idx) < 2:
         raise ValueError("cylinder not resolved by the trajectory snapshots")
@@ -105,11 +107,12 @@ def cylinder_lq_mean(
         masks = [ball_mask(traj.grid, Q.x0, Q.r)] * times.size
     else:
         masks = [ball_mask(traj.grid, center_at(t), Q.r) for t in times]
-    means = np.array(
-        [(np.abs(traj.snapshots[i].values[m]) ** q).mean() for i, m in zip(idx, masks)]
-    )
+    samples = [np.abs(traj.snapshots[i].values[m]) for i, m in zip(idx, masks)]
     span = times[-1] - times[0]
-    return float((np.trapezoid(means, times) / span) ** (1.0 / q))
+    return np.array([
+        (np.trapezoid([(a**q).mean() for a in samples], times) / span) ** (1.0 / q)
+        for q in qs
+    ])
 
 
 def _placements(exp: Experiment, rng: np.random.Generator, count: int):
@@ -143,6 +146,8 @@ def verify_potential_estimate(
     salt: int = 1,
 ) -> VerificationReport:
     """Pointwise bound |u(t0,x0)| <= c [cylinder Lq mean + Lq tail + potential]."""
+    if min(qs) <= 1.0:
+        raise ValueError(f"the potential estimate requires q > 1, got {min(qs)}")
     if exp is None:
         exp = run_experiment(config)
     report = VerificationReport("potential-estimate")
@@ -157,14 +162,14 @@ def verify_potential_estimate(
             pot = riesz_potential(exp.mu, t0, x0, R, exp.kernel, a=2.0 * s).value
         else:
             pot = 0.0
-        for q in qs:
-            try:
-                term1 = cylinder_lq_mean(exp.traj, Q, q)
-                term2 = tail_time_lq(
-                    exp.traj, x0, R, q, (Q.t_start, Q.t0), exp.kernel, opts
-                )
-            except ValueError:
-                continue  # geometry not resolved for this placement
+        try:
+            terms1 = cylinder_lq_mean(exp.traj, Q, qs)
+            terms2 = tail_time_lq(
+                exp.traj, x0, R, qs, (Q.t_start, Q.t0), exp.kernel, opts
+            )
+        except ValueError:
+            continue  # geometry not resolved for this placement
+        for q, term1, term2 in zip(qs, terms1, terms2):
             report.add(q=q, t0=t0, x0=x0, radius=R, lhs=lhs, rhs_terms=(term1, term2, pot))
     if not report.rows:
         raise ValueError("no admissible placements; solve window or grid too small")
@@ -289,8 +294,8 @@ def fit_holder_exponent(
         alpha = float(min(slope, 1.0))  # measurement cap: smooth fields saturate
         alphas.append(alpha)
         Q = Cylinder(t0, x0, r0, s)
-        rhs1 = cylinder_lq_mean(exp.traj, Q, 1.0)
-        rhs2 = tail_time_lq(exp.traj, x0, r0, q, (Q.t_start, Q.t0), exp.kernel, opts)
+        (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,))
+        (rhs2,) = tail_time_lq(exp.traj, x0, r0, (q,), (Q.t_start, Q.t0), exp.kernel, opts)
         report.add(
             q=q, t0=t0, x0=x0, radius=r0,
             lhs=float(oscs[0]) * 0.5, rhs_terms=(rhs1, rhs2),
@@ -458,9 +463,9 @@ def verify_bmo_slanted(
 
         lhs = point_value(exp.traj, t0, x0)
         try:
-            term1 = cylinder_lq_mean(exp.traj, Q, q, center_at=center_at)
-            term2 = tail_time_lq(
-                exp.traj, x0, R, q, (Q.t_start, Q.t0), exp.kernel, opts,
+            (term1,) = cylinder_lq_mean(exp.traj, Q, (q,), center_at=center_at)
+            (term2,) = tail_time_lq(
+                exp.traj, x0, R, (q,), (Q.t_start, Q.t0), exp.kernel, opts,
                 slant=path, t0=t0,
             )
         except ValueError:
@@ -515,6 +520,7 @@ def run_campaign(
     os.makedirs(out_dir, exist_ok=True)
     reports: list[VerificationReport] = []
     errors: dict[str, str] = {}
+    tracebacks: dict[str, str] = {}
     for name in config.selection:
         if name not in CHECKS:
             raise ConfigError("verification.selection", f"unknown check {name!r}")
@@ -522,6 +528,7 @@ def run_campaign(
             reports.append(CHECKS[name](config))
         except Exception as exc:  # flush partial results below
             errors[name] = f"{type(exc).__name__}: {exc}"
+            tracebacks[name] = traceback.format_exc()
 
     csv_path = os.path.join(out_dir, "report.csv")
     body = write_csv(reports, csv_path)
@@ -539,6 +546,7 @@ def run_campaign(
             for r in reports
         },
         "errors": errors,
+        "tracebacks": tracebacks,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True, default=str)

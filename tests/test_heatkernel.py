@@ -15,6 +15,7 @@ from nldd.heatkernel import (
     upper_bound_check,
 )
 from nldd.operators import KernelSpec
+from nldd.snapshots import load_kernel_estimate, save_kernel_estimate
 
 
 def solver(kernel, grid, dt=2e-3, t_end=1.0, h_factor=1.0):
@@ -170,7 +171,33 @@ class TestSanity:
             kernel_sanity(est)
 
 
+    def test_loaded_estimate_is_rejected(self, tmp_path):
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, h_moll=grid.spacing)
+        est = estimate_kernel(None, kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
+        save_kernel_estimate(est, tmp_path / "kernel.nldd")
+        with pytest.raises(ValueError, match="needs an estimate from estimate_kernel"):
+            kernel_sanity(load_kernel_estimate(tmp_path / "kernel.nldd"))
+
+
 class TestUpperBound:
+    def test_loaded_estimate_matches_in_memory(self, tmp_path):
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.75)
+        b = shear_drift(grid)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
+        est = estimate_kernel(b, kern, 0.25, (2.0, 1.5), [1.0, 1.5, 2.0], cfg, grid)
+        save_kernel_estimate(est, tmp_path / "kernel.nldd")
+        loaded = load_kernel_estimate(tmp_path / "kernel.nldd")
+        assert loaded.kernel == kern
+        want = upper_bound_check(est, T=2.0)
+        got = upper_bound_check(loaded, T=2.0)
+        assert len(got.rows) == 3
+        assert got.rows == want.rows  # bitwise: no tolerance
+        assert got.extras == want.extras
+
+
     def test_free_kernel_constant_is_moderate(self):
         grid = make_grid(2, 64, 16.0)
         kern = KernelSpec(s=0.5)

@@ -3,11 +3,12 @@ import pytest
 
 from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import SolverConfig, TrajectoryStore, solve
-from nldd.fields import ScalarField, VectorField, grid_coordinates, make_grid
+from nldd.fields import ScalarField, VectorField, ball_mask, grid_coordinates, make_grid
 from nldd.measures import DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
+    _radial_grid,
     bmo_seminorm,
     excess,
     interpolate_periodic,
@@ -47,7 +48,95 @@ class TestInterpolation:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def reference_tail(v, x0, r, s, R_max, order=12):
+    """The per-radius tail rule: the mean of |v| over each sphere of the
+    radial grid, one interpolation per radius, then the radial sum."""
+    grid, d = v.grid, v.grid.d
+    x0 = np.asarray(x0, dtype=float)
+    radii, w_rad = _radial_grid(r, R_max, order)
+    means = np.empty(radii.size)
+    for i, rho in enumerate(radii):
+        if d == 2:
+            m = max(32, int(np.ceil(2.0 * np.pi * rho / grid.spacing)) * 2)
+            theta = 2.0 * np.pi * np.arange(m) / m
+            pts = x0 + rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            means[i] = np.abs(interpolate_periodic(v, grid, pts)).mean()
+        else:
+            ct, wct = np.polynomial.legendre.leggauss(12)
+            m = max(16, int(np.ceil(2.0 * np.pi * rho / grid.spacing)))
+            phi = 2.0 * np.pi * np.arange(m) / m
+            st = np.sqrt(1.0 - ct**2)
+            pts = x0 + rho * np.stack(
+                [np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)), np.outer(ct, np.ones(m))],
+                axis=-1,
+            )
+            vals = np.abs(interpolate_periodic(v, grid, pts))
+            means[i] = (vals.mean(axis=1) * wct).sum() / 2.0
+    area = 2.0 * np.pi if d == 2 else 4.0 * np.pi
+    integrand = area * radii ** (d - 1.0) * radii ** (-d - 2.0 * s) * means
+    return r ** (2.0 * s) * (integrand * w_rad).sum()
+
+
+def random_traj(g, seed, times):
+    rng = np.random.default_rng(seed)
+    base, drift = rng.standard_normal((2, *g.shape))
+    traj = TrajectoryStore(g)
+    for t in times:
+        traj.append(ScalarField(g, base + t * drift, t))
+    return traj
+
+
 class TestTail:
+    @pytest.mark.parametrize("d,n,s", [(2, 32, 0.5), (2, 32, 0.75), (3, 16, 0.5), (3, 16, 0.3)])
+    @pytest.mark.parametrize("x0", [(4.0, 4.0, 4.0), (3.1, 4.73, 0.37)])
+    def test_matches_per_radius_rule(self, d, n, s, x0):
+        g = make_grid(d, n, 8.0)
+        rng = np.random.default_rng(3)
+        v = ScalarField(g, rng.standard_normal(g.shape))
+        got = tail(v, x0[:d], 0.7, KernelSpec(s=s), TailOptions(4.0))
+        ref = reference_tail(v, x0[:d], 0.7, s, 4.0)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_time_lq_matches_per_radius_rule(self, d, n):
+        # off-grid centre, slanted path and an offset together
+        g = make_grid(d, n, 8.0)
+        traj = random_traj(g, 4, np.linspace(0.0, 1.0, 6))
+        x0, r, s, offset, t0 = np.array([3.3, 4.1, 2.9])[:d], 0.8, 0.5, 0.4, 0.9
+        samples = np.linspace(0.6, 0.0, 5)[:, None] * np.ones(d)
+        path = SlantPath(r, np.linspace(-1.0, 0.0, 5), samples, 1.0)
+        q = 2.5
+        (got,) = tail_time_lq(
+            traj, x0, r, (q,), (0.0, 1.0), KernelSpec(s=s), TailOptions(4.0),
+            offset=offset, slant=path, t0=t0,
+        )
+        refs = [
+            reference_tail(
+                u.with_values(u.values - offset), x0 + r * path.at((t - t0) / r), r, s, 4.0
+            )
+            for t, u in zip(traj.times, traj.snapshots)
+        ]
+        ref = (np.trapezoid(np.array(refs) ** q, traj.times) / 1.0) ** (1.0 / q)
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    def test_several_q_equal_per_q_calls(self):
+        g = make_grid(2, 32, 8.0)
+        traj = random_traj(g, 5, np.linspace(0.0, 1.0, 6))
+        args = ((3.1, 4.6), 0.7)
+        rest = ((0.2, 1.0), KernelSpec(s=0.5), TailOptions(4.0))
+        qs = (1.5, 2.0, 4.0)
+        batch = tail_time_lq(traj, *args, qs, *rest, offset=0.3)
+        singles = [tail_time_lq(traj, *args, (q,), *rest, offset=0.3)[0] for q in qs]
+        np.testing.assert_array_equal(batch, singles)
+
+    def test_q_validation_names_the_value(self):
+        g = make_grid(2, 16, 8.0)
+        traj = random_traj(g, 6, (0.0, 0.5, 1.0))
+        with pytest.raises(ValueError, match=r"requires q > 1, got 1\.0$"):
+            tail_time_lq(
+                traj, (4.0, 4.0), 0.5, (2.0, 1.0), (0.0, 1.0), KernelSpec(s=0.5), TailOptions(4.0)
+            )
+
     @pytest.mark.parametrize("d,s", [(2, 0.5), (2, 0.75), (3, 0.5)])
     def test_constant_field_closed_form(self, d, s):
         n = 32 if d == 2 else 16
@@ -76,7 +165,7 @@ class TestTail:
         kern = KernelSpec(s=0.5)
         opts = TailOptions(4.0)
         point = tail(traj.snapshots[0], (4.0, 4.0), 0.5, kern, opts)
-        avg = tail_time_lq(traj, (4.0, 4.0), 0.5, 2.0, (0.0, 1.0), kern, opts)
+        (avg,) = tail_time_lq(traj, (4.0, 4.0), 0.5, (2.0,), (0.0, 1.0), kern, opts)
         assert avg == pytest.approx(point, rel=1e-12)
 
     def test_offset_removes_constant(self):
@@ -84,8 +173,8 @@ class TestTail:
         traj = TrajectoryStore(g)
         for t in (0.0, 0.5, 1.0):
             traj.append(ScalarField(g, np.full(g.shape, 3.0), t))
-        avg = tail_time_lq(
-            traj, (4.0, 4.0), 0.5, 2.0, (0.0, 1.0), KernelSpec(s=0.5),
+        (avg,) = tail_time_lq(
+            traj, (4.0, 4.0), 0.5, (2.0,), (0.0, 1.0), KernelSpec(s=0.5),
             TailOptions(4.0), offset=3.0,
         )
         assert avg == pytest.approx(0.0, abs=1e-12)
@@ -198,6 +287,32 @@ class TestExcess:
         r1 = excess(t1, 1.0, (4.0, 4.0), 0.7, 2.0, kern, opts)
         r2 = excess(t2, 1.0, (4.0, 4.0), 0.7, 2.0, kern, opts)
         assert r2.total == pytest.approx(r1.total, rel=1e-9)
+
+    @pytest.mark.parametrize("slanted", [False, True])
+    def test_tail_part_matches_per_snapshot_loop(self, slanted):
+        # reference: the tail of each recentred snapshot, one call at a time
+        g = make_grid(2, 32, 8.0)
+        traj = random_traj(g, 7, np.linspace(0.0, 1.0, 6))
+        t0, x0, r, q = 1.0, np.array([3.25, 4.5]), 0.7, 2.0
+        kern, opts = KernelSpec(s=0.5), TailOptions(4.0)
+        path = SlantPath(r, np.array([-1.0, 0.0]), np.array([[0.5, -0.25], [0.0, 0.0]]), 1.0)
+        rep = excess(traj, t0, x0, r, q, kern, opts, slant=path if slanted else None)
+
+        def center(t):
+            return x0 + r * path.at((t - t0) / r) if slanted else x0
+
+        idx = traj.window(t0 - r, t0)  # the cylinder's time slab at s = 1/2
+        times = np.array([traj.times[i] for i in idx])
+        snaps = [traj.snapshots[i] for i in idx]
+        means = [u.values[ball_mask(g, center(t), r)].mean() for t, u in zip(times, snaps)]
+        mean_Q = float(np.trapezoid(means, times) / (times[-1] - times[0]))
+        tails = np.array([
+            tail(u.with_values(u.values - mean_Q), center(t), r, kern, opts)
+            for t, u in zip(times, snaps)
+        ])
+        ref = (np.trapezoid(tails**q, times) / (times[-1] - times[0])) ** (1.0 / q)
+        assert rep.tail_part == pytest.approx(ref, rel=1e-13)
+        assert rep.tail_part > 0.0
 
     def test_homogeneity(self):
         g = make_grid(2, 32, 8.0)

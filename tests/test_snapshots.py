@@ -136,5 +136,6 @@ class TestKernelEstimate:
         assert back.eta == 0.125
         assert back.y == (1.0, 2.5)
         np.testing.assert_array_equal(back.times, times)
+        assert back.kernel == KernelSpec(s=0.5)
         for a, b in zip(back.fields, fields):
             assert np.array_equal(a.values, b.values)

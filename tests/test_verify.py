@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nldd.config import ConfigError, ExperimentConfig
+from nldd.reports import write_csv
 from nldd.verify import (
     fit_holder_exponent,
     run_campaign,
@@ -77,6 +78,16 @@ class TestPotentialCheck:
         r1 = verify_potential_estimate(cfg, exp=exp1, num_placements=4)
         r2 = verify_potential_estimate(cfg, exp=exp2, num_placements=4)
         assert r2.fitted_constant == pytest.approx(r1.fitted_constant, rel=1e-10)
+
+    def test_rows_per_placement_in_q_order(self):
+        cfg = ExperimentConfig(base_raw())
+        rep = verify_potential_estimate(cfg, num_placements=2)
+        assert [r.q for r in rep.rows] == [1.5, 2.0, 4.0] * 2
+
+    def test_q_at_most_one_rejected(self):
+        # checked before the solve, naming the offending value
+        with pytest.raises(ValueError, match=r"requires q > 1, got 1\.0$"):
+            verify_potential_estimate(ExperimentConfig(base_raw()), qs=(2.0, 1.0))
 
 
 class TestExcessCheck:
@@ -202,6 +213,15 @@ class TestCampaign:
         with open(tmp_path / "out" / "report.json") as fh:
             sidecar = json.load(fh)
         assert "lorentz" in sidecar["errors"]
+        error = sidecar["errors"]["lorentz"]
+        assert error == "ValueError: the Lorentz check needs a density measure"
+        trace = sidecar["tracebacks"]["lorentz"]
+        assert trace.startswith("Traceback")
+        assert "in verify_lorentz" in trace
+        assert trace.rstrip().endswith(error)
+        # the failure goes to the sidecar only: the CSV body is the bare header
+        with open(tmp_path / "out" / "report.csv") as fh:
+            assert fh.read() == write_csv([], tmp_path / "empty.csv")
 
     def test_ceiling_failure_returns_one(self, tmp_path):
         raw = base_raw(
