@@ -4,6 +4,10 @@ The diffusion term is diagonal in Fourier space and is treated exactly with
 an exponential integrator; advection and forcing are handled by an ETD-RK2
 predictor-corrector with two-thirds dealiasing.  The SQG mode recomputes the
 Biot-Savart drift from the predictor stage inside each step.
+
+The solver state is the rfftn half-spectrum of the real solution, and every
+transform inside a step is real (``rfftn``/``irfftn``).  The SQG drift is
+built from those coefficients, and the forcing is transformed once per step.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from .fields import (
     VectorField,
     ball_mask,
     dealias_mask,
-    forward,
+    gradient_wavevectors,
     grid_distance,
-    wavevectors,
+    half_spectrum,
+    inverse_half,
 )
 from .measures import Cylinder, MeasureData
-from .operators import KernelSpec, biot_savart_sqg, diffusion_multiplier, leray_project
+from .operators import KernelSpec, _sqg_drift, diffusion_multiplier, leray_project
 
 __all__ = [
     "SolverConfig",
@@ -172,7 +177,10 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Precomputed exponential factors for one (grid, kernel, dt) triple."""
+    """Precomputed exponential factors for one (grid, kernel, dt) triple.
+
+    Every array is in the rfftn layout of the state (fields.half_spectrum).
+    """
 
     def __init__(self, grid: GridSpec, config: SolverConfig):
         self.grid = grid
@@ -181,31 +189,25 @@ class _Stepper:
             mult = np.zeros(grid.shape)
         else:
             mult = diffusion_multiplier(grid, config.kernel)
-        z = -config.dt * mult
+        z = -config.dt * half_spectrum(mult)
         self.exp_full = np.exp(z)
         self.phi1 = _phi1(z)
         self.phi2 = _phi2(z)
-        self.mask = dealias_mask(grid) if config.dealias else None
-        self.ks = wavevectors(grid)
+        self.mask = half_spectrum(dealias_mask(grid)) if config.dealias else None
+        self.iks = tuple(1j * k for k in gradient_wavevectors(grid))
 
     def _dealias(self, coeff: np.ndarray) -> np.ndarray:
         return coeff * self.mask if self.mask is not None else coeff
 
-    def nonlinear(self, uhat: np.ndarray, b: VectorField | None, forcing: np.ndarray | None):
+    def nonlinear(self, uhat: np.ndarray, b: VectorField | None, fhat: np.ndarray | None):
         """N(u) = -(b, grad u) + forcing, in spectral space."""
-        acc = None
+        acc = np.zeros(uhat.shape, dtype=complex) if fhat is None else fhat
         if b is not None:
             ud = self._dealias(uhat)
             adv = np.zeros(self.grid.shape)
-            for k, barr in zip(self.ks, b.arrays()):
-                du = np.fft.ifftn(1j * k * ud).real
-                adv += barr * du
-            acc = -self._dealias(np.fft.fftn(adv))
-        if forcing is not None:
-            fhat = np.fft.fftn(forcing)
-            acc = fhat if acc is None else acc + fhat
-        if acc is None:
-            acc = np.zeros(self.grid.shape, dtype=complex)
+            for ik, barr in zip(self.iks, b.arrays()):
+                adv += barr * inverse_half(ik * ud, self.grid)
+            acc = acc - self._dealias(np.fft.rfftn(adv))
         return acc
 
     def check_cfl(self, b: VectorField | None):
@@ -225,25 +227,16 @@ class _Stepper:
         sqg: bool = False,
     ) -> tuple[np.ndarray, VectorField | None]:
         dt = self.config.dt
-        if sqg:
-            b0 = biot_savart_sqg(
-                ScalarField(self.grid, np.fft.ifftn(uhat).real, t)
-            )
-        else:
-            b0 = drift(t)
+        fhat = None if forcing is None else np.fft.rfftn(forcing)
+        b0 = _sqg_drift(uhat, self.grid, t) if sqg else drift(t)
         self.check_cfl(b0)
-        n0 = self.nonlinear(uhat, b0, forcing)
+        n0 = self.nonlinear(uhat, b0, fhat)
         pred = self.exp_full * uhat + dt * self.phi1 * n0
-        if sqg:
-            # drift lagged by one predictor stage
-            b1 = biot_savart_sqg(
-                ScalarField(self.grid, np.fft.ifftn(pred).real, t + dt)
-            )
-        else:
-            b1 = drift(t + dt)
-        n1 = self.nonlinear(pred, b1, forcing)
+        # drift lagged by one predictor stage
+        b1 = _sqg_drift(pred, self.grid, t + dt) if sqg else drift(t + dt)
+        n1 = self.nonlinear(pred, b1, fhat)
         unew = pred + dt * self.phi2 * (n1 - n0)
-        if not np.all(np.isfinite(unew.real)):
+        if not np.all(np.isfinite(unew)):
             raise FloatingPointError(f"solution lost finiteness at t = {t + dt:.6g}")
         return unew, b0
 
@@ -280,19 +273,25 @@ def _run(
     sqg: bool,
 ) -> TrajectoryStore:
     grid = u0.grid
-    stepper = _Stepper(grid, config)
-    store = TrajectoryStore(grid, drift_snapshots=[] if (config.store_drift or sqg) else None)
-    uhat = forward(u0).coefficients
-    t = u0.time
     n_steps = int(round(config.t_end / config.dt))
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise ValueError("t_end must be an integer number of steps")
+        raise ValueError(
+            f"t_end = {config.t_end} must be an integer number of steps of dt = {config.dt}"
+        )
+    if mu is not None and mu.num_atoms and config.h_moll < grid.spacing:
+        raise ValueError(
+            f"mollification width h_moll = {config.h_moll} is below the grid spacing {grid.spacing}"
+        )
+    stepper = _Stepper(grid, config)
+    store = TrajectoryStore(grid, drift_snapshots=[] if (config.store_drift or sqg) else None)
+    uhat = np.fft.rfftn(u0.values)
+    t = u0.time
 
     def record(uhat_now, t_now, b_now):
-        u = ScalarField(grid, np.fft.ifftn(uhat_now).real, t_now)
+        u = ScalarField(grid, inverse_half(uhat_now, grid), t_now)
         if store.drift_snapshots is not None:
             if sqg:
-                b_now = biot_savart_sqg(u)
+                b_now = _sqg_drift(uhat_now, grid, t_now)
             elif b_now is None:
                 b_now = drift(t_now)
             store.append(u, b_now)
@@ -386,9 +385,8 @@ def comparison_solve(
     v = u_traj.snapshots[idx[0]].values.copy()
     v_store.append(ScalarField(grid, v, times[0]))
     for j, i in enumerate(idx[:-1]):
-        uhat = np.fft.fftn(v)
-        vhat, _ = stepper.step(uhat, times[j], drift, None, sqg=False)
-        v = np.fft.ifftn(vhat).real
+        vhat, _ = stepper.step(np.fft.rfftn(v), times[j], drift, None, sqg=False)
+        v = inverse_half(vhat, grid)
         u_next = u_traj.snapshots[idx[j + 1]].values
         v = np.where(inside, v, u_next)
         v_store.append(ScalarField(grid, v.copy(), times[j + 1]))

@@ -2,7 +2,9 @@
 
 All fields live on a uniform grid over [0, L)^d with periodic boundary
 conditions.  The spectral convention is k = (2*pi/L) * m for integer
-wavevectors m in [-n/2, n/2)^d, matching ``numpy.fft.fftfreq``.
+wavevectors m in [-n/2, n/2)^d, matching ``numpy.fft.fftfreq``.  The public
+transforms use the full ``fftn`` layout; the solver keeps its state in the
+``rfftn`` half-spectrum, the fftn arrays with the last axis cut to n//2 + 1.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ __all__ = [
     "dealias_mask",
     "grid_coordinates",
     "wavevectors",
+    "half_spectrum",
+    "gradient_wavevectors",
+    "inverse_half",
+    "require_divergence_free",
     "torus_distance",
     "grid_distance",
     "ball_mask",
@@ -98,6 +104,31 @@ def wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return _wavevector_axes(grid.d, grid.n, grid.domain_length)
 
 
+def half_spectrum(a: np.ndarray) -> np.ndarray:
+    """rfftn layout of an fftn-layout array: a contiguous copy of its first
+    n//2 + 1 entries along the last axis."""
+    return a[..., : a.shape[-1] // 2 + 1].copy()
+
+
+@lru_cache(maxsize=64)
+def gradient_wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """rfftn-layout (k_1, ..., k_d) with k_j zero at its own Nyquist index.
+
+    A real field's unpaired Nyquist mode has no real derivative on the grid;
+    the fftn layout drops it by taking the real part of the inverse.
+    """
+    ks = [half_spectrum(k) for k in wavevectors(grid)]
+    for j, k in enumerate(ks):
+        k[(slice(None),) * j + (grid.n // 2,)] = 0.0
+        k.flags.writeable = False  # cached: shared by every caller
+    return tuple(ks)
+
+
+def inverse_half(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real samples from rfftn-layout coefficients."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=tuple(range(grid.d)))
+
+
 @lru_cache(maxsize=64)
 def _wavenumber_magnitude(d: int, n: int, length: float) -> np.ndarray:
     ks = _wavevector_axes(d, n, length)
@@ -153,6 +184,16 @@ class SpectralField:
             raise ValueError("coefficient array does not match grid shape")
 
 
+def require_divergence_free(err: float, max_norm: float) -> None:
+    """Raise unless max|div b| = err is within DIVERGENCE_FREE_TOL * max|b|."""
+    scale = max(max_norm, 1e-300)
+    if err > DIVERGENCE_FREE_TOL * scale:
+        raise ValueError(
+            f"divergence-free assertion failed: |div b| = {err:.3e} "
+            f"exceeds {DIVERGENCE_FREE_TOL:.0e} * max|b| = {DIVERGENCE_FREE_TOL * scale:.3e}"
+        )
+
+
 @dataclass
 class VectorField:
     """d scalar components sharing one grid and time tag."""
@@ -168,13 +209,7 @@ class VectorField:
         if len(self.components) != self.grid.d:
             raise ValueError("number of components must equal the grid dimension")
         if self.divergence_free:
-            err = self.spectral_divergence_max()
-            scale = max(self.max_norm(), 1e-300)
-            if err > DIVERGENCE_FREE_TOL * scale:
-                raise ValueError(
-                    f"divergence-free assertion failed: |div b| = {err:.3e} "
-                    f"exceeds {DIVERGENCE_FREE_TOL:.0e} * max|b| = {DIVERGENCE_FREE_TOL * scale:.3e}"
-                )
+            require_divergence_free(self.spectral_divergence_max(), self.max_norm())
 
     @property
     def grid(self) -> GridSpec:

@@ -19,7 +19,10 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    gradient_wavevectors,
     grid_distance,
+    half_spectrum,
+    inverse_half,
     wavevectors,
 )
 from .operators import KernelSpec, QuadratureError
@@ -58,12 +61,14 @@ class HeatKernelEstimate:
 
 
 def _gaussian_spectral(grid: GridSpec, y: np.ndarray, width: float) -> np.ndarray:
-    """fftn coefficients of a unit-mass periodic Gaussian at y."""
-    ks = wavevectors(grid)
-    kmag2 = sum(k**2 for k in ks)
-    phase = sum(k * yc for k, yc in zip(ks, y))
-    vol = grid.domain_length**grid.d
-    return (grid.num_points / vol) * np.exp(-0.5 * width**2 * kmag2 - 1j * phase)
+    """rfftn coefficients of a unit-mass periodic Gaussian at y.  The real
+    field keeps only the cosine of a Nyquist index's share of the phase."""
+    ks = [half_spectrum(k) for k in wavevectors(grid)]
+    paired = gradient_wavevectors(grid)  # ks with each Nyquist index zeroed
+    phase = sum(k * yc for k, yc in zip(paired, y))
+    nyquist = np.cos(sum((k - kp) * yc for k, kp, yc in zip(ks, paired, y)))
+    gauss = np.exp(-0.5 * width**2 * sum(k**2 for k in ks) - 1j * phase)
+    return (grid.num_points / grid.domain_length**grid.d) * gauss * nyquist
 
 
 def _solve_recording(
@@ -91,7 +96,9 @@ def _solve_recording(
     for step in range(1, steps[-1] + 1):
         uhat, _ = stepper.step(uhat, t_start + (step - 1) * dt, drift, None, sqg=False)
         if step in steps:
-            out[step] = ScalarField(stepper.grid, np.fft.ifftn(uhat).real, t_start + step * dt)
+            out[step] = ScalarField(
+                stepper.grid, inverse_half(uhat, stepper.grid), t_start + step * dt
+            )
     return [out[k] for k in steps]
 
 
@@ -268,7 +275,7 @@ def kernel_sanity(
     weights = np.zeros(grid.shape)
     weights[coarse] = est.raw_fields[width][mid].values[coarse] * H**d
     weights[weights < 1e-10] = 0.0
-    uhat0 = _gaussian_spectral(grid, np.zeros(d), width) * np.fft.fftn(weights)
+    uhat0 = _gaussian_spectral(grid, np.zeros(d), width) * np.fft.rfftn(weights)
     composed = _solve_recording(
         est.stepper, uhat0, DriftProvider(est.drift), tau, np.array([t_final])
     )[0].values

@@ -1,11 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nldd.config import shear_drift
 from nldd.evolution import (
     CFLError,
+    DriftProvider,
     SolverConfig,
     TrajectoryStore,
+    _phi1,
+    _phi2,
+    _Stepper,
     comparison_solve,
     measure_forcing,
     solve,
@@ -14,18 +20,136 @@ from nldd.evolution import (
 from nldd.fields import (
     ScalarField,
     VectorField,
-    forward,
+    dealias_mask,
     grid_coordinates,
+    inverse_half,
     make_grid,
+    wavenumber_magnitude,
+    wavevectors,
 )
 from nldd.measures import Cylinder, DensityTrack, MeasureData
-from nldd.operators import KernelSpec
+from nldd.operators import KernelSpec, diffusion_multiplier
 
 
 def eigenmode(grid, wavenumber=1, axis=0, amplitude=1.0):
     xs = grid_coordinates(grid)
     base = 2.0 * np.pi / grid.domain_length
     return ScalarField(grid, amplitude * np.sin(base * wavenumber * xs[axis]), 0.0)
+
+
+def reference_step(grid, config, uhat, barrs, forcing, sqg):
+    """The fftn-layout ETD-RK2 step, SQG drift included, that the rfftn solver
+    state replaced; the half-spectrum step must match it to roundoff."""
+    dt = config.dt
+    z = -dt * (0.0 if config.diffusion_off else diffusion_multiplier(grid, config.kernel))
+    mask = dealias_mask(grid) if config.dealias else np.ones(grid.shape, dtype=bool)
+    ks = wavevectors(grid)
+
+    def drift(uh):
+        if not sqg:
+            return barrs
+        # biot_savart_sqg of the physical field, Nyquist planes dropped
+        uh = np.fft.fftn(np.fft.ifftn(uh).real)
+        uh[grid.n // 2, :] = 0.0
+        uh[:, grid.n // 2] = 0.0
+        kmag = wavenumber_magnitude(grid)
+        inv = np.divide(1.0, kmag, out=np.zeros_like(kmag), where=kmag > 0)
+        k1, k2 = ks
+        return np.fft.ifftn(1j * (-k2) * inv * uh).real, np.fft.ifftn(1j * k1 * inv * uh).real
+
+    def nonlinear(uh, b):
+        acc = np.zeros(grid.shape, dtype=complex) if forcing is None else np.fft.fftn(forcing)
+        if b is not None:
+            adv = sum(bj * np.fft.ifftn(1j * k * uh * mask).real for k, bj in zip(ks, b))
+            acc = acc - mask * np.fft.fftn(adv)
+        return acc
+
+    n0 = nonlinear(uhat, drift(uhat))
+    pred = np.exp(z) * uhat + dt * _phi1(z) * n0
+    n1 = nonlinear(pred, drift(pred))
+    return pred + dt * _phi2(z) * (n1 - n0)
+
+
+def count_transforms(monkeypatch):
+    """Count np.fft n-d transform calls by name, and keep the forward inputs."""
+    calls = Counter()
+    inputs = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            if _name in ("fftn", "rfftn"):
+                inputs.append(np.array(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls, inputs
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize(
+        "d, mode", [(2, "none"), (3, "none"), (2, "given"), (3, "given"), (2, "sqg")]
+    )
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_matches_fftn_layout_reference(self, d, mode, dealias):
+        # white noise puts content on every Nyquist plane
+        g = make_grid(d, 32 if d == 2 else 16, 2 * np.pi)
+        rng = np.random.default_rng(7)
+        u0 = rng.standard_normal(g.shape)
+        xs = grid_coordinates(g)
+        b = forcing = None
+        if mode == "given":
+            # divergence-free: component j does not depend on x_j
+            b = VectorField(
+                tuple(ScalarField(g, np.cos(xs[(j + 1) % d] + j)) for j in range(d)),
+                divergence_free=True,
+            )
+            forcing = rng.standard_normal(g.shape)
+        cfg = SolverConfig(
+            kernel=KernelSpec(s=0.5), dt=0.005, t_end=0.02, drift_mode=mode, dealias=dealias
+        )
+        stepper = _Stepper(g, cfg)
+        drift = DriftProvider(b)
+        uhat, ref = np.fft.rfftn(u0), np.fft.fftn(u0)
+        for i in range(4):
+            uhat, _ = stepper.step(uhat, i * cfg.dt, drift, forcing, sqg=mode == "sqg")
+            ref = reference_step(
+                g, cfg, ref, None if b is None else b.arrays(), forcing, mode == "sqg"
+            )
+        got, want = inverse_half(uhat, g), np.fft.ifftn(ref).real
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_transform_budget(self, monkeypatch):
+        g = make_grid(2, 32, 8.0)
+        rng = np.random.default_rng(2)
+        u0 = rng.standard_normal(g.shape)
+        forcing = rng.standard_normal(g.shape)
+
+        def budget(mode, drift, forcing):
+            cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.01, drift_mode=mode)
+            stepper, drift, uhat = _Stepper(g, cfg), DriftProvider(drift), np.fft.rfftn(u0)
+            calls, inputs = count_transforms(monkeypatch)
+            stepper.step(uhat, 0.0, drift, forcing, sqg=mode == "sqg")
+            monkeypatch.undo()
+            return dict(calls), inputs
+
+        # given drift: per stage two gradient irfftn and one advection rfftn,
+        # plus one forcing rfftn per step; no complex transform
+        assert budget("given", shear_drift(g), forcing)[0] == {"rfftn": 3, "irfftn": 4}
+        assert budget("given", shear_drift(g), None)[0] == {"rfftn": 2, "irfftn": 4}
+        # SQG, per stage: drift (2 irfftn), its divergence check (2 rfftn,
+        # 1 irfftn), advection (2 irfftn, 1 rfftn); no fftn, and no forward
+        # transform of the state's physical field
+        calls, inputs = budget("sqg", None, None)
+        assert calls == {"rfftn": 6, "irfftn": 10}
+        assert not any(np.allclose(x, u0) for x in inputs)
+
+    def test_non_finite_imaginary_part_raises(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.1, t_end=0.1)
+        uhat = np.fft.rfftn(eigenmode(g).values)
+        uhat[1, 2] = complex(uhat[1, 2].real, np.nan)
+        with pytest.raises(FloatingPointError, match=r"finiteness at t = 0\.1"):
+            _Stepper(g, cfg).step(uhat, 0.0, DriftProvider(None), None)
 
 
 class TestConfigValidation:
@@ -43,6 +167,34 @@ class TestConfigValidation:
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.3, t_end=1.0)
         with pytest.raises(ValueError, match="integer"):
             solve(eigenmode(g), None, None, cfg)
+
+    @staticmethod
+    def count_work(monkeypatch):
+        work = []
+        for name in ("__init__", "step"):
+            method = getattr(_Stepper, name)
+            monkeypatch.setattr(
+                _Stepper, name, lambda *a, _m=method, _n=name, **k: work.append(_n) or _m(*a, **k)
+            )
+        return work
+
+    def test_bad_steps_fail_before_the_multiplier_table(self, monkeypatch):
+        g = make_grid(2, 16, 2 * np.pi)
+        work = self.count_work(monkeypatch)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5, truncation_radius=1.0), dt=0.3, t_end=1.0)
+        message = r"t_end = 1\.0 must be an integer number of steps of dt = 0\.3"
+        with pytest.raises(ValueError, match=message):
+            solve(eigenmode(g), None, None, cfg)
+        assert work == []
+
+    def test_unresolved_mollifier_fails_before_any_step(self, monkeypatch):
+        g = make_grid(2, 32, 4.0)
+        work = self.count_work(monkeypatch)
+        mu = MeasureData.from_atoms([(0.55, (2.0, 2.0), 3.0)], domain_length=4.0)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.1, t_end=1.0, h_moll=0.05)
+        with pytest.raises(ValueError, match=r"h_moll = 0\.05 is below the grid spacing 0\.125"):
+            solve(eigenmode(g), None, mu, cfg)
+        assert work == []
 
 
 class TestTrajectoryStore:

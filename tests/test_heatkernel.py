@@ -3,7 +3,7 @@ import pytest
 
 from nldd.config import shear_drift
 from nldd.evolution import DriftProvider, SolverConfig
-from nldd.fields import make_grid
+from nldd.fields import make_grid, wavevectors
 from nldd.heatkernel import (
     _gaussian_spectral,
     _solve_recording,
@@ -70,6 +70,19 @@ class TestExactFreeKernel:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_is_the_real_field_of_the_fftn_formula(self, d):
+        # off the grid, the fftn formula's Nyquist modes have no partner; the
+        # real field it stands for keeps their Hermitian part
+        grid = make_grid(d, 16, 4.0)
+        y, width = np.array([1.3, 2.71, 0.45][:d]), 0.3
+        ks = wavevectors(grid)
+        phase = sum(k * c for k, c in zip(ks, y))
+        full = np.exp(-0.5 * width**2 * sum(k**2 for k in ks) - 1j * phase)
+        want = np.fft.rfftn(np.fft.ifftn(full * grid.num_points / 4.0**d).real)
+        got = _gaussian_spectral(grid, y, width)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_matches_periodized_free_kernel(self):
         grid = make_grid(2, 128, 16.0)
         kern = KernelSpec(s=0.5)

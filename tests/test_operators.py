@@ -3,9 +3,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
+from nldd import operators
 from nldd.fields import (
     ScalarField,
     SpectralField,
+    VectorField,
     forward,
     grid_coordinates,
     inverse,
@@ -222,6 +224,35 @@ class TestBiotSavart:
         g = make_grid(3, 8, 1.0)
         with pytest.raises(ValueError):
             biot_savart_sqg(ScalarField(g, np.zeros(g.shape)))
+
+    @staticmethod
+    def gradient_law(monkeypatch, g):
+        # swap the SQG law for grad (-Lap)^(-1/2): divergence -(-Lap)^(1/2) u,
+        # with the same zero Nyquist planes
+        m1, m2 = operators._sqg_multipliers(g)
+        monkeypatch.setattr(operators, "_sqg_multipliers", lambda grid: (m2, -m1))
+
+    def test_real_divergence_check_reads_the_fftn_value(self, monkeypatch):
+        g = make_grid(2, 64, 2 * np.pi)
+        u = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+        seen = []
+        monkeypatch.setattr(operators, "require_divergence_free", lambda err, _: seen.append(err))
+        b = biot_savart_sqg(u)
+        # both read roundoff on the SQG drift
+        assert seen[0] <= 1e-13 * b.max_norm()
+        assert 0.5 <= seen[0] / b.spectral_divergence_max() <= 2.0
+        self.gradient_law(monkeypatch, g)
+        grad = biot_savart_sqg(u)
+        want = VectorField(grad.components).spectral_divergence_max()
+        assert want > 1.0
+        assert seen[1] == pytest.approx(want, rel=1e-12)
+
+    def test_drift_that_is_not_divergence_free_raises(self, monkeypatch):
+        g = make_grid(2, 32, 2 * np.pi)
+        self.gradient_law(monkeypatch, g)
+        u = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+        with pytest.raises(ValueError, match="divergence-free assertion failed"):
+            biot_savart_sqg(u)
 
 
 class TestLerayProjection:
