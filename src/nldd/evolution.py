@@ -137,13 +137,15 @@ DriftLike = VectorField | Callable[[float], VectorField] | None
 class DriftProvider:
     """Uniform access to autonomous, callable, or absent drifts.
 
-    A fixed field is validated (or Leray-projected) once, here; a callable
-    drift is validated at every call.
+    A fixed field is validated (or Leray-projected) once, here, and its max
+    norm is computed once, at the first CFL check; a callable drift is
+    validated at every call.
     """
 
     def __init__(self, drift: DriftLike, project: bool = False):
         self._project = project
         self._drift = self._checked(drift) if isinstance(drift, VectorField) else drift
+        self._fixed_norm = None
 
     def _checked(self, b: VectorField) -> VectorField:
         if self._project:
@@ -155,6 +157,14 @@ class DriftProvider:
                     "drift fails the divergence-free assertion; request Leray projection"
                 )
         return b
+
+    def max_norm(self, b: VectorField) -> float:
+        """max|b|; for the fixed drift it is computed once per provider."""
+        if b is not self._drift:
+            return b.max_norm()
+        if self._fixed_norm is None:
+            self._fixed_norm = b.max_norm()
+        return self._fixed_norm
 
     def __call__(self, t: float) -> VectorField | None:
         if callable(self._drift):
@@ -210,10 +220,10 @@ class _Stepper:
             acc = acc - self._dealias(np.fft.rfftn(adv))
         return acc
 
-    def check_cfl(self, b: VectorField | None):
+    def check_cfl(self, b: VectorField | None, drift: DriftProvider):
         if b is None:
             return
-        bmax = max(b.max_norm(), 1e-12)
+        bmax = max(drift.max_norm(b), 1e-12)
         admissible = 0.5 * self.grid.spacing / bmax
         if self.config.dt > admissible * (1.0 + 1e-12):
             raise CFLError(self.config.dt, admissible)
@@ -227,9 +237,9 @@ class _Stepper:
         sqg: bool = False,
     ) -> tuple[np.ndarray, VectorField | None]:
         dt = self.config.dt
-        fhat = None if forcing is None else np.fft.rfftn(forcing)
         b0 = _sqg_drift(uhat, self.grid, t) if sqg else drift(t)
-        self.check_cfl(b0)
+        self.check_cfl(b0, drift)
+        fhat = None if forcing is None else np.fft.rfftn(forcing)
         n0 = self.nonlinear(uhat, b0, fhat)
         pred = self.exp_full * uhat + dt * self.phi1 * n0
         # drift lagged by one predictor stage

@@ -9,6 +9,12 @@ offsets from the center, built once per time window and shared by every
 snapshot and every q.  Radial grids for the parabolic potentials insert the
 exact entry radii of atoms so that the piecewise-constant atom masses are
 integrated in closed form between breakpoints.
+
+Bilinear interpolation is a fixed linear map: each point reads the 2^d grid
+nodes at the corners of its cell.  Their flat indices and weights are built
+once per point set (``_corners``) and applied to any number of fields on that
+grid (``_gather``): every snapshot of a straight tail window, and every drift
+component of a slant-ODE stage, reuse one set.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.ndimage import map_coordinates
 
 from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
 from .measures import (
@@ -74,11 +79,55 @@ class PotentialProfile:
 
 
 def interpolate_periodic(f: ScalarField | np.ndarray, grid: GridSpec, points: np.ndarray) -> np.ndarray:
-    """Bilinear periodic interpolation; points has shape (..., d)."""
+    """Bilinear periodic interpolation at points of shape (..., d).
+
+    ``f`` is a ScalarField or an array of shape (*batch, *grid.shape); the
+    result has shape (*batch, ...).  The corners of the points are built once
+    and gathered from every field in the batch.
+    """
     values = f.values if isinstance(f, ScalarField) else f
-    idx = (np.asarray(points) / grid.spacing) % grid.n
-    coords = [idx[..., j] for j in range(grid.d)]
-    return map_coordinates(values, coords, order=1, mode="grid-wrap")
+    return _gather(values, _corners(grid, points))
+
+
+def _corners(grid: GridSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid indices and bilinear weights of the 2^d cell corners of each
+    point, each of shape (2^d, ...) for points of shape (..., d).
+
+    Corner c takes the upper node along axis j when bit j of c is set.  The
+    grid coordinate of x is x / h % n; for a tiny negative x it rounds up to
+    exactly n, which is node 0.
+    """
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        bad = points[~np.isfinite(points).all(axis=-1)][0]
+        raise ValueError(f"interpolation point {bad} is not finite")
+    n, shape = grid.n, points.shape[:-1]
+    idx = points / grid.spacing % n
+    base = np.floor(idx)
+    frac = idx - base
+    lo = base.astype(np.intp)
+    lo[lo == n] = 0
+    hi = lo + 1
+    hi[hi == n] = 0
+    flat = np.zeros((1, *shape), dtype=np.intp)
+    weights = np.ones((1, *shape))
+    for j in range(grid.d):
+        ends = np.stack([lo[..., j], hi[..., j]])[:, None]
+        shares = np.stack([1.0 - frac[..., j], frac[..., j]])[:, None]
+        flat = (flat * n + ends).reshape(-1, *shape)
+        weights = (weights * shares).reshape(-1, *shape)
+    return flat, weights
+
+
+def _gather(values: np.ndarray, corners: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply precomputed corners to values of shape (*batch, *grid.shape)."""
+    flat, weights = corners
+    d = flat.shape[0].bit_length() - 1  # 2^d corners
+    nodes = values.reshape(*values.shape[: values.ndim - d], -1)
+    out = np.take(nodes, flat[0], axis=-1) * weights[0]
+    for c in range(1, flat.shape[0]):
+        out += np.take(nodes, flat[c], axis=-1) * weights[c]
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -171,8 +220,10 @@ def tail_time_lq(
 
     The tail of each snapshot in the window is evaluated once, with one set
     of sample nodes, and shared by every q.  ``offset`` is subtracted from
-    each snapshot first.  With a slant path, the tail of each slice is taken
-    around the translated center x0 + r * z_r((t - t0)/r).
+    each snapshot first.  A straight window indexes and weights its nodes'
+    grid corners once and gathers every snapshot from them.  With a slant
+    path, the tail of each slice is taken around the translated center
+    x0 + r * z_r((t - t0)/r), with corners built per snapshot.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1)
     bad = ~(qs > 1.0)
@@ -189,13 +240,18 @@ def tail_time_lq(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     ref = t_hi if t0 is None else t0
     times = np.array([traj.times[i] for i in idx])
+    straight = _corners(grid, x0 + offsets) if slant is None else None
     vals = np.empty(times.size)
     for j, i in enumerate(idx):
         u = traj.snapshots[i].values
         if offset:
             u = u - offset
-        center = x0 if slant is None else x0 + r * slant.at((times[j] - ref) / r)
-        vals[j] = weights @ np.abs(interpolate_periodic(u, grid, center + offsets))
+        if slant is None:
+            sampled = _gather(u, straight)
+        else:
+            center = x0 + r * slant.at((times[j] - ref) / r)
+            sampled = interpolate_periodic(u, grid, center + offsets)
+        vals[j] = weights @ np.abs(sampled)
     span = times[-1] - times[0]
     return np.array([(np.trapezoid(vals**q, times) / span) ** (1.0 / q) for q in qs])
 
@@ -326,13 +382,12 @@ def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
     ct, wct = leggauss(n_rad)
     phi = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
     st = np.sqrt(1.0 - ct**2)
-    pts, wts = [], []
-    for i, r in enumerate(rho):
-        for j in range(n_rad):
-            for p in phi:
-                pts.append([r * st[j] * np.cos(p), r * st[j] * np.sin(p), r * ct[j]])
-                wts.append(w_rad[i] * (wct[j] / 2.0) / n_ang)
-    return np.array(pts), np.array(wts)
+    # point order (radius, polar node, azimuth), azimuth fastest
+    r_st = np.outer(rho, st)[:, :, None]
+    r_ct = np.broadcast_to(np.outer(rho, ct)[:, :, None], (n_rad, n_rad, n_ang))
+    pts = np.stack([r_st * np.cos(phi), r_st * np.sin(phi), r_ct], axis=-1)
+    wts = np.repeat(np.outer(w_rad, wct / 2.0).ravel() / n_ang, n_ang)
+    return pts.reshape(-1, 3), wts
 
 
 def slant_ode(
@@ -361,14 +416,14 @@ def slant_ode(
         x0 = np.zeros(d)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     pts_unit, wts = _disk_quadrature(d)
+    components = np.stack(b.arrays())
 
     def rhs(z: np.ndarray) -> np.ndarray:
         centers = x0 + r[:, None] * z
         pts = centers[:, None, :] + r[:, None, None] * pts_unit
-        return np.stack(
-            [(interpolate_periodic(c, grid, pts) * wts).sum(axis=1) for c in b.components],
-            axis=-1,
-        )
+        # one set of corners per stage, gathered from all d components
+        means = (interpolate_periodic(components, grid, pts) * wts).sum(axis=-1)
+        return np.moveaxis(means, 0, -1)
 
     h = -1.0 / num_steps
     times = [0.0]

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +308,25 @@ class TestDrift:
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.02, t_end=0.2, drift_mode="given")
         solve(eigenmode(g), shear_drift(g), None, cfg)
         assert len(calls) == 1
+
+    def test_fixed_drift_cfl_norm_computed_once_per_solve(self, monkeypatch):
+        g = make_grid(2, 16, 2 * np.pi)
+        # flagged divergence-free, so the provider's divergence check is skipped
+        b = VectorField(shear_drift(g).components, divergence_free=True)
+        norms, stages = [], []
+        max_norm, nonlinear = VectorField.max_norm, _Stepper.nonlinear
+        monkeypatch.setattr(VectorField, "max_norm", lambda v: norms.append(1) or max_norm(v))
+        monkeypatch.setattr(
+            _Stepper, "nonlinear", lambda *a, **k: stages.append(1) or nonlinear(*a, **k)
+        )
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.02, t_end=0.2, drift_mode="given")
+        solve(eigenmode(g), b, None, cfg)
+        assert (len(norms), len(stages)) == (1, 20)  # 10 steps of two stages
+        norms.clear()
+        stages.clear()
+        with pytest.raises(CFLError, match="violates the advective CFL"):
+            solve(eigenmode(g), b, None, replace(cfg, dt=10.0, t_end=20.0))
+        assert (len(norms), len(stages)) == (1, 0)
 
     def test_snapshot_stride(self):
         g = make_grid(2, 16, 2 * np.pi)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nldd.config import shear_drift
-from nldd.evolution import DriftProvider, SolverConfig
-from nldd.fields import make_grid, wavevectors
+from nldd.evolution import CFLError, DriftProvider, SolverConfig, _Stepper
+from nldd.fields import VectorField, make_grid, wavevectors
 from nldd.heatkernel import (
     _gaussian_spectral,
     _solve_recording,
@@ -150,6 +152,31 @@ class TestSanity:
         assert rep.extras["mass_ok"]
         assert rep.extras["semigroup_ok"]
         assert rep.rows[0].passed
+
+    def test_fixed_drift_cfl_violation_raises(self, monkeypatch):
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        # flagged divergence-free, so the provider's divergence check is skipped
+        b = VectorField(shear_drift(grid).components, divergence_free=True)
+        norms, stages = [], []
+        max_norm, nonlinear = VectorField.max_norm, _Stepper.nonlinear
+        monkeypatch.setattr(VectorField, "max_norm", lambda v: norms.append(1) or max_norm(v))
+        monkeypatch.setattr(
+            _Stepper, "nonlinear", lambda *a, **k: stages.append(1) or nonlinear(*a, **k)
+        )
+        cfg = SolverConfig(kernel=kern, dt=1.0, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
+        with pytest.raises(CFLError, match="violates the advective CFL"):
+            estimate_kernel(b, kern, 0.0, (2.0, 2.0), [2.0], cfg, grid)
+        assert (len(norms), len(stages)) == (1, 0)
+        # both widths share one provider: one norm for the whole estimate
+        norms.clear()
+        times = [1.0, 1.5, 2.0]
+        est = estimate_kernel(b, kern, 0.0, (2.0, 2.0), times, replace(cfg, dt=0.05), grid)
+        assert (len(norms), len(stages)) == (1, 2 * 2 * 40)
+        norms.clear()
+        with pytest.raises(CFLError, match="violates the advective CFL"):
+            kernel_sanity(replace(est, stepper=_Stepper(grid, replace(cfg, dt=0.5))))
+        assert len(norms) == 1
 
     def test_semigroup_matches_per_source_solves(self):
         # reference: the composition summed one source solve at a time

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.ndimage import map_coordinates
 
 from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import SolverConfig, TrajectoryStore, solve
@@ -8,7 +10,9 @@ from nldd.measures import DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
+    _disk_quadrature,
     _radial_grid,
+    _tail_nodes,
     bmo_seminorm,
     excess,
     interpolate_periodic,
@@ -46,6 +50,51 @@ class TestInterpolation:
         a = interpolate_periodic(f, g, np.array([[0.1, 0.2]]))
         b = interpolate_periodic(f, g, np.array([[4.1, -3.8]]))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @staticmethod
+    def reference(values, g, points):
+        """scipy's linear spline with periodic wrap at the same grid coordinates."""
+        idx = (points / g.spacing) % g.n
+        return map_coordinates(values, [idx[..., j] for j in range(g.d)], order=1, mode="grid-wrap")
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_matches_map_coordinates(self, d, n):
+        g = make_grid(d, n, 4.0)
+        rng = np.random.default_rng(d)
+        f = rng.standard_normal(g.shape)
+        nodes = np.stack(grid_coordinates(g), axis=-1).reshape(-1, d)
+        cases = {
+            "random": rng.uniform(-2.0 * g.domain_length, 3.0 * g.domain_length, (400, 3, d)),
+            "nodes": nodes,
+            # the wrap cell [n-1, n) along every axis
+            "wrap": (n - 1 + rng.uniform(0.0, 1.0, (200, d))) * g.spacing,
+            # % n rounds these up to exactly n, which must read node 0
+            "round-up": np.full((2, d), -1e-17),
+        }
+        for name, pts in cases.items():
+            got = interpolate_periodic(f, g, pts)
+            ref = self.reference(f, g, pts)
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(f).max(), name
+        np.testing.assert_array_equal(interpolate_periodic(f, g, nodes), f.ravel())
+        assert interpolate_periodic(f, g, cases["round-up"])[0] == f.flat[0]
+
+    def test_batch_matches_single_calls(self):
+        g = make_grid(2, 32, 4.0)
+        rng = np.random.default_rng(5)
+        batch = rng.standard_normal((3, *g.shape))
+        pts = rng.uniform(-4.0, 8.0, (50, 7, 2))
+        got = interpolate_periodic(batch, g, pts)
+        assert got.shape == (3, 50, 7)
+        for k in range(3):
+            np.testing.assert_array_equal(got[k], interpolate_periodic(batch[k], g, pts))
+
+    def test_non_finite_point_rejected(self):
+        g = make_grid(2, 16, 4.0)
+        f = np.zeros(g.shape)
+        pts = np.array([[0.5, 1.0], [np.nan, 2.0], [np.inf, 0.0]])
+        with pytest.raises(ValueError, match=r"interpolation point \[nan  2\.\] is not finite"):
+            interpolate_periodic(f, g, pts)
 
 
 def reference_tail(v, x0, r, s, R_max, order=12):
@@ -128,6 +177,24 @@ class TestTail:
         batch = tail_time_lq(traj, *args, qs, *rest, offset=0.3)
         singles = [tail_time_lq(traj, *args, (q,), *rest, offset=0.3)[0] for q in qs]
         np.testing.assert_array_equal(batch, singles)
+
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_straight_window_matches_per_snapshot_interpolation(self, d, n):
+        # the shared corners give bitwise the per-snapshot interpolation loop
+        g = make_grid(d, n, 8.0)
+        times = np.linspace(0.0, 1.0, 7)
+        traj = random_traj(g, 9, times)
+        x0, r, s, offset, qs = np.array([3.3, 5.1, 0.2])[:d], 0.6, 0.5, 0.25, (1.5, 3.0)
+        got = tail_time_lq(
+            traj, x0, r, qs, (0.0, 1.0), KernelSpec(s=s), TailOptions(4.0), offset=offset
+        )
+        offsets, weights = _tail_nodes(g, r, 4.0, 12, s)
+        vals = np.array([
+            weights @ np.abs(interpolate_periodic(u.values - offset, g, x0 + offsets))
+            for u in traj.snapshots
+        ])
+        ref = [(np.trapezoid(vals**q, times) / 1.0) ** (1.0 / q) for q in qs]
+        np.testing.assert_array_equal(got, ref)
 
     def test_q_validation_names_the_value(self):
         g = make_grid(2, 16, 8.0)
@@ -260,6 +327,25 @@ class TestSlantOde:
             np.testing.assert_array_equal(path.samples, single.samples)
             assert path.c1_norm == single.c1_norm
         assert np.abs(batch[0].samples).max() > 0.0
+
+
+def test_disk_quadrature_matches_loop_in_3d():
+    # the (radius, polar node, azimuth) loop the vectorized rule replaced
+    n_rad, n_ang = 8, 16
+    xg, wg = leggauss(n_rad)
+    rho, w_rad = (0.5 * (xg + 1.0)) ** (1.0 / 3.0), 0.5 * wg
+    ct, wct = leggauss(n_rad)
+    st = np.sqrt(1.0 - ct**2)
+    phi = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
+    pts, wts = [], []
+    for i, r in enumerate(rho):
+        for j in range(n_rad):
+            for p in phi:
+                pts.append([r * st[j] * np.cos(p), r * st[j] * np.sin(p), r * ct[j]])
+                wts.append(w_rad[i] * (wct[j] / 2.0) / n_ang)
+    got_pts, got_wts = _disk_quadrature(3)
+    np.testing.assert_array_equal(got_pts, np.array(pts))
+    np.testing.assert_array_equal(got_wts, np.array(wts))
 
 
 class TestExcess:
