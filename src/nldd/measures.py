@@ -4,6 +4,12 @@ A measure is a finite list of atoms (t_i, x_i, m_i) plus an optional
 time-indexed density.  All geometry is periodic: ball membership uses the
 minimum-image torus distance, and the time interval of the backward cylinder
 Q_r(t0, x0) = (t0 - r^(2s), t0) x B_r(x0) is open at both ends.
+
+The ball of a cylinder may ride along a slant path: at time t its centre is
+x0 + r z_r((t - t0)/r).  ``Cylinder.centers`` is the one place that computes
+it; with no path the centre is x0, so a straight cylinder is the slanted one
+with the zero path.  Masks and interpolation corners are built once per
+distinct centre (``Cylinder.distinct_centers``): once for a straight window.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ __all__ = [
     "DensityTrack",
     "Cylinder",
     "SlantPath",
-    "SlantedCylinder",
     "cylinder_mass",
     "slanted_cylinder_mass",
 ]
@@ -60,10 +65,10 @@ class DensityTrack:
         )
         return float(np.trapezoid(slice_masses, self.times))
 
-    def windowed_spatial_mass(self, t0: float, t1: float, mask_fn) -> float:
+    def windowed_spatial_mass(self, t0: float, t1: float, masks_at) -> float:
         """Integral of |rho| over (t0, t1) x {mask}, trapezoid in time.
 
-        ``mask_fn(t)`` returns a boolean array selecting cells at time t.
+        ``masks_at(ts)`` returns one boolean array selecting cells per time in ts.
         """
         lo, hi = max(t0, self.times[0]), min(t1, self.times[-1])
         if hi <= lo:
@@ -72,8 +77,8 @@ class DensityTrack:
         ts = np.concatenate(([lo], interior, [hi]))
         vals = np.array(
             [
-                (np.abs(self.sample(t)) * mask_fn(t)).sum() * self.grid.cell_volume
-                for t in ts
+                (np.abs(self.sample(t)) * mask).sum() * self.grid.cell_volume
+                for t, mask in zip(ts, masks_at(ts))
             ]
         )
         return float(np.trapezoid(vals, ts))
@@ -171,6 +176,57 @@ class Cylinder:
     def t_start(self) -> float:
         return self.t0 - self.time_depth
 
+    def centers(self, times, path: SlantPath | None = None) -> np.ndarray:
+        """Ball centres x0 + r z_r((t - t0)/r) at each time, shape (len(times), d).
+
+        With no path every centre is x0.  A path must reach rescaled time -1,
+        the start of the cylinder's time slab.
+        """
+        times = np.asarray(times, dtype=float).reshape(-1)
+        x0 = np.asarray(self.x0)
+        if path is None:
+            return np.repeat(x0[None], times.size, axis=0)
+        if path.times.min() > -1.0 + 1e-12:
+            raise ValueError(
+                f"slant path starts at rescaled time {path.times.min():g}, after -1: "
+                f"it does not cover the time slab of the cylinder at t0 = {self.t0:g}, "
+                f"r = {self.r:g}"
+            )
+        return x0 + self.r * path.at((times - self.t0) / self.r)
+
+    def distinct_centers(
+        self, times, path: SlantPath | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``centers(times, path)`` and, for each time,
+        the index of its row.  A straight cylinder has one distinct centre.
+
+        Rows are compared bitwise, one void scalar per row, which costs a
+        third of ``np.unique(axis=0)``.
+        """
+        centers = self.centers(times, path)
+        rows = centers.view(np.dtype((np.void, centers.itemsize * centers.shape[1])))
+        _, first, which = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+        return centers[first], which
+
+    def window(self, traj, path: SlantPath | None = None):
+        """Snapshots of ``traj`` in the closed time slab [t0 - r^(2s), t0]:
+        (indices, times, distinct centres, index of each snapshot's centre)."""
+        idx = traj.window(self.t_start, self.t0)
+        if len(idx) < 2:
+            raise ValueError(
+                f"the cylinder at t0 = {self.t0:g}, r = {self.r:g} holds {len(idx)} "
+                "snapshot(s); at least two are needed"
+            )
+        times = np.array([traj.times[i] for i in idx])
+        return (idx, times, *self.distinct_centers(times, path))
+
+    def ball_values(self, traj, path: SlantPath | None = None):
+        """Times of the window's snapshots and the values of each in its ball,
+        with one mask per distinct centre."""
+        idx, times, centers, which = self.window(traj, path)
+        masks = [ball_mask(traj.grid, c, self.r) for c in centers]
+        return times, [traj.snapshots[i].values[masks[k]] for i, k in zip(idx, which)]
+
 
 @dataclass
 class SlantPath:
@@ -195,33 +251,14 @@ class SlantPath:
         ts = np.linspace(-1.0, 0.0, num)
         return cls(r, ts, np.zeros((num, d)), 0.0)
 
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation of z_r at rescaled time t in [-1, 0]."""
-        t = float(np.clip(t, self.times.min(), self.times.max()))
-        out = np.empty(self.samples.shape[1])
-        for j in range(self.samples.shape[1]):
-            out[j] = np.interp(t, self.times, self.samples[:, j])
-        return out
-
-
-@dataclass
-class SlantedCylinder:
-    """Cylinder whose spatial section rides along r * z_r(t / r)."""
-
-    base: Cylinder
-    path: SlantPath
-
-    def center_at(self, t: float) -> np.ndarray:
-        r = self.base.r
-        return np.asarray(self.base.x0) + r * self.path.at((t - self.base.t0) / r)
-
-
-def _atoms_in_cylinder(mu: MeasureData, Q: Cylinder, length: float) -> np.ndarray:
-    if mu.num_atoms == 0:
-        return np.zeros(0, dtype=bool)
-    in_time = (mu.atom_times > Q.t_start) & (mu.atom_times < Q.t0)
-    dist = torus_distance(mu.atom_positions, np.asarray(Q.x0), length)
-    return in_time & (dist < Q.r)
+    def at(self, t) -> np.ndarray:
+        """Linear interpolation of z_r at rescaled times t in [-1, 0], clamped
+        to the sampled range; shape (*t.shape, d)."""
+        t = np.clip(t, self.times.min(), self.times.max())
+        return np.stack(
+            [np.interp(t, self.times, self.samples[:, j]) for j in range(self.samples.shape[1])],
+            axis=-1,
+        )
 
 
 def _require_length(mu: MeasureData) -> float:
@@ -230,35 +267,28 @@ def _require_length(mu: MeasureData) -> float:
     return mu.domain_length
 
 
-def cylinder_mass(mu: MeasureData, Q: Cylinder) -> float:
-    """|mu|(Q): atom masses in the open cylinder plus the density integral."""
+def cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath | None = None) -> float:
+    """|mu|(Q): atom masses in the open cylinder plus the density integral,
+    with the ball centred on Q.centers(t, path) at each time t."""
     length = _require_length(mu)
-    total = 0.0
-    if mu.num_atoms:
-        sel = _atoms_in_cylinder(mu, Q, length)
-        total += float(np.abs(mu.atom_masses[sel]).sum())
-    if mu.density is not None:
-        mask = ball_mask(mu.density.grid, Q.x0, Q.r)
-        total += mu.density.windowed_spatial_mass(Q.t_start, Q.t0, lambda t: mask)
-    return total
-
-
-def slanted_cylinder_mass(mu: MeasureData, Qs: SlantedCylinder) -> float:
-    """As cylinder_mass, with the ball center translated along the slant path."""
-    length = _require_length(mu)
-    Q = Qs.base
-    if Qs.path.times.min() > -1.0 + 1e-12:
-        raise ValueError("slant path does not cover the cylinder time interval")
     total = 0.0
     if mu.num_atoms:
         in_time = (mu.atom_times > Q.t_start) & (mu.atom_times < Q.t0)
-        for i in np.flatnonzero(in_time):
-            center = Qs.center_at(mu.atom_times[i])
-            if torus_distance(mu.atom_positions[i], center, length) < Q.r:
-                total += abs(float(mu.atom_masses[i]))
+        dist = torus_distance(mu.atom_positions, Q.centers(mu.atom_times, path), length)
+        total += float(np.abs(mu.atom_masses[in_time & (dist < Q.r)]).sum())
     if mu.density is not None:
-        total += mu.density.windowed_spatial_mass(
-            Q.t_start, Q.t0, lambda t: ball_mask(mu.density.grid, Qs.center_at(t), Q.r)
-        )
+        grid = mu.density.grid
+
+        def masks_at(ts):
+            centers, which = Q.distinct_centers(ts, path)
+            masks = [ball_mask(grid, c, Q.r) for c in centers]
+            return [masks[k] for k in which]
+
+        total += mu.density.windowed_spatial_mass(Q.t_start, Q.t0, masks_at)
     return total
 
+
+def slanted_cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath) -> float:
+    """cylinder_mass along a slant path.  Kept as a function of its own because
+    the benchmark's tracer resolves ``measures.slanted_cylinder_mass`` by name."""
+    return cylinder_mass(mu, Q, path)

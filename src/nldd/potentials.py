@@ -6,15 +6,17 @@ the torus and evaluated in polar coordinates: composite Gauss-Legendre panels
 in radius, uniform (trapezoid) angles, with the field sampled by periodic
 bilinear interpolation.  The rule is a fixed weighted sum of |v| over sample
 offsets from the center, built once per time window and shared by every
-snapshot and every q.  Radial grids for the parabolic potentials insert the
-exact entry radii of atoms so that the piecewise-constant atom masses are
-integrated in closed form between breakpoints.
+snapshot and every q.  Radial grids for the straight parabolic potentials
+insert the exact entry radii of atoms so that the piecewise-constant atom
+masses are integrated in closed form between breakpoints.
 
-Bilinear interpolation is a fixed linear map: each point reads the 2^d grid
-nodes at the corners of its cell.  Their flat indices and weights are built
-once per point set (``_corners``) and applied to any number of fields on that
-grid (``_gather``): every snapshot of a straight tail window, and every drift
-component of a slant-ODE stage, reuse one set.
+A time window is a cylinder's window (``Cylinder.window``): its snapshots and
+the ball centre of each, straight or along a slant path.  Bilinear
+interpolation is a fixed linear map: each point reads the 2^d grid nodes at
+the corners of its cell.  Their flat indices and weights are built once per
+point set (``_corners``) and applied to any number of fields on that grid
+(``_gather``): once per distinct centre of a tail window, so once for a
+straight window, and once per slant-ODE stage for every drift component.
 """
 
 from __future__ import annotations
@@ -27,14 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
-from .measures import (
-    Cylinder,
-    MeasureData,
-    SlantPath,
-    SlantedCylinder,
-    cylinder_mass,
-    slanted_cylinder_mass,
-)
+from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass
 from .operators import KernelSpec
 
 __all__ = [
@@ -205,53 +200,40 @@ def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) ->
 
 def tail_time_lq(
     traj,
-    x0,
-    r: float,
+    Q: Cylinder,
     qs,
-    interval: tuple[float, float],
     kernel: KernelSpec,
     opts: TailOptions,
     offset: float = 0.0,
     slant: SlantPath | None = None,
-    t0: float | None = None,
 ) -> np.ndarray:
-    """(time-average of tail^q over the interval)^(1/q) for each q in qs,
-    trapezoid in time.
+    """(time-average of tail^q over the cylinder's time slab)^(1/q) for each q
+    in qs, trapezoid in time.
 
-    The tail of each snapshot in the window is evaluated once, with one set
-    of sample nodes, and shared by every q.  ``offset`` is subtracted from
-    each snapshot first.  A straight window indexes and weights its nodes'
-    grid corners once and gathers every snapshot from them.  With a slant
-    path, the tail of each slice is taken around the translated center
-    x0 + r * z_r((t - t0)/r), with corners built per snapshot.
+    The tail of each snapshot in the window is taken around its ball centre
+    (``Q.centers``, along ``slant`` if given) and shared by every q.
+    ``offset`` is subtracted from the sampled values of each snapshot.  The
+    grid corners of the sample nodes are indexed and weighted once per
+    distinct centre, so once for a straight window, and gathered from every
+    snapshot there.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1)
     bad = ~(qs > 1.0)
     if bad.any():
         raise ValueError(f"the Lq-in-time tail requires q > 1, got {qs[bad][0]}")
-    t_lo, t_hi = interval
-    idx = traj.window(t_lo, t_hi)
-    if len(idx) < 2:
-        raise ValueError("tail time average needs at least two snapshots in the interval")
+    idx, times, centers, which = Q.window(traj, slant)
     grid = traj.grid
     offsets, weights = _tail_nodes(
-        grid, r, opts.truncation_radius, opts.quadrature_order, kernel.s
+        grid, Q.r, opts.truncation_radius, opts.quadrature_order, kernel.s
     )
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    ref = t_hi if t0 is None else t0
-    times = np.array([traj.times[i] for i in idx])
-    straight = _corners(grid, x0 + offsets) if slant is None else None
     vals = np.empty(times.size)
-    for j, i in enumerate(idx):
-        u = traj.snapshots[i].values
-        if offset:
-            u = u - offset
-        if slant is None:
-            sampled = _gather(u, straight)
-        else:
-            center = x0 + r * slant.at((times[j] - ref) / r)
-            sampled = interpolate_periodic(u, grid, center + offsets)
-        vals[j] = weights @ np.abs(sampled)
+    for k, center in enumerate(centers):
+        corners = _corners(grid, center + offsets)
+        for j in np.flatnonzero(which == k):
+            sampled = _gather(traj.snapshots[idx[j]].values, corners)
+            if offset:  # bilinear weights sum to 1, so the offset comes off the samples
+                sampled -= offset
+            vals[j] = weights @ np.abs(sampled)
     span = times[-1] - times[0]
     return np.array([(np.trapezoid(vals**q, times) / span) ** (1.0 / q) for q in qs])
 
@@ -318,13 +300,9 @@ def riesz_potential(
     all_radii = np.concatenate([radii, mids])
     all_masses = np.zeros(all_radii.size)
     active = np.flatnonzero(_slab_holds_mass(mu, t0, all_radii, s))
-    paths = slant(all_radii[active]) if slant is not None and active.size else None
-    for k, i in enumerate(active):
-        Q = Cylinder(t0, tuple(x0), all_radii[i], s)
-        all_masses[i] = (
-            cylinder_mass(mu, Q) if paths is None
-            else slanted_cylinder_mass(mu, SlantedCylinder(Q, paths[k]))
-        )
+    paths = slant(all_radii[active]) if slant is not None and active.size else [None] * active.size
+    for i, path in zip(active, paths):
+        all_masses[i] = cylinder_mass(mu, Cylinder(t0, tuple(x0), all_radii[i], s), path)
     masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
 
     # atoms already inside the smallest cylinder make the integral diverge;
@@ -346,8 +324,7 @@ def _slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) ->
     """Whether |mu| has mass in each time slab (t0 - rho^(2s), t0).
 
     The slab starts are scalar powers, as Cylinder.t_start computes them, so
-    that a radius judged empty gets mass 0 from cylinder_mass and
-    slanted_cylinder_mass too.
+    that a radius judged empty gets mass 0 from cylinder_mass along any path.
     """
     t_start = np.array([t0 - rho ** (2.0 * s) for rho in radii])
     held = np.zeros(radii.size, dtype=bool)
@@ -462,34 +439,13 @@ def excess(
     slant: SlantPath | None = None,
 ) -> ExcessReport:
     """Interior oscillation plus weighted tail of the recentered solution."""
-    s = kernel.s
-    Q = Cylinder(t0, tuple(np.atleast_1d(x0)), r, s)
-    idx = traj.window(Q.t_start, Q.t0)
-    if len(idx) < 2:
-        raise ValueError("cylinder not resolved by the trajectory snapshots")
-    grid = traj.grid
-    times = np.array([traj.times[i] for i in idx])
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    ball_means = np.empty(times.size)
-    if slant is None:
-        masks = [ball_mask(grid, x0, r)] * times.size
-    else:
-        masks = [ball_mask(grid, x0 + r * slant.at((t - t0) / r), r) for t in times]
-    for j, i in enumerate(idx):
-        ball_means[j] = traj.snapshots[i].values[masks[j]].mean()
+    Q = Cylinder(t0, x0, r, kernel.s)
+    times, values = Q.ball_values(traj, slant)
     span = times[-1] - times[0]
-    mean_Q = float(np.trapezoid(ball_means, times) / span)
-
-    osc = np.empty(times.size)
-    for j, i in enumerate(idx):
-        osc[j] = np.abs(traj.snapshots[i].values[masks[j]] - mean_Q).mean()
+    mean_Q = float(np.trapezoid([v.mean() for v in values], times) / span)
+    osc = np.array([np.abs(v - mean_Q).mean() for v in values])
     interior = float((np.trapezoid(osc**q, times) / span) ** (1.0 / q))
-
-    (tail_part,) = tail_time_lq(
-        traj, x0, r, (q,), (Q.t_start, Q.t0), kernel, opts,
-        offset=mean_Q, slant=slant, t0=t0,
-    )
+    (tail_part,) = tail_time_lq(traj, Q, (q,), kernel, opts, offset=mean_Q, slant=slant)
     return ExcessReport(interior, float(tail_part), q, Q)
 
 

@@ -19,7 +19,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
 from .fields import GridSpec, ScalarField, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
-from .measures import Cylinder, MeasureData, cylinder_mass
+from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass
 from .operators import KernelSpec
 from .potentials import (
     TailOptions,
@@ -95,24 +95,27 @@ def point_value(traj: TrajectoryStore, t0: float, x0) -> float:
 
 
 def cylinder_lq_mean(
-    traj: TrajectoryStore, Q: Cylinder, qs, center_at=None
+    traj: TrajectoryStore, Q: Cylinder, qs, path: SlantPath | None = None
 ) -> np.ndarray:
-    """(space-time average of |u|^q over the cylinder)^(1/q) for each q in qs;
-    the |u| samples of each snapshot are gathered once for all q."""
-    idx = traj.window(Q.t_start, Q.t0)
-    if len(idx) < 2:
-        raise ValueError("cylinder not resolved by the trajectory snapshots")
-    times = np.array([traj.times[i] for i in idx])
-    if center_at is None:
-        masks = [ball_mask(traj.grid, Q.x0, Q.r)] * times.size
-    else:
-        masks = [ball_mask(traj.grid, center_at(t), Q.r) for t in times]
-    samples = [np.abs(traj.snapshots[i].values[m]) for i, m in zip(idx, masks)]
+    """(space-time average of |u|^q over the cylinder)^(1/q) for each q in qs,
+    with the ball along ``path`` if given; the |u| samples of each snapshot
+    are gathered once for all q."""
+    times, values = Q.ball_values(traj, path)
+    samples = [np.abs(v) for v in values]
     span = times[-1] - times[0]
     return np.array([
         (np.trapezoid([(a**q).mean() for a in samples], times) / span) ** (1.0 / q)
         for q in qs
     ])
+
+
+def _cylinder_oscillation(
+    traj: TrajectoryStore, Q: Cylinder, path: SlantPath | None = None
+) -> float:
+    """sup - inf of u over the cylinder's snapshots, with the ball along
+    ``path`` if given."""
+    _, values = Q.ball_values(traj, path)
+    return max(v.max() for v in values) - min(v.min() for v in values)
 
 
 def _placements(exp: Experiment, rng: np.random.Generator, count: int):
@@ -164,9 +167,7 @@ def verify_potential_estimate(
             pot = 0.0
         try:
             terms1 = cylinder_lq_mean(exp.traj, Q, qs)
-            terms2 = tail_time_lq(
-                exp.traj, x0, R, qs, (Q.t_start, Q.t0), exp.kernel, opts
-            )
+            terms2 = tail_time_lq(exp.traj, Q, qs, exp.kernel, opts)
         except ValueError:
             continue  # geometry not resolved for this placement
         for q, term1, term2 in zip(qs, terms1, terms2):
@@ -276,18 +277,10 @@ def fit_holder_exponent(
         paths = slant_ode(exp.drift, np.minimum(radii, 1.0), t0=t0, x0=x0) if (
             slanted and exp.drift is not None
         ) else [None] * num_scales
-        oscs = np.empty(num_scales)
-        for j, (r, path) in enumerate(zip(radii, paths)):
-            idx = exp.traj.window(t0 - r ** (2.0 * s), t0)
-            lo, hi = np.inf, -np.inf
-            for i in idx:
-                t = exp.traj.times[i]
-                ct = np.asarray(x0) if path is None else (
-                    np.asarray(x0) + r * path.at(np.clip((t - t0) / r, -1.0, 0.0))
-                )
-                vals = exp.traj.snapshots[i].values[ball_mask(grid, ct, r)]
-                lo, hi = min(lo, vals.min()), max(hi, vals.max())
-            oscs[j] = hi - lo
+        oscs = np.array([
+            _cylinder_oscillation(exp.traj, Cylinder(t0, x0, r, s), path)
+            for r, path in zip(radii, paths)
+        ])
         if oscs[0] <= 1e-14:
             continue
         slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(oscs, 1e-300)), 1)
@@ -295,7 +288,7 @@ def fit_holder_exponent(
         alphas.append(alpha)
         Q = Cylinder(t0, x0, r0, s)
         (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,))
-        (rhs2,) = tail_time_lq(exp.traj, x0, r0, (q,), (Q.t_start, Q.t0), exp.kernel, opts)
+        (rhs2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts)
         report.add(
             q=q, t0=t0, x0=x0, radius=r0,
             lhs=float(oscs[0]) * 0.5, rhs_terms=(rhs1, rhs2),
@@ -457,17 +450,10 @@ def verify_bmo_slanted(
         R = min(R, 1.0)
         Q = Cylinder(t0, x0, R, s)
         (path,) = slant_ode(b, [R], t0=t0, x0=x0)
-
-        def center_at(t, _path=path, _t0=t0, _R=R, _x0=np.asarray(x0)):
-            return _x0 + _R * _path.at(np.clip((t - _t0) / _R, -1.0, 0.0))
-
         lhs = point_value(exp.traj, t0, x0)
         try:
-            (term1,) = cylinder_lq_mean(exp.traj, Q, (q,), center_at=center_at)
-            (term2,) = tail_time_lq(
-                exp.traj, x0, R, (q,), (Q.t_start, Q.t0), exp.kernel, opts,
-                slant=path, t0=t0,
-            )
+            (term1,) = cylinder_lq_mean(exp.traj, Q, (q,), path=path)
+            (term2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts, slant=path)
         except ValueError:
             continue
         if exp.mu is not None:

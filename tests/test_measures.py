@@ -9,7 +9,6 @@ from nldd.measures import (
     DensityTrack,
     MeasureData,
     SlantPath,
-    SlantedCylinder,
     cylinder_mass,
     slanted_cylinder_mass,
 )
@@ -116,20 +115,38 @@ class TestSlant:
             [(0.5, (1.0, 0.0), 1.0), (0.2, (3.0, 3.0), 4.0)], domain_length=8.0
         )
         Q = Cylinder(t0=1.0, x0=(0.5, 0.0), r=1.0, s=0.5)
-        Qs = SlantedCylinder(Q, SlantPath.zero(Q.r))
-        assert slanted_cylinder_mass(mu, Qs) == pytest.approx(cylinder_mass(mu, Q))
+        assert slanted_cylinder_mass(mu, Q, SlantPath.zero(Q.r)) == cylinder_mass(mu, Q)
 
     def test_translated_center_captures_moved_atom(self):
         # path drifts one unit in x1 toward the past
         ts = np.linspace(-1.0, 0.0, 5)
         path = SlantPath(1.0, ts, np.stack([-ts, np.zeros(5)], axis=1), 1.0)
         Q = Cylinder(t0=1.0, x0=(0.0, 0.0), r=1.0, s=0.5)
-        Qs = SlantedCylinder(Q, path)
         # at t = 0.5 the center sits at x1 = 0.5
-        np.testing.assert_allclose(Qs.center_at(0.5), [0.5, 0.0])
+        np.testing.assert_allclose(Q.centers([0.5], path), [[0.5, 0.0]])
         far = MeasureData.from_atoms([(0.25, (1.2, 0.0), 1.0)], domain_length=8.0)
         assert cylinder_mass(far, Q) == 0.0
-        assert slanted_cylinder_mass(far, Qs) == pytest.approx(1.0)
+        assert cylinder_mass(far, Q, path) == pytest.approx(1.0)
+
+    def test_centers_match_scalar_path_evaluation(self):
+        ts = np.linspace(-1.0, 0.0, 7)
+        path = SlantPath(0.5, ts, np.stack([ts**2 - ts, 0.3 * ts], axis=1), 1.0)
+        Q = Cylinder(t0=1.0, x0=(2.0, 3.0), r=0.5, s=0.5)
+        times = np.linspace(0.5, 1.0, 11)
+        expected = [np.asarray(Q.x0) + Q.r * path.at((t - Q.t0) / Q.r) for t in times]
+        np.testing.assert_array_equal(Q.centers(times, path), expected)
+        np.testing.assert_array_equal(Q.centers(times), [Q.x0] * times.size)
+
+    def test_empty_slab_has_no_mass(self):
+        # atoms before and after the slab (0.5, 1): no centre is needed
+        mu = MeasureData.from_atoms(
+            [(0.2, (0.0, 0.0), 1.0), (1.5, (0.0, 0.0), 2.0)], domain_length=8.0
+        )
+        Q = Cylinder(t0=1.0, x0=(0.0, 0.0), r=0.5, s=0.5)
+        ts = np.linspace(-1.0, 0.0, 5)
+        path = SlantPath(0.5, ts, np.stack([-ts, ts], axis=1), 1.0)
+        assert cylinder_mass(mu, Q, path) == 0.0
+        assert cylinder_mass(mu, Q) == 0.0
 
     def test_path_must_vanish_at_origin(self):
         ts = np.linspace(-1.0, 0.0, 5)

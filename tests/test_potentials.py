@@ -6,7 +6,7 @@ from scipy.ndimage import map_coordinates
 from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import SolverConfig, TrajectoryStore, solve
 from nldd.fields import ScalarField, VectorField, ball_mask, grid_coordinates, make_grid
-from nldd.measures import DensityTrack, MeasureData, SlantPath
+from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
@@ -151,31 +151,33 @@ class TestTail:
         # off-grid centre, slanted path and an offset together
         g = make_grid(d, n, 8.0)
         traj = random_traj(g, 4, np.linspace(0.0, 1.0, 6))
-        x0, r, s, offset, t0 = np.array([3.3, 4.1, 2.9])[:d], 0.8, 0.5, 0.4, 0.9
+        x0, r, s, offset, t0 = np.array([3.3, 4.1, 2.9])[:d], 0.8, 0.5, 0.4, 1.0
         samples = np.linspace(0.6, 0.0, 5)[:, None] * np.ones(d)
         path = SlantPath(r, np.linspace(-1.0, 0.0, 5), samples, 1.0)
         q = 2.5
+        Q = Cylinder(t0, x0, r, s)
         (got,) = tail_time_lq(
-            traj, x0, r, (q,), (0.0, 1.0), KernelSpec(s=s), TailOptions(4.0),
-            offset=offset, slant=path, t0=t0,
+            traj, Q, (q,), KernelSpec(s=s), TailOptions(4.0), offset=offset, slant=path
         )
+        idx = traj.window(Q.t_start, Q.t0)
+        times = np.array([traj.times[i] for i in idx])
         refs = [
             reference_tail(
                 u.with_values(u.values - offset), x0 + r * path.at((t - t0) / r), r, s, 4.0
             )
-            for t, u in zip(traj.times, traj.snapshots)
+            for t, u in zip(times, (traj.snapshots[i] for i in idx))
         ]
-        ref = (np.trapezoid(np.array(refs) ** q, traj.times) / 1.0) ** (1.0 / q)
+        ref = (np.trapezoid(np.array(refs) ** q, times) / (times[-1] - times[0])) ** (1.0 / q)
         assert got == pytest.approx(ref, rel=1e-13)
 
     def test_several_q_equal_per_q_calls(self):
         g = make_grid(2, 32, 8.0)
         traj = random_traj(g, 5, np.linspace(0.0, 1.0, 6))
-        args = ((3.1, 4.6), 0.7)
-        rest = ((0.2, 1.0), KernelSpec(s=0.5), TailOptions(4.0))
+        Q = Cylinder(1.0, (3.1, 4.6), 0.7, 0.5)
+        rest = (KernelSpec(s=0.5), TailOptions(4.0))
         qs = (1.5, 2.0, 4.0)
-        batch = tail_time_lq(traj, *args, qs, *rest, offset=0.3)
-        singles = [tail_time_lq(traj, *args, (q,), *rest, offset=0.3)[0] for q in qs]
+        batch = tail_time_lq(traj, Q, qs, *rest, offset=0.3)
+        singles = [tail_time_lq(traj, Q, (q,), *rest, offset=0.3)[0] for q in qs]
         np.testing.assert_array_equal(batch, singles)
 
     @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
@@ -185,15 +187,16 @@ class TestTail:
         times = np.linspace(0.0, 1.0, 7)
         traj = random_traj(g, 9, times)
         x0, r, s, offset, qs = np.array([3.3, 5.1, 0.2])[:d], 0.6, 0.5, 0.25, (1.5, 3.0)
-        got = tail_time_lq(
-            traj, x0, r, qs, (0.0, 1.0), KernelSpec(s=s), TailOptions(4.0), offset=offset
-        )
+        Q = Cylinder(1.0, x0, r, s)
+        got = tail_time_lq(traj, Q, qs, KernelSpec(s=s), TailOptions(4.0), offset=offset)
         offsets, weights = _tail_nodes(g, r, 4.0, 12, s)
+        idx = traj.window(Q.t_start, Q.t0)
         vals = np.array([
-            weights @ np.abs(interpolate_periodic(u.values - offset, g, x0 + offsets))
-            for u in traj.snapshots
+            weights @ np.abs(interpolate_periodic(traj.snapshots[i].values, g, x0 + offsets) - offset)
+            for i in idx
         ])
-        ref = [(np.trapezoid(vals**q, times) / 1.0) ** (1.0 / q) for q in qs]
+        ts = times[idx]
+        ref = [(np.trapezoid(vals**q, ts) / (ts[-1] - ts[0])) ** (1.0 / q) for q in qs]
         np.testing.assert_array_equal(got, ref)
 
     def test_q_validation_names_the_value(self):
@@ -201,7 +204,8 @@ class TestTail:
         traj = random_traj(g, 6, (0.0, 0.5, 1.0))
         with pytest.raises(ValueError, match=r"requires q > 1, got 1\.0$"):
             tail_time_lq(
-                traj, (4.0, 4.0), 0.5, (2.0, 1.0), (0.0, 1.0), KernelSpec(s=0.5), TailOptions(4.0)
+                traj, Cylinder(1.0, (4.0, 4.0), 0.5, 0.5), (2.0, 1.0), KernelSpec(s=0.5),
+                TailOptions(4.0),
             )
 
     @pytest.mark.parametrize("d,s", [(2, 0.5), (2, 0.75), (3, 0.5)])
@@ -232,7 +236,7 @@ class TestTail:
         kern = KernelSpec(s=0.5)
         opts = TailOptions(4.0)
         point = tail(traj.snapshots[0], (4.0, 4.0), 0.5, kern, opts)
-        (avg,) = tail_time_lq(traj, (4.0, 4.0), 0.5, (2.0,), (0.0, 1.0), kern, opts)
+        (avg,) = tail_time_lq(traj, Cylinder(1.0, (4.0, 4.0), 0.5, 0.5), (2.0,), kern, opts)
         assert avg == pytest.approx(point, rel=1e-12)
 
     def test_offset_removes_constant(self):
@@ -241,7 +245,7 @@ class TestTail:
         for t in (0.0, 0.5, 1.0):
             traj.append(ScalarField(g, np.full(g.shape, 3.0), t))
         (avg,) = tail_time_lq(
-            traj, (4.0, 4.0), 0.5, (2.0,), (0.0, 1.0), KernelSpec(s=0.5),
+            traj, Cylinder(1.0, (4.0, 4.0), 0.5, 0.5), (2.0,), KernelSpec(s=0.5),
             TailOptions(4.0), offset=3.0,
         )
         assert avg == pytest.approx(0.0, abs=1e-12)

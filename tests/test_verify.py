@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from nldd.config import ConfigError, ExperimentConfig
+from nldd.evolution import TrajectoryStore
+from nldd.fields import ScalarField, make_grid
+from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath, cylinder_mass
+from nldd.operators import KernelSpec
+from nldd.potentials import TailOptions, excess, tail_time_lq
 from nldd.reports import write_csv
 from nldd.verify import (
+    _cylinder_oscillation,
+    cylinder_lq_mean,
     fit_holder_exponent,
     run_campaign,
     run_experiment,
@@ -243,3 +250,75 @@ class TestCampaign:
         assert (tmp_path / "a" / "report.csv").read_bytes() == (
             tmp_path / "b" / "report.csv"
         ).read_bytes()
+
+
+def _random_traj(times):
+    g = make_grid(2, 32, 8.0)
+    rng = np.random.default_rng(12)
+    base, drift = rng.standard_normal((2, *g.shape))
+    traj = TrajectoryStore(g)
+    for t in times:
+        traj.append(ScalarField(g, base + t * drift, t))
+    return traj
+
+
+def _atoms_and_density(grid):
+    mu = MeasureData.from_atoms(
+        [(0.5, (3.5, 4.0), 1.0), (0.4, (3.0, 4.4), -2.0), (0.9, (3.6, 3.8), 0.5)],
+        domain_length=8.0,
+    )
+    rng = np.random.default_rng(13)
+    mu.density = DensityTrack(
+        grid, np.linspace(0.0, 1.0, 5), [np.abs(rng.standard_normal(grid.shape)) for _ in range(5)]
+    )
+    return mu
+
+
+KERN, OPTS = KernelSpec(s=0.5), TailOptions(4.0)
+
+
+def _excess_parts(traj, Q, path):
+    rep = excess(traj, Q.t0, Q.x0, Q.r, 2.0, KERN, OPTS, slant=path)
+    return rep.interior, rep.tail_part
+
+
+# Each cylinder site as a function of (trajectory, cylinder, path).
+CYLINDER_SITES = {
+    "cylinder_mass": lambda traj, Q, path: cylinder_mass(_atoms_and_density(traj.grid), Q, path),
+    "cylinder_lq_mean": lambda traj, Q, path: cylinder_lq_mean(traj, Q, (1.5, 2.0, 4.0), path),
+    "tail_time_lq": lambda traj, Q, path: tail_time_lq(
+        traj, Q, (1.5, 2.0), KERN, OPTS, offset=0.3, slant=path
+    ),
+    "excess": _excess_parts,
+    "holder_oscillation": _cylinder_oscillation,
+}
+WINDOW_SITES = [name for name in CYLINDER_SITES if name != "cylinder_mass"]
+
+
+class TestCylinderGeometry:
+    @pytest.mark.parametrize("site", sorted(CYLINDER_SITES))
+    def test_zero_path_matches_straight(self, site):
+        traj = _random_traj(np.linspace(0.0, 1.0, 11))
+        Q = Cylinder(0.95, (3.3, 4.1), 0.7, 0.5)
+        straight = CYLINDER_SITES[site](traj, Q, None)
+        zero = CYLINDER_SITES[site](traj, Q, SlantPath.zero(Q.r))
+        np.testing.assert_array_equal(zero, straight)
+
+    @pytest.mark.parametrize("site", sorted(CYLINDER_SITES))
+    def test_path_must_reach_the_slab_start(self, site):
+        traj = _random_traj(np.linspace(0.0, 1.0, 11))
+        Q = Cylinder(0.95, (3.3, 4.1), 0.7, 0.5)
+        short = SlantPath(0.7, np.linspace(-0.5, 0.0, 3), np.zeros((3, 2)), 0.0)
+        with pytest.raises(
+            ValueError, match=r"starts at rescaled time -0\.5, after -1.* t0 = 0\.95, r = 0\.7$"
+        ):
+            CYLINDER_SITES[site](traj, Q, short)
+
+    @pytest.mark.parametrize("site", WINDOW_SITES)
+    def test_window_needs_two_snapshots(self, site):
+        traj = _random_traj((0.0, 0.5, 1.0))
+        Q = Cylinder(1.0, (3.3, 4.1), 0.2, 0.5)  # slab [0.8, 1] holds one snapshot
+        with pytest.raises(
+            ValueError, match=r"cylinder at t0 = 1, r = 0\.2 holds 1 snapshot\(s\); at least two"
+        ):
+            CYLINDER_SITES[site](traj, Q, None)
