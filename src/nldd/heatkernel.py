@@ -4,7 +4,8 @@ Dirac initial data is realized as a periodic Gaussian of width h, solved
 forward, repeated at width h/2, and Richardson-extrapolated in the width
 (the leading bias is quadratic in h).  The free kernel (no drift) has a
 closed form at s = 1/2 and is otherwise recovered by radial Fourier
-inversion; both serve as oracles for the estimated kernel.
+inversion, the one place here that imports scipy; both serve as oracles for
+the estimated kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, special
 
 from .evolution import DriftProvider, SolverConfig, _Stepper
 from .fields import (
@@ -168,6 +168,8 @@ def exact_free_kernel(kernel: KernelSpec, d: int, t: float, r) -> np.ndarray | f
         else:
             raise ValueError("unsupported dimension")
         return float(vals[0]) if scalar else vals
+    from scipy import integrate, special
+
     kmax = (45.0 / t) ** (1.0 / (2.0 * s))
     vals = np.empty(r.size)
     for i, ri in enumerate(r):

@@ -24,6 +24,7 @@ __all__ = [
     "MeasureData",
     "DensityTrack",
     "Cylinder",
+    "UnresolvedCylinderError",
     "SlantPath",
     "cylinder_mass",
     "slanted_cylinder_mass",
@@ -154,6 +155,10 @@ class MeasureData:
         )
 
 
+class UnresolvedCylinderError(ValueError):
+    """A cylinder's time slab holds fewer than two trajectory snapshots."""
+
+
 @dataclass(frozen=True)
 class Cylinder:
     """Backward parabolic cylinder Q_r(t0, x0) with time depth r^(2s)."""
@@ -213,7 +218,7 @@ class Cylinder:
         (indices, times, distinct centres, index of each snapshot's centre)."""
         idx = traj.window(self.t_start, self.t0)
         if len(idx) < 2:
-            raise ValueError(
+            raise UnresolvedCylinderError(
                 f"the cylinder at t0 = {self.t0:g}, r = {self.r:g} holds {len(idx)} "
                 "snapshot(s); at least two are needed"
             )

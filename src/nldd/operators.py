@@ -9,7 +9,8 @@ is evaluated by radial quadrature after integrating out the angles, and is
 divided by the kernel normalization C(d, s) so that rho -> infinity recovers
 |k|^(2s).  C(d, s) itself is computed by quadrature of the same integral over
 all of R^d at |k| = 1, which keeps the two operators mutually consistent by
-construction.
+construction.  scipy is imported by the functions that need it (C(d, s) and
+the d = 2 angular factor J0), so the untruncated operators never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
 
 from .fields import (
     GridSpec,
@@ -78,7 +78,9 @@ class KernelSpec:
 def _angular_factor(d: int, x: np.ndarray) -> np.ndarray:
     # Mean of cos(k.z) over the sphere |z| = r as a function of x = |k| r.
     if d == 2:
-        return special.j0(x)
+        from scipy.special import j0
+
+        return j0(x)
     if d == 3:
         out = np.ones_like(x)
         nz = x != 0
@@ -115,6 +117,8 @@ def normalization_constant(d: int, s: float) -> float:
     used as the value; a direct quadrature of the defining integral serves as a
     cross-check at 1e-6 relative.
     """
+    from scipy import integrate, special
+
     value = float(
         np.pi ** (d / 2.0)
         * abs(special.gamma(-s))

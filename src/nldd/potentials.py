@@ -17,6 +17,11 @@ the corners of its cell.  Their flat indices and weights are built once per
 point set (``_corners``) and applied to any number of fields on that grid
 (``_gather``): once per distinct centre of a tail window, so once for a
 straight window, and once per slant-ODE stage for every drift component.
+Both write into preallocated buffers (``_corner_buffers``) when given them:
+a tail window makes one set and refills it per distinct centre, and a
+``slant_ode`` call makes one set and refills it at every RK stage, so the
+stages allocate no point-sized arrays.  ``interpolate_periodic`` uses a fresh
+set.
 """
 
 from __future__ import annotations
@@ -77,52 +82,87 @@ def interpolate_periodic(f: ScalarField | np.ndarray, grid: GridSpec, points: np
     """Bilinear periodic interpolation at points of shape (..., d).
 
     ``f`` is a ScalarField or an array of shape (*batch, *grid.shape); the
-    result has shape (*batch, ...).  The corners of the points are built once
-    and gathered from every field in the batch.
+    result has shape (*batch, ...).  The corners of the points are built once,
+    into a fresh set of buffers, and gathered from every field in the batch.
     """
     values = f.values if isinstance(f, ScalarField) else f
     return _gather(values, _corners(grid, points))
 
 
-def _corners(grid: GridSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _corner_buffers(d: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Empty outputs of ``_corners`` for points of shape (*shape, d): flat
+    indices and weights, (2^d, *shape), then the per-axis fractions and node
+    ends, (2, d, *shape), as lower/upper pairs."""
+    return (
+        np.empty((2**d, *shape), dtype=np.intp),
+        np.empty((2**d, *shape)),
+        np.empty((2, d, *shape)),
+        np.empty((2, d, *shape), dtype=np.intp),
+    )
+
+
+def _corners(
+    grid: GridSpec, points: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Flat grid indices and bilinear weights of the 2^d cell corners of each
     point, each of shape (2^d, ...) for points of shape (..., d).
 
-    Corner c takes the upper node along axis j when bit j of c is set.  The
-    grid coordinate of x is x / h % n; for a tiny negative x it rounds up to
-    exactly n, which is node 0.
+    ``out`` is a buffer set from ``_corner_buffers`` for this point shape,
+    refilled in place; without it a fresh set is made.  Corner c takes the
+    upper node along axis j when bit j of c is set.  The grid coordinate of x
+    is x / h % n; for a tiny negative x it rounds up to exactly n, which is
+    node 0.
     """
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         bad = points[~np.isfinite(points).all(axis=-1)][0]
         raise ValueError(f"interpolation point {bad} is not finite")
-    n, shape = grid.n, points.shape[:-1]
-    idx = points / grid.spacing % n
-    base = np.floor(idx)
-    frac = idx - base
-    lo = base.astype(np.intp)
-    lo[lo == n] = 0
-    hi = lo + 1
-    hi[hi == n] = 0
-    flat = np.zeros((1, *shape), dtype=np.intp)
-    weights = np.ones((1, *shape))
-    for j in range(grid.d):
-        ends = np.stack([lo[..., j], hi[..., j]])[:, None]
-        shares = np.stack([1.0 - frac[..., j], frac[..., j]])[:, None]
-        flat = (flat * n + ends).reshape(-1, *shape)
-        weights = (weights * shares).reshape(-1, *shape)
+    n, d = grid.n, grid.d
+    flat, weights, shares, ends = _corner_buffers(d, points.shape[:-1]) if out is None else out
+    for j in range(d):
+        # shares[1, j] holds the grid coordinate, then its fraction above the
+        # lower node; shares[0, j] the lower node, then 1 - fraction
+        np.divide(points[..., j], grid.spacing, out=shares[1, j])
+        np.remainder(shares[1, j], n, out=shares[1, j])
+        np.floor(shares[1, j], out=shares[0, j])
+        np.subtract(shares[1, j], shares[0, j], out=shares[1, j])
+        np.copyto(ends[0, j], shares[0, j], casting="unsafe")
+        np.remainder(ends[0, j], n, out=ends[0, j])
+        np.add(ends[0, j], 1, out=ends[1, j])
+        np.remainder(ends[1, j], n, out=ends[1, j])
+        np.subtract(1.0, shares[1, j], out=shares[0, j])
+    # corners 2^j .. 2^(j+1) - 1 are corners 0 .. 2^j - 1 moved to the upper
+    # node along axis j
+    flat[:2] = ends[:, 0]
+    weights[:2] = shares[:, 0]
+    for j in range(1, d):
+        lower, upper = slice(0, 2**j), slice(2**j, 2 ** (j + 1))
+        np.multiply(flat[lower], n, out=flat[lower])
+        np.add(flat[lower], ends[1, j], out=flat[upper])
+        np.add(flat[lower], ends[0, j], out=flat[lower])
+        np.multiply(weights[lower], shares[1, j], out=weights[upper])
+        np.multiply(weights[lower], shares[0, j], out=weights[lower])
     return flat, weights
 
 
-def _gather(values: np.ndarray, corners: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply precomputed corners to values of shape (*batch, *grid.shape)."""
+def _gather(
+    values: np.ndarray, corners: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply precomputed corners to values of shape (*batch, *grid.shape).
+
+    All corners of all fields in the batch are read at once, into ``out`` of
+    shape (*batch, 2^d, ...) if given; the result is a view of it.
+    """
     flat, weights = corners
     d = flat.shape[0].bit_length() - 1  # 2^d corners
     nodes = values.reshape(*values.shape[: values.ndim - d], -1)
-    out = np.take(nodes, flat[0], axis=-1) * weights[0]
+    taken = np.take(nodes, flat, axis=-1, out=out, mode="clip")  # every index is in range
+    taken *= weights
+    corner = (slice(None),) * (nodes.ndim - 1)
+    total = taken[(*corner, 0)]
     for c in range(1, flat.shape[0]):
-        out += np.take(nodes, flat[c], axis=-1) * weights[c]
-    return out
+        total += taken[(*corner, c)]
+    return total
 
 
 @lru_cache(maxsize=8)
@@ -215,7 +255,8 @@ def tail_time_lq(
     ``offset`` is subtracted from the sampled values of each snapshot.  The
     grid corners of the sample nodes are indexed and weighted once per
     distinct centre, so once for a straight window, and gathered from every
-    snapshot there.
+    snapshot there.  One set of corner and gather buffers serves the whole
+    window.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1)
     bad = ~(qs > 1.0)
@@ -227,10 +268,13 @@ def tail_time_lq(
         grid, Q.r, opts.truncation_radius, opts.quadrature_order, kernel.s
     )
     vals = np.empty(times.size)
+    points = np.empty_like(offsets)
+    buffers = _corner_buffers(grid.d, weights.shape)
+    taken = np.empty_like(buffers[1])
     for k, center in enumerate(centers):
-        corners = _corners(grid, center + offsets)
+        corners = _corners(grid, np.add(center, offsets, out=points), out=buffers)
         for j in np.flatnonzero(which == k):
-            sampled = _gather(traj.snapshots[idx[j]].values, corners)
+            sampled = _gather(traj.snapshots[idx[j]].values, corners, out=taken)
             if offset:  # bilinear weights sum to 1, so the offset comes off the samples
                 sampled -= offset
             vals[j] = weights @ np.abs(sampled)
@@ -394,13 +438,19 @@ def slant_ode(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     pts_unit, wts = _disk_quadrature(d)
     components = np.stack(b.arrays())
+    # every stage refills one set of buffers: its points, their corners and
+    # the gather of all d components at all corners
+    offsets = r[:, None, None] * pts_unit
+    pts = np.empty_like(offsets)
+    buffers = _corner_buffers(d, offsets.shape[:-1])
+    taken = np.empty((d, *buffers[1].shape))
 
     def rhs(z: np.ndarray) -> np.ndarray:
         centers = x0 + r[:, None] * z
-        pts = centers[:, None, :] + r[:, None, None] * pts_unit
-        # one set of corners per stage, gathered from all d components
-        means = (interpolate_periodic(components, grid, pts) * wts).sum(axis=-1)
-        return np.moveaxis(means, 0, -1)
+        np.add(centers[:, None, :], offsets, out=pts)
+        means = _gather(components, _corners(grid, pts, out=buffers), out=taken)
+        means *= wts
+        return np.moveaxis(means.sum(axis=-1), 0, -1)
 
     h = -1.0 / num_steps
     times = [0.0]

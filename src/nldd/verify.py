@@ -19,7 +19,13 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
 from .fields import GridSpec, ScalarField, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
-from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass
+from .measures import (
+    Cylinder,
+    MeasureData,
+    SlantPath,
+    UnresolvedCylinderError,
+    cylinder_mass,
+)
 from .operators import KernelSpec
 from .potentials import (
     TailOptions,
@@ -168,8 +174,8 @@ def verify_potential_estimate(
         try:
             terms1 = cylinder_lq_mean(exp.traj, Q, qs)
             terms2 = tail_time_lq(exp.traj, Q, qs, exp.kernel, opts)
-        except ValueError:
-            continue  # geometry not resolved for this placement
+        except UnresolvedCylinderError:
+            continue  # the snapshots do not resolve this placement's cylinder
         for q, term1, term2 in zip(qs, terms1, terms2):
             report.add(q=q, t0=t0, x0=x0, radius=R, lhs=lhs, rhs_terms=(term1, term2, pot))
     if not report.rows:
@@ -286,9 +292,10 @@ def fit_holder_exponent(
         slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(oscs, 1e-300)), 1)
         alpha = float(min(slope, 1.0))  # measurement cap: smooth fields saturate
         alphas.append(alpha)
+        # the right-hand side on the lhs's own cylinder, slanted or straight
         Q = Cylinder(t0, x0, r0, s)
-        (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,))
-        (rhs2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts)
+        (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,), path=paths[0])
+        (rhs2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts, slant=paths[0])
         report.add(
             q=q, t0=t0, x0=x0, radius=r0,
             lhs=float(oscs[0]) * 0.5, rhs_terms=(rhs1, rhs2),
@@ -454,7 +461,7 @@ def verify_bmo_slanted(
         try:
             (term1,) = cylinder_lq_mean(exp.traj, Q, (q,), path=path)
             (term2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts, slant=path)
-        except ValueError:
+        except UnresolvedCylinderError:
             continue
         if exp.mu is not None:
             pot = riesz_potential(

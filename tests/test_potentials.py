@@ -10,7 +10,9 @@ from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
+    _corners,
     _disk_quadrature,
+    _gather,
     _radial_grid,
     _tail_nodes,
     bmo_seminorm,
@@ -199,6 +201,31 @@ class TestTail:
         ref = [(np.trapezoid(vals**q, ts) / (ts[-1] - ts[0])) ** (1.0 / q) for q in qs]
         np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_slanted_window_matches_per_centre_corners(self, d, n):
+        # one buffer set refilled per centre gives bitwise fresh corners per centre
+        g = make_grid(d, n, 8.0)
+        times = np.linspace(0.0, 1.0, 7)
+        traj = random_traj(g, 12, times)
+        x0, r, s, offset, qs = np.array([3.3, 5.1, 0.2])[:d], 0.6, 0.5, 0.25, (1.5, 3.0)
+        samples = np.linspace(0.7, 0.0, 5)[:, None] * np.array([1.0, -0.5, 0.3])[:d]
+        path = SlantPath(r, np.linspace(-1.0, 0.0, 5), samples, 1.0)
+        Q = Cylinder(1.0, x0, r, s)
+        got = tail_time_lq(
+            traj, Q, qs, KernelSpec(s=s), TailOptions(4.0), offset=offset, slant=path
+        )
+        offsets, weights = _tail_nodes(g, r, 4.0, 12, s)
+        idx = traj.window(Q.t_start, Q.t0)
+        ts = times[idx]
+        centres = Q.centers(ts, path)
+        assert np.unique(centres, axis=0).shape[0] == len(idx)
+        vals = np.array([
+            weights @ np.abs(_gather(traj.snapshots[i].values, _corners(g, c + offsets)) - offset)
+            for i, c in zip(idx, centres)
+        ])
+        ref = [(np.trapezoid(vals**q, ts) / (ts[-1] - ts[0])) ** (1.0 / q) for q in qs]
+        np.testing.assert_array_equal(got, ref)
+
     def test_q_validation_names_the_value(self):
         g = make_grid(2, 16, 8.0)
         traj = random_traj(g, 6, (0.0, 0.5, 1.0))
@@ -331,6 +358,59 @@ class TestSlantOde:
             np.testing.assert_array_equal(path.samples, single.samples)
             assert path.c1_norm == single.c1_norm
         assert np.abs(batch[0].samples).max() > 0.0
+
+
+def reference_slant_paths(b, scales, t0, x0, num_steps=64):
+    """slant_ode with a stage right-hand side that interpolates into fresh
+    arrays: one interpolate_periodic call on the stacked components."""
+    r = np.asarray(scales, dtype=float)
+    grid, d = b.grid, b.grid.d
+    pts_unit, wts = _disk_quadrature(d)
+    components = np.stack(b.arrays())
+
+    def rhs(z):
+        centers = np.asarray(x0) + r[:, None] * z
+        pts = centers[:, None, :] + r[:, None, None] * pts_unit
+        means = (interpolate_periodic(components, grid, pts) * wts).sum(axis=-1)
+        return np.moveaxis(means, 0, -1)
+
+    h = -1.0 / num_steps
+    z = np.zeros((r.size, d))
+    zs, derivs = [z], [rhs(z)]
+    for _ in range(num_steps):
+        k1 = rhs(z)
+        k2 = rhs(z + h / 2.0 * k1)
+        k3 = rhs(z + h / 2.0 * k2)
+        k4 = rhs(z + h * k3)
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        zs.append(z)
+        derivs.append(rhs(z))
+    return np.array(zs[::-1]), np.array(derivs[::-1])
+
+
+class TestSlantStageBuffers:
+    @pytest.mark.parametrize("d,n", [(2, 32), (3, 16)])
+    def test_matches_fresh_interpolation(self, d, n):
+        g = make_grid(d, n, 8.0)
+        rng = np.random.default_rng(20 + d)
+        b = VectorField(tuple(ScalarField(g, rng.standard_normal(g.shape)) for _ in range(d)))
+        scales = [1.0, 0.7, 0.3, 0.0625, 0.5]
+        x0 = np.array([3.1, 4.6, 0.4])[:d]
+        paths = slant_ode(b, scales, t0=0.7, x0=x0)
+        samples, derivs = reference_slant_paths(b, scales, 0.7, x0)
+        for i, path in enumerate(paths):
+            np.testing.assert_array_equal(path.samples, samples[:, i])
+            sup = np.linalg.norm(samples[:, i], axis=-1).max() + np.linalg.norm(
+                derivs[:, i], axis=-1
+            ).max()
+            assert path.c1_norm == sup
+        assert np.abs(samples).max() > 0.0
+
+    def test_non_finite_stage_point_rejected(self):
+        g = make_grid(2, 16, 8.0)
+        b = constant_drift(g, (0.5, 0.25))
+        with pytest.raises(ValueError, match=r"interpolation point \[nan nan\] is not finite"):
+            slant_ode(b, [0.5, 0.25], x0=(np.nan, np.nan))
 
 
 def test_disk_quadrature_matches_loop_in_3d():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,10 +10,11 @@ from nldd.evolution import TrajectoryStore
 from nldd.fields import ScalarField, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath, cylinder_mass
 from nldd.operators import KernelSpec
-from nldd.potentials import TailOptions, excess, tail_time_lq
+from nldd.potentials import TailOptions, excess, slant_ode, tail_time_lq
 from nldd.reports import write_csv
 from nldd.verify import (
     _cylinder_oscillation,
+    _placements,
     cylinder_lq_mean,
     fit_holder_exponent,
     run_campaign,
@@ -20,6 +22,7 @@ from nldd.verify import (
     verify_comparison,
     verify_excess_decay,
     verify_lorentz,
+    verify_bmo_slanted,
     verify_potential_estimate,
 )
 
@@ -91,6 +94,27 @@ class TestPotentialCheck:
         rep = verify_potential_estimate(cfg, num_placements=2)
         assert [r.q for r in rep.rows] == [1.5, 2.0, 4.0] * 2
 
+    def test_unresolved_placement_skipped(self):
+        # with snapshots only at t = 0, 0.2 and 1, a cylinder ending at 1 and
+        # shallower than 0.8 holds one snapshot: its placement gives no row
+        cfg = ExperimentConfig(base_raw(
+            grid={"d": 2, "n": 64, "domain_length": 8.0}, solver={"dt": 0.02, "t_end": 1.0}
+        ))
+        exp = run_experiment(cfg)
+        thin = TrajectoryStore(exp.grid)
+        for t, u in zip(exp.traj.times, exp.traj.snapshots):
+            if np.isclose(t, (0.0, 0.2, 1.0)).any():
+                thin.append(u)
+        exp = dataclasses.replace(exp, traj=thin)
+        placements = _placements(exp, cfg.rng(1), 6)
+        resolved = [
+            (t0, R) for t0, _, R in placements
+            if len(thin.window(Cylinder(t0, (0.0, 0.0), R, 0.5).t_start, t0)) >= 2
+        ]
+        assert 0 < len(resolved) < len(placements)
+        rep = verify_potential_estimate(cfg, exp=exp, num_placements=6)
+        assert sorted({(r.t0, r.radius) for r in rep.rows}) == sorted(resolved)
+
     def test_q_at_most_one_rejected(self):
         # checked before the solve, naming the offending value
         with pytest.raises(ValueError, match=r"requires q > 1, got 1\.0$"):
@@ -144,6 +168,55 @@ class TestHolderCheck:
         )
         rep = fit_holder_exponent(cfg, num_points=3)
         assert rep.extras["alphas"] == []
+
+
+    @pytest.mark.parametrize("slanted", [True, False])
+    def test_rows_on_the_oscillation_cylinder(self, slanted):
+        # lhs and right-hand side of a row share one cylinder, slanted or straight
+        raw = base_raw(
+            grid={"d": 2, "n": 64, "domain_length": 8.0},
+            drift={"family": "lacunary", "coefficients": [0.3] * 3},
+            solver={"dt": 0.02, "t_end": 1.0},
+            verification={"params": {"holder": {"slanted": slanted}}},
+        )
+        cfg = ExperimentConfig(raw)
+        rep = fit_holder_exponent(cfg, num_points=3)
+        assert rep.extras["slanted"] is slanted and rep.rows
+        exp = run_experiment(cfg, drop_measure=True)
+        moved = []
+        for row in rep.rows:
+            Q = Cylinder(row.t0, row.x0, row.radius, 0.5)
+            path = None
+            if slanted:
+                (path,) = slant_ode(exp.drift, [min(row.radius, 1.0)], row.t0, row.x0)
+            (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,), path)
+            (rhs2,) = tail_time_lq(exp.traj, Q, (2.0,), exp.kernel, exp.tail_options, slant=path)
+            assert row.lhs == 0.5 * _cylinder_oscillation(exp.traj, Q, path)
+            assert row.rhs_terms[:2] == (rhs1, rhs2)
+            moved.append(rhs1 != cylinder_lq_mean(exp.traj, Q, (1.0,))[0])
+        assert all(moved) if slanted else not any(moved)
+
+
+class TestBmoSlantedCheck:
+    def test_path_missing_the_slab_start_raises(self, monkeypatch):
+        # a path that stops at rescaled time -0.5 fails the check instead of
+        # dropping its placement
+        import nldd.verify
+
+        def short_paths(*args, **kwargs):
+            return [
+                SlantPath(p.r, p.times[32:], p.samples[32:], p.c1_norm)
+                for p in slant_ode(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(nldd.verify, "slant_ode", short_paths)
+        raw = base_raw(
+            grid={"d": 2, "n": 64, "domain_length": 8.0},
+            drift={"family": "lacunary", "coefficients": [0.3] * 3},
+            solver={"dt": 0.02, "t_end": 1.0},
+        )
+        with pytest.raises(ValueError, match=r"starts at rescaled time -0\.5, after -1"):
+            verify_bmo_slanted(ExperimentConfig(raw), num_placements=2)
 
 
 class TestLorentzCheck:
