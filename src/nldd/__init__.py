@@ -1,7 +1,7 @@
 """Spectral solver and estimate-verification harness for nonlocal
 drift-diffusion equations on the periodic torus."""
 
-from .fields import GridSpec, ScalarField, SpectralField, VectorField, make_grid
+from .fields import GridSpec, ScalarField, VectorField, make_grid
 from .operators import KernelSpec
 from .evolution import SolverConfig, TrajectoryStore, solve, solve_sqg
 from .measures import Cylinder, MeasureData
@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "SpectralField",
     "VectorField",
     "make_grid",
     "KernelSpec",

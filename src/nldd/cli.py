@@ -2,7 +2,8 @@
 
 Subcommands: solve, sqg, potential, heatkernel, verify, snapshot.  Every
 run-producing subcommand takes --config (YAML schema in config.py), an
-optional --seed override, and --out for artifacts.
+optional --seed override, and --out for artifacts.  A config that fails
+validation prints its field path and message on one stderr line and exits 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import ConfigError, load_config
 from .fields import l2_norm
 from .heatkernel import estimate_kernel, kernel_sanity
 from .potentials import TailOptions, riesz_potential, tail
@@ -203,6 +204,14 @@ def _cmd_snapshot(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        print(f"nldd {args.command}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "sqg":

@@ -4,7 +4,7 @@ object (grid, kernel, drift, initial data, measure, solver settings).
 Schema (all sections optional unless a check needs them):
 
     grid:     {d: 2, n: 64, domain_length: 6.283185307179586}
-    kernel:   {s: 0.5, lam: 1.0}
+    kernel:   {s: 0.5}
     drift:
       family: none | constant | shear | sqg | lacunary
       vector: [1.0, 0.0]          # constant
@@ -25,8 +25,7 @@ Schema (all sections optional unless a check needs them):
         t_start: 0.0
         t_end: 1.0
         num_slices: 9
-    solver:   {dt: 1e-3, t_end: 1.0, dealias: true, h_moll: 0.0,
-               snapshot_stride: 1, store_drift: false}
+    solver:   {dt: 1e-3, t_end: 1.0, h_moll: 0.0, snapshot_stride: 1}
     verification:
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
@@ -126,10 +125,7 @@ class ExperimentConfig:
 
     def build_kernel(self) -> KernelSpec:
         sec = self.raw.get("kernel", {})
-        return KernelSpec(
-            s=float(_get(sec, "kernel", "s", 0.5)),
-            lam=float(_get(sec, "kernel", "lam", 1.0)),
-        )
+        return KernelSpec(s=float(_get(sec, "kernel", "s", 0.5)))
 
     @property
     def drift_family(self) -> str:
@@ -195,13 +191,12 @@ class ExperimentConfig:
             return None
         atoms = []
         for i, a in enumerate(sec.get("atoms", []) or []):
-            atoms.append(
-                (
-                    float(_get(a, f"measure.atoms[{i}]", "t", required=True)),
-                    np.asarray(_get(a, f"measure.atoms[{i}]", "x", required=True), dtype=float),
-                    float(_get(a, f"measure.atoms[{i}]", "mass", required=True)),
-                )
-            )
+            path = f"measure.atoms[{i}]"
+            t = float(_get(a, path, "t", required=True))
+            x = np.atleast_1d(np.asarray(_get(a, path, "x", required=True), dtype=float))
+            if x.shape != (grid.d,):
+                raise ConfigError(f"{path}.x", f"needs {grid.d} coordinates, got {x.size}")
+            atoms.append((t, x, float(_get(a, path, "mass", required=True))))
         density = None
         dsec = sec.get("density")
         if dsec:
@@ -237,6 +232,8 @@ class ExperimentConfig:
 
     def build_solver(self, kernel: KernelSpec, **overrides) -> SolverConfig:
         sec = self.raw.get("solver", {})
+        if not bool(_get(sec, "solver", "dealias", True)):
+            raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
         kwargs = dict(
             kernel=kernel,
             dt=float(_get(sec, "solver", "dt", 1e-3)),
@@ -244,10 +241,8 @@ class ExperimentConfig:
             drift_mode="sqg" if self.drift_family == "sqg" else (
                 "none" if self.drift_family == "none" else "given"
             ),
-            dealias=bool(_get(sec, "solver", "dealias", True)),
             h_moll=float(_get(sec, "solver", "h_moll", 0.0)),
             snapshot_stride=int(_get(sec, "solver", "snapshot_stride", 1)),
-            store_drift=bool(_get(sec, "solver", "store_drift", False)),
         )
         kwargs.update(overrides)
         return SolverConfig(**kwargs)

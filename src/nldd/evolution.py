@@ -27,9 +27,10 @@ from .fields import (
     grid_distance,
     half_spectrum,
     inverse_half,
+    require_divergence_free,
 )
 from .measures import Cylinder, MeasureData
-from .operators import KernelSpec, _sqg_drift, diffusion_multiplier, leray_project
+from .operators import KernelSpec, _sqg_drift, diffusion_multiplier
 
 __all__ = [
     "SolverConfig",
@@ -60,11 +61,8 @@ class SolverConfig:
     dt: float
     t_end: float
     drift_mode: str = "none"  # none | given | sqg
-    dealias: bool = True
     h_moll: float = 0.0
     snapshot_stride: int = 1
-    store_drift: bool = False
-    diffusion_off: bool = False  # test mode: pure advection
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -112,14 +110,11 @@ class TrajectoryStore:
     def at(self, t: float) -> ScalarField:
         return self.snapshots[self.index_at(t)]
 
-    def window(self, t_lo: float, t_hi: float, closed: bool = True) -> list[int]:
+    def window(self, t_lo: float, t_hi: float) -> list[int]:
+        """Indices of the stored times in [t_lo, t_hi], ends included."""
         ts = np.asarray(self.times)
         eps = 1e-12 * max(1.0, abs(t_hi))
-        if closed:
-            sel = (ts >= t_lo - eps) & (ts <= t_hi + eps)
-        else:
-            sel = (ts > t_lo + eps) & (ts < t_hi - eps)
-        return list(np.flatnonzero(sel))
+        return list(np.flatnonzero((ts >= t_lo - eps) & (ts <= t_hi + eps)))
 
 
 @dataclass
@@ -137,25 +132,19 @@ DriftLike = VectorField | Callable[[float], VectorField] | None
 class DriftProvider:
     """Uniform access to autonomous, callable, or absent drifts.
 
-    A fixed field is validated (or Leray-projected) once, here, and its max
-    norm is computed once, at the first CFL check; a callable drift is
-    validated at every call.
+    A fixed field is checked divergence-free once, here, and its max norm is
+    computed once, at the first CFL check; a callable drift is checked at
+    every call.
     """
 
-    def __init__(self, drift: DriftLike, project: bool = False):
-        self._project = project
+    def __init__(self, drift: DriftLike):
         self._drift = self._checked(drift) if isinstance(drift, VectorField) else drift
         self._fixed_norm = None
 
-    def _checked(self, b: VectorField) -> VectorField:
-        if self._project:
-            return leray_project(b)
+    @staticmethod
+    def _checked(b: VectorField) -> VectorField:
         if not b.divergence_free:
-            err = b.spectral_divergence_max()
-            if err > 1e-10 * max(b.max_norm(), 1e-300):
-                raise ValueError(
-                    "drift fails the divergence-free assertion; request Leray projection"
-                )
+            require_divergence_free(b.spectral_divergence_max(), b.max_norm())
         return b
 
     def max_norm(self, b: VectorField) -> float:
@@ -195,29 +184,22 @@ class _Stepper:
     def __init__(self, grid: GridSpec, config: SolverConfig):
         self.grid = grid
         self.config = config
-        if config.diffusion_off:
-            mult = np.zeros(grid.shape)
-        else:
-            mult = diffusion_multiplier(grid, config.kernel)
-        z = -config.dt * half_spectrum(mult)
+        z = -config.dt * half_spectrum(diffusion_multiplier(grid, config.kernel))
         self.exp_full = np.exp(z)
         self.phi1 = _phi1(z)
         self.phi2 = _phi2(z)
-        self.mask = half_spectrum(dealias_mask(grid)) if config.dealias else None
+        self.mask = half_spectrum(dealias_mask(grid))
         self.iks = tuple(1j * k for k in gradient_wavevectors(grid))
-
-    def _dealias(self, coeff: np.ndarray) -> np.ndarray:
-        return coeff * self.mask if self.mask is not None else coeff
 
     def nonlinear(self, uhat: np.ndarray, b: VectorField | None, fhat: np.ndarray | None):
         """N(u) = -(b, grad u) + forcing, in spectral space."""
         acc = np.zeros(uhat.shape, dtype=complex) if fhat is None else fhat
         if b is not None:
-            ud = self._dealias(uhat)
+            ud = uhat * self.mask
             adv = np.zeros(self.grid.shape)
             for ik, barr in zip(self.iks, b.arrays()):
                 adv += barr * inverse_half(ik * ud, self.grid)
-            acc = acc - self._dealias(np.fft.rfftn(adv))
+            acc = acc - np.fft.rfftn(adv) * self.mask
         return acc
 
     def check_cfl(self, b: VectorField | None, drift: DriftProvider):
@@ -235,7 +217,8 @@ class _Stepper:
         drift: DriftProvider,
         forcing: np.ndarray | None,
         sqg: bool = False,
-    ) -> tuple[np.ndarray, VectorField | None]:
+    ) -> np.ndarray:
+        """The rfftn coefficients one step of dt after t."""
         dt = self.config.dt
         b0 = _sqg_drift(uhat, self.grid, t) if sqg else drift(t)
         self.check_cfl(b0, drift)
@@ -248,7 +231,7 @@ class _Stepper:
         unew = pred + dt * self.phi2 * (n1 - n0)
         if not np.all(np.isfinite(unew)):
             raise FloatingPointError(f"solution lost finiteness at t = {t + dt:.6g}")
-        return unew, b0
+        return unew
 
 
 def measure_forcing(
@@ -293,32 +276,27 @@ def _run(
             f"mollification width h_moll = {config.h_moll} is below the grid spacing {grid.spacing}"
         )
     stepper = _Stepper(grid, config)
-    store = TrajectoryStore(grid, drift_snapshots=[] if (config.store_drift or sqg) else None)
+    # an SQG run keeps its drift for comparison_solve; a given drift reaches
+    # that solve as the drift itself
+    store = TrajectoryStore(grid, drift_snapshots=[] if sqg else None)
     uhat = np.fft.rfftn(u0.values)
     t = u0.time
 
-    def record(uhat_now, t_now, b_now):
+    def record(uhat_now, t_now):
         u = ScalarField(grid, inverse_half(uhat_now, grid), t_now)
-        if store.drift_snapshots is not None:
-            if sqg:
-                b_now = _sqg_drift(uhat_now, grid, t_now)
-            elif b_now is None:
-                b_now = drift(t_now)
-            store.append(u, b_now)
-        else:
-            store.append(u)
+        store.append(u, _sqg_drift(uhat_now, grid, t_now) if sqg else None)
 
-    record(uhat, t, None)
+    record(uhat, t)
     for step_idx in range(n_steps):
         forcing = None
         if mu is not None and (mu.num_atoms or mu.density is not None):
             f = measure_forcing(mu, t, config.dt, grid, config.h_moll)
             if np.any(f.values):
                 forcing = f.values
-        uhat, b_used = stepper.step(uhat, t, drift, forcing, sqg=sqg)
+        uhat = stepper.step(uhat, t, drift, forcing, sqg=sqg)
         t = u0.time + (step_idx + 1) * config.dt
         if (step_idx + 1) % config.snapshot_stride == 0 or step_idx == n_steps - 1:
-            record(uhat, t, b_used)
+            record(uhat, t)
     return store
 
 
@@ -327,14 +305,13 @@ def solve(
     b: DriftLike,
     mu: MeasureData | None,
     config: SolverConfig,
-    project_drift: bool = False,
 ) -> TrajectoryStore:
     """Evolve from u0 to t_end with a given (or absent) divergence-free drift."""
     if config.drift_mode == "sqg":
         raise ValueError("use solve_sqg for the self-coupled mode")
     if config.drift_mode == "none":
         b = None
-    return _run(u0, DriftProvider(b, project=project_drift), mu, config, sqg=False)
+    return _run(u0, DriftProvider(b), mu, config, sqg=False)
 
 
 def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> TrajectoryStore:
@@ -395,7 +372,7 @@ def comparison_solve(
     v = u_traj.snapshots[idx[0]].values.copy()
     v_store.append(ScalarField(grid, v, times[0]))
     for j, i in enumerate(idx[:-1]):
-        vhat, _ = stepper.step(np.fft.rfftn(v), times[j], drift, None, sqg=False)
+        vhat = stepper.step(np.fft.rfftn(v), times[j], drift, None, sqg=False)
         v = inverse_half(vhat, grid)
         u_next = u_traj.snapshots[idx[j + 1]].values
         v = np.where(inside, v, u_next)

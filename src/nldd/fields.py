@@ -2,9 +2,9 @@
 
 All fields live on a uniform grid over [0, L)^d with periodic boundary
 conditions.  The spectral convention is k = (2*pi/L) * m for integer
-wavevectors m in [-n/2, n/2)^d, matching ``numpy.fft.fftfreq``.  The public
-transforms use the full ``fftn`` layout; the solver keeps its state in the
-``rfftn`` half-spectrum, the fftn arrays with the last axis cut to n//2 + 1.
+wavevectors m in [-n/2, n/2)^d, matching ``numpy.fft.fftfreq``, in the full
+``fftn`` layout; the solver keeps its state in the ``rfftn`` half-spectrum,
+the fftn arrays with the last axis cut to n//2 + 1.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "SpectralField",
     "VectorField",
     "make_grid",
-    "forward",
-    "inverse",
     "dealias_mask",
     "grid_coordinates",
     "wavevectors",
@@ -171,19 +168,6 @@ class ScalarField:
         return ScalarField(self.grid, values, self.time if time is None else time)
 
 
-@dataclass
-class SpectralField:
-    """Fourier coefficients of a field, fftn layout."""
-
-    grid: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
-        if self.coefficients.shape != self.grid.shape:
-            raise ValueError("coefficient array does not match grid shape")
-
-
 def require_divergence_free(err: float, max_norm: float) -> None:
     """Raise unless max|div b| = err is within DIVERGENCE_FREE_TOL * max|b|."""
     scale = max(max_norm, 1e-300)
@@ -228,16 +212,8 @@ class VectorField:
 
     def spectral_divergence_max(self) -> float:
         ks = wavevectors(self.grid)
-        div = sum(1j * k * forward(c).coefficients for k, c in zip(ks, self.components))
+        div = sum(1j * k * np.fft.fftn(c.values) for k, c in zip(ks, self.components))
         return float(np.abs(np.fft.ifftn(div)).max())
-
-
-def forward(f: ScalarField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fftn(f.values))
-
-
-def inverse(fhat: SpectralField, time: float = 0.0) -> ScalarField:
-    return ScalarField(fhat.grid, np.fft.ifftn(fhat.coefficients).real, time)
 
 
 @lru_cache(maxsize=64)

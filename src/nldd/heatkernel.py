@@ -38,6 +38,10 @@ __all__ = [
     "gluing_check",
 ]
 
+SANITY_MASS_TOL = 1e-4  # |mass - 1| allowed at every evaluation time
+SANITY_SEMIGROUP_TOL = 0.02  # relative L1 error of the Chapman-Kolmogorov composition
+SEMIGROUP_Z_STRIDE = 2  # intermediate sources on every 2nd grid point per axis
+
 
 @dataclass
 class HeatKernelEstimate:
@@ -94,7 +98,7 @@ def _solve_recording(
     uhat = uhat0.copy()
     out = {}
     for step in range(1, steps[-1] + 1):
-        uhat, _ = stepper.step(uhat, t_start + (step - 1) * dt, drift, None, sqg=False)
+        uhat = stepper.step(uhat, t_start + (step - 1) * dt, drift, None, sqg=False)
         if step in steps:
             out[step] = ScalarField(
                 stepper.grid, inverse_half(uhat, stepper.grid), t_start + step * dt
@@ -233,12 +237,7 @@ def periodized_free_kernel(
     return total
 
 
-def kernel_sanity(
-    est: HeatKernelEstimate,
-    z_stride: int = 2,
-    mass_tol: float = 1e-4,
-    semigroup_tol: float = 0.02,
-) -> VerificationReport:
+def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
     """Mass, on-diagonal decay, and Chapman-Kolmogorov composition checks."""
     if not est.raw_fields or est.stepper is None:
         raise ValueError(
@@ -255,7 +254,7 @@ def kernel_sanity(
 
     masses = np.array([est.mass(i) for i in range(est.times.size)])
     report.extras["masses"] = masses.tolist()
-    report.extras["mass_ok"] = bool(np.abs(masses - 1.0).max() <= mass_tol)
+    report.extras["mass_ok"] = bool(np.abs(masses - 1.0).max() <= SANITY_MASS_TOL)
 
     on_diag = np.array(
         [
@@ -272,8 +271,8 @@ def kernel_sanity(
     mid = est.times.size // 2
     tau, t_final = float(est.times[mid]), float(est.times[-1])
     width = min(est.mollification_widths)
-    H = z_stride * grid.spacing
-    coarse = (slice(None, None, z_stride),) * d
+    H = SEMIGROUP_Z_STRIDE * grid.spacing
+    coarse = (slice(None, None, SEMIGROUP_Z_STRIDE),) * d
     weights = np.zeros(grid.shape)
     weights[coarse] = est.raw_fields[width][mid].values[coarse] * H**d
     weights[weights < 1e-10] = 0.0
@@ -284,7 +283,7 @@ def kernel_sanity(
     direct = est.raw_fields[width][-1].values
     l1_err = np.abs(composed - direct).sum() / np.abs(direct).sum()
     report.extras["semigroup_l1_error"] = float(l1_err)
-    report.extras["semigroup_ok"] = bool(l1_err <= semigroup_tol)
+    report.extras["semigroup_ok"] = bool(l1_err <= SANITY_SEMIGROUP_TOL)
     report.extras["z_grid_spacing"] = H
 
     lhs = float(np.abs(masses - 1.0).max())
@@ -294,7 +293,7 @@ def kernel_sanity(
         x0=est.y,
         radius=0.0,
         lhs=lhs + l1_err,
-        rhs_terms=(mass_tol + semigroup_tol, 0.0, 0.0),
+        rhs_terms=(SANITY_MASS_TOL + SANITY_SEMIGROUP_TOL, 0.0, 0.0),
         ceiling=1.0,
     )
     return report

@@ -25,13 +25,11 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
-    forward,
     gradient_wavevectors,
     half_spectrum,
     inverse_half,
     require_divergence_free,
     wavenumber_magnitude,
-    wavevectors,
 )
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "normalization_constant",
     "truncated_multiplier_table",
     "biot_savart_sqg",
-    "leray_project",
     "QuadratureError",
 ]
 
@@ -50,29 +47,22 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Model jump kernel |z|^(-d-2s) and its truncation.
-
-    ``lam`` is the ellipticity constant of the admissible kernel class; the
-    model kernel realizes it through the normalization constant C(d, s).
-    """
+    """Model jump kernel |z|^(-d-2s) and its truncation."""
 
     s: float
-    lam: float = 1.0
     truncation_radius: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"order s must lie in (0, 1), got {self.s}")
-        if self.lam < 1.0:
-            raise ValueError(f"ellipticity constant must be >= 1, got {self.lam}")
         if self.truncation_radius is not None and not self.truncation_radius > 0:
             raise ValueError("truncation radius must be positive when present")
 
     def truncated(self, rho: float) -> "KernelSpec":
-        return KernelSpec(self.s, self.lam, rho)
+        return KernelSpec(self.s, rho)
 
     def untruncated(self) -> "KernelSpec":
-        return KernelSpec(self.s, self.lam, None)
+        return KernelSpec(self.s)
 
 
 def _angular_factor(d: int, x: np.ndarray) -> np.ndarray:
@@ -220,7 +210,7 @@ def diffusion_multiplier(grid: GridSpec, kernel: KernelSpec) -> np.ndarray:
 
 def _zero_nyquist(hat: np.ndarray, grid) -> np.ndarray:
     # the unpaired Nyquist mode breaks Hermitian symmetry under odd
-    # spectral multipliers; drop it before projecting
+    # spectral multipliers; drop it before applying one
     out = hat.copy()
     half = grid.n // 2
     for axis in range(grid.d):
@@ -264,19 +254,3 @@ def biot_savart_sqg(u: ScalarField) -> VectorField:
         raise ValueError("the SQG Biot-Savart law is two-dimensional")
     return _sqg_drift(np.fft.rfftn(u.values), u.grid, u.time)
 
-
-def leray_project(b: VectorField) -> VectorField:
-    """Projection onto divergence-free fields: bhat -> bhat - k (k.bhat)/|k|^2."""
-    grid = b.grid
-    ks = wavevectors(grid)
-    hats = [_zero_nyquist(forward(c).coefficients, grid) for c in b.components]
-    kmag2 = sum(k**2 for k in ks)
-    inv = np.zeros_like(kmag2)
-    nz = kmag2 > 0
-    inv[nz] = 1.0 / kmag2[nz]
-    kdotb = sum(k * h for k, h in zip(ks, hats))
-    comps = tuple(
-        ScalarField(grid, np.fft.ifftn(h - k * kdotb * inv).real, b.time)
-        for k, h in zip(ks, hats)
-    )
-    return VectorField(comps, divergence_free=True)

@@ -35,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
 from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass
-from .operators import KernelSpec
+from .operators import KernelSpec, _sphere_area
 
 __all__ = [
     "TailOptions",
@@ -50,11 +50,15 @@ __all__ = [
     "interpolate_periodic",
 ]
 
+TAIL_QUADRATURE_ORDER = 12  # Gauss-Legendre nodes per radial panel of a tail
+POINTS_PER_OCTAVE = 24  # log-spaced radii per octave of a Riesz potential
+SLANT_STEPS = 64  # RK4 steps of a slant path over [-1, 0]
+BMO_CENTER_STRIDE = 4  # ball centres of bmo_seminorm on every 4th grid point
+
 
 @dataclass(frozen=True)
 class TailOptions:
     truncation_radius: float
-    quadrature_order: int = 12
 
 
 @dataclass
@@ -224,15 +228,11 @@ def _tail_nodes(
     return (rho[None, :, None] * unit).reshape(-1, 3), np.outer(wct / 2.0, weights).ravel()
 
 
-def _sphere_area(d: int) -> float:
-    return 2.0 * np.pi if d == 2 else 4.0 * np.pi
-
-
 def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) -> float:
     """tail(v; x0, r) = r^(2s) * integral over {r < |y-x0| < R_max} of
     |v(y)| |x0-y|^(-d-2s) dy, truncated at opts.truncation_radius."""
     offsets, weights = _tail_nodes(
-        v.grid, r, opts.truncation_radius, opts.quadrature_order, kernel.s
+        v.grid, r, opts.truncation_radius, TAIL_QUADRATURE_ORDER, kernel.s
     )
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     return float(weights @ np.abs(interpolate_periodic(v, v.grid, x0 + offsets)))
@@ -265,7 +265,7 @@ def tail_time_lq(
     idx, times, centers, which = Q.window(traj, slant)
     grid = traj.grid
     offsets, weights = _tail_nodes(
-        grid, Q.r, opts.truncation_radius, opts.quadrature_order, kernel.s
+        grid, Q.r, opts.truncation_radius, TAIL_QUADRATURE_ORDER, kernel.s
     )
     vals = np.empty(times.size)
     points = np.empty_like(offsets)
@@ -291,7 +291,6 @@ def riesz_potential(
     a: float,
     slant: Callable[[np.ndarray], list[SlantPath]] | None = None,
     rho_min: float | None = None,
-    points_per_octave: int = 24,
 ) -> PotentialProfile:
     """Parabolic Riesz potential of order a via a breakpoint-aware radial sum.
 
@@ -333,7 +332,7 @@ def riesz_potential(
 
     # Radial grid: log-spaced plus exact atom breakpoints (straight case only),
     # and the geometric midpoints of its intervals.
-    n_log = max(8, int(np.ceil(points_per_octave * np.log2(R / rho_min))))
+    n_log = max(8, int(np.ceil(POINTS_PER_OCTAVE * np.log2(R / rho_min))))
     radii = np.geomspace(rho_min, R, n_log)
     if slant is None:
         breaks = entry[(entry > rho_min) & (entry < R)]
@@ -416,7 +415,6 @@ def slant_ode(
     scales,
     t0: float = 0.0,
     x0=None,
-    num_steps: int = 64,
 ) -> list[SlantPath]:
     """Backward RK4 integration of the ball-averaged drift ODE on [-1, 0],
     one path per scale r in ``scales``.
@@ -452,12 +450,12 @@ def slant_ode(
         means *= wts
         return np.moveaxis(means.sum(axis=-1), 0, -1)
 
-    h = -1.0 / num_steps
+    h = -1.0 / SLANT_STEPS
     times = [0.0]
     zs = [np.zeros((r.size, d))]
     derivs = [rhs(zs[0])]
     t, z = 0.0, zs[0]
-    for _ in range(num_steps):
+    for _ in range(SLANT_STEPS):
         k1 = rhs(z)
         k2 = rhs(z + h / 2.0 * k1)
         k3 = rhs(z + h / 2.0 * k2)
@@ -499,9 +497,7 @@ def excess(
     return ExcessReport(interior, float(tail_part), q, Q)
 
 
-def bmo_seminorm(
-    b: VectorField, scales: list[float], center_stride: int = 4
-) -> tuple[float, float]:
+def bmo_seminorm(b: VectorField, scales: list[float]) -> tuple[float, float]:
     """(C1, C2) estimates: sup of unit-ball means of |b| and sup over balls of
     the mean oscillation of b."""
     grid = b.grid
@@ -511,8 +507,8 @@ def bmo_seminorm(
     speed = np.sqrt(sum(c.values**2 for c in b.components))
     comp_vals = [c.values for c in b.components]
     centers = [
-        tuple(i * center_stride * grid.spacing for i in idx)
-        for idx in np.ndindex(*([grid.n // center_stride] * grid.d))
+        tuple(i * BMO_CENTER_STRIDE * grid.spacing for i in idx)
+        for idx in np.ndindex(*([grid.n // BMO_CENTER_STRIDE] * grid.d))
     ]
 
     c1 = 0.0

@@ -71,7 +71,6 @@ class VerificationReport:
     inequality_id: str
     rows: list[ReportRow] = field(default_factory=list)
     ceiling: float = np.inf
-    provenance: str = ""
     extras: dict = field(default_factory=dict)
 
     @property

@@ -359,7 +359,7 @@ def verify_comparison(
     if base is None or base.num_atoms == 0:
         raise ValueError("the comparison check needs an atomic measure")
     exps = {
-        f: run_experiment(config, measure_scale=f, snapshot_stride=1, store_drift=True)
+        f: run_experiment(config, measure_scale=f, snapshot_stride=1)
         for f in mass_factors
     }
     exp1 = exps[1.0] if 1.0 in exps else next(iter(exps.values()))

@@ -1,9 +1,13 @@
 """The benchmark's traced run (bench/run.py --trace 1) wraps nldd functions
-by name; a rename that drops one of them must fail here, not in the bench."""
+by name and runs the layer probes, which build nldd objects with keyword
+fields; a rename that drops one of them must fail here, not in the bench."""
 
 import importlib
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 import numpy.fft
 
@@ -40,3 +44,21 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     for (module, name), original in originals.items():
         assert getattr(module, name) is original, name
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "probes", raising=False)
+    return importlib.import_module("probes")
+
+
+@pytest.mark.parametrize("mode", ["none", "given", "sqg"])
+def test_etd_step_probe_runs(probes, mode):
+    ms = probes.etd_step_ms(64, mode, 11)
+    assert math.isfinite(ms) and ms > 0.0
+
+
+def test_multiplier_and_excess_probes_run(probes):
+    for seconds in (probes.multiplier_table_s(), probes.excess_s(11)):
+        assert math.isfinite(seconds) and seconds > 0.0

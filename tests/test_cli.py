@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
 from nldd.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_cfg(tmp_path, raw, name="cfg.yaml"):
@@ -123,6 +130,37 @@ class TestVerify:
                   "--ceiling-file", str(ceil)])
             == 1
         )
+
+
+class TestConfigErrors:
+    """A config that fails validation exits 2 with one stderr line naming
+    the field, from a fresh interpreter as a user runs it."""
+
+    @staticmethod
+    def run_cli(*args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "nldd.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_solve_with_a_short_atom(self, tmp_path):
+        cfg = write_cfg(tmp_path, solve_raw(
+            measure={"atoms": [{"t": 0.1, "x": [4.0], "mass": 1.0}]}
+        ))
+        out = self.run_cli("solve", "--config", cfg)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "nldd solve: config field 'measure.atoms[0].x': needs 2 coordinates, got 1"
+        ]
+
+    def test_verify_with_an_unknown_check(self, tmp_path):
+        cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["nope"]}))
+        out = self.run_cli("verify", "--config", cfg, "--out", str(tmp_path / "reports"))
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "nldd verify: config field 'verification.selection': unknown check 'nope'"
+        ]
 
 
 class TestSnapshotCommand:

@@ -122,6 +122,16 @@ class TestMeasure:
         assert mu.total_mass == 3.0
         assert mu.domain_length == 4.0
 
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], 1.0], ids=["short", "long", "scalar"])
+    def test_atom_coordinates_must_match_the_dimension(self, x):
+        cfg = ExperimentConfig(
+            {"measure": {"atoms": [{"t": 0.5, "x": [1.0, 2.0], "mass": 1.0},
+                                   {"t": 0.5, "x": x, "mass": 1.0}]}}
+        )
+        k = len(np.atleast_1d(x))
+        with pytest.raises(ConfigError, match=rf"'measure\.atoms\[1\]\.x'.*got {k}$"):
+            cfg.build_measure(make_grid(2, 16, 4.0))
+
     def test_uniform_density(self):
         cfg = ExperimentConfig(
             {"measure": {"density": {"kind": "uniform", "level": 2.0,
@@ -168,3 +178,21 @@ class TestVerificationSection:
         sc = cfg.build_solver(cfg.build_kernel(), t_end=0.5)
         assert sc.dt == 0.01
         assert sc.t_end == 0.5
+
+    def test_undealiased_solver_rejected(self):
+        cfg = ExperimentConfig({"solver": {"dealias": False}})
+        with pytest.raises(ConfigError, match="'solver.dealias'"):
+            cfg.build_solver(cfg.build_kernel())
+
+    def test_retired_fields_change_nothing(self):
+        # kernel.lam, solver.dealias: true and solver.store_drift never
+        # changed an output; configs that still set them build the same run
+        plain = ExperimentConfig({"kernel": {"s": 0.5}, "solver": {"dt": 0.01}})
+        retired = ExperimentConfig({
+            "kernel": {"s": 0.5, "lam": 2.0},
+            "solver": {"dt": 0.01, "dealias": True, "store_drift": True},
+        })
+        assert retired.build_kernel() == plain.build_kernel()
+        assert retired.build_solver(retired.build_kernel()) == plain.build_solver(
+            plain.build_kernel()
+        )

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from nldd.fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     VectorField,
     ball_mask,
     dealias_mask,
-    forward,
     grid_coordinates,
     grid_distance,
-    inverse,
+    inverse_half,
     make_grid,
     torus_distance,
     wavenumber_magnitude,
@@ -49,14 +47,14 @@ class TestTransforms:
         g = make_grid(2, 32, 2 * np.pi)
         rng = np.random.default_rng(0)
         f = ScalarField(g, rng.standard_normal(g.shape))
-        back = inverse(forward(f))
-        np.testing.assert_allclose(back.values, f.values, atol=1e-13)
+        back = inverse_half(np.fft.rfftn(f.values), g)
+        np.testing.assert_allclose(back, f.values, atol=1e-13)
 
     def test_single_mode_eigenvalue(self):
         g = make_grid(2, 32, 2 * np.pi)
         xs = grid_coordinates(g)
         f = ScalarField(g, np.sin(3 * xs[0]))
-        fhat = forward(f).coefficients
+        fhat = np.fft.fftn(f.values)
         # energy concentrated on |m1| = 3
         idx = np.argwhere(np.abs(fhat) > 1e-8)
         assert set(idx[:, 0]) == {3, 29}
@@ -76,8 +74,8 @@ class TestDealias:
         g = make_grid(2, 32, 2 * np.pi)
         xs = grid_coordinates(g)
         f = ScalarField(g, np.cos(15 * xs[0]))
-        cleaned = inverse(SpectralField(g, forward(f).coefficients * dealias_mask(g)))
-        assert np.abs(cleaned.values).max() < 1e-12
+        cleaned = np.fft.ifftn(np.fft.fftn(f.values) * dealias_mask(g)).real
+        assert np.abs(cleaned).max() < 1e-12
 
 
 class TestTorusDistance:
