@@ -125,7 +125,10 @@ class ExperimentConfig:
 
     def build_kernel(self) -> KernelSpec:
         sec = self.raw.get("kernel", {})
-        return KernelSpec(s=float(_get(sec, "kernel", "s", 0.5)))
+        s = float(_get(sec, "kernel", "s", 0.5))
+        if not 0.0 < s < 1.0:
+            raise ConfigError("kernel.s", f"must lie in (0, 1), got {s}")
+        return KernelSpec(s=s)
 
     @property
     def drift_family(self) -> str:
@@ -234,10 +237,15 @@ class ExperimentConfig:
         sec = self.raw.get("solver", {})
         if not bool(_get(sec, "solver", "dealias", True)):
             raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
+        dt = float(_get(sec, "solver", "dt", 1e-3))
+        t_end = float(_get(sec, "solver", "t_end", 1.0))
+        for key, value in (("dt", dt), ("t_end", t_end)):
+            if not value > 0:
+                raise ConfigError(f"solver.{key}", f"must be positive, got {value}")
         kwargs = dict(
             kernel=kernel,
-            dt=float(_get(sec, "solver", "dt", 1e-3)),
-            t_end=float(_get(sec, "solver", "t_end", 1.0)),
+            dt=dt,
+            t_end=t_end,
             drift_mode="sqg" if self.drift_family == "sqg" else (
                 "none" if self.drift_family == "none" else "given"
             ),

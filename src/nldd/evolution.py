@@ -8,6 +8,8 @@ Biot-Savart drift from the predictor stage inside each step.
 The solver state is the rfftn half-spectrum of the real solution, and every
 transform inside a step is real (``rfftn``/``irfftn``).  The SQG drift is
 built from those coefficients, and the forcing is transformed once per step.
+A step advances the state in place and refills work arrays its stepper keeps
+per state shape.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from .fields import (
     VectorField,
     ball_mask,
     dealias_mask,
-    gradient_wavevectors,
     grid_distance,
     half_spectrum,
     inverse_half,
     require_divergence_free,
 )
 from .measures import Cylinder, MeasureData
-from .operators import KernelSpec, _sqg_drift, diffusion_multiplier
+from .operators import KernelSpec, _spectral_gradient, _sqg_drift, _SqgWork, diffusion_multiplier
 
 __all__ = [
     "SolverConfig",
@@ -175,10 +176,29 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, 0.5 + z / 6.0 + z**2 / 24.0, (np.expm1(zb) - zb) / zb**2)
 
 
+class _Work:
+    """The arrays one step fills, for one state shape: spectral arrays in the
+    shape of the state, physical ones in the shape of its samples, and the
+    SQG drift's arrays (operators._SqgWork) once an SQG step needs them."""
+
+    def __init__(self, spectral: tuple[int, ...], physical: tuple[int, ...]):
+        self.pred, self.n0, self.n1, self.fhat, self.masked = (
+            np.empty(spectral, dtype=complex) for _ in range(5)
+        )
+        self.finite = np.empty(spectral, dtype=bool)
+        self.grad, self.adv = np.empty(physical), np.empty(physical)
+        self.sqg: _SqgWork | None = None
+
+
 class _Stepper:
     """Precomputed exponential factors for one (grid, kernel, dt) triple.
 
     Every array is in the rfftn layout of the state (fields.half_spectrum).
+    A state may carry one leading batch axis: a step advances each member of
+    the stack as it advances that member alone, with a fixed drift broadcast
+    across the stack.  The arrays a step fills are made at the first step of
+    each state shape and reused by every later one, so a step allocates no
+    state-sized temporaries.
     """
 
     def __init__(self, grid: GridSpec, config: SolverConfig):
@@ -186,27 +206,49 @@ class _Stepper:
         self.config = config
         z = -config.dt * half_spectrum(diffusion_multiplier(grid, config.kernel))
         self.exp_full = np.exp(z)
-        self.phi1 = _phi1(z)
-        self.phi2 = _phi2(z)
+        self.dt_phi1 = config.dt * _phi1(z)
+        self.dt_phi2 = config.dt * _phi2(z)
         self.mask = half_spectrum(dealias_mask(grid))
-        self.iks = tuple(1j * k for k in gradient_wavevectors(grid))
+        self.iks = _spectral_gradient(grid)
+        self.axes = tuple(range(-grid.d, 0))
+        self._work: dict[tuple[int, ...], _Work] = {}
 
-    def nonlinear(self, uhat: np.ndarray, b: VectorField | None, fhat: np.ndarray | None):
-        """N(u) = -(b, grad u) + forcing, in spectral space."""
-        acc = np.zeros(uhat.shape, dtype=complex) if fhat is None else fhat
-        if b is not None:
-            ud = uhat * self.mask
-            adv = np.zeros(self.grid.shape)
-            for ik, barr in zip(self.iks, b.arrays()):
-                adv += barr * inverse_half(ik * ud, self.grid)
-            acc = acc - np.fft.rfftn(adv) * self.mask
-        return acc
+    def _work_for(self, shape: tuple[int, ...], sqg: bool) -> _Work:
+        w = self._work.get(shape)
+        if w is None:
+            w = self._work[shape] = _Work(shape, shape[: -self.grid.d] + self.grid.shape)
+        if sqg and w.sqg is None:
+            w.sqg = _SqgWork(self.grid)
+        return w
 
-    def check_cfl(self, b: VectorField | None, drift: DriftProvider):
+    def nonlinear(
+        self,
+        uhat: np.ndarray,
+        b: VectorField | None,
+        fhat: np.ndarray | None,
+        w: _Work,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """N(u) = -(b, grad u) + forcing, in spectral space; written to out
+        unless it is the forcing alone.  out holds each gradient component's
+        coefficients until the advection term is transformed into it."""
         if b is None:
+            if fhat is not None:
+                return fhat
+            out.fill(0.0)
+            return out
+        np.multiply(uhat, self.mask, out=w.masked)
+        w.adv.fill(0.0)
+        for ik, barr in zip(self.iks, b.arrays()):
+            grad = inverse_half(np.multiply(ik, w.masked, out=out), self.grid, out=w.grad)
+            w.adv += np.multiply(barr, grad, out=grad)
+        np.multiply(np.fft.rfftn(w.adv, axes=self.axes, out=out), self.mask, out=out)
+        return np.subtract(0.0 if fhat is None else fhat, out, out=out)
+
+    def check_cfl(self, bmax: float | None):
+        if bmax is None:
             return
-        bmax = max(drift.max_norm(b), 1e-12)
-        admissible = 0.5 * self.grid.spacing / bmax
+        admissible = 0.5 * self.grid.spacing / max(bmax, 1e-12)
         if self.config.dt > admissible * (1.0 + 1e-12):
             raise CFLError(self.config.dt, admissible)
 
@@ -218,20 +260,29 @@ class _Stepper:
         forcing: np.ndarray | None,
         sqg: bool = False,
     ) -> np.ndarray:
-        """The rfftn coefficients one step of dt after t."""
+        """Advance the rfftn coefficients uhat by one step of dt after t, in
+        place, and return them.  The forcing has the shape of the samples."""
         dt = self.config.dt
-        b0 = _sqg_drift(uhat, self.grid, t) if sqg else drift(t)
-        self.check_cfl(b0, drift)
-        fhat = None if forcing is None else np.fft.rfftn(forcing)
-        n0 = self.nonlinear(uhat, b0, fhat)
-        pred = self.exp_full * uhat + dt * self.phi1 * n0
+        w = self._work_for(uhat.shape, sqg)
+        if sqg:
+            b0, bmax = _sqg_drift(uhat, self.grid, t, out=w.sqg)
+        else:
+            b0 = drift(t)
+            bmax = None if b0 is None else drift.max_norm(b0)
+        self.check_cfl(bmax)
+        fhat = None if forcing is None else np.fft.rfftn(forcing, axes=self.axes, out=w.fhat)
+        n0 = self.nonlinear(uhat, b0, fhat, w, out=w.n0)
+        # pred = exp_full * uhat + dt_phi1 * n0; uhat is scratch from here on
+        pred = np.multiply(self.exp_full, uhat, out=w.pred)
+        pred += np.multiply(self.dt_phi1, n0, out=uhat)
         # drift lagged by one predictor stage
-        b1 = _sqg_drift(pred, self.grid, t + dt) if sqg else drift(t + dt)
-        n1 = self.nonlinear(pred, b1, fhat)
-        unew = pred + dt * self.phi2 * (n1 - n0)
-        if not np.all(np.isfinite(unew)):
+        b1 = _sqg_drift(pred, self.grid, t + dt, out=w.sqg)[0] if sqg else drift(t + dt)
+        n1 = self.nonlinear(pred, b1, fhat, w, out=w.n1)
+        delta = np.subtract(n1, n0, out=w.n1)
+        np.add(pred, np.multiply(self.dt_phi2, delta, out=delta), out=uhat)
+        if not np.isfinite(uhat, out=w.finite).all():
             raise FloatingPointError(f"solution lost finiteness at t = {t + dt:.6g}")
-        return unew
+        return uhat
 
 
 def measure_forcing(
@@ -256,6 +307,10 @@ def measure_forcing(
     if mu.density is not None:
         out += mu.density.sample(t + 0.5 * dt)
     return ScalarField(grid, out, t)
+
+
+def _atom_in_slab(mu: MeasureData, t: float, dt: float) -> bool:
+    return bool(np.any((mu.atom_times >= t) & (mu.atom_times < t + dt)))
 
 
 def _run(
@@ -284,16 +339,16 @@ def _run(
 
     def record(uhat_now, t_now):
         u = ScalarField(grid, inverse_half(uhat_now, grid), t_now)
-        store.append(u, _sqg_drift(uhat_now, grid, t_now) if sqg else None)
+        store.append(u, _sqg_drift(uhat_now, grid, t_now)[0] if sqg else None)
 
     record(uhat, t)
     for step_idx in range(n_steps):
         forcing = None
-        if mu is not None and (mu.num_atoms or mu.density is not None):
+        if mu is not None and (mu.density is not None or _atom_in_slab(mu, t, config.dt)):
             f = measure_forcing(mu, t, config.dt, grid, config.h_moll)
             if np.any(f.values):
                 forcing = f.values
-        uhat = stepper.step(uhat, t, drift, forcing, sqg=sqg)
+        stepper.step(uhat, t, drift, forcing, sqg=sqg)
         t = u0.time + (step_idx + 1) * config.dt
         if (step_idx + 1) % config.snapshot_stride == 0 or step_idx == n_steps - 1:
             record(uhat, t)

@@ -121,9 +121,10 @@ def gradient_wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(ks)
 
 
-def inverse_half(coeff: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real samples from rfftn-layout coefficients."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=tuple(range(grid.d)))
+def inverse_half(coeff: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples from rfftn-layout coefficients, transformed over the
+    trailing d axes, so a stack of coefficient arrays gives a stack of fields."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=tuple(range(-grid.d, 0)), out=out)
 
 
 @lru_cache(maxsize=64)

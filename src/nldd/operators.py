@@ -232,25 +232,57 @@ def _sqg_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return 1j * (-k2) * inv, 1j * k1 * inv
 
 
-def _sqg_drift(uhat: np.ndarray, grid: GridSpec, time: float) -> VectorField:
-    """SQG drift from the rfftn coefficients of u, checked divergence-free.
+@lru_cache(maxsize=16)
+def _spectral_gradient(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """rfftn-layout multipliers 1j*k_j of the partial derivatives."""
+    iks = tuple(1j * k for k in gradient_wavevectors(grid))
+    for ik in iks:
+        ik.flags.writeable = False  # cached: shared by every caller
+    return iks
+
+
+class _SqgWork:
+    """The arrays one SQG drift evaluation fills: the drift b, and scratch for
+    a spectral coefficient array, the divergence and two real fields."""
+
+    def __init__(self, grid: GridSpec):
+        half = grid.shape[:-1] + (grid.n // 2 + 1,)
+        self.b = np.empty((grid.d, *grid.shape))
+        self.hat = np.empty(half, dtype=complex)
+        self.div = np.empty(half, dtype=complex)
+        self.real = np.empty((2, *grid.shape))
+
+
+def _sqg_drift(
+    uhat: np.ndarray, grid: GridSpec, time: float, out: _SqgWork | None = None
+) -> tuple[VectorField, float]:
+    """SQG drift from the rfftn coefficients of u, checked divergence-free,
+    and its max norm.  The drift's components are views of ``out.b``; without
+    ``out`` the arrays are fresh.
 
     The check reads max|div b| from real transforms.  That equals
     VectorField.spectral_divergence_max on fields whose Nyquist planes are
     zero, as here by construction; on a Nyquist mode it would read 0, so
     other drifts keep the fftn check.
     """
-    b = tuple(inverse_half(m * uhat, grid) for m in _sqg_multipliers(grid))
-    div_hat = sum(1j * k * np.fft.rfftn(c) for k, c in zip(gradient_wavevectors(grid), b))
-    field = VectorField(tuple(ScalarField(grid, c, time) for c in b))
-    require_divergence_free(float(np.abs(inverse_half(div_hat, grid)).max()), field.max_norm())
+    w = _SqgWork(grid) if out is None else out
+    for m, c in zip(_sqg_multipliers(grid), w.b):
+        inverse_half(np.multiply(m, uhat, out=w.hat), grid, out=c)
+    w.div.fill(0.0)
+    for ik, c in zip(_spectral_gradient(grid), w.b):
+        w.div += np.multiply(ik, np.fft.rfftn(c, out=w.hat), out=w.hat)
+    field = VectorField(tuple(ScalarField(grid, c, time) for c in w.b))
+    err = float(np.abs(inverse_half(w.div, grid, out=w.real[0]), out=w.real[0]).max())
+    mag2 = np.add(np.square(w.b[0], out=w.real[0]), np.square(w.b[1], out=w.real[1]), out=w.real[0])
+    norm = float(np.sqrt(mag2.max()))
+    require_divergence_free(err, norm)
     field.divergence_free = True  # set after the check, so the fftn one does not run
-    return field
+    return field, norm
 
 
 def biot_savart_sqg(u: ScalarField) -> VectorField:
     """SQG drift b = perp-gradient of (-Laplace)^(-1/2) u, divergence-free."""
     if u.grid.d != 2:
         raise ValueError("the SQG Biot-Savart law is two-dimensional")
-    return _sqg_drift(np.fft.rfftn(u.values), u.grid, u.time)
+    return _sqg_drift(np.fft.rfftn(u.values), u.grid, u.time)[0]
 

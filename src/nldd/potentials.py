@@ -189,14 +189,12 @@ def _radial_grid(r: float, R: float, order: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _tail_nodes(
-    grid: GridSpec, r: float, R_max: float, order: int, s: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _tail_nodes(grid: GridSpec, r: float, R_max: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Offsets o_i and weights w_i with tail(v; x0, r) = sum_i w_i |v(x0 + o_i)|.
 
-    Composite GL panels in radius; on the sphere of radius rho, m uniform
-    angles in d = 2, or m uniform azimuths times the 12-node cos(theta) Gauss
-    rule in d = 3.  The weight of a node is r^(2s) area rho^(-1-2s) w_rad / m,
+    Composite GL panels of TAIL_QUADRATURE_ORDER nodes in radius; on the
+    sphere of radius rho, m uniform angles in d = 2, or m uniform azimuths
+    times the 12-node cos(theta) Gauss rule in d = 3.  The weight of a node is r^(2s) area rho^(-1-2s) w_rad / m,
     times wg_j / 2 in d = 3.
     """
     if r >= R_max:
@@ -204,7 +202,7 @@ def _tail_nodes(
     if R_max > grid.domain_length / 2.0 + 1e-12:
         raise ValueError("tail truncation radius exceeds L/2")
     d = grid.d
-    radii, w_rad = _radial_grid(r, R_max, order)
+    radii, w_rad = _radial_grid(r, R_max, TAIL_QUADRATURE_ORDER)
     per_circle = np.ceil(2.0 * np.pi * radii / grid.spacing).astype(int)
     m = np.maximum(32, per_circle * 2) if d == 2 else np.maximum(16, per_circle)
     k = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
@@ -231,9 +229,7 @@ def _tail_nodes(
 def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) -> float:
     """tail(v; x0, r) = r^(2s) * integral over {r < |y-x0| < R_max} of
     |v(y)| |x0-y|^(-d-2s) dy, truncated at opts.truncation_radius."""
-    offsets, weights = _tail_nodes(
-        v.grid, r, opts.truncation_radius, TAIL_QUADRATURE_ORDER, kernel.s
-    )
+    offsets, weights = _tail_nodes(v.grid, r, opts.truncation_radius, kernel.s)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     return float(weights @ np.abs(interpolate_periodic(v, v.grid, x0 + offsets)))
 
@@ -264,9 +260,7 @@ def tail_time_lq(
         raise ValueError(f"the Lq-in-time tail requires q > 1, got {qs[bad][0]}")
     idx, times, centers, which = Q.window(traj, slant)
     grid = traj.grid
-    offsets, weights = _tail_nodes(
-        grid, Q.r, opts.truncation_radius, TAIL_QUADRATURE_ORDER, kernel.s
-    )
+    offsets, weights = _tail_nodes(grid, Q.r, opts.truncation_radius, kernel.s)
     vals = np.empty(times.size)
     points = np.empty_like(offsets)
     buffers = _corner_buffers(grid.d, weights.shape)

@@ -3,7 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -153,6 +152,29 @@ class TestConfigErrors:
         assert out.stderr.splitlines() == [
             "nldd solve: config field 'measure.atoms[0].x': needs 2 coordinates, got 1"
         ]
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("kernel", {"s": 1.5}, "config field 'kernel.s': must lie in (0, 1), got 1.5"),
+            (
+                "solver",
+                {"dt": -0.02, "t_end": 0.5},
+                "config field 'solver.dt': must be positive, got -0.02",
+            ),
+            (
+                "solver",
+                {"dt": 5e-3, "t_end": 0.0},
+                "config field 'solver.t_end': must be positive, got 0.0",
+            ),
+        ],
+        ids=["kernel.s", "solver.dt", "solver.t_end"],
+    )
+    def test_solve_with_an_out_of_range_value(self, tmp_path, section, value, message):
+        cfg = write_cfg(tmp_path, solve_raw(**{section: value}))
+        out = self.run_cli("solve", "--config", cfg)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [f"nldd solve: {message}"]
 
     def test_verify_with_an_unknown_check(self, tmp_path):
         cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["nope"]}))

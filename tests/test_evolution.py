@@ -22,14 +22,16 @@ from nldd.fields import (
     ScalarField,
     VectorField,
     dealias_mask,
+    gradient_wavevectors,
     grid_coordinates,
+    half_spectrum,
     inverse_half,
     make_grid,
     wavenumber_magnitude,
     wavevectors,
 )
 from nldd.measures import Cylinder, DensityTrack, MeasureData
-from nldd.operators import KernelSpec, diffusion_multiplier
+from nldd.operators import KernelSpec, _sqg_multipliers, diffusion_multiplier
 
 
 def eigenmode(grid, wavenumber=1, axis=0, amplitude=1.0):
@@ -68,6 +70,36 @@ def reference_step(grid, config, uhat, barrs, forcing, sqg):
     n0 = nonlinear(uhat, drift(uhat))
     pred = np.exp(z) * uhat + dt * _phi1(z) * n0
     n1 = nonlinear(pred, drift(pred))
+    return pred + dt * _phi2(z) * (n1 - n0)
+
+
+def allocating_step(grid, config, uhat, t, drift, forcing, sqg):
+    """The half-spectrum step with a fresh array for every temporary; a step
+    that reuses its stepper's work arrays must match it bitwise."""
+    dt = config.dt
+    z = -dt * half_spectrum(diffusion_multiplier(grid, config.kernel))
+    mask = half_spectrum(dealias_mask(grid))
+
+    def drift_at(uh, tt):
+        if not sqg:
+            return drift(tt)
+        comps = (inverse_half(m * uh, grid) for m in _sqg_multipliers(grid))
+        return VectorField(tuple(ScalarField(grid, c, tt) for c in comps))
+
+    def nonlinear(uh, b, fhat):
+        acc = np.zeros(uh.shape, dtype=complex) if fhat is None else fhat
+        if b is not None:
+            ud = uh * mask
+            adv = np.zeros(grid.shape)
+            for k, barr in zip(gradient_wavevectors(grid), b.arrays()):
+                adv += barr * inverse_half(1j * k * ud, grid)
+            acc = acc - np.fft.rfftn(adv) * mask
+        return acc
+
+    fhat = None if forcing is None else np.fft.rfftn(forcing)
+    n0 = nonlinear(uhat, drift_at(uhat, t), fhat)
+    pred = np.exp(z) * uhat + dt * _phi1(z) * n0
+    n1 = nonlinear(pred, drift_at(pred, t + dt), fhat)
     return pred + dt * _phi2(z) * (n1 - n0)
 
 
@@ -116,6 +148,43 @@ class TestHalfSpectrumStep:
             )
         got, want = inverse_half(uhat, g), np.fft.ifftn(ref).real
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["none", "given", "sqg"])
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_reused_work_arrays_match_an_allocating_step(self, mode, forced):
+        g = make_grid(2, 32, 8.0)
+        rng = np.random.default_rng(5)
+        forcing = rng.standard_normal(g.shape) if forced else None
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.04, drift_mode=mode)
+        stepper = _Stepper(g, cfg)
+        drift = DriftProvider(shear_drift(g) if mode == "given" else None)
+        uhat = np.fft.rfftn(rng.standard_normal(g.shape))
+        ref = uhat.copy()
+        for i in range(4):
+            t = i * cfg.dt
+            assert stepper.step(uhat, t, drift, forcing, sqg=mode == "sqg") is uhat
+            ref = allocating_step(g, cfg, ref, t, drift, forcing, mode == "sqg")
+            assert np.array_equal(uhat, ref)
+
+    def test_batched_and_unbatched_states_share_a_stepper(self):
+        # one stepper keeps a set of work arrays per state shape; alternating
+        # shapes must give what a fresh stepper gives each shape
+        g = make_grid(2, 32, 8.0)
+        rng = np.random.default_rng(6)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.04, drift_mode="given")
+        drift = DriftProvider(shear_drift(g))
+        single = np.fft.rfftn(rng.standard_normal(g.shape))
+        stack = np.fft.rfftn(rng.standard_normal((2, *g.shape)), axes=(-2, -1))
+        shared, alone, stacked = _Stepper(g, cfg), _Stepper(g, cfg), _Stepper(g, cfg)
+        a, b = single.copy(), stack.copy()
+        for i in range(4):
+            t = i * cfg.dt
+            shared.step(a, t, drift, None)
+            shared.step(b, t, drift, None)
+            alone.step(single, t, drift, None)
+            stacked.step(stack, t, drift, None)
+        assert np.array_equal(a, single)
+        assert np.array_equal(b, stack)
 
     def test_transform_budget(self, monkeypatch):
         g = make_grid(2, 32, 8.0)

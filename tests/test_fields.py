@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nldd.fields import (
-    GridSpec,
     ScalarField,
     VectorField,
     ball_mask,

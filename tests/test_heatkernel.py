@@ -168,15 +168,34 @@ class TestSanity:
         with pytest.raises(CFLError, match="violates the advective CFL"):
             estimate_kernel(b, kern, 0.0, (2.0, 2.0), [2.0], cfg, grid)
         assert (len(norms), len(stages)) == (1, 0)
-        # both widths share one provider: one norm for the whole estimate
+        # both widths advance as one stack: one norm, and 40 steps of two stages
         norms.clear()
         times = [1.0, 1.5, 2.0]
         est = estimate_kernel(b, kern, 0.0, (2.0, 2.0), times, replace(cfg, dt=0.05), grid)
-        assert (len(norms), len(stages)) == (1, 2 * 2 * 40)
+        assert (len(norms), len(stages)) == (1, 2 * 40)
         norms.clear()
         with pytest.raises(CFLError, match="violates the advective CFL"):
             kernel_sanity(replace(est, stepper=_Stepper(grid, replace(cfg, dt=0.5))))
         assert len(norms) == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_both_widths_in_one_loop_match_single_solves(self, d):
+        # pins that numpy transforms each member of a stack over the trailing
+        # axes as it transforms that member alone
+        grid = make_grid(d, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=1.0, drift_mode="given", h_moll=grid.spacing)
+        drift = DriftProvider(shear_drift(grid))
+        y = np.full(d, 1.7)
+        h = grid.spacing
+        starts = [_gaussian_spectral(grid, y, w) for w in (h, h / 2.0)]
+        times = np.array([0.5, 1.0])
+        batched = _solve_recording(_Stepper(grid, cfg), np.stack(starts), drift, 0.0, times)
+        assert len(batched) == 2
+        for fields, uhat0 in zip(batched, starts):
+            alone = _solve_recording(_Stepper(grid, cfg), uhat0, drift, 0.0, times)
+            assert [f.time for f in fields] == [f.time for f in alone]
+            assert all(np.array_equal(f.values, g.values) for f, g in zip(fields, alone))
 
     def test_semigroup_matches_per_source_solves(self):
         # reference: the composition summed one source solve at a time

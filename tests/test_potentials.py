@@ -4,7 +4,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.ndimage import map_coordinates
 
 from nldd.config import lacunary_drift, shear_drift
-from nldd.evolution import SolverConfig, TrajectoryStore, solve
+from nldd.evolution import TrajectoryStore
 from nldd.fields import ScalarField, VectorField, ball_mask, grid_coordinates, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
@@ -191,7 +191,7 @@ class TestTail:
         x0, r, s, offset, qs = np.array([3.3, 5.1, 0.2])[:d], 0.6, 0.5, 0.25, (1.5, 3.0)
         Q = Cylinder(1.0, x0, r, s)
         got = tail_time_lq(traj, Q, qs, KernelSpec(s=s), TailOptions(4.0), offset=offset)
-        offsets, weights = _tail_nodes(g, r, 4.0, 12, s)
+        offsets, weights = _tail_nodes(g, r, 4.0, s)
         idx = traj.window(Q.t_start, Q.t0)
         vals = np.array([
             weights @ np.abs(interpolate_periodic(traj.snapshots[i].values, g, x0 + offsets) - offset)
@@ -214,7 +214,7 @@ class TestTail:
         got = tail_time_lq(
             traj, Q, qs, KernelSpec(s=s), TailOptions(4.0), offset=offset, slant=path
         )
-        offsets, weights = _tail_nodes(g, r, 4.0, 12, s)
+        offsets, weights = _tail_nodes(g, r, 4.0, s)
         idx = traj.window(Q.t_start, Q.t0)
         ts = times[idx]
         centres = Q.centers(ts, path)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nldd.reports import (
     CSV_COLUMNS,
-    ReportRow,
     VerificationReport,
     content_id,
     fitted_constant,
