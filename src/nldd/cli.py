@@ -16,11 +16,12 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .fields import l2_norm
+from .fields import ScalarField, l2_norm
 from .heatkernel import estimate_kernel, kernel_sanity
 from .potentials import TailOptions, riesz_potential, tail
 from .snapshots import (
     load_field,
+    load_kernel_estimate,
     load_trajectory,
     save_field,
     save_kernel_estimate,
@@ -104,8 +105,6 @@ def _cmd_potential(args) -> int:
     tail_value = None
     if mu.density is not None:
         u = mu.density.values[0]
-        from .fields import ScalarField
-
         tail_value = tail(
             ScalarField(grid, u, t0), x0, R, kernel,
             TailOptions(truncation_radius=grid.domain_length / 2.0),
@@ -175,8 +174,6 @@ def _cmd_snapshot(args) -> int:
                 f"t in [{traj.t_start:.6g}, {traj.t_end:.6g}]"
             )
         elif magic == b"NLDK":
-            from .snapshots import load_kernel_estimate
-
             est = load_kernel_estimate(args.path)
             print(
                 f"kernel estimate: source {tuple(round(c, 6) for c in est.y)} at "

@@ -43,7 +43,16 @@ import numpy as np
 import yaml
 
 from .evolution import SolverConfig
-from .fields import GridSpec, ScalarField, VectorField, grid_coordinates, grid_distance, make_grid
+from .fields import (
+    GridError,
+    GridSpec,
+    ScalarField,
+    VectorField,
+    grid_coordinates,
+    grid_distance,
+    make_grid,
+    wavenumber_magnitude,
+)
 from .measures import DensityTrack, MeasureData
 from .operators import KernelSpec
 
@@ -69,14 +78,16 @@ def _get(section: dict, path: str, key: str, default=None, required: bool = Fals
     return section[key]
 
 
+def _along_x1(grid: GridSpec, b1: np.ndarray) -> VectorField:
+    """b = (b1, 0, ...), divergence-free when b1 does not depend on x_1."""
+    zeros = (ScalarField(grid, np.zeros(grid.shape), 0.0) for _ in range(grid.d - 1))
+    return VectorField((ScalarField(grid, b1, 0.0), *zeros))
+
+
 def shear_drift(grid: GridSpec, amplitude: float = 1.0, wavenumber: int = 1) -> VectorField:
     xs = grid_coordinates(grid)
     k = 2.0 * np.pi * wavenumber / grid.domain_length
-    b1 = amplitude * np.cos(k * xs[1])
-    comps = [ScalarField(grid, b1, 0.0)]
-    for _ in range(grid.d - 1):
-        comps.append(ScalarField(grid, np.zeros(grid.shape), 0.0))
-    return VectorField(tuple(comps))
+    return _along_x1(grid, amplitude * np.cos(k * xs[1]))
 
 
 def lacunary_drift(grid: GridSpec, coefficients) -> VectorField:
@@ -86,10 +97,7 @@ def lacunary_drift(grid: GridSpec, coefficients) -> VectorField:
     b1 = np.zeros(grid.shape)
     for j, a in enumerate(coefficients, start=1):
         b1 += a * np.cos(base * 2**j * xs[1])
-    comps = [ScalarField(grid, b1, 0.0)]
-    for _ in range(grid.d - 1):
-        comps.append(ScalarField(grid, np.zeros(grid.shape), 0.0))
-    return VectorField(tuple(comps))
+    return _along_x1(grid, b1)
 
 
 def _constant_drift(grid: GridSpec, vector) -> VectorField:
@@ -117,11 +125,14 @@ class ExperimentConfig:
 
     def build_grid(self) -> GridSpec:
         sec = self.raw.get("grid", {})
-        return make_grid(
-            d=int(_get(sec, "grid", "d", 2)),
-            n=int(_get(sec, "grid", "n", 64)),
-            domain_length=float(_get(sec, "grid", "domain_length", 2.0 * np.pi)),
-        )
+        try:
+            return make_grid(
+                d=int(_get(sec, "grid", "d", 2)),
+                n=int(_get(sec, "grid", "n", 64)),
+                domain_length=float(_get(sec, "grid", "domain_length", 2.0 * np.pi)),
+            )
+        except GridError as exc:
+            raise ConfigError(f"grid.{exc.parameter}", str(exc)) from None
 
     def build_kernel(self) -> KernelSpec:
         sec = self.raw.get("kernel", {})
@@ -176,8 +187,6 @@ class ExperimentConfig:
         amp = float(_get(sec, "initial", "amplitude", 1.0))
         decay = float(_get(sec, "initial", "decay", 2.0))
         rng = self.rng(salt=101)
-        from .fields import wavenumber_magnitude
-
         kmag = wavenumber_magnitude(grid)
         envelope = np.where(kmag > 0, np.maximum(kmag, 1e-12) ** (-decay), 0.0)
         phases = rng.uniform(0.0, 2.0 * np.pi, grid.shape)
@@ -282,4 +291,6 @@ def load_config(path) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be a mapping")
+    if not isinstance(raw.get("seed", 0), int):
+        raise ConfigError("seed", f"must be an integer, got {raw['seed']!r}")
     return ExperimentConfig(raw)

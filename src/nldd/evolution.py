@@ -9,12 +9,14 @@ The solver state is the rfftn half-spectrum of the real solution, and every
 transform inside a step is real (``rfftn``/``irfftn``).  The SQG drift is
 built from those coefficients, and the forcing is transformed once per step.
 A step advances the state in place and refills work arrays its stepper keeps
-per state shape.
+per state shape.  A trajectory stores u only: the SQG drift is a function of
+u, so a comparison solve rebuilds it from the stored snapshots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,12 +33,18 @@ from .fields import (
     require_divergence_free,
 )
 from .measures import Cylinder, MeasureData
-from .operators import KernelSpec, _spectral_gradient, _sqg_drift, _SqgWork, diffusion_multiplier
+from .operators import (
+    KernelSpec,
+    _spectral_gradient,
+    _sqg_drift,
+    _SqgWork,
+    biot_savart_sqg,
+    diffusion_multiplier,
+)
 
 __all__ = [
     "SolverConfig",
     "TrajectoryStore",
-    "ComparisonPair",
     "CFLError",
     "solve",
     "solve_sqg",
@@ -81,19 +89,14 @@ class TrajectoryStore:
     grid: GridSpec
     times: list[float] = field(default_factory=list)
     snapshots: list[ScalarField] = field(default_factory=list)
-    drift_snapshots: list[VectorField] | None = None
 
-    def append(self, u: ScalarField, b: VectorField | None = None):
+    def append(self, u: ScalarField):
         if u.grid != self.grid:
             raise ValueError("snapshot grid mismatch")
         if self.times and u.time <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(float(u.time))
         self.snapshots.append(u)
-        if b is not None:
-            if self.drift_snapshots is None:
-                self.drift_snapshots = []
-            self.drift_snapshots.append(b)
 
     @property
     def t_start(self) -> float:
@@ -116,15 +119,6 @@ class TrajectoryStore:
         ts = np.asarray(self.times)
         eps = 1e-12 * max(1.0, abs(t_hi))
         return list(np.flatnonzero((ts >= t_lo - eps) & (ts <= t_hi + eps)))
-
-
-@dataclass
-class ComparisonPair:
-    """A solve u with data mu next to its homogeneous companion v on a cylinder."""
-
-    u_traj: TrajectoryStore
-    v_traj: TrajectoryStore
-    cylinder: Cylinder
 
 
 DriftLike = VectorField | Callable[[float], VectorField] | None
@@ -163,11 +157,9 @@ class DriftProvider:
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    out = np.ones_like(z)
     small = np.abs(z) < 1e-6
     zb = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, np.expm1(zb) / zb)
-    return out
+    return np.where(small, 1.0 + z / 2.0 + z**2 / 6.0, np.expm1(zb) / zb)
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
@@ -318,7 +310,6 @@ def _run(
     drift: DriftProvider,
     mu: MeasureData | None,
     config: SolverConfig,
-    sqg: bool,
 ) -> TrajectoryStore:
     grid = u0.grid
     n_steps = int(round(config.t_end / config.dt))
@@ -331,27 +322,20 @@ def _run(
             f"mollification width h_moll = {config.h_moll} is below the grid spacing {grid.spacing}"
         )
     stepper = _Stepper(grid, config)
-    # an SQG run keeps its drift for comparison_solve; a given drift reaches
-    # that solve as the drift itself
-    store = TrajectoryStore(grid, drift_snapshots=[] if sqg else None)
+    store = TrajectoryStore(grid)
     uhat = np.fft.rfftn(u0.values)
     t = u0.time
-
-    def record(uhat_now, t_now):
-        u = ScalarField(grid, inverse_half(uhat_now, grid), t_now)
-        store.append(u, _sqg_drift(uhat_now, grid, t_now)[0] if sqg else None)
-
-    record(uhat, t)
+    store.append(ScalarField(grid, inverse_half(uhat, grid), t))
     for step_idx in range(n_steps):
         forcing = None
         if mu is not None and (mu.density is not None or _atom_in_slab(mu, t, config.dt)):
             f = measure_forcing(mu, t, config.dt, grid, config.h_moll)
             if np.any(f.values):
                 forcing = f.values
-        stepper.step(uhat, t, drift, forcing, sqg=sqg)
+        stepper.step(uhat, t, drift, forcing, sqg=config.drift_mode == "sqg")
         t = u0.time + (step_idx + 1) * config.dt
         if (step_idx + 1) % config.snapshot_stride == 0 or step_idx == n_steps - 1:
-            record(uhat, t)
+            store.append(ScalarField(grid, inverse_half(uhat, grid), t))
     return store
 
 
@@ -366,7 +350,7 @@ def solve(
         raise ValueError("use solve_sqg for the self-coupled mode")
     if config.drift_mode == "none":
         b = None
-    return _run(u0, DriftProvider(b), mu, config, sqg=False)
+    return _run(u0, DriftProvider(b), mu, config)
 
 
 def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> TrajectoryStore:
@@ -377,7 +361,7 @@ def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> 
         raise ValueError("SQG mode requires s = 1/2")
     if config.drift_mode != "sqg":
         raise ValueError("config.drift_mode must be 'sqg'")
-    return _run(u0, DriftProvider(None), mu, config, sqg=True)
+    return _run(u0, DriftProvider(None), mu, config)
 
 
 def comparison_solve(
@@ -386,12 +370,15 @@ def comparison_solve(
     mu: MeasureData | None,
     cylinder: Cylinder,
     config: SolverConfig,
-) -> ComparisonPair:
-    """Constrained homogeneous companion solve of the comparison lemma.
+) -> TrajectoryStore:
+    """Constrained homogeneous companion solve of the comparison lemma: the
+    trajectory of v on the cylinder's time window.
 
     v starts from u at the initial slice t0 - r^(2s), evolves without the
     measure, and is reset to u outside B_r(x0) after every step.  u_traj must
-    store every step inside the cylinder's time window (stride 1).
+    store every step inside the cylinder's time window (stride 1).  With
+    ``config.drift_mode == "sqg"`` the drift at each stored time is the SQG
+    drift of that u snapshot; otherwise it is ``b``.
     """
     grid = u_traj.grid
     Q = cylinder
@@ -399,41 +386,27 @@ def comparison_solve(
         raise ValueError("cylinder radius must satisfy r <= L/8")
     if Q.t_start < u_traj.t_start - 1e-9 or Q.t0 > u_traj.t_end + 1e-9:
         raise ValueError("cylinder time range not covered by the trajectory")
-    idx = u_traj.window(Q.t_start, Q.t0)
-    if len(idx) < 2:
-        raise ValueError("trajectory has too few snapshots inside the cylinder")
-    times = [u_traj.times[i] for i in idx]
+    idx, times, _, _ = Q.window(u_traj)
     dts = np.diff(times)
     if np.abs(dts - dts[0]).max() > 1e-9:
         raise ValueError("comparison solve needs uniformly spaced snapshots")
     dt = float(dts[0])
+    outside = ~ball_mask(grid, Q.x0, Q.r)
 
-    inside = ball_mask(grid, Q.x0, Q.r)
-
-    cmp_config = replace(config, dt=dt, drift_mode="given" if b is not None else "none")
-    stepper = _Stepper(grid, cmp_config)
-    if b is None and u_traj.drift_snapshots:
-        drift_fields = {u_traj.times[i]: u_traj.drift_snapshots[i] for i in idx}
-
-        def b_of_t(t):
-            key = min(drift_fields, key=lambda tt: abs(tt - t))
-            return drift_fields[key]
-
-        drift = DriftProvider(b_of_t)
-    else:
-        drift = DriftProvider(b)
+    stepper = _Stepper(grid, replace(config, dt=dt))
+    drift = DriftProvider(b)
+    if config.drift_mode == "sqg":
+        # a step reads the drift at both its ends, looked up by window index
+        sqg_at = lru_cache(maxsize=2)(lambda j: biot_savart_sqg(u_traj.snapshots[idx[j]]))
+        drift = DriftProvider(lambda t: sqg_at(round((t - times[0]) / dt)))
 
     v_store = TrajectoryStore(grid)
+    v_store.append(u_traj.snapshots[idx[0]])
     v = u_traj.snapshots[idx[0]].values.copy()
-    v_store.append(ScalarField(grid, v, times[0]))
-    for j, i in enumerate(idx[:-1]):
-        vhat = stepper.step(np.fft.rfftn(v), times[j], drift, None, sqg=False)
-        v = inverse_half(vhat, grid)
-        u_next = u_traj.snapshots[idx[j + 1]].values
-        v = np.where(inside, v, u_next)
+    vhat = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    for j in range(len(idx) - 1):
+        stepper.step(np.fft.rfftn(v, out=vhat), times[j], drift, None)
+        inverse_half(vhat, grid, out=v)
+        np.copyto(v, u_traj.snapshots[idx[j + 1]].values, where=outside)
         v_store.append(ScalarField(grid, v.copy(), times[j + 1]))
-
-    u_store = TrajectoryStore(grid)
-    for i in idx:
-        u_store.append(u_traj.snapshots[i])
-    return ComparisonPair(u_store, v_store, cylinder)
+    return v_store

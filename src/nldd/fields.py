@@ -36,7 +36,11 @@ DIVERGENCE_FREE_TOL = 1e-10
 
 
 class GridError(ValueError):
-    """Invalid grid construction parameters."""
+    """Invalid grid construction parameter, named by ``parameter``."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,11 @@ class GridSpec:
 def make_grid(d: int, n: int, domain_length: float) -> GridSpec:
     """Build a grid, rejecting dimensions and sizes the solver cannot handle."""
     if d not in (2, 3):
-        raise GridError(f"spatial dimension must be 2 or 3, got {d}")
+        raise GridError("d", f"spatial dimension must be 2 or 3, got {d}")
     if n < 8 or (n & (n - 1)) != 0:
-        raise GridError(f"points per axis must be a power of two >= 8, got {n}")
+        raise GridError("n", f"points per axis must be a power of two >= 8, got {n}")
     if not domain_length > 0:
-        raise GridError(f"domain length must be positive, got {domain_length}")
+        raise GridError("domain_length", f"domain length must be positive, got {domain_length}")
     return GridSpec(d=d, n=n, domain_length=float(domain_length))
 
 

@@ -125,10 +125,6 @@ class MeasureData:
             domain_length=domain_length,
         )
 
-    @classmethod
-    def empty(cls, domain_length: float | None = None) -> "MeasureData":
-        return cls(domain_length=domain_length)
-
     @property
     def num_atoms(self) -> int:
         return self.atom_times.size

@@ -65,8 +65,6 @@ class TailOptions:
 class ExcessReport:
     interior: float
     tail_part: float
-    q: float
-    cylinder: Cylinder
 
     @property
     def total(self) -> float:
@@ -78,7 +76,6 @@ class PotentialProfile:
     radii: np.ndarray
     masses: np.ndarray
     value: float
-    order: float
     divergent: bool = False
 
 
@@ -345,7 +342,7 @@ def riesz_potential(
     # atoms already inside the smallest cylinder make the integral diverge;
     # a density contributes mass ~ rho^(d+2s) there and stays integrable
     if np.any(entry <= rho_min):
-        return PotentialProfile(radii, masses, np.inf, a, divergent=True)
+        return PotentialProfile(radii, masses, np.inf, divergent=True)
 
     # Per-interval closed-form weight times the geometric-midpoint mass.
     weights = (lo ** (-beta) - hi ** (-beta)) / beta
@@ -354,7 +351,7 @@ def riesz_potential(
     head_mass = float(masses[0])
     if head_mass > 0.0:
         value += head_mass * rho_min ** (-beta) / a
-    return PotentialProfile(radii, masses, value, a)
+    return PotentialProfile(radii, masses, value)
 
 
 def _slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
@@ -488,7 +485,7 @@ def excess(
     osc = np.array([np.abs(v - mean_Q).mean() for v in values])
     interior = float((np.trapezoid(osc**q, times) / span) ** (1.0 / q))
     (tail_part,) = tail_time_lq(traj, Q, (q,), kernel, opts, offset=mean_Q, slant=slant)
-    return ExcessReport(interior, float(tail_part), q, Q)
+    return ExcessReport(interior, float(tail_part))
 
 
 def bmo_seminorm(b: VectorField, scales: list[float]) -> tuple[float, float]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
-from .fields import GridSpec, ScalarField, VectorField, ball_mask
+from .fields import GridSpec, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
 from .measures import (
     Cylinder,
@@ -59,7 +59,6 @@ class Experiment:
     grid: GridSpec
     kernel: KernelSpec
     solver: SolverConfig
-    u0: ScalarField
     mu: MeasureData | None
     drift: VectorField | None
     traj: TrajectoryStore
@@ -78,10 +77,9 @@ def run_experiment(
     mu = None if drop_measure else config.build_measure(grid)
     if mu is not None and measure_scale != 1.0:
         mu = mu.scaled(measure_scale)
-    overrides = dict(solver_overrides)
     if mu is not None and config.raw.get("solver", {}).get("h_moll", 0.0) == 0.0:
-        overrides.setdefault("h_moll", 2.0 * grid.spacing)
-    solver = config.build_solver(kernel, **overrides)
+        solver_overrides.setdefault("h_moll", 2.0 * grid.spacing)
+    solver = config.build_solver(kernel, **solver_overrides)
     u0 = config.build_initial(grid)
     if initial_scale != 1.0:
         u0 = u0.with_values(initial_scale * u0.values)
@@ -90,7 +88,7 @@ def run_experiment(
         traj = solve_sqg(u0, mu, solver)
     else:
         traj = solve(u0, b, mu, solver)
-    return Experiment(grid, kernel, solver, u0, mu, b, traj)
+    return Experiment(grid, kernel, solver, mu, b, traj)
 
 
 def point_value(traj: TrajectoryStore, t0: float, x0) -> float:
@@ -147,6 +145,32 @@ def _placements(exp: Experiment, rng: np.random.Generator, count: int):
     return out
 
 
+def _potential_rows(report, exp: Experiment, qs, placements, drift: VectorField | None = None):
+    """Add the rows of the pointwise bound |u(t0,x0)| <= c [cylinder Lq mean
+    + Lq tail + potential] at each placement whose cylinder the snapshots
+    resolve.  With a drift, R is capped at 1 and the cylinder and the
+    potential follow its slant paths; without one they are straight."""
+    s = exp.kernel.s
+    for t0, x0, R in placements:
+        slant = path = None
+        if drift is not None:
+            R = min(R, 1.0)
+            slant = lambda rhos: slant_ode(drift, np.minimum(rhos, 1.0), t0=t0, x0=x0)  # noqa: E731
+            (path,) = slant([R])
+        Q = Cylinder(t0, x0, R, s)
+        lhs = point_value(exp.traj, t0, x0)
+        try:
+            terms1 = cylinder_lq_mean(exp.traj, Q, qs, path=path)
+            terms2 = tail_time_lq(exp.traj, Q, qs, exp.kernel, exp.tail_options, slant=path)
+        except UnresolvedCylinderError:
+            continue  # the snapshots do not resolve this placement's cylinder
+        pot = 0.0
+        if exp.mu is not None:
+            pot = riesz_potential(exp.mu, t0, x0, R, exp.kernel, a=2.0 * s, slant=slant).value
+        for q, term1, term2 in zip(qs, terms1, terms2):
+            report.add(q=q, t0=t0, x0=x0, radius=R, lhs=lhs, rhs_terms=(term1, term2, pot))
+
+
 def verify_potential_estimate(
     config: ExperimentConfig,
     exp: Experiment | None = None,
@@ -161,23 +185,7 @@ def verify_potential_estimate(
         exp = run_experiment(config)
     report = VerificationReport("potential-estimate")
     report.ceiling = config.ceiling("potential-estimate")
-    rng = config.rng(salt)
-    opts = exp.tail_options
-    s = exp.kernel.s
-    for t0, x0, R in _placements(exp, rng, num_placements):
-        lhs = point_value(exp.traj, t0, x0)
-        Q = Cylinder(t0, x0, R, s)
-        if exp.mu is not None:
-            pot = riesz_potential(exp.mu, t0, x0, R, exp.kernel, a=2.0 * s).value
-        else:
-            pot = 0.0
-        try:
-            terms1 = cylinder_lq_mean(exp.traj, Q, qs)
-            terms2 = tail_time_lq(exp.traj, Q, qs, exp.kernel, opts)
-        except UnresolvedCylinderError:
-            continue  # the snapshots do not resolve this placement's cylinder
-        for q, term1, term2 in zip(qs, terms1, terms2):
-            report.add(q=q, t0=t0, x0=x0, radius=R, lhs=lhs, rhs_terms=(term1, term2, pot))
+    _potential_rows(report, exp, qs, _placements(exp, config.rng(salt), num_placements))
     if not report.rows:
         raise ValueError("no admissible placements; solve window or grid too small")
     return report
@@ -261,9 +269,14 @@ def fit_holder_exponent(
     salt: int = 3,
 ) -> VerificationReport:
     """Oscillation decay exponent over shrinking cylinders on homogeneous runs."""
+    slanted = bool(config.params("holder").get("slanted", False))
+    if slanted and config.drift_family in ("none", "sqg"):
+        raise ConfigError(
+            "verification.params.holder.slanted", f"needs an explicit drift, not {config.drift_family!r}"
+        )
     exp = run_experiment(config, drop_measure=True)
     grid, s = exp.grid, exp.kernel.s
-    slanted = bool(config.params("holder").get("slanted", False)) and abs(s - 0.5) < 1e-12
+    slanted = slanted and abs(s - 0.5) < 1e-12
     r0 = min(
         grid.domain_length / 8.0,
         ((exp.traj.t_end - exp.traj.t_start) * 0.95) ** (1.0 / (2.0 * s)),
@@ -280,9 +293,9 @@ def fit_holder_exponent(
     for t0, x0, _ in _placements(exp, rng, num_points):
         t0 = max(t0, exp.traj.t_start + r0 ** (2.0 * s))
         radii = r0 / 2.0 ** np.arange(num_scales)
-        paths = slant_ode(exp.drift, np.minimum(radii, 1.0), t0=t0, x0=x0) if (
-            slanted and exp.drift is not None
-        ) else [None] * num_scales
+        paths = [None] * num_scales
+        if slanted:
+            paths = slant_ode(exp.drift, np.minimum(radii, 1.0), t0=t0, x0=x0)
         oscs = np.array([
             _cylinder_oscillation(exp.traj, Cylinder(t0, x0, r, s), path)
             for r, path in zip(radii, paths)
@@ -387,11 +400,11 @@ def verify_comparison(
     lhs_by_cyl = {}
     for f, exp in exps.items():
         for ci, Q in enumerate(cylinders):
-            pair = comparison_solve(exp.traj, exp.drift, exp.mu, Q, exp.solver)
+            v_traj = comparison_solve(exp.traj, exp.drift, exp.mu, Q, exp.solver)
             mask = ball_mask(grid, Q.x0, Q.r)
             sup_mean = max(
-                float(np.abs(u.values[mask] - v.values[mask]).mean())
-                for u, v in zip(pair.u_traj.snapshots, pair.v_traj.snapshots)
+                float(np.abs(exp.traj.at(v.time).values[mask] - v.values[mask]).mean())
+                for v in v_traj.snapshots
             )
             rhs = cylinder_mass(exp.mu, Q) / (ball_vol * Q.r**d)
             lhs_by_cyl.setdefault(ci, {})[f] = sup_mean
@@ -413,8 +426,7 @@ def verify_bmo_slanted(
     """Slanted-geometry potential estimate for rough (BMO) drifts at s = 1/2,
     straight geometry for s > 1/2, plus the drift path size fit."""
     grid = config.build_grid()
-    kernel = config.build_kernel()
-    s = kernel.s
+    s = config.build_kernel().s
     b = config.build_drift(grid)
     if b is None:
         raise ValueError("the BMO check needs an explicit drift")
@@ -430,8 +442,7 @@ def verify_bmo_slanted(
         inner = verify_potential_estimate(
             config, qs=(2.0,), num_placements=num_placements, salt=salt
         )
-        for row in inner.rows:
-            report.rows.append(row)
+        report.rows.extend(inner.rows)
         return report
 
     report.extras["mode"] = "BMO, critical slanted"
@@ -450,27 +461,8 @@ def verify_bmo_slanted(
     }
 
     exp = run_experiment(config)
-    rng = config.rng(salt)
-    opts = exp.tail_options
-    q = 2.0
-    for t0, x0, R in _placements(exp, rng, num_placements):
-        R = min(R, 1.0)
-        Q = Cylinder(t0, x0, R, s)
-        (path,) = slant_ode(b, [R], t0=t0, x0=x0)
-        lhs = point_value(exp.traj, t0, x0)
-        try:
-            (term1,) = cylinder_lq_mean(exp.traj, Q, (q,), path=path)
-            (term2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts, slant=path)
-        except UnresolvedCylinderError:
-            continue
-        if exp.mu is not None:
-            pot = riesz_potential(
-                exp.mu, t0, x0, R, exp.kernel, a=2.0 * s,
-                slant=lambda rhos: slant_ode(b, np.minimum(rhos, 1.0), t0=t0, x0=x0),
-            ).value
-        else:
-            pot = 0.0
-        report.add(q=q, t0=t0, x0=x0, radius=R, lhs=lhs, rhs_terms=(term1, term2, pot))
+    placements = _placements(exp, config.rng(salt), num_placements)
+    _potential_rows(report, exp, (2.0,), placements, drift=b)
     return report
 
 

@@ -176,6 +176,24 @@ class TestConfigErrors:
         assert out.returncode == 2
         assert out.stderr.splitlines() == [f"nldd solve: {message}"]
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"seed": "abc"}, "config field 'seed': must be an integer, got 'abc'"),
+            (
+                {"grid": {"d": 2, "n": 30, "domain_length": 8.0}},
+                "config field 'grid.n': points per axis must be a power of two >= 8, got 30",
+            ),
+        ],
+        ids=["seed", "grid.n"],
+    )
+    def test_solve_with_a_bad_seed_or_grid_through_main(self, tmp_path, capsys, extra, message):
+        cfg = write_cfg(tmp_path, solve_raw(**extra))
+        assert main(["solve", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd solve: {message}"]
+
     def test_verify_with_an_unknown_check(self, tmp_path):
         cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["nope"]}))
         out = self.run_cli("verify", "--config", cfg, "--out", str(tmp_path / "reports"))

@@ -21,6 +21,7 @@ from nldd.evolution import (
 from nldd.fields import (
     ScalarField,
     VectorField,
+    ball_mask,
     dealias_mask,
     gradient_wavevectors,
     grid_coordinates,
@@ -31,7 +32,7 @@ from nldd.fields import (
     wavevectors,
 )
 from nldd.measures import Cylinder, DensityTrack, MeasureData
-from nldd.operators import KernelSpec, _sqg_multipliers, diffusion_multiplier
+from nldd.operators import KernelSpec, _sqg_multipliers, biot_savart_sqg, diffusion_multiplier
 
 
 def eigenmode(grid, wavenumber=1, axis=0, amplitude=1.0):
@@ -388,6 +389,14 @@ class TestDrift:
         traj = solve(eigenmode(g), None, None, cfg)
         np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("mode", ["none", "given", "sqg"])
+    def test_strided_solve_is_the_subsampled_stride_one_solve(self, mode):
+        every, _, _ = atom_run(mode)
+        strided, _, _ = atom_run(mode, snapshot_stride=3)
+        assert strided.times == every.times[::3]
+        for u, v in zip(strided.snapshots, every.snapshots[::3]):
+            np.testing.assert_array_equal(u.values, v.values)
+
 
 class TestMeasureForcing:
     def test_atom_mass_is_exact(self):
@@ -429,7 +438,63 @@ class TestMeasureForcing:
         np.testing.assert_array_equal(doubled, 2.0 * base)
 
 
+def allocating_companion(u_traj, b, Q, config, sqg_drifts=None):
+    """The companion loop with fresh arrays at every step, and an SQG drift
+    looked up by nearest time; the in-place comparison_solve must match it
+    bitwise.  sqg_drifts holds one drift per snapshot of the window."""
+    grid = u_traj.grid
+    idx = u_traj.window(Q.t_start, Q.t0)
+    times = [u_traj.times[i] for i in idx]
+    dt = float(np.diff(times)[0])
+    inside = ball_mask(grid, Q.x0, Q.r)
+    stepper = _Stepper(grid, replace(config, dt=dt))
+    drift = DriftProvider(b)
+    if sqg_drifts is not None:
+        by_time = dict(zip(times, sqg_drifts))
+        drift = DriftProvider(lambda t: by_time[min(by_time, key=lambda tt: abs(tt - t))])
+    v = u_traj.snapshots[idx[0]].values.copy()
+    out = [(times[0], v)]
+    for j in range(len(idx) - 1):
+        vhat = stepper.step(np.fft.rfftn(v), times[j], drift, None, sqg=False)
+        v = np.where(inside, inverse_half(vhat, grid), u_traj.snapshots[idx[j + 1]].values)
+        out.append((times[j + 1], v.copy()))
+    return out
+
+
+def atom_run(mode, snapshot_stride=1):
+    """A two-mode solve on [0, 0.6] with one atom, with no, shear or SQG drift."""
+    g = make_grid(2, 32, 8.0)
+    xs = grid_coordinates(g)
+    u0 = ScalarField(g, np.sin(np.pi * xs[0] / 4.0) + 0.5 * np.cos(np.pi * xs[1] / 2.0))
+    mu = MeasureData.from_atoms([(0.2, (4.0, 4.0), 0.5)], domain_length=8.0)
+    cfg = SolverConfig(
+        kernel=KernelSpec(s=0.5), dt=0.05, t_end=0.6, drift_mode=mode, h_moll=2 * g.spacing,
+        snapshot_stride=snapshot_stride,
+    )
+    if mode == "sqg":
+        return solve_sqg(u0, mu, cfg), None, cfg
+    b = shear_drift(g) if mode == "given" else None
+    return solve(u0, b, mu, cfg), b, cfg
+
+
 class TestComparison:
+    @pytest.mark.parametrize("mode", ["none", "given", "sqg"])
+    def test_matches_the_allocating_loop(self, mode):
+        traj, b, cfg = atom_run(mode)
+        Q = Cylinder(t0=0.55, x0=(4.25, 3.75), r=0.5, s=0.5)
+        sqg_drifts = None
+        if mode == "sqg":
+            idx = traj.window(Q.t_start, Q.t0)
+            sqg_drifts = [biot_savart_sqg(traj.snapshots[i]) for i in idx]
+        expected = allocating_companion(traj, b, Q, cfg, sqg_drifts)
+        v_traj = comparison_solve(traj, b, None, Q, cfg)
+        assert len(expected) == len(v_traj.snapshots) > 2
+        for (t, values), v in zip(expected, v_traj.snapshots):
+            assert v.time == t
+            np.testing.assert_array_equal(v.values, values)
+        # the atom lands inside the window, so the companion departs from u
+        assert not np.array_equal(v_traj.snapshots[-1].values, traj.at(Q.t0).values)
+
     def test_no_measure_gives_matching_companion(self):
         g = make_grid(2, 32, 8.0)
         rng = np.random.default_rng(1)
@@ -437,10 +502,9 @@ class TestComparison:
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.05, t_end=1.0)
         traj = solve(u0, None, None, cfg)
         Q = Cylinder(t0=1.0, x0=(4.0, 4.0), r=0.8, s=0.5)
-        pair = comparison_solve(traj, None, None, Q, cfg)
+        v_traj = comparison_solve(traj, None, None, Q, cfg)
         diff = max(
-            np.abs(a.values - b.values).max()
-            for a, b in zip(pair.u_traj.snapshots, pair.v_traj.snapshots)
+            np.abs(traj.at(v.time).values - v.values).max() for v in v_traj.snapshots
         )
         assert diff < 1e-10
 

@@ -197,6 +197,19 @@ class TestHolderCheck:
         assert all(moved) if slanted else not any(moved)
 
 
+    @pytest.mark.parametrize("family", ["none", "sqg"])
+    def test_slanted_request_without_a_drift_rejected_before_any_solve(self, family, monkeypatch):
+        raw = base_raw(
+            drift={"family": family},
+            verification={"params": {"holder": {"slanted": True}}},
+        )
+        solves = []
+        monkeypatch.setattr("nldd.verify.run_experiment", lambda *a, **k: solves.append(a))
+        with pytest.raises(ConfigError, match=r"'verification\.params\.holder\.slanted'"):
+            fit_holder_exponent(ExperimentConfig(raw))
+        assert solves == []
+
+
 class TestBmoSlantedCheck:
     def test_path_missing_the_slab_start_raises(self, monkeypatch):
         # a path that stops at rescaled time -0.5 fails the check instead of
