@@ -81,6 +81,13 @@ class SolverConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be >= 1")
 
+    @property
+    def num_steps(self) -> int | None:
+        """Steps of dt to t_end, or None when t_end is not a whole number of
+        them (to 1e-9 relative)."""
+        steps = int(round(self.t_end / self.dt))
+        return steps if abs(steps * self.dt - self.t_end) <= 1e-9 * self.t_end else None
+
 
 @dataclass
 class TrajectoryStore:
@@ -312,8 +319,8 @@ def _run(
     config: SolverConfig,
 ) -> TrajectoryStore:
     grid = u0.grid
-    n_steps = int(round(config.t_end / config.dt))
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
+    n_steps = config.num_steps
+    if n_steps is None:
         raise ValueError(
             f"t_end = {config.t_end} must be an integer number of steps of dt = {config.dt}"
         )
@@ -367,7 +374,6 @@ def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> 
 def comparison_solve(
     u_traj: TrajectoryStore,
     b: DriftLike,
-    mu: MeasureData | None,
     cylinder: Cylinder,
     config: SolverConfig,
 ) -> TrajectoryStore:

@@ -21,7 +21,14 @@ Both write into preallocated buffers (``_corner_buffers``) when given them:
 a tail window makes one set and refills it per distinct centre, and a
 ``slant_ode`` call makes one set and refills it at every RK stage, so the
 stages allocate no point-sized arrays.  ``interpolate_periodic`` uses a fresh
-set.
+set.  ``_corners`` takes every axis through one pass of ufuncs, and the float
+remainder only where a grid coordinate lies outside [0, n).  Each RK4 step
+starts from the slope its previous step ended with, so a path costs
+1 + 4 * SLANT_STEPS = 257 stages.
+
+The balls of ``bmo_seminorm`` are centred on grid nodes, so each is the ball
+around node 0 translated by whole nodes: its node offsets are found once per
+scale and gathered for one slab of centres at a time.
 """
 
 from __future__ import annotations
@@ -92,13 +99,14 @@ def interpolate_periodic(f: ScalarField | np.ndarray, grid: GridSpec, points: np
 
 def _corner_buffers(d: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Empty outputs of ``_corners`` for points of shape (*shape, d): flat
-    indices and weights, (2^d, *shape), then the per-axis fractions and node
-    ends, (2, d, *shape), as lower/upper pairs."""
+    indices and weights, (2^d, *shape), then the per-axis fractions, node ends
+    and range flags, (2, d, *shape), as lower/upper pairs."""
     return (
         np.empty((2**d, *shape), dtype=np.intp),
         np.empty((2**d, *shape)),
         np.empty((2, d, *shape)),
         np.empty((2, d, *shape), dtype=np.intp),
+        np.empty((2, d, *shape), dtype=bool),
     )
 
 
@@ -112,26 +120,33 @@ def _corners(
     refilled in place; without it a fresh set is made.  Corner c takes the
     upper node along axis j when bit j of c is set.  The grid coordinate of x
     is x / h % n; for a tiny negative x it rounds up to exactly n, which is
-    node 0.
+    node 0.  All d axes go through each step at once, and the remainder is
+    taken only outside [0, n), where it is not the identity.
     """
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         bad = points[~np.isfinite(points).all(axis=-1)][0]
         raise ValueError(f"interpolation point {bad} is not finite")
     n, d = grid.n, grid.d
-    flat, weights, shares, ends = _corner_buffers(d, points.shape[:-1]) if out is None else out
-    for j in range(d):
-        # shares[1, j] holds the grid coordinate, then its fraction above the
-        # lower node; shares[0, j] the lower node, then 1 - fraction
-        np.divide(points[..., j], grid.spacing, out=shares[1, j])
-        np.remainder(shares[1, j], n, out=shares[1, j])
-        np.floor(shares[1, j], out=shares[0, j])
-        np.subtract(shares[1, j], shares[0, j], out=shares[1, j])
-        np.copyto(ends[0, j], shares[0, j], casting="unsafe")
-        np.remainder(ends[0, j], n, out=ends[0, j])
-        np.add(ends[0, j], 1, out=ends[1, j])
-        np.remainder(ends[1, j], n, out=ends[1, j])
-        np.subtract(1.0, shares[1, j], out=shares[0, j])
+    flat, weights, shares, ends, outside = (
+        _corner_buffers(d, points.shape[:-1]) if out is None else out
+    )
+    # shares[1] holds the grid coordinates, then their fractions above the
+    # lower nodes; shares[0] the lower nodes, then 1 - fraction
+    np.divide(points.transpose(-1, *range(points.ndim - 1)), grid.spacing, out=shares[1])
+    np.less(shares[1], 0.0, out=outside[0])
+    np.greater_equal(shares[1], n, out=outside[1])
+    np.logical_or(outside[0], outside[1], out=outside[0])
+    np.remainder(shares[1], n, out=shares[1], where=outside[0])
+    np.floor(shares[1], out=shares[0])
+    np.subtract(shares[1], shares[0], out=shares[1])
+    # the lower node lies in [0, n] and the upper one above it in [1, n + 1],
+    # so subtracting n from those at or past n takes them mod n
+    np.copyto(ends[0], shares[0], casting="unsafe")
+    np.add(ends[0], 1, out=ends[1])
+    np.greater_equal(ends, n, out=outside)
+    np.subtract(ends, n, out=ends, where=outside)
+    np.subtract(1.0, shares[1], out=shares[0])
     # corners 2^j .. 2^(j+1) - 1 are corners 0 .. 2^j - 1 moved to the upper
     # node along axis j
     flat[:2] = ends[:, 0]
@@ -439,7 +454,7 @@ def slant_ode(
         np.add(centers[:, None, :], offsets, out=pts)
         means = _gather(components, _corners(grid, pts, out=buffers), out=taken)
         means *= wts
-        return np.moveaxis(means.sum(axis=-1), 0, -1)
+        return means.sum(axis=-1).T
 
     h = -1.0 / SLANT_STEPS
     times = [0.0]
@@ -447,7 +462,7 @@ def slant_ode(
     derivs = [rhs(zs[0])]
     t, z = 0.0, zs[0]
     for _ in range(SLANT_STEPS):
-        k1 = rhs(z)
+        k1 = derivs[-1]  # the slope at the end of the last step
         k2 = rhs(z + h / 2.0 * k1)
         k3 = rhs(z + h / 2.0 * k2)
         k4 = rhs(z + h * k3)
@@ -488,35 +503,52 @@ def excess(
     return ExcessReport(interior, float(tail_part))
 
 
+def _ball_rows(grid: GridSpec, r: float):
+    """Flat node indices of the balls of radius r around the bmo_seminorm
+    centres, one (centres, nodes) array per slab of centres that share their
+    first index.
+
+    Centres lie on grid nodes, so every ball is the ball around node 0 moved
+    by a whole number of nodes along each axis.  Each row is sorted, so a
+    gather reads its nodes in the row-major order of ``v[ball_mask(...)]``.
+    """
+    n, d = grid.n, grid.d
+    offsets = np.nonzero(ball_mask(grid, np.zeros(d), r))
+    starts = np.arange(n // BMO_CENTER_STRIDE) * BMO_CENTER_STRIDE
+    # the flat index along axes 1 .. d-1 of every centre of a slab
+    rest = np.zeros((1, offsets[0].size), dtype=np.intp)
+    for o in offsets[1:]:
+        rest = (rest[:, None] * n + (starts[:, None] + o) % n).reshape(-1, o.size)
+    for start in starts:
+        yield np.sort((start + offsets[0]) % n * n ** (d - 1) + rest, axis=-1)
+
+
 def bmo_seminorm(b: VectorField, scales: list[float]) -> tuple[float, float]:
     """(C1, C2) estimates: sup of unit-ball means of |b| and sup over balls of
-    the mean oscillation of b."""
+    the mean oscillation of b.
+
+    The balls are centred on every BMO_CENTER_STRIDE-th grid node, and their
+    values are gathered one slab of centres at a time (``_ball_rows``).
+    """
     grid = b.grid
     for r in scales:
         if not grid.spacing < r <= grid.domain_length / 2.0:
             raise ValueError(f"scale {r} outside (spacing, L/2]")
-    speed = np.sqrt(sum(c.values**2 for c in b.components))
-    comp_vals = [c.values for c in b.components]
-    centers = [
-        tuple(i * BMO_CENTER_STRIDE * grid.spacing for i in idx)
-        for idx in np.ndindex(*([grid.n // BMO_CENTER_STRIDE] * grid.d))
-    ]
+    comp_vals = [c.values.ravel() for c in b.components]
+    speed = np.sqrt(sum(v**2 for v in comp_vals))
 
     c1 = 0.0
     if grid.domain_length > 2.0:
-        for ct in centers:
-            m = ball_mask(grid, ct, 1.0)
-            c1 = max(c1, float(speed[m].mean()))
+        for rows in _ball_rows(grid, 1.0):
+            c1 = max(c1, float(speed[rows].mean(axis=-1).max()))
     else:
         c1 = float(speed.mean())
 
     c2 = 0.0
     for r in scales:
-        for ct in centers:
-            m = ball_mask(grid, ct, r)
-            means = [v[m].mean() for v in comp_vals]
-            osc = np.sqrt(
-                sum((v[m] - mu) ** 2 for v, mu in zip(comp_vals, means))
-            ).mean()
-            c2 = max(c2, float(osc))
+        for rows in _ball_rows(grid, r):
+            balls = [v[rows] for v in comp_vals]
+            means = [ball.mean(axis=-1, keepdims=True) for ball in balls]
+            osc = np.sqrt(sum((ball - mu) ** 2 for ball, mu in zip(balls, means))).mean(axis=-1)
+            c2 = max(c2, float(osc.max()))
     return c1, c2

@@ -80,6 +80,17 @@ def run_experiment(
     if mu is not None and config.raw.get("solver", {}).get("h_moll", 0.0) == 0.0:
         solver_overrides.setdefault("h_moll", 2.0 * grid.spacing)
     solver = config.build_solver(kernel, **solver_overrides)
+    if solver.num_steps is None:
+        raise ConfigError(
+            "solver.t_end",
+            f"t_end = {solver.t_end} must be an integer number of steps of dt = {solver.dt}",
+        )
+    if mu is not None and mu.num_atoms and solver.h_moll < grid.spacing:
+        raise ConfigError(
+            "solver.h_moll",
+            f"h_moll = {solver.h_moll} is below the grid spacing {grid.spacing} "
+            "of a measure with atoms",
+        )
     u0 = config.build_initial(grid)
     if initial_scale != 1.0:
         u0 = u0.with_values(initial_scale * u0.values)
@@ -400,7 +411,7 @@ def verify_comparison(
     lhs_by_cyl = {}
     for f, exp in exps.items():
         for ci, Q in enumerate(cylinders):
-            v_traj = comparison_solve(exp.traj, exp.drift, exp.mu, Q, exp.solver)
+            v_traj = comparison_solve(exp.traj, exp.drift, Q, exp.solver)
             mask = ball_mask(grid, Q.x0, Q.r)
             sup_mean = max(
                 float(np.abs(exp.traj.at(v.time).values[mask] - v.values[mask]).mean())

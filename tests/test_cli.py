@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 import yaml
 
 from nldd.cli import main
+from nldd.config import ConfigError, load_config
+from nldd.verify import run_experiment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -193,6 +196,39 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd solve: {message}"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                {"solver": {"dt": 0.3, "t_end": 1.0}},
+                "config field 'solver.t_end': t_end = 1.0 must be an integer number of steps "
+                "of dt = 0.3",
+            ),
+            (
+                {
+                    "solver": {"dt": 5e-3, "t_end": 0.5, "h_moll": 0.1},
+                    "measure": {"atoms": [{"t": 0.1, "x": [4.0, 4.0], "mass": 1.0}]},
+                },
+                "config field 'solver.h_moll': h_moll = 0.1 is below the grid spacing 0.25 "
+                "of a measure with atoms",
+            ),
+        ],
+        ids=["solver.t_end", "solver.h_moll"],
+    )
+    def test_solve_with_a_bad_step_or_mollifier_through_main(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        solves = []
+        monkeypatch.setattr("nldd.verify.solve", lambda *a, **k: solves.append(a))
+        cfg = write_cfg(tmp_path, solve_raw(**extra))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(load_config(cfg))
+        assert main(["solve", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd solve: {message}"]
+        assert solves == []
 
     def test_verify_with_an_unknown_check(self, tmp_path):
         cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["nope"]}))

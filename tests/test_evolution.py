@@ -487,7 +487,7 @@ class TestComparison:
             idx = traj.window(Q.t_start, Q.t0)
             sqg_drifts = [biot_savart_sqg(traj.snapshots[i]) for i in idx]
         expected = allocating_companion(traj, b, Q, cfg, sqg_drifts)
-        v_traj = comparison_solve(traj, b, None, Q, cfg)
+        v_traj = comparison_solve(traj, b, Q, cfg)
         assert len(expected) == len(v_traj.snapshots) > 2
         for (t, values), v in zip(expected, v_traj.snapshots):
             assert v.time == t
@@ -502,7 +502,7 @@ class TestComparison:
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.05, t_end=1.0)
         traj = solve(u0, None, None, cfg)
         Q = Cylinder(t0=1.0, x0=(4.0, 4.0), r=0.8, s=0.5)
-        v_traj = comparison_solve(traj, None, None, Q, cfg)
+        v_traj = comparison_solve(traj, None, Q, cfg)
         diff = max(
             np.abs(traj.at(v.time).values - v.values).max() for v in v_traj.snapshots
         )
@@ -513,7 +513,7 @@ class TestComparison:
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.1, t_end=1.0)
         traj = solve(ScalarField(g, np.zeros(g.shape)), None, None, cfg)
         with pytest.raises(ValueError, match="L/8"):
-            comparison_solve(traj, None, None, Cylinder(1.0, (4.0, 4.0), 2.0, 0.5), cfg)
+            comparison_solve(traj, None, Cylinder(1.0, (4.0, 4.0), 2.0, 0.5), cfg)
 
 
 class TestSqg:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -5,7 +7,8 @@ from scipy.ndimage import map_coordinates
 
 from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import TrajectoryStore
-from nldd.fields import ScalarField, VectorField, ball_mask, grid_coordinates, make_grid
+from nldd import potentials
+from nldd.fields import GridSpec, ScalarField, VectorField, ball_mask, grid_coordinates, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
@@ -90,6 +93,42 @@ class TestInterpolation:
         assert got.shape == (3, 50, 7)
         for k in range(3):
             np.testing.assert_array_equal(got[k], interpolate_periodic(batch[k], g, pts))
+
+    @staticmethod
+    def reference_corners(g, points):
+        """Corner indices and weights with the remainder taken everywhere,
+        one axis at a time."""
+        n = g.n
+        flat = np.zeros((1, *points.shape[:-1]), dtype=np.intp)
+        weights = np.ones((1, *points.shape[:-1]))
+        for j in range(g.d):
+            coord = points[..., j] / g.spacing % n
+            lower = np.floor(coord)
+            frac = coord - lower
+            lo = lower.astype(np.intp) % n
+            flat = np.concatenate([flat * n + lo, flat * n + (lo + 1) % n])
+            weights = np.concatenate([weights * (1.0 - frac), weights * frac])
+        return flat, weights
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_corners_outside_the_period_match_remainder_everywhere(self, d):
+        g = make_grid(d, 16, 4.0)
+        L = g.domain_length
+        rng = np.random.default_rng(30 + d)
+        values = np.array(
+            [-0.0, -1e-300, -1e-17, L, 2.0 * L + 0.3, 5.0 * L, -3.7, -L, -2.0 * L - 0.1]
+        )
+        cases = np.stack(np.meshgrid(*[values] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        inside = rng.uniform(0.0, L, cases.shape)
+        mixed = np.where(rng.random(cases.shape) < 0.5, cases, inside)
+        for pts in (cases, mixed, rng.uniform(-3.0 * L, 3.0 * L, (40, 5, d))):
+            flat, weights = _corners(g, pts)
+            ref_flat, ref_weights = self.reference_corners(g, pts)
+            np.testing.assert_array_equal(flat, ref_flat)
+            np.testing.assert_array_equal(weights, ref_weights)
+        # -1e-300 / h % n rounds to exactly n, which is node 0
+        flat, weights = _corners(g, np.full((1, d), -1e-300))
+        assert flat[0, 0] == 0 and weights[0, 0] == 1.0
 
     def test_non_finite_point_rejected(self):
         g = make_grid(2, 16, 4.0)
@@ -406,6 +445,17 @@ class TestSlantStageBuffers:
             assert path.c1_norm == sup
         assert np.abs(samples).max() > 0.0
 
+    def test_each_step_reuses_the_slope_at_its_start(self, monkeypatch):
+        g = make_grid(2, 32, 8.0)
+        b = lacunary_drift(g, [0.3] * 5)
+        calls = []
+        corners = potentials._corners
+        monkeypatch.setattr(
+            potentials, "_corners", lambda *a, **k: calls.append(1) or corners(*a, **k)
+        )
+        slant_ode(b, [1.0, 0.5, 0.25], t0=0.7, x0=(3.1, 4.6))
+        assert len(calls) == 1 + 4 * potentials.SLANT_STEPS
+
     def test_non_finite_stage_point_rejected(self):
         g = make_grid(2, 16, 8.0)
         b = constant_drift(g, (0.5, 0.25))
@@ -517,6 +567,57 @@ class TestBmoSeminorm:
         b = constant_drift(g, (1.0, 0.0))
         with pytest.raises(ValueError):
             bmo_seminorm(b, scales=[8.0])
+
+    @staticmethod
+    def reference(b, scales):
+        """One ball_mask per centre and scale."""
+        grid = b.grid
+        speed = np.sqrt(sum(c.values**2 for c in b.components))
+        comp_vals = [c.values for c in b.components]
+        centers = [
+            tuple(i * potentials.BMO_CENTER_STRIDE * grid.spacing for i in idx)
+            for idx in np.ndindex(*([grid.n // potentials.BMO_CENTER_STRIDE] * grid.d))
+        ]
+        c1 = 0.0
+        if grid.domain_length > 2.0:
+            for ct in centers:
+                c1 = max(c1, float(speed[ball_mask(grid, ct, 1.0)].mean()))
+        else:
+            c1 = float(speed.mean())
+        c2 = 0.0
+        for r in scales:
+            for ct in centers:
+                m = ball_mask(grid, ct, r)
+                means = [v[m].mean() for v in comp_vals]
+                osc = np.sqrt(sum((v[m] - mu) ** 2 for v, mu in zip(comp_vals, means))).mean()
+                c2 = max(c2, float(osc))
+        return c1, c2
+
+    @pytest.mark.parametrize(
+        "d,n,L", [(2, 64, 8.0), (2, 48, 8.0), (2, 40, 6.0), (3, 16, 8.0), (2, 64, 2.0)]
+    )
+    def test_balls_by_translation_match_per_centre_masks(self, d, n, L):
+        # GridSpec directly: n = 48 and 40 put the nodes off dyadic coordinates
+        g = GridSpec(d=d, n=n, domain_length=L)
+        rng = np.random.default_rng(n + d)
+        b = VectorField(tuple(ScalarField(g, rng.standard_normal(g.shape)) for _ in range(d)))
+        scales = [r for r in (0.5, 1.0) if g.spacing < r <= L / 2.0]
+        assert bmo_seminorm(b, scales) == self.reference(b, scales)
+
+    def test_lacunary_drift_matches_per_centre_masks(self):
+        b = lacunary_drift(make_grid(2, 64, 8.0), [0.3] * 5)
+        assert bmo_seminorm(b, [0.5, 1.0]) == self.reference(b, [0.5, 1.0])
+
+    def test_gathers_one_slab_of_centres_at_a_time(self):
+        b = lacunary_drift(make_grid(2, 128, 8.0), [0.3] * 5)
+        bmo_seminorm(b, [0.5, 1.0])  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            bmo_seminorm(b, [0.5, 1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestSlantedRiesz:
