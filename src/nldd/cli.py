@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_drift_step, load_config
 from .fields import ScalarField, l2_norm
 from .heatkernel import estimate_kernel, kernel_sanity
 from .potentials import TailOptions, riesz_potential, tail
@@ -73,7 +73,7 @@ def _load(args):
 def _cmd_solve(args, force_sqg: bool = False) -> int:
     config = _load(args)
     if force_sqg:
-        config.raw.setdefault("drift", {})["family"] = "sqg"
+        config.raw["drift"] = dict(config.section("drift"), family="sqg")
     exp = run_experiment(config)
     u = exp.traj.snapshots[-1]
     print(f"solved to t = {exp.traj.t_end:.6g} with {len(exp.traj.times)} snapshots")
@@ -129,12 +129,13 @@ def _cmd_heatkernel(args) -> int:
     grid = config.build_grid()
     kernel = config.build_kernel()
     b = config.build_drift(grid)
-    params = config.raw.get("heatkernel", {})
+    params = config.section("heatkernel")
     eta = float(params.get("eta", 0.0))
     y = np.asarray(params.get("y", [grid.domain_length / 2.0] * grid.d), dtype=float)
     times = np.asarray(params.get("times", [eta + 0.5, eta + 1.0, eta + 2.0]), dtype=float)
     h_moll = float(params.get("h_moll", 2.0 * grid.spacing))
     solver = config.build_solver(kernel, h_moll=h_moll, t_end=float(times[-1] - eta))
+    check_drift_step(b, grid, solver)
     est = estimate_kernel(b, kernel, eta, y, times, solver, grid)
     for i, t in enumerate(est.times):
         print(f"t = {t:.6g}: mass = {est.mass(i):.8g}, max = {est.fields[i].values.max():.6g}")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .evolution import SolverConfig
+from .evolution import CFLError, SolverConfig, check_cfl
 from .fields import (
     GridError,
     GridSpec,
@@ -56,7 +56,14 @@ from .fields import (
 from .measures import DensityTrack, MeasureData
 from .operators import KernelSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "lacunary_drift", "shear_drift"]
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "load_config",
+    "lacunary_drift",
+    "shear_drift",
+    "check_drift_step",
+]
 
 DRIFT_FAMILIES = ("none", "constant", "shear", "sqg", "lacunary")
 INITIAL_KINDS = ("zero", "eigenmode", "random")
@@ -121,10 +128,19 @@ class ExperimentConfig:
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + salt)
 
+    def section(self, name: str) -> dict:
+        """The mapping under a top-level key; {} when the key is absent."""
+        sec = self.raw.get(name, {})
+        if sec is None:
+            raise ConfigError(name, "section has no value; give it fields or drop it")
+        if not isinstance(sec, dict):
+            raise ConfigError(name, f"must be a mapping, got {sec!r}")
+        return sec
+
     # ---- builders ----
 
     def build_grid(self) -> GridSpec:
-        sec = self.raw.get("grid", {})
+        sec = self.section("grid")
         try:
             return make_grid(
                 d=int(_get(sec, "grid", "d", 2)),
@@ -135,7 +151,7 @@ class ExperimentConfig:
             raise ConfigError(f"grid.{exc.parameter}", str(exc)) from None
 
     def build_kernel(self) -> KernelSpec:
-        sec = self.raw.get("kernel", {})
+        sec = self.section("kernel")
         s = float(_get(sec, "kernel", "s", 0.5))
         if not 0.0 < s < 1.0:
             raise ConfigError("kernel.s", f"must lie in (0, 1), got {s}")
@@ -143,13 +159,13 @@ class ExperimentConfig:
 
     @property
     def drift_family(self) -> str:
-        fam = self.raw.get("drift", {}).get("family", "none")
+        fam = self.section("drift").get("family", "none")
         if fam not in DRIFT_FAMILIES:
             raise ConfigError("drift.family", f"unknown family {fam!r}")
         return fam
 
     def build_drift(self, grid: GridSpec) -> VectorField | None:
-        sec = self.raw.get("drift", {})
+        sec = self.section("drift")
         fam = self.drift_family
         if fam in ("none", "sqg"):
             return None
@@ -165,7 +181,7 @@ class ExperimentConfig:
         return lacunary_drift(grid, coeffs)
 
     def build_initial(self, grid: GridSpec) -> ScalarField:
-        sec = self.raw.get("initial", {})
+        sec = self.section("initial")
         kind = _get(sec, "initial", "kind", "zero")
         if kind not in INITIAL_KINDS:
             raise ConfigError("initial.kind", f"unknown kind {kind!r}")
@@ -198,7 +214,7 @@ class ExperimentConfig:
         return ScalarField(grid, vals, 0.0)
 
     def build_measure(self, grid: GridSpec) -> MeasureData | None:
-        sec = self.raw.get("measure")
+        sec = self.section("measure")
         if not sec:
             return None
         atoms = []
@@ -243,7 +259,7 @@ class ExperimentConfig:
         return DensityTrack(grid, times, slices)
 
     def build_solver(self, kernel: KernelSpec, **overrides) -> SolverConfig:
-        sec = self.raw.get("solver", {})
+        sec = self.section("solver")
         if not bool(_get(sec, "solver", "dealias", True)):
             raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
         dt = float(_get(sec, "solver", "dt", 1e-3))
@@ -266,7 +282,7 @@ class ExperimentConfig:
 
     @property
     def verification(self) -> dict:
-        return self.raw.get("verification", {}) or {}
+        return self.section("verification")
 
     @property
     def selection(self) -> list[str]:
@@ -277,6 +293,22 @@ class ExperimentConfig:
 
     def params(self, check: str) -> dict:
         return dict(self.verification.get("params", {}).get(check, {}) or {})
+
+
+def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig) -> None:
+    """Raise ConfigError('solver.dt', ...) when solver.dt breaks the advective
+    CFL bound of the fixed drift b, which is known before any step."""
+    if b is None:
+        return
+    bmax = b.max_norm()
+    try:
+        check_cfl(grid, solver.dt, bmax)
+    except CFLError as exc:
+        raise ConfigError(
+            "solver.dt",
+            f"dt = {solver.dt} violates the advective CFL of the drift, max|b| = {bmax:.6g}; "
+            f"admissible dt <= {exc.admissible:.3e}",
+        ) from None
 
 
 def load_config(path) -> ExperimentConfig:

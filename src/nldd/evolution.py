@@ -8,6 +8,18 @@ Biot-Savart drift from the predictor stage inside each step.
 The solver state is the rfftn half-spectrum of the real solution, and every
 transform inside a step is real (``rfftn``/``irfftn``).  The SQG drift is
 built from those coefficients, and the forcing is transformed once per step.
+The components of a fixed drift that are zero everywhere are found once,
+and a stage transforms d_j u only for the other components j.  Per step:
+
+- an SQG step makes 2 rfftn and 10 irfftn: per stage 2 for the drift, 1 for
+  its divergence check, 2 for the gradient and 1 rfftn for the advection;
+- a fixed-drift step makes 2 rfftn, and 2 irfftn per component that is not
+  zero everywhere: 2 for the config's shear and lacunary drifts and a
+  constant one along x1, which are (f(x2), 0);
+- a step with no drift, or a zero one, makes none;
+
+plus 1 rfftn on steps that carry forcing.
+
 A step advances the state in place and refills work arrays its stepper keeps
 per state shape.  A trajectory stores u only: the SQG drift is a function of
 u, so a comparison solve rebuilds it from the stored snapshots.
@@ -46,6 +58,7 @@ __all__ = [
     "SolverConfig",
     "TrajectoryStore",
     "CFLError",
+    "check_cfl",
     "solve",
     "solve_sqg",
     "comparison_solve",
@@ -62,6 +75,14 @@ class CFLError(RuntimeError):
             f"time step {dt:.3e} violates the advective CFL; admissible dt <= {admissible:.3e}"
         )
         self.admissible = admissible
+
+
+def check_cfl(grid: GridSpec, dt: float, bmax: float) -> None:
+    """Raise CFLError unless dt is within the advective CFL bound
+    0.5 * spacing / max|b| of a drift with max norm bmax."""
+    admissible = 0.5 * grid.spacing / max(bmax, 1e-12)
+    if dt > admissible * (1.0 + 1e-12):
+        raise CFLError(dt, admissible)
 
 
 @dataclass(frozen=True)
@@ -136,12 +157,17 @@ class DriftProvider:
 
     A fixed field is checked divergence-free once, here, and its max norm is
     computed once, at the first CFL check; a callable drift is checked at
-    every call.
+    every call.  The components of a fixed field that are zero everywhere are
+    found once, here, so a step skips their advection terms.
     """
 
     def __init__(self, drift: DriftLike):
-        self._drift = self._checked(drift) if isinstance(drift, VectorField) else drift
+        fixed = isinstance(drift, VectorField)
+        self._drift = self._checked(drift) if fixed else drift
         self._fixed_norm = None
+        self._fixed_components = (
+            tuple(j for j, a in enumerate(drift.arrays()) if a.any()) if fixed else None
+        )
 
     @staticmethod
     def _checked(b: VectorField) -> VectorField:
@@ -156,6 +182,14 @@ class DriftProvider:
         if self._fixed_norm is None:
             self._fixed_norm = b.max_norm()
         return self._fixed_norm
+
+    def components(self, b: VectorField | None) -> tuple[int, ...]:
+        """Indices of the components of b that advect: none without a drift,
+        for the fixed drift those not zero everywhere, for any other drift
+        all of them."""
+        if b is None:
+            return ()
+        return self._fixed_components if b is self._drift else tuple(range(b.grid.d))
 
     def __call__(self, t: float) -> VectorField | None:
         if callable(self._drift):
@@ -224,32 +258,28 @@ class _Stepper:
         self,
         uhat: np.ndarray,
         b: VectorField | None,
+        comps: tuple[int, ...],
         fhat: np.ndarray | None,
         w: _Work,
         out: np.ndarray,
     ) -> np.ndarray:
-        """N(u) = -(b, grad u) + forcing, in spectral space; written to out
-        unless it is the forcing alone.  out holds each gradient component's
-        coefficients until the advection term is transformed into it."""
-        if b is None:
+        """N(u) = -(b, grad u) + forcing, in spectral space, with b_j d_j u
+        summed over the components j in comps; written to out unless it is the
+        forcing alone.  out holds each gradient component's coefficients
+        until the advection term is transformed into it."""
+        if not comps:
             if fhat is not None:
                 return fhat
             out.fill(0.0)
             return out
         np.multiply(uhat, self.mask, out=w.masked)
         w.adv.fill(0.0)
-        for ik, barr in zip(self.iks, b.arrays()):
-            grad = inverse_half(np.multiply(ik, w.masked, out=out), self.grid, out=w.grad)
-            w.adv += np.multiply(barr, grad, out=grad)
+        barrs = b.arrays()
+        for j in comps:
+            grad = inverse_half(np.multiply(self.iks[j], w.masked, out=out), self.grid, out=w.grad)
+            w.adv += np.multiply(barrs[j], grad, out=grad)
         np.multiply(np.fft.rfftn(w.adv, axes=self.axes, out=out), self.mask, out=out)
         return np.subtract(0.0 if fhat is None else fhat, out, out=out)
-
-    def check_cfl(self, bmax: float | None):
-        if bmax is None:
-            return
-        admissible = 0.5 * self.grid.spacing / max(bmax, 1e-12)
-        if self.config.dt > admissible * (1.0 + 1e-12):
-            raise CFLError(self.config.dt, admissible)
 
     def step(
         self,
@@ -268,15 +298,19 @@ class _Stepper:
         else:
             b0 = drift(t)
             bmax = None if b0 is None else drift.max_norm(b0)
-        self.check_cfl(bmax)
+        if bmax is not None:
+            check_cfl(self.grid, dt, bmax)
+        # a fixed drift is the same field at both stages, a callable one has
+        # every component at both
+        comps = tuple(range(self.grid.d)) if sqg else drift.components(b0)
         fhat = None if forcing is None else np.fft.rfftn(forcing, axes=self.axes, out=w.fhat)
-        n0 = self.nonlinear(uhat, b0, fhat, w, out=w.n0)
+        n0 = self.nonlinear(uhat, b0, comps, fhat, w, out=w.n0)
         # pred = exp_full * uhat + dt_phi1 * n0; uhat is scratch from here on
         pred = np.multiply(self.exp_full, uhat, out=w.pred)
         pred += np.multiply(self.dt_phi1, n0, out=uhat)
         # drift lagged by one predictor stage
         b1 = _sqg_drift(pred, self.grid, t + dt, out=w.sqg)[0] if sqg else drift(t + dt)
-        n1 = self.nonlinear(pred, b1, fhat, w, out=w.n1)
+        n1 = self.nonlinear(pred, b1, comps, fhat, w, out=w.n1)
         delta = np.subtract(n1, n0, out=w.n1)
         np.add(pred, np.multiply(self.dt_phi2, delta, out=delta), out=uhat)
         if not np.isfinite(uhat, out=w.finite).all():

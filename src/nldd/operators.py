@@ -260,17 +260,19 @@ def _sqg_drift(
     and its max norm.  The drift's components are views of ``out.b``; without
     ``out`` the arrays are fresh.
 
-    The check reads max|div b| from real transforms.  That equals
-    VectorField.spectral_divergence_max on fields whose Nyquist planes are
-    zero, as here by construction; on a Nyquist mode it would read 0, so
-    other drifts keep the fftn check.
+    Each component b_j is the real inverse transform of m_j * uhat.  The
+    check reads max|div b| on the grid from one more real inverse transform,
+    of the sum over j of ik_j * (m_j * uhat): the divergence of the very
+    coefficients b is transformed from, so no sample of b is transformed
+    back.  That equals VectorField.spectral_divergence_max up to roundoff on
+    coefficients whose Nyquist planes are zero, as here by construction; on a
+    Nyquist mode it would read 0, so other drifts keep the fftn check.
     """
     w = _SqgWork(grid) if out is None else out
-    for m, c in zip(_sqg_multipliers(grid), w.b):
-        inverse_half(np.multiply(m, uhat, out=w.hat), grid, out=c)
     w.div.fill(0.0)
-    for ik, c in zip(_spectral_gradient(grid), w.b):
-        w.div += np.multiply(ik, np.fft.rfftn(c, out=w.hat), out=w.hat)
+    for m, ik, c in zip(_sqg_multipliers(grid), _spectral_gradient(grid), w.b):
+        inverse_half(np.multiply(m, uhat, out=w.hat), grid, out=c)
+        w.div += np.multiply(ik, w.hat, out=w.hat)
     field = VectorField(tuple(ScalarField(grid, c, time) for c in w.b))
     err = float(np.abs(inverse_half(w.div, grid, out=w.real[0]), out=w.real[0]).max())
     mag2 = np.add(np.square(w.b[0], out=w.real[0]), np.square(w.b[1], out=w.real[1]), out=w.real[0])

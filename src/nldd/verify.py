@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_drift_step, load_config
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
 from .fields import GridSpec, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
@@ -77,7 +77,7 @@ def run_experiment(
     mu = None if drop_measure else config.build_measure(grid)
     if mu is not None and measure_scale != 1.0:
         mu = mu.scaled(measure_scale)
-    if mu is not None and config.raw.get("solver", {}).get("h_moll", 0.0) == 0.0:
+    if mu is not None and config.section("solver").get("h_moll", 0.0) == 0.0:
         solver_overrides.setdefault("h_moll", 2.0 * grid.spacing)
     solver = config.build_solver(kernel, **solver_overrides)
     if solver.num_steps is None:
@@ -95,6 +95,7 @@ def run_experiment(
     if initial_scale != 1.0:
         u0 = u0.with_values(initial_scale * u0.values)
     b = config.build_drift(grid)
+    check_drift_step(b, grid, solver)
     if config.drift_family == "sqg":
         traj = solve_sqg(u0, mu, solver)
     else:

@@ -213,8 +213,17 @@ class TestConfigErrors:
                 "config field 'solver.h_moll': h_moll = 0.1 is below the grid spacing 0.25 "
                 "of a measure with atoms",
             ),
+            (
+                {
+                    "grid": {"d": 2, "n": 16, "domain_length": 8.0},
+                    "drift": {"family": "shear", "amplitude": 50.0},
+                    "solver": {"dt": 0.02, "t_end": 0.5},
+                },
+                "config field 'solver.dt': dt = 0.02 violates the advective CFL of the "
+                "drift, max|b| = 50; admissible dt <= 5.000e-03",
+            ),
         ],
-        ids=["solver.t_end", "solver.h_moll"],
+        ids=["solver.t_end", "solver.h_moll", "solver.dt-cfl"],
     )
     def test_solve_with_a_bad_step_or_mollifier_through_main(
         self, tmp_path, capsys, monkeypatch, extra, message
@@ -229,6 +238,37 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd solve: {message}"]
         assert solves == []
+
+    def test_heatkernel_with_a_fixed_drift_past_its_cfl_bound(self, tmp_path, capsys, monkeypatch):
+        estimates = []
+        monkeypatch.setattr("nldd.cli.estimate_kernel", lambda *a, **k: estimates.append(a))
+        cfg = write_cfg(tmp_path, {
+            "grid": {"d": 2, "n": 16, "domain_length": 8.0},
+            "drift": {"family": "shear", "amplitude": 50.0},
+            "solver": {"dt": 0.02},
+        })
+        assert main(["heatkernel", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "nldd heatkernel: config field 'solver.dt': dt = 0.02 violates the advective CFL "
+            "of the drift, max|b| = 50; admissible dt <= 5.000e-03"
+        ]
+        assert estimates == []
+
+    @pytest.mark.parametrize("command", ["solve", "sqg"])
+    @pytest.mark.parametrize("section", ["grid", "drift", "solver", "measure"])
+    def test_a_section_written_with_no_value(self, tmp_path, capsys, command, section):
+        # "solver:" alone on its line is YAML for a null section
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"kernel: {{s: 0.5}}\n{section}:\n")
+        message = f"config field '{section}': section has no value; give it fields or drop it"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(load_config(cfg))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd {command}: {message}"]
 
     def test_verify_with_an_unknown_check(self, tmp_path):
         cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["nope"]}))

@@ -36,6 +36,11 @@ class TestLoad:
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write(tmp_path, "- 1\n- 2\n"))
 
+    def test_section_that_is_not_a_mapping_names_it(self, tmp_path):
+        cfg = load_config(write(tmp_path, "solver: 0.01\n"))
+        with pytest.raises(ConfigError, match=r"'solver': must be a mapping, got 0\.01"):
+            cfg.build_solver(cfg.build_kernel())
+
     def test_missing_required_field_names_path(self, tmp_path):
         cfg = load_config(write(tmp_path, "drift: {family: constant}\n"))
         with pytest.raises(ConfigError, match="drift.vector"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldd.config import shear_drift
+from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import (
     CFLError,
     DriftProvider,
@@ -104,6 +104,15 @@ def allocating_step(grid, config, uhat, t, drift, forcing, sqg):
     return pred + dt * _phi2(z) * (n1 - n0)
 
 
+def two_component_drift(grid):
+    """(cos k x2, cos k x1) at the base wavenumber k: divergence-free, with
+    both components nonzero."""
+    xs = grid_coordinates(grid)
+    k = 2.0 * np.pi / grid.domain_length
+    comps = (np.cos(k * xs[1]), np.cos(k * xs[0]))
+    return VectorField(tuple(ScalarField(grid, c) for c in comps), divergence_free=True)
+
+
 def count_transforms(monkeypatch):
     """Count np.fft n-d transform calls by name, and keep the forward inputs."""
     calls = Counter()
@@ -201,16 +210,63 @@ class TestHalfSpectrumStep:
             monkeypatch.undo()
             return dict(calls), inputs
 
-        # given drift: per stage two gradient irfftn and one advection rfftn,
-        # plus one forcing rfftn per step; no complex transform
-        assert budget("given", shear_drift(g), forcing)[0] == {"rfftn": 3, "irfftn": 4}
-        assert budget("given", shear_drift(g), None)[0] == {"rfftn": 2, "irfftn": 4}
-        # SQG, per stage: drift (2 irfftn), its divergence check (2 rfftn,
-        # 1 irfftn), advection (2 irfftn, 1 rfftn); no fftn, and no forward
-        # transform of the state's physical field
+        # given drift: per stage one gradient irfftn per component that is not
+        # zero everywhere and one advection rfftn, plus one forcing rfftn per
+        # step; no complex transform.  The shear drift is (cos x2, 0).
+        assert budget("given", shear_drift(g), forcing)[0] == {"rfftn": 3, "irfftn": 2}
+        assert budget("given", shear_drift(g), None)[0] == {"rfftn": 2, "irfftn": 2}
+        assert budget("given", two_component_drift(g), forcing)[0] == {"rfftn": 3, "irfftn": 4}
+        # SQG, per stage: drift (2 irfftn), its divergence check from the
+        # drift's coefficients (1 irfftn), advection (2 irfftn, 1 rfftn); no
+        # fftn, and no forward transform of the state's physical field
         calls, inputs = budget("sqg", None, None)
-        assert calls == {"rfftn": 6, "irfftn": 10}
+        assert calls == {"rfftn": 2, "irfftn": 10}
         assert not any(np.allclose(x, u0) for x in inputs)
+
+    @pytest.mark.parametrize("family", ["shear", "lacunary", "two-component", "sqg"])
+    def test_zero_drift_components_are_skipped_bitwise(self, monkeypatch, family):
+        # a step advects only the components of a fixed drift that are not
+        # zero everywhere; the skipped terms add +-0.0, so the trajectory is
+        # the one a loop over every component gives, bitwise
+        g = make_grid(2, 32, 8.0)
+        rng = np.random.default_rng(4)
+        u0 = ScalarField(g, rng.standard_normal(g.shape))
+        mu = MeasureData.from_atoms([(0.05, (4.0, 4.0), 1.0)], domain_length=8.0)
+        drifts = {
+            "shear": shear_drift(g, amplitude=2.0),
+            "lacunary": lacunary_drift(g, [0.5, 0.25, 0.125]),
+            "two-component": two_component_drift(g),
+        }
+        b = drifts.get(family)
+        mode = "sqg" if family == "sqg" else "given"
+        cfg = SolverConfig(
+            kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.1, drift_mode=mode, h_moll=2 * g.spacing
+        )
+
+        def run():
+            return solve_sqg(u0, mu, cfg) if mode == "sqg" else solve(u0, b, mu, cfg)
+
+        advected = []
+        nonlinear = _Stepper.nonlinear
+        monkeypatch.setattr(
+            _Stepper,
+            "nonlinear",
+            lambda self, uhat, b, comps, *a, **k: advected.append(comps)
+            or nonlinear(self, uhat, b, comps, *a, **k),
+        )
+        got = run()
+        assert set(advected) == {(0,) if family in ("shear", "lacunary") else (0, 1)}
+        # the reference loop: every component at every stage
+        monkeypatch.setattr(
+            _Stepper,
+            "nonlinear",
+            lambda self, uhat, b, comps, *a, **k: nonlinear(
+                self, uhat, b, tuple(range(g.d)), *a, **k
+            ),
+        )
+        want = run()
+        assert got.times == want.times
+        assert all(np.array_equal(u.values, v.values) for u, v in zip(got.snapshots, want.snapshots))
 
     def test_non_finite_imaginary_part_raises(self):
         g = make_grid(2, 16, 2 * np.pi)
