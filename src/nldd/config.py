@@ -85,6 +85,16 @@ def _get(section: dict, path: str, key: str, default=None, required: bool = Fals
     return section[key]
 
 
+def _mapping(value, path: str) -> dict:
+    """``value`` if it is a mapping; a ConfigError naming ``path`` if it was
+    written with no value or is a scalar or a list."""
+    if value is None:
+        raise ConfigError(path, "section has no value; give it fields or drop it")
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be a mapping, got {value!r}")
+    return value
+
+
 def _along_x1(grid: GridSpec, b1: np.ndarray) -> VectorField:
     """b = (b1, 0, ...), divergence-free when b1 does not depend on x_1."""
     zeros = (ScalarField(grid, np.zeros(grid.shape), 0.0) for _ in range(grid.d - 1))
@@ -130,12 +140,7 @@ class ExperimentConfig:
 
     def section(self, name: str) -> dict:
         """The mapping under a top-level key; {} when the key is absent."""
-        sec = self.raw.get(name, {})
-        if sec is None:
-            raise ConfigError(name, "section has no value; give it fields or drop it")
-        if not isinstance(sec, dict):
-            raise ConfigError(name, f"must be a mapping, got {sec!r}")
-        return sec
+        return _mapping(self.raw.get(name, {}), name)
 
     # ---- builders ----
 
@@ -288,11 +293,16 @@ class ExperimentConfig:
     def selection(self) -> list[str]:
         return list(self.verification.get("selection", []) or [])
 
+    @property
+    def ceilings(self) -> dict:
+        return _mapping(self.verification.get("ceilings", {}), "verification.ceilings")
+
     def ceiling(self, inequality_id: str, default: float = np.inf) -> float:
-        return float(self.verification.get("ceilings", {}).get(inequality_id, default))
+        return float(self.ceilings.get(inequality_id, default))
 
     def params(self, check: str) -> dict:
-        return dict(self.verification.get("params", {}).get(check, {}) or {})
+        per_check = _mapping(self.verification.get("params", {}), "verification.params")
+        return dict(_mapping(per_check.get(check, {}), f"verification.params.{check}"))
 
 
 def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig) -> None:

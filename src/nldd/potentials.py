@@ -26,6 +26,11 @@ remainder only where a grid coordinate lies outside [0, n).  Each RK4 step
 starts from the slope its previous step ended with, so a path costs
 1 + 4 * SLANT_STEPS = 257 stages.
 
+Most of a stage's cost is fixed, not per path, so a slanted check makes one
+``slant_ode`` call: each path takes its own start point, and the radii the
+slanted ``riesz_potential`` asks paths for come from ``potential_radii``,
+which does not depend on the centre, so they join the same call.
+
 The balls of ``bmo_seminorm`` are centred on grid nodes, so each is the ball
 around node 0 translated by whole nodes: its node offsets are found once per
 scale and gathered for one slab of centres at a time.
@@ -52,6 +57,7 @@ __all__ = [
     "tail_time_lq",
     "riesz_potential",
     "slant_ode",
+    "potential_radii",
     "excess",
     "bmo_seminorm",
     "interpolate_periodic",
@@ -309,7 +315,10 @@ def riesz_potential(
     With ``slant``, Q_rho is the slanted cylinder along the path that
     ``slant(radii)`` returns for each radius.  It is asked, in one call, only
     for the radii whose time slab (t0 - rho^(2s), t0) holds mass of |mu|;
-    every other cylinder has mass 0 whatever its path.
+    every other cylinder has mass 0 whatever its path.  Those radii are
+    ``all_radii[active]`` of ``potential_radii(mu, t0, R, s, rho_min)``, the
+    same floats at every x0, so ``slant`` may return paths integrated before
+    the call, once it has checked that it was asked for exactly their radii.
     """
     d = mu.atom_positions.shape[-1] if mu.num_atoms else (
         mu.density.grid.d if mu.density is not None else 2
@@ -336,23 +345,15 @@ def riesz_potential(
             np.where(dt_atoms > 0, dt_atoms, np.inf) ** (1.0 / (2.0 * s)), dist
         )
 
-    # Radial grid: log-spaced plus exact atom breakpoints (straight case only),
-    # and the geometric midpoints of its intervals.
-    n_log = max(8, int(np.ceil(POINTS_PER_OCTAVE * np.log2(R / rho_min))))
-    radii = np.geomspace(rho_min, R, n_log)
-    if slant is None:
-        breaks = entry[(entry > rho_min) & (entry < R)]
-        radii = np.unique(np.concatenate([radii, breaks]))
-    lo, hi = radii[:-1], radii[1:]
-    mids = np.sqrt(lo * hi)
-
-    all_radii = np.concatenate([radii, mids])
+    # exact atom breakpoints in the straight case only
+    breaks = None if slant is not None else entry[(entry > rho_min) & (entry < R)]
+    radii, all_radii, active = potential_radii(mu, t0, R, s, rho_min, breaks)
     all_masses = np.zeros(all_radii.size)
-    active = np.flatnonzero(_slab_holds_mass(mu, t0, all_radii, s))
     paths = slant(all_radii[active]) if slant is not None and active.size else [None] * active.size
     for i, path in zip(active, paths):
         all_masses[i] = cylinder_mass(mu, Cylinder(t0, tuple(x0), all_radii[i], s), path)
     masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
+    lo, hi = radii[:-1], radii[1:]
 
     # atoms already inside the smallest cylinder make the integral diverge;
     # a density contributes mass ~ rho^(d+2s) there and stays integrable
@@ -367,6 +368,34 @@ def riesz_potential(
     if head_mass > 0.0:
         value += head_mass * rho_min ** (-beta) / a
     return PotentialProfile(radii, masses, value)
+
+
+def potential_radii(
+    mu: MeasureData,
+    t0: float,
+    R: float,
+    s: float,
+    rho_min: float | None = None,
+    breaks: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The radial grid of ``riesz_potential`` on [rho_min, R], rho_min = 1e-4 R
+    by default: (radii, all_radii, active).
+
+    ``radii`` are log-spaced, POINTS_PER_OCTAVE per octave, plus ``breaks`` if
+    given; ``all_radii`` are those followed by the geometric midpoints of their
+    intervals; ``active`` indexes the entries of ``all_radii`` whose time slab
+    holds mass of |mu|.  With no breaks (the slanted case) none of it depends
+    on x0, so ``all_radii[active]`` are the radii a slanted ``riesz_potential``
+    at any x0 asks its ``slant`` for, and their paths can be integrated first.
+    """
+    if rho_min is None:
+        rho_min = 1e-4 * R
+    n_log = max(8, int(np.ceil(POINTS_PER_OCTAVE * np.log2(R / rho_min))))
+    radii = np.geomspace(rho_min, R, n_log)
+    if breaks is not None:
+        radii = np.unique(np.concatenate([radii, breaks]))
+    all_radii = np.concatenate([radii, np.sqrt(radii[:-1] * radii[1:])])
+    return radii, all_radii, np.flatnonzero(_slab_holds_mass(mu, t0, all_radii, s))
 
 
 def _slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
@@ -425,11 +454,14 @@ def slant_ode(
     """Backward RK4 integration of the ball-averaged drift ODE on [-1, 0],
     one path per scale r in ``scales``.
 
-    ``b`` is an autonomous VectorField.  For scale r, the right-hand side is
-    the average of b over the ball of radius r centered at x0 + r z_r(t).
-    All scales advance together in one RK4 loop with state shape
-    (len(scales), d); each path is computed with the same arithmetic as a
-    solve of its scale alone.
+    ``b`` is an autonomous VectorField, so ``t0`` is not read.  ``x0`` is one
+    start point of shape (d,) shared by every path, or one per path, of shape
+    (len(scales), d); it defaults to the origin.  For the path of scale r from
+    x0, the right-hand side is the average of b over the ball of radius r
+    centred at x0 + r z_r(t).  All paths advance together in one RK4 loop with
+    state shape (len(scales), d); each is computed with the same arithmetic as
+    a solve of its (scale, x0) alone, so a check integrates every path it
+    needs in one call.
     """
     r = np.asarray(scales, dtype=float).reshape(-1)
     bad = ~((r > 0.0) & (r <= 1.0))
@@ -437,9 +469,11 @@ def slant_ode(
         raise ValueError(f"slant scale must lie in (0, 1], got {r[bad][0]}")
     grid = b.grid
     d = grid.d
-    if x0 is None:
-        x0 = np.zeros(d)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.zeros(d) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape not in ((d,), (r.size, d)):
+        raise ValueError(
+            f"slant start points must have shape ({d},) or ({r.size}, {d}), got {x0.shape}"
+        )
     pts_unit, wts = _disk_quadrature(d)
     components = np.stack(b.arrays())
     # every stage refills one set of buffers: its points, their corners and

@@ -32,6 +32,7 @@ from .potentials import (
     bmo_seminorm,
     excess,
     interpolate_periodic,
+    potential_radii,
     riesz_potential,
     slant_ode,
     tail_time_lq,
@@ -114,14 +115,20 @@ def cylinder_lq_mean(
     traj: TrajectoryStore, Q: Cylinder, qs, path: SlantPath | None = None
 ) -> np.ndarray:
     """(space-time average of |u|^q over the cylinder)^(1/q) for each q in qs,
-    with the ball along ``path`` if given; the |u| samples of each snapshot
-    are gathered once for all q."""
-    times, values = Q.ball_values(traj, path)
-    samples = [np.abs(v) for v in values]
+    with the ball along ``path`` if given.  The snapshots that share a ball
+    centre (all of a straight window) are gathered into one array, and each q
+    takes one pass over it."""
+    idx, times, centers, which = Q.window(traj, path)
+    means = np.empty((len(qs), times.size))  # ball mean of |u|^q per q and snapshot
+    for k, center in enumerate(centers):
+        mask = ball_mask(traj.grid, center, Q.r)
+        rows = np.flatnonzero(which == k)
+        a = np.abs(np.stack([traj.snapshots[idx[j]].values[mask] for j in rows]))
+        for i, q in enumerate(qs):
+            means[i, rows] = (a**q).mean(axis=1)
     span = times[-1] - times[0]
     return np.array([
-        (np.trapezoid([(a**q).mean() for a in samples], times) / span) ** (1.0 / q)
-        for q in qs
+        (np.trapezoid(m, times) / span) ** (1.0 / q) for q, m in zip(qs, means)
     ])
 
 
@@ -157,18 +164,54 @@ def _placements(exp: Experiment, rng: np.random.Generator, count: int):
     return out
 
 
-def _potential_rows(report, exp: Experiment, qs, placements, drift: VectorField | None = None):
+def _integrated_slant(radii: np.ndarray, paths: list[SlantPath]):
+    """A ``riesz_potential`` slant that hands back ``paths``, integrated in
+    advance for ``radii``, once it has checked that it is asked for them."""
+
+    def slant(rhos):
+        if not np.array_equal(rhos, radii):
+            raise ValueError(
+                f"slant paths were integrated for {radii.size} radii, "
+                f"but the potential asks for {np.size(rhos)} other ones"
+            )
+        return paths
+
+    return slant
+
+
+def _potential_rows(
+    report, exp: Experiment, qs, placements, drift: VectorField | None = None, fit_scales=()
+) -> list[SlantPath]:
     """Add the rows of the pointwise bound |u(t0,x0)| <= c [cylinder Lq mean
     + Lq tail + potential] at each placement whose cylinder the snapshots
     resolve.  With a drift, R is capped at 1 and the cylinder and the
-    potential follow its slant paths; without one they are straight."""
-    s = exp.kernel.s
-    for t0, x0, R in placements:
-        slant = path = None
-        if drift is not None:
+    potential follow its slant paths; without one they are straight.
+
+    Every slant path comes from one ``slant_ode`` call: the paths from x0 = 0
+    of ``fit_scales``, which are returned, then for each placement the path
+    of its cylinder and those its potential asks for (``potential_radii``,
+    capped at 1)."""
+    s, d = exp.kernel.s, exp.grid.d
+    geometry = [(R, None, None) for _, _, R in placements]  # (R, path, slant) per placement
+    fit_paths = []
+    if drift is not None:
+        scales, starts, spans = list(fit_scales), [np.zeros(d)] * len(fit_scales), []
+        for t0, x0, R in placements:
             R = min(R, 1.0)
-            slant = lambda rhos: slant_ode(drift, np.minimum(rhos, 1.0), t0=t0, x0=x0)  # noqa: E731
-            (path,) = slant([R])
+            rhos = np.zeros(0)
+            if exp.mu is not None:
+                _, all_radii, active = potential_radii(exp.mu, t0, R, s)
+                rhos = all_radii[active]
+            spans.append((R, len(scales), rhos))
+            scales += [R, *np.minimum(rhos, 1.0)]
+            starts += [x0] * (1 + rhos.size)
+        paths = slant_ode(drift, scales, x0=np.array(starts))
+        fit_paths = paths[: len(fit_scales)]
+        geometry = [
+            (R, paths[k], _integrated_slant(rhos, paths[k + 1 : k + 1 + rhos.size]))
+            for R, k, rhos in spans
+        ]
+    for (t0, x0, _), (R, path, slant) in zip(placements, geometry):
         Q = Cylinder(t0, x0, R, s)
         lhs = point_value(exp.traj, t0, x0)
         try:
@@ -181,6 +224,7 @@ def _potential_rows(report, exp: Experiment, qs, placements, drift: VectorField 
             pot = riesz_potential(exp.mu, t0, x0, R, exp.kernel, a=2.0 * s, slant=slant).value
         for q, term1, term2 in zip(qs, terms1, terms2):
             report.add(q=q, t0=t0, x0=x0, radius=R, lhs=lhs, rhs_terms=(term1, term2, pot))
+    return fit_paths
 
 
 def verify_potential_estimate(
@@ -297,17 +341,22 @@ def fit_holder_exponent(
         num_scales -= 1
     if r0 / 2 ** (num_scales - 1) < 3.0 * grid.spacing:
         raise ValueError("grid too coarse for even two oscillation scales")
-    rng = config.rng(salt)
     opts = exp.tail_options
     report = VerificationReport("holder-exponent")
     report.ceiling = config.ceiling("holder-exponent")
     alphas = []
-    for t0, x0, _ in _placements(exp, rng, num_points):
+    placements = _placements(exp, config.rng(salt), num_points)
+    radii = r0 / 2.0 ** np.arange(num_scales)
+    path_sets = [[None] * num_scales] * len(placements)
+    if slanted and placements:  # every placement's paths from one call
+        batch = slant_ode(
+            exp.drift,
+            np.tile(np.minimum(radii, 1.0), len(placements)),
+            x0=np.repeat([x0 for _, x0, _ in placements], num_scales, axis=0),
+        )
+        path_sets = [batch[k : k + num_scales] for k in range(0, len(batch), num_scales)]
+    for (t0, x0, _), paths in zip(placements, path_sets):
         t0 = max(t0, exp.traj.t_start + r0 ** (2.0 * s))
-        radii = r0 / 2.0 ** np.arange(num_scales)
-        paths = [None] * num_scales
-        if slanted:
-            paths = slant_ode(exp.drift, np.minimum(radii, 1.0), t0=t0, x0=x0)
         oscs = np.array([
             _cylinder_oscillation(exp.traj, Cylinder(t0, x0, r, s), path)
             for r, path in zip(radii, paths)
@@ -458,8 +507,13 @@ def verify_bmo_slanted(
         return report
 
     report.extras["mode"] = "BMO, critical slanted"
-    # path size against the c (C1 + C2 |log r|) functional form
-    norms = np.array([path.c1_norm for path in slant_ode(b, radii)])
+    c0 = float(config.params("bmo").get("c0", 0.1))
+    exp = run_experiment(config)
+    placements = _placements(exp, config.rng(salt), num_placements)
+    # the rows, and the paths from x0 = 0 whose size is fitted against the
+    # c (C1 + C2 |log r|) functional form, all from one slant_ode call
+    fit_paths = _potential_rows(report, exp, (2.0,), placements, drift=b, fit_scales=radii)
+    norms = np.array([path.c1_norm for path in fit_paths])
     envelopes = np.array([C1 + C2 * abs(np.log(r)) for r in radii])
     c_fit = float((norms * envelopes).sum() / (envelopes**2).sum())
     residual = float(np.abs(norms - c_fit * envelopes).max() / max(norms.max(), 1e-300))
@@ -467,14 +521,9 @@ def verify_bmo_slanted(
     report.extras["path_envelopes"] = envelopes.tolist()
     report.extras["path_constant"] = c_fit
     report.extras["path_residual"] = residual
-    c0 = float(config.params("bmo").get("c0", 0.1))
     report.extras["enlargement"] = {
         str(r): 1.0 + c0 * (C1 + C2 * abs(np.log(r))) for r in radii
     }
-
-    exp = run_experiment(config)
-    placements = _placements(exp, config.rng(salt), num_placements)
-    _potential_rows(report, exp, (2.0,), placements, drift=b)
     return report
 
 
@@ -512,15 +561,21 @@ def run_campaign(
 
         with open(ceiling_file) as fh:
             ceilings = yaml.safe_load(fh) or {}
-        config.raw.setdefault("verification", {}).setdefault("ceilings", {}).update(ceilings)
+        config.raw["verification"] = {
+            **config.verification, "ceilings": {**config.ceilings, **ceilings}
+        }
+    # the settings the checks read fail here, before any solve, as config errors
+    config.ceilings
+    for name in config.selection:
+        if name not in CHECKS:
+            raise ConfigError("verification.selection", f"unknown check {name!r}")
+        config.params(name)
 
     os.makedirs(out_dir, exist_ok=True)
     reports: list[VerificationReport] = []
     errors: dict[str, str] = {}
     tracebacks: dict[str, str] = {}
     for name in config.selection:
-        if name not in CHECKS:
-            raise ConfigError("verification.selection", f"unknown check {name!r}")
         try:
             reports.append(CHECKS[name](config))
         except Exception as exc:  # flush partial results below

@@ -133,6 +133,36 @@ class TestVerify:
             == 1
         )
 
+    @pytest.mark.parametrize(
+        "verification, message",
+        [
+            (
+                {"ceilings": None},
+                "config field 'verification.ceilings': section has no value; "
+                "give it fields or drop it",
+            ),
+            (
+                {"params": {"lorentz": 1.2}},
+                "config field 'verification.params.lorentz': must be a mapping, got 1.2",
+            ),
+        ],
+        ids=["ceilings", "params.lorentz"],
+    )
+    @pytest.mark.parametrize("ceiling_file", [False, True])
+    def test_bad_sub_section_through_main(
+        self, tmp_path, capsys, verification, message, ceiling_file
+    ):
+        raw = solve_raw(verification={"selection": ["lorentz"], **verification})
+        args = ["verify", "--config", write_cfg(tmp_path, raw), "--out", str(tmp_path / "out")]
+        if ceiling_file:
+            ceil = tmp_path / "ceil.yaml"
+            ceil.write_text(yaml.safe_dump({"lorentz-exponent": 1e-12}))
+            args += ["--ceiling-file", str(ceil)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd verify: {message}"]
+
 
 class TestConfigErrors:
     """A config that fails validation exits 2 with one stderr line naming

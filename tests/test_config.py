@@ -178,6 +178,32 @@ class TestVerificationSection:
         assert cfg.params("excess") == {"m_max": 2}
         assert cfg.params("holder") == {}
 
+    @pytest.mark.parametrize(
+        "verification, path",
+        [
+            ({"ceilings": None, "params": None}, "verification.ceilings"),
+            ({"ceilings": 3.0}, "verification.ceilings"),
+        ],
+    )
+    def test_bad_ceilings_named(self, verification, path):
+        cfg = ExperimentConfig({"verification": verification})
+        with pytest.raises(ConfigError, match=rf"^config field '{path}': "):
+            cfg.ceiling("excess-decay")
+
+    @pytest.mark.parametrize(
+        "params, path",
+        [
+            (None, "verification.params"),
+            ("m_max", "verification.params"),
+            ({"excess": None}, "verification.params.excess"),
+            ({"excess": [2]}, "verification.params.excess"),
+        ],
+    )
+    def test_bad_params_named(self, params, path):
+        cfg = ExperimentConfig({"verification": {"params": params}})
+        with pytest.raises(ConfigError, match=rf"^config field '{path}': "):
+            cfg.params("excess")
+
     def test_solver_overrides(self):
         cfg = ExperimentConfig({"solver": {"dt": 0.01, "t_end": 2.0}})
         sc = cfg.build_solver(cfg.build_kernel(), t_end=0.5)

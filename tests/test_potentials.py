@@ -21,6 +21,7 @@ from nldd.potentials import (
     bmo_seminorm,
     excess,
     interpolate_periodic,
+    potential_radii,
     riesz_potential,
     slant_ode,
     tail,
@@ -398,6 +399,27 @@ class TestSlantOde:
             assert path.c1_norm == single.c1_norm
         assert np.abs(batch[0].samples).max() > 0.0
 
+    def test_per_path_start_points_match_single_path_calls(self):
+        g = make_grid(2, 32, 8.0)
+        b = lacunary_drift(g, [0.3] * 5)
+        scales = [1.0, 0.5, 0.3, 0.0625, 0.5]
+        starts = np.array([(3.1, 4.6), (0.0, 0.0), (7.9, 0.2), (3.1, 4.6), (5.25, 2.75)])
+        batch = slant_ode(b, scales, t0=0.7, x0=starts)
+        assert [p.r for p in batch] == scales
+        for r, x0, path in zip(scales, starts, batch):
+            (single,) = slant_ode(b, [r], t0=0.7, x0=tuple(x0))
+            np.testing.assert_array_equal(path.times, single.times)
+            np.testing.assert_array_equal(path.samples, single.samples)
+            assert path.c1_norm == single.c1_norm
+        # the same scale from two start points gives two paths
+        assert not np.array_equal(batch[1].samples, batch[4].samples)
+
+    def test_start_point_shape_validation(self):
+        g = make_grid(2, 16, 8.0)
+        b = constant_drift(g, (1.0, 0.0))
+        with pytest.raises(ValueError, match=r"shape \(2,\) or \(3, 2\), got \(2, 2\)"):
+            slant_ode(b, [0.5, 0.25, 1.0], x0=np.zeros((2, 2)))
+
 
 def reference_slant_paths(b, scales, t0, x0, num_steps=64):
     """slant_ode with a stage right-hand side that interpolates into fresh
@@ -664,3 +686,35 @@ class TestSlantedRiesz:
         mu = MeasureData(density=track)
         asked, radii = self._requested(mu, 1.0, 1.0, 0.1)
         np.testing.assert_array_equal(asked, radii)
+
+    @pytest.mark.parametrize("kind", ["atoms", "density"])
+    def test_asks_for_the_potential_radii_at_every_centre(self, kind):
+        # the slanted radii do not depend on x0, so paths can be integrated first
+        g = make_grid(2, 16, 8.0)
+        if kind == "atoms":
+            mu = MeasureData.from_atoms(
+                [(0.7, (4.6, 4.0), 1.0), (0.9, (4.0, 4.3), 0.5), (1.5, (4.0, 4.0), 2.0)],
+                domain_length=8.0,
+            )
+        else:
+            mu = MeasureData(density=DensityTrack(g, [0.2, 0.6], [np.ones(g.shape)] * 2))
+        _, all_radii, active = potential_radii(mu, 1.0, 0.8, 0.5)
+        for x0 in ((4.0, 4.0), (1.3, 6.2)):
+            asked = []
+
+            def slant(rhos):
+                asked.append(rhos)
+                return [SlantPath.zero(r) for r in rhos]
+
+            riesz_potential(mu, 1.0, x0, 0.8, KernelSpec(s=0.5), 1.0, slant)
+            (rhos,) = asked
+            np.testing.assert_array_equal(rhos, all_radii[active])
+        assert 0 < active.size < all_radii.size
+
+    def test_straight_grid_holds_the_atom_breakpoints(self):
+        mu = MeasureData.from_atoms([(0.75, (4.0, 4.0), 1.0)], domain_length=16.0)
+        prof = riesz_potential(mu, 1.0, (4.0, 4.0), 3.0, KernelSpec(s=0.5), 1.0, rho_min=0.05)
+        entry = 0.25  # max((t0 - t)^(1/2s), |x - x0|)
+        radii, _, _ = potential_radii(mu, 1.0, 3.0, 0.5, 0.05, breaks=np.array([entry]))
+        np.testing.assert_array_equal(prof.radii, radii)
+        assert entry in radii and entry not in potential_radii(mu, 1.0, 3.0, 0.5, 0.05)[0]

@@ -14,6 +14,7 @@ from nldd.potentials import TailOptions, excess, slant_ode, tail_time_lq
 from nldd.reports import write_csv
 from nldd.verify import (
     _cylinder_oscillation,
+    _integrated_slant,
     _placements,
     cylinder_lq_mean,
     fit_holder_exponent,
@@ -232,6 +233,56 @@ class TestBmoSlantedCheck:
             verify_bmo_slanted(ExperimentConfig(raw), num_placements=2)
 
 
+class TestOneSlantIntegration:
+    """Every slant path a slanted check needs comes from one slant_ode call."""
+
+    RAW = dict(
+        grid={"d": 2, "n": 64, "domain_length": 8.0},
+        drift={"family": "lacunary", "coefficients": [0.3] * 3},
+        measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 0.5}]},
+        solver={"dt": 0.02, "t_end": 1.0},
+    )
+
+    @staticmethod
+    def spy(monkeypatch):
+        import nldd.verify
+
+        calls = []
+
+        def counted(b, scales, *args, **kwargs):
+            calls.append(len(scales))
+            return slant_ode(b, scales, *args, **kwargs)
+
+        monkeypatch.setattr(nldd.verify, "slant_ode", counted)
+        return calls
+
+    @pytest.mark.parametrize("num_placements", [1, 4])
+    def test_bmo_check(self, monkeypatch, num_placements):
+        calls = self.spy(monkeypatch)
+        cfg = ExperimentConfig(base_raw(**self.RAW))
+        rep = verify_bmo_slanted(cfg, num_placements=num_placements)
+        assert rep.rows and len(rep.extras["path_norms"]) == 3
+        # the three fitted paths, then per placement its cylinder's and its potential's
+        assert len(calls) == 1 and calls[0] > 3 + 2 * num_placements
+
+    def test_slanted_holder_check(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        raw = base_raw(**self.RAW, verification={"params": {"holder": {"slanted": True}}})
+        rep = fit_holder_exponent(ExperimentConfig(raw), num_points=3)
+        assert rep.extras["slanted"] and rep.rows
+        assert len(calls) == 1 and calls[0] % 3 == 0
+
+    def test_integrated_slant_checks_the_radii_it_is_asked_for(self):
+        radii = np.array([0.1, 0.2, 0.4])
+        paths = [SlantPath.zero(r) for r in radii]
+        assert _integrated_slant(radii, paths)(radii.copy()) is paths
+        slant = _integrated_slant(radii, paths)
+        with pytest.raises(ValueError, match="for 3 radii, but the potential asks for 2 other"):
+            slant(radii[:2])
+        with pytest.raises(ValueError, match="integrated for 3 radii"):
+            slant(np.nextafter(radii, 1.0))
+
+
 class TestLorentzCheck:
     def test_needs_density(self):
         with pytest.raises(ValueError, match="density"):
@@ -325,6 +376,29 @@ class TestCampaign:
         code = run_campaign(self._write(tmp_path, raw), tmp_path / "out")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "verification, path",
+        [
+            ({"ceilings": None}, "verification.ceilings"),
+            ({"ceilings": [1.0]}, "verification.ceilings"),
+            ({"params": None}, "verification.params"),
+            ({"params": {"lorentz": 1.2}}, "verification.params.lorentz"),
+            ({"params": {"lorentz": None}}, "verification.params.lorentz"),
+        ],
+        ids=["null-ceilings", "list-ceilings", "null-params", "scalar-check", "null-check"],
+    )
+    def test_bad_sub_section_raises_before_any_solve(
+        self, tmp_path, monkeypatch, verification, path
+    ):
+        solves = []
+        monkeypatch.setattr("nldd.verify.run_experiment", lambda *a, **k: solves.append(a))
+        raw = base_raw(
+            measure=density_measure(), verification={"selection": ["lorentz"], **verification}
+        )
+        with pytest.raises(ConfigError, match=rf"config field '{path}': "):
+            run_campaign(self._write(tmp_path, raw), tmp_path / "out")
+        assert solves == [] and not (tmp_path / "out").exists()
+
     def test_csv_body_deterministic(self, tmp_path):
         raw = base_raw(
             measure=density_measure(),
@@ -379,6 +453,31 @@ CYLINDER_SITES = {
     "holder_oscillation": _cylinder_oscillation,
 }
 WINDOW_SITES = [name for name in CYLINDER_SITES if name != "cylinder_mass"]
+
+
+def _lq_mean_per_snapshot(traj, Q, qs, path):
+    """cylinder_lq_mean as one pass per snapshot and q."""
+    times, values = Q.ball_values(traj, path)
+    span = times[-1] - times[0]
+    return np.array([
+        (np.trapezoid([(np.abs(v) ** q).mean() for v in values], times) / span) ** (1.0 / q)
+        for q in qs
+    ])
+
+
+@pytest.mark.parametrize("slanted", [False, True])
+def test_cylinder_lq_mean_matches_per_snapshot_loop(slanted):
+    traj = _random_traj(np.linspace(0.0, 1.0, 21))
+    Q = Cylinder(0.95, (3.3, 4.1), 0.7, 0.5)
+    path = None
+    if slanted:  # every snapshot of the window gets a centre of its own
+        ts = np.linspace(-1.0, 0.0, 9)
+        path = SlantPath(Q.r, ts, np.outer(ts, (0.9, -0.4)), 1.0)
+        assert len(Q.window(traj, path)[2]) == len(Q.window(traj, path)[0]) > 2
+    qs = (1.0, 1.5, 2.0, 4.0)
+    np.testing.assert_array_equal(
+        cylinder_lq_mean(traj, Q, qs, path), _lq_mean_per_snapshot(traj, Q, qs, path)
+    )
 
 
 class TestCylinderGeometry:
