@@ -13,9 +13,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .config import ConfigError, check_drift_step, load_config
+from .config import ConfigError, grid_point, load_config
 from .fields import ScalarField, l2_norm
 from .heatkernel import estimate_kernel, kernel_sanity
 from .potentials import TailOptions, riesz_potential, tail
@@ -96,7 +94,8 @@ def _cmd_potential(args) -> int:
         return 1
     params = config.params("potential")
     t0 = float(params.get("t0", 1.0))
-    x0 = np.asarray(params.get("x0", [grid.domain_length / 2.0] * grid.d), dtype=float)
+    x0 = params.get("x0", [grid.domain_length / 2.0] * grid.d)
+    x0 = grid_point(x0, grid, "verification.params.potential.x0")
     R = float(params.get("R", grid.domain_length / 8.0))
     profile = riesz_potential(mu, t0, x0, R, kernel, a=2.0 * kernel.s)
     print(f"potential P^R_2s at t0 = {t0:.6g}, R = {R:.6g}: {profile.value:.12g}")
@@ -129,13 +128,7 @@ def _cmd_heatkernel(args) -> int:
     grid = config.build_grid()
     kernel = config.build_kernel()
     b = config.build_drift(grid)
-    params = config.section("heatkernel")
-    eta = float(params.get("eta", 0.0))
-    y = np.asarray(params.get("y", [grid.domain_length / 2.0] * grid.d), dtype=float)
-    times = np.asarray(params.get("times", [eta + 0.5, eta + 1.0, eta + 2.0]), dtype=float)
-    h_moll = float(params.get("h_moll", 2.0 * grid.spacing))
-    solver = config.build_solver(kernel, h_moll=h_moll, t_end=float(times[-1] - eta))
-    check_drift_step(b, grid, solver)
+    eta, y, times, solver = config.build_heatkernel(grid, kernel, b)
     est = estimate_kernel(b, kernel, eta, y, times, solver, grid)
     for i, t in enumerate(est.times):
         print(f"t = {t:.6g}: mass = {est.mass(i):.8g}, max = {est.fields[i].values.max():.6g}")

@@ -30,6 +30,12 @@ Schema (all sections optional unless a check needs them):
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
       params: {...}               # per-check knobs, see verify module
+    heatkernel:                   # nldd heatkernel; the drift may not be sqg
+      eta: 0.0                    # source time
+      y: [3.14, 3.14]             # source point, d coordinates
+      times: [0.5, 1.0, 2.0]      # 3 or more, whole steps of solver.dt after
+                                  # eta, the first >= 4 h_moll^(2s) after it
+      h_moll: 0.2                 # Dirac width, at least one grid spacing
     seed: 42
 
 Every run is deterministic given the seed.
@@ -37,7 +43,7 @@ Every run is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -63,10 +69,12 @@ __all__ = [
     "lacunary_drift",
     "shear_drift",
     "check_drift_step",
+    "grid_point",
 ]
 
 DRIFT_FAMILIES = ("none", "constant", "shear", "sqg", "lacunary")
 INITIAL_KINDS = ("zero", "eigenmode", "random")
+HEATKERNEL_FIELDS = ("eta", "y", "times", "h_moll")
 
 
 class ConfigError(ValueError):
@@ -93,6 +101,15 @@ def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, f"must be a mapping, got {value!r}")
     return value
+
+
+def grid_point(value, grid: GridSpec, path: str) -> np.ndarray:
+    """``value`` as a point of the d-torus; a ConfigError naming ``path``
+    unless it has d coordinates."""
+    x = np.atleast_1d(np.asarray(value, dtype=float))
+    if x.shape != (grid.d,):
+        raise ConfigError(path, f"needs {grid.d} coordinates, got {x.size}")
+    return x
 
 
 def _along_x1(grid: GridSpec, b1: np.ndarray) -> VectorField:
@@ -226,9 +243,7 @@ class ExperimentConfig:
         for i, a in enumerate(sec.get("atoms", []) or []):
             path = f"measure.atoms[{i}]"
             t = float(_get(a, path, "t", required=True))
-            x = np.atleast_1d(np.asarray(_get(a, path, "x", required=True), dtype=float))
-            if x.shape != (grid.d,):
-                raise ConfigError(f"{path}.x", f"needs {grid.d} coordinates, got {x.size}")
+            x = grid_point(_get(a, path, "x", required=True), grid, f"{path}.x")
             atoms.append((t, x, float(_get(a, path, "mass", required=True))))
         density = None
         dsec = sec.get("density")
@@ -285,13 +300,73 @@ class ExperimentConfig:
         kwargs.update(overrides)
         return SolverConfig(**kwargs)
 
+    def build_heatkernel(
+        self, grid: GridSpec, kernel: KernelSpec, b: VectorField | None
+    ) -> tuple[float, np.ndarray, np.ndarray, SolverConfig]:
+        """The heatkernel section's source time eta, source point y, sorted
+        record times and solver settings, checked before any solve.  b is the
+        config's drift, checked against the CFL bound at solver.dt."""
+        sec = self.section("heatkernel")
+        for key in sec:
+            if key not in HEATKERNEL_FIELDS:
+                known = ", ".join(HEATKERNEL_FIELDS)
+                raise ConfigError(f"heatkernel.{key}", f"unknown field; the section takes {known}")
+        if self.drift_family == "sqg":
+            raise ConfigError(
+                "drift.family",
+                "the SQG drift depends on the solution, so the equation has no heat kernel; "
+                "use none, constant, shear or lacunary",
+            )
+        eta = float(_get(sec, "heatkernel", "eta", 0.0))
+        y = grid_point(
+            _get(sec, "heatkernel", "y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y"
+        )
+        times = _get(sec, "heatkernel", "times", [eta + 0.5, eta + 1.0, eta + 2.0])
+        if not isinstance(times, list) or len(times) < 3:
+            raise ConfigError(
+                "heatkernel.times",
+                f"needs a list of 3 or more times for the semigroup check, got {times!r}",
+            )
+        times = np.sort(np.asarray(times, dtype=float))
+        if not times[0] > eta:
+            raise ConfigError(
+                "heatkernel.times", f"every time must lie after eta = {eta}, got {times[0]:g}"
+            )
+        h_moll = float(_get(sec, "heatkernel", "h_moll", 2.0 * grid.spacing))
+        if h_moll < grid.spacing:
+            raise ConfigError(
+                "heatkernel.h_moll", f"h_moll = {h_moll} is below the grid spacing {grid.spacing}"
+            )
+        solver = self.build_solver(kernel, h_moll=h_moll, t_end=float(times[-1] - eta))
+        check_drift_step(b, grid, solver)
+        min_gap = 4.0 * h_moll ** (2.0 * kernel.s)
+        if times[0] - eta < min_gap:
+            raise ConfigError(
+                "heatkernel.times",
+                f"the first time {times[0]:g} lies {times[0] - eta:g} after eta; "
+                f"h_moll = {h_moll:.4g} needs a gap of at least 4 h_moll^(2s) = {min_gap:.4g}",
+            )
+        for t in times:
+            if replace(solver, t_end=float(t - eta)).num_steps is None:
+                raise ConfigError(
+                    "heatkernel.times",
+                    f"time {t:g} is not a whole number of steps of solver.dt = {solver.dt} "
+                    f"after eta = {eta}",
+                )
+        return eta, y, times, solver
+
     @property
     def verification(self) -> dict:
         return self.section("verification")
 
     @property
     def selection(self) -> list[str]:
-        return list(self.verification.get("selection", []) or [])
+        names = self.verification.get("selection", []) or []
+        if not isinstance(names, (list, tuple)):
+            raise ConfigError(
+                "verification.selection", f"must be a list of check names, got {names!r}"
+            )
+        return list(names)
 
     @property
     def ceilings(self) -> dict:

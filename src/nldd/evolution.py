@@ -2,8 +2,10 @@
 
 The diffusion term is diagonal in Fourier space and is treated exactly with
 an exponential integrator; advection and forcing are handled by an ETD-RK2
-predictor-corrector with two-thirds dealiasing.  The SQG mode recomputes the
-Biot-Savart drift from the predictor stage inside each step.
+predictor-corrector with two-thirds dealiasing.  A stepper is built with
+one of the equation's three drift laws (none, a fixed field checked once, or
+the SQG drift R^perp u rebuilt at each stage); a step may instead be handed
+the drift at its two ends, as the comparison solve hands it u's SQG drift.
 
 The solver state is the rfftn half-spectrum of the real solution, and every
 transform inside a step is real (``rfftn``/``irfftn``).  The SQG drift is
@@ -21,15 +23,13 @@ and a stage transforms d_j u only for the other components j.  Per step:
 plus 1 rfftn on steps that carry forcing.
 
 A step advances the state in place and refills work arrays its stepper keeps
-per state shape.  A trajectory stores u only: the SQG drift is a function of
-u, so a comparison solve rebuilds it from the stored snapshots.
+per state shape.  A trajectory stores u only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Callable
+from itertools import pairwise, repeat
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "solve_sqg",
     "comparison_solve",
     "measure_forcing",
-    "DriftProvider",
 ]
 
 
@@ -149,54 +148,6 @@ class TrajectoryStore:
         return list(np.flatnonzero((ts >= t_lo - eps) & (ts <= t_hi + eps)))
 
 
-DriftLike = VectorField | Callable[[float], VectorField] | None
-
-
-class DriftProvider:
-    """Uniform access to autonomous, callable, or absent drifts.
-
-    A fixed field is checked divergence-free once, here, and its max norm is
-    computed once, at the first CFL check; a callable drift is checked at
-    every call.  The components of a fixed field that are zero everywhere are
-    found once, here, so a step skips their advection terms.
-    """
-
-    def __init__(self, drift: DriftLike):
-        fixed = isinstance(drift, VectorField)
-        self._drift = self._checked(drift) if fixed else drift
-        self._fixed_norm = None
-        self._fixed_components = (
-            tuple(j for j, a in enumerate(drift.arrays()) if a.any()) if fixed else None
-        )
-
-    @staticmethod
-    def _checked(b: VectorField) -> VectorField:
-        if not b.divergence_free:
-            require_divergence_free(b.spectral_divergence_max(), b.max_norm())
-        return b
-
-    def max_norm(self, b: VectorField) -> float:
-        """max|b|; for the fixed drift it is computed once per provider."""
-        if b is not self._drift:
-            return b.max_norm()
-        if self._fixed_norm is None:
-            self._fixed_norm = b.max_norm()
-        return self._fixed_norm
-
-    def components(self, b: VectorField | None) -> tuple[int, ...]:
-        """Indices of the components of b that advect: none without a drift,
-        for the fixed drift those not zero everywhere, for any other drift
-        all of them."""
-        if b is None:
-            return ()
-        return self._fixed_components if b is self._drift else tuple(range(b.grid.d))
-
-    def __call__(self, t: float) -> VectorField | None:
-        if callable(self._drift):
-            return self._checked(self._drift(t))
-        return self._drift
-
-
 def _phi1(z: np.ndarray) -> np.ndarray:
     small = np.abs(z) < 1e-6
     zb = np.where(small, 1.0, z)
@@ -212,19 +163,25 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 class _Work:
     """The arrays one step fills, for one state shape: spectral arrays in the
     shape of the state, physical ones in the shape of its samples, and the
-    SQG drift's arrays (operators._SqgWork) once an SQG step needs them."""
+    SQG drift's arrays (operators._SqgWork) when the stepper is SQG."""
 
-    def __init__(self, spectral: tuple[int, ...], physical: tuple[int, ...]):
+    def __init__(self, spectral: tuple[int, ...], physical: tuple[int, ...], sqg: _SqgWork | None):
         self.pred, self.n0, self.n1, self.fhat, self.masked = (
             np.empty(spectral, dtype=complex) for _ in range(5)
         )
         self.finite = np.empty(spectral, dtype=bool)
         self.grad, self.adv = np.empty(physical), np.empty(physical)
-        self.sqg: _SqgWork | None = None
+        self.sqg = sqg
 
 
 class _Stepper:
-    """Precomputed exponential factors for one (grid, kernel, dt) triple.
+    """Precomputed exponential factors for one (grid, kernel, dt) triple, and
+    the drift law it steps with: none (b is None); a fixed drift b, checked
+    here once, divergence-free unless flagged and within the CFL bound at
+    dt, with its components that are zero everywhere found here too; or the
+    SQG drift R^perp u (``config.drift_mode == "sqg"``), rebuilt at each
+    stage and CFL-checked at each step.  ``step(drifts=(b_t, b_t+dt))``
+    replaces the law for one step, with every component advecting.
 
     Every array is in the rfftn layout of the state (fields.half_spectrum).
     A state may carry one leading batch axis: a step advances each member of
@@ -234,9 +191,18 @@ class _Stepper:
     state-sized temporaries.
     """
 
-    def __init__(self, grid: GridSpec, config: SolverConfig):
+    def __init__(self, grid: GridSpec, config: SolverConfig, b: VectorField | None = None):
         self.grid = grid
         self.config = config
+        self.sqg = config.drift_mode == "sqg"
+        self.b = b
+        self.comps = tuple(range(grid.d)) if self.sqg else ()
+        if b is not None:
+            bmax = b.max_norm()
+            if not b.divergence_free:
+                require_divergence_free(b.spectral_divergence_max(), bmax)
+            check_cfl(grid, config.dt, bmax)
+            self.comps = tuple(j for j, a in enumerate(b.arrays()) if a.any())
         z = -config.dt * half_spectrum(diffusion_multiplier(grid, config.kernel))
         self.exp_full = np.exp(z)
         self.dt_phi1 = config.dt * _phi1(z)
@@ -246,12 +212,11 @@ class _Stepper:
         self.axes = tuple(range(-grid.d, 0))
         self._work: dict[tuple[int, ...], _Work] = {}
 
-    def _work_for(self, shape: tuple[int, ...], sqg: bool) -> _Work:
+    def _work_for(self, shape: tuple[int, ...]) -> _Work:
         w = self._work.get(shape)
         if w is None:
-            w = self._work[shape] = _Work(shape, shape[: -self.grid.d] + self.grid.shape)
-        if sqg and w.sqg is None:
-            w.sqg = _SqgWork(self.grid)
+            sqg = _SqgWork(self.grid) if self.sqg else None
+            w = self._work[shape] = _Work(shape, shape[: -self.grid.d] + self.grid.shape, sqg)
         return w
 
     def nonlinear(
@@ -285,31 +250,31 @@ class _Stepper:
         self,
         uhat: np.ndarray,
         t: float,
-        drift: DriftProvider,
-        forcing: np.ndarray | None,
-        sqg: bool = False,
+        forcing: np.ndarray | None = None,
+        drifts: tuple[VectorField, VectorField] | None = None,
     ) -> np.ndarray:
         """Advance the rfftn coefficients uhat by one step of dt after t, in
-        place, and return them.  The forcing has the shape of the samples."""
+        place, and return them.  The forcing has the shape of the samples;
+        drifts, when given, is the drift at t and at t + dt."""
         dt = self.config.dt
-        w = self._work_for(uhat.shape, sqg)
-        if sqg:
+        w = self._work_for(uhat.shape)
+        sqg = self.sqg and drifts is None
+        comps = self.comps
+        if drifts is not None:
+            (b0, b1), comps = drifts, tuple(range(self.grid.d))
+            check_cfl(self.grid, dt, b0.max_norm())
+        elif sqg:
             b0, bmax = _sqg_drift(uhat, self.grid, t, out=w.sqg)
-        else:
-            b0 = drift(t)
-            bmax = None if b0 is None else drift.max_norm(b0)
-        if bmax is not None:
             check_cfl(self.grid, dt, bmax)
-        # a fixed drift is the same field at both stages, a callable one has
-        # every component at both
-        comps = tuple(range(self.grid.d)) if sqg else drift.components(b0)
+        else:
+            b0 = b1 = self.b
         fhat = None if forcing is None else np.fft.rfftn(forcing, axes=self.axes, out=w.fhat)
         n0 = self.nonlinear(uhat, b0, comps, fhat, w, out=w.n0)
         # pred = exp_full * uhat + dt_phi1 * n0; uhat is scratch from here on
         pred = np.multiply(self.exp_full, uhat, out=w.pred)
         pred += np.multiply(self.dt_phi1, n0, out=uhat)
-        # drift lagged by one predictor stage
-        b1 = _sqg_drift(pred, self.grid, t + dt, out=w.sqg)[0] if sqg else drift(t + dt)
+        if sqg:  # the drift lagged by one predictor stage
+            b1 = _sqg_drift(pred, self.grid, t + dt, out=w.sqg)[0]
         n1 = self.nonlinear(pred, b1, comps, fhat, w, out=w.n1)
         delta = np.subtract(n1, n0, out=w.n1)
         np.add(pred, np.multiply(self.dt_phi2, delta, out=delta), out=uhat)
@@ -348,7 +313,7 @@ def _atom_in_slab(mu: MeasureData, t: float, dt: float) -> bool:
 
 def _run(
     u0: ScalarField,
-    drift: DriftProvider,
+    b: VectorField | None,
     mu: MeasureData | None,
     config: SolverConfig,
 ) -> TrajectoryStore:
@@ -362,7 +327,7 @@ def _run(
         raise ValueError(
             f"mollification width h_moll = {config.h_moll} is below the grid spacing {grid.spacing}"
         )
-    stepper = _Stepper(grid, config)
+    stepper = _Stepper(grid, config, b)
     store = TrajectoryStore(grid)
     uhat = np.fft.rfftn(u0.values)
     t = u0.time
@@ -373,7 +338,7 @@ def _run(
             f = measure_forcing(mu, t, config.dt, grid, config.h_moll)
             if np.any(f.values):
                 forcing = f.values
-        stepper.step(uhat, t, drift, forcing, sqg=config.drift_mode == "sqg")
+        stepper.step(uhat, t, forcing)
         t = u0.time + (step_idx + 1) * config.dt
         if (step_idx + 1) % config.snapshot_stride == 0 or step_idx == n_steps - 1:
             store.append(ScalarField(grid, inverse_half(uhat, grid), t))
@@ -382,16 +347,16 @@ def _run(
 
 def solve(
     u0: ScalarField,
-    b: DriftLike,
+    b: VectorField | None,
     mu: MeasureData | None,
     config: SolverConfig,
 ) -> TrajectoryStore:
     """Evolve from u0 to t_end with a given (or absent) divergence-free drift."""
     if config.drift_mode == "sqg":
         raise ValueError("use solve_sqg for the self-coupled mode")
-    if config.drift_mode == "none":
-        b = None
-    return _run(u0, DriftProvider(b), mu, config)
+    if b is not None and not isinstance(b, VectorField):
+        raise TypeError(f"the drift must be a VectorField or None, got {type(b).__name__}")
+    return _run(u0, None if config.drift_mode == "none" else b, mu, config)
 
 
 def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> TrajectoryStore:
@@ -402,12 +367,12 @@ def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> 
         raise ValueError("SQG mode requires s = 1/2")
     if config.drift_mode != "sqg":
         raise ValueError("config.drift_mode must be 'sqg'")
-    return _run(u0, DriftProvider(None), mu, config)
+    return _run(u0, None, mu, config)
 
 
 def comparison_solve(
     u_traj: TrajectoryStore,
-    b: DriftLike,
+    b: VectorField | None,
     cylinder: Cylinder,
     config: SolverConfig,
 ) -> TrajectoryStore:
@@ -418,7 +383,8 @@ def comparison_solve(
     measure, and is reset to u outside B_r(x0) after every step.  u_traj must
     store every step inside the cylinder's time window (stride 1).  With
     ``config.drift_mode == "sqg"`` the drift at each stored time is the SQG
-    drift of that u snapshot; otherwise it is ``b``.
+    drift of that u snapshot, built once and passed to the steps on either
+    side of it; otherwise it is ``b``.
     """
     grid = u_traj.grid
     Q = cylinder
@@ -433,19 +399,19 @@ def comparison_solve(
     dt = float(dts[0])
     outside = ~ball_mask(grid, Q.x0, Q.r)
 
-    stepper = _Stepper(grid, replace(config, dt=dt))
-    drift = DriftProvider(b)
-    if config.drift_mode == "sqg":
-        # a step reads the drift at both its ends, looked up by window index
-        sqg_at = lru_cache(maxsize=2)(lambda j: biot_savart_sqg(u_traj.snapshots[idx[j]]))
-        drift = DriftProvider(lambda t: sqg_at(round((t - times[0]) / dt)))
+    # the companion follows u's drift, so its stepper is never SQG: it steps
+    # with b, or is handed the SQG drifts of u's snapshots at each step's ends,
+    # each built once
+    stepper = _Stepper(grid, replace(config, dt=dt, drift_mode="given"), b)
+    sqg_drifts = (biot_savart_sqg(u_traj.snapshots[i]) for i in idx)
+    ends = pairwise(sqg_drifts) if config.drift_mode == "sqg" else repeat(None)
 
     v_store = TrajectoryStore(grid)
     v_store.append(u_traj.snapshots[idx[0]])
     v = u_traj.snapshots[idx[0]].values.copy()
     vhat = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
-    for j in range(len(idx) - 1):
-        stepper.step(np.fft.rfftn(v, out=vhat), times[j], drift, None)
+    for j, drifts in zip(range(len(idx) - 1), ends):
+        stepper.step(np.fft.rfftn(v, out=vhat), times[j], drifts=drifts)
         inverse_half(vhat, grid, out=v)
         np.copyto(v, u_traj.snapshots[idx[j + 1]].values, where=outside)
         v_store.append(ScalarField(grid, v.copy(), times[j + 1]))

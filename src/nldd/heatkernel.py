@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evolution import DriftProvider, SolverConfig, _Stepper
+from .evolution import SolverConfig, _Stepper
 from .fields import (
     GridSpec,
     ScalarField,
-    VectorField,
     gradient_wavevectors,
     grid_distance,
     half_spectrum,
@@ -55,8 +54,7 @@ class HeatKernelEstimate:
     raw_fields: dict[float, list[ScalarField]] = field(default_factory=dict)
     mollification_widths: tuple[float, ...] = ()
     kernel: KernelSpec | None = None
-    drift: VectorField | None = None
-    stepper: _Stepper | None = None
+    stepper: _Stepper | None = None  # carries the drift; kernel_sanity re-solves with it
 
     def mass(self, i: int) -> float:
         g = self.grid
@@ -80,7 +78,6 @@ def _gaussian_spectral(grid: GridSpec, y: np.ndarray, width: float) -> np.ndarra
 def _solve_recording(
     stepper: _Stepper,
     uhat0: np.ndarray,
-    drift: DriftProvider,
     t_start: float,
     record_times: np.ndarray,
 ) -> list[ScalarField] | list[list[ScalarField]]:
@@ -103,7 +100,7 @@ def _solve_recording(
     uhat = uhat0.copy()
     out = {}
     for step in range(1, steps[-1] + 1):
-        stepper.step(uhat, t_start + (step - 1) * dt, drift, None, sqg=False)
+        stepper.step(uhat, t_start + (step - 1) * dt)
         if step in steps:
             out[step] = inverse_half(uhat, grid)
     batched = uhat0.ndim > grid.d
@@ -122,7 +119,12 @@ def estimate_kernel(
     grid: GridSpec,
 ) -> HeatKernelEstimate:
     """Two-width mollified Dirac solve with Richardson extrapolation.  The
-    solve is linear in its data, so both widths advance as one stack."""
+    solve is linear in its data, so both widths advance as one stack.  The
+    SQG drift depends on the solution, so that equation has no heat kernel."""
+    if config.drift_mode == "sqg":
+        raise ValueError(
+            "the SQG drift depends on the solution, so the equation has no heat kernel"
+        )
     times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     config = replace(config, kernel=kernel)
@@ -134,11 +136,10 @@ def estimate_kernel(
         raise ValueError(
             f"first evaluation time too close to eta; need t - eta >= {min_gap:.4g}"
         )
-    drift = DriftProvider(b)
-    stepper = _Stepper(grid, config)
+    stepper = _Stepper(grid, config, b)
     widths = (h, h / 2.0)
     uhat0 = np.stack([_gaussian_spectral(grid, y, w) for w in widths])
-    raw = dict(zip(widths, _solve_recording(stepper, uhat0, drift, eta, times)))
+    raw = dict(zip(widths, _solve_recording(stepper, uhat0, eta, times)))
     fields = []
     for i, t in enumerate(times):
         extrap = (4.0 * raw[widths[1]][i].values - raw[widths[0]][i].values) / 3.0
@@ -152,7 +153,6 @@ def estimate_kernel(
         raw_fields=raw,
         mollification_widths=widths,
         kernel=kernel,
-        drift=b,
         stepper=stepper,
     )
 
@@ -282,9 +282,7 @@ def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
     weights[coarse] = est.raw_fields[width][mid].values[coarse] * H**d
     weights[weights < 1e-10] = 0.0
     uhat0 = _gaussian_spectral(grid, np.zeros(d), width) * np.fft.rfftn(weights)
-    composed = _solve_recording(
-        est.stepper, uhat0, DriftProvider(est.drift), tau, np.array([t_final])
-    )[0].values
+    composed = _solve_recording(est.stepper, uhat0, tau, np.array([t_final]))[0].values
     direct = est.raw_fields[width][-1].values
     l1_err = np.abs(composed - direct).sum() / np.abs(direct).sum()
     report.extras["semigroup_l1_error"] = float(l1_err)

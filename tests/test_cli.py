@@ -35,6 +35,17 @@ def solve_raw(**extra):
     return raw
 
 
+def heatkernel_raw(**section):
+    """A 16-point grid of spacing 0.5 and a heatkernel section that passes:
+    h_moll = 0.5 needs the first time 4 h_moll = 2 after eta = 0."""
+    return {
+        "grid": {"d": 2, "n": 16, "domain_length": 8.0},
+        "kernel": {"s": 0.5},
+        "solver": {"dt": 0.05},
+        "heatkernel": {"times": [2.0, 3.0, 4.0], "h_moll": 0.5, **section},
+    }
+
+
 class TestSolve:
     def test_writes_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, solve_raw())
@@ -109,6 +120,10 @@ class TestHeatKernel:
         # the written estimate is recognized by the inspector
         assert main(["snapshot", "info", str(out / "kernel.nldd")]) == 0
         assert "kernel estimate" in capsys.readouterr().out
+
+    def test_the_section_the_error_cases_start_from_runs(self, tmp_path, capsys):
+        assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw())]) == 0
+        assert "semigroup L1 error" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -299,6 +314,96 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd {command}: {message}"]
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                heatkernel_raw(times=2.0),
+                "'heatkernel.times': needs a list of 3 or more times for the semigroup check, got 2.0",
+            ),
+            (
+                heatkernel_raw(times=[2.0, 3.0]),
+                "'heatkernel.times': needs a list of 3 or more times for the semigroup check, "
+                "got [2.0, 3.0]",
+            ),
+            (
+                heatkernel_raw(eta=3.0),
+                "'heatkernel.times': every time must lie after eta = 3.0, got 2",
+            ),
+            (
+                heatkernel_raw(times=[2.0, 3.0, 4.01]),
+                "'heatkernel.times': time 4.01 is not a whole number of steps of solver.dt = 0.05 "
+                "after eta = 0.0",
+            ),
+            (
+                heatkernel_raw(times=[1.0, 3.0, 4.0]),
+                "'heatkernel.times': the first time 1 lies 1 after eta; h_moll = 0.5 needs a gap "
+                "of at least 4 h_moll^(2s) = 2",
+            ),
+            (
+                {"kernel": {"s": 0.5}},
+                "'heatkernel.times': the first time 0.5 lies 0.5 after eta; h_moll = 0.1963 needs "
+                "a gap of at least 4 h_moll^(2s) = 0.7854",
+            ),
+            (heatkernel_raw(y=[1.0]), "'heatkernel.y': needs 2 coordinates, got 1"),
+            (heatkernel_raw(y=[1.0, 2.0, 3.0]), "'heatkernel.y': needs 2 coordinates, got 3"),
+            (
+                heatkernel_raw(h_moll=0.25),
+                "'heatkernel.h_moll': h_moll = 0.25 is below the grid spacing 0.5",
+            ),
+            (
+                heatkernel_raw(tims=[2.0, 3.0, 4.0]),
+                "'heatkernel.tims': unknown field; the section takes eta, y, times, h_moll",
+            ),
+            (
+                {**heatkernel_raw(), "drift": {"family": "sqg"}},
+                "'drift.family': the SQG drift depends on the solution, so the equation has no "
+                "heat kernel; use none, constant, shear or lacunary",
+            ),
+        ],
+        ids=[
+            "times-scalar", "times-two", "times-before-eta", "times-off-step", "times-gap",
+            "default-section", "y-short", "y-long", "h_moll", "unknown-key", "sqg",
+        ],
+    )
+    def test_heatkernel_with_a_bad_section(self, tmp_path, capsys, monkeypatch, raw, message):
+        estimates = []
+        monkeypatch.setattr("nldd.cli.estimate_kernel", lambda *a, **k: estimates.append(a))
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["heatkernel", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd heatkernel: config field {message}"]
+        assert estimates == []
+
+    def test_potential_with_a_short_point(self, tmp_path, capsys, monkeypatch):
+        potentials = []
+        monkeypatch.setattr("nldd.cli.riesz_potential", lambda *a, **k: potentials.append(a))
+        cfg = write_cfg(tmp_path, solve_raw(
+            measure={"atoms": [{"t": 0.5, "x": [4.5, 4.0], "mass": 1.0}]},
+            verification={"params": {"potential": {"t0": 1.0, "x0": [1.0], "R": 1.0}}},
+        ))
+        assert main(["potential", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "nldd potential: config field 'verification.params.potential.x0': "
+            "needs 2 coordinates, got 1"
+        ]
+        assert potentials == []
+
+    def test_verify_with_a_selection_that_is_not_a_list(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, solve_raw(verification={"selection": "potential"}))
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "nldd verify: config field 'verification.selection': "
+            "must be a list of check names, got 'potential'"
+        ]
+        assert not out.exists()
 
     def test_verify_with_an_unknown_check(self, tmp_path):
         cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["nope"]}))

@@ -7,7 +7,6 @@ import pytest
 from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import (
     CFLError,
-    DriftProvider,
     SolverConfig,
     TrajectoryStore,
     _phi1,
@@ -74,7 +73,7 @@ def reference_step(grid, config, uhat, barrs, forcing, sqg):
     return pred + dt * _phi2(z) * (n1 - n0)
 
 
-def allocating_step(grid, config, uhat, t, drift, forcing, sqg):
+def allocating_step(grid, config, uhat, t, b, forcing, sqg):
     """The half-spectrum step with a fresh array for every temporary; a step
     that reuses its stepper's work arrays must match it bitwise."""
     dt = config.dt
@@ -83,7 +82,7 @@ def allocating_step(grid, config, uhat, t, drift, forcing, sqg):
 
     def drift_at(uh, tt):
         if not sqg:
-            return drift(tt)
+            return b
         comps = (inverse_half(m * uh, grid) for m in _sqg_multipliers(grid))
         return VectorField(tuple(ScalarField(grid, c, tt) for c in comps))
 
@@ -148,11 +147,10 @@ class TestHalfSpectrumStep:
             )
         forcing = rng.standard_normal(g.shape) if forced else None
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.005, t_end=0.02, drift_mode=mode)
-        stepper = _Stepper(g, cfg)
-        drift = DriftProvider(b)
+        stepper = _Stepper(g, cfg, b)
         uhat, ref = np.fft.rfftn(u0), np.fft.fftn(u0)
         for i in range(4):
-            uhat = stepper.step(uhat, i * cfg.dt, drift, forcing, sqg=mode == "sqg")
+            uhat = stepper.step(uhat, i * cfg.dt, forcing)
             ref = reference_step(
                 g, cfg, ref, None if b is None else b.arrays(), forcing, mode == "sqg"
             )
@@ -166,14 +164,14 @@ class TestHalfSpectrumStep:
         rng = np.random.default_rng(5)
         forcing = rng.standard_normal(g.shape) if forced else None
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.04, drift_mode=mode)
-        stepper = _Stepper(g, cfg)
-        drift = DriftProvider(shear_drift(g) if mode == "given" else None)
+        b = shear_drift(g) if mode == "given" else None
+        stepper = _Stepper(g, cfg, b)
         uhat = np.fft.rfftn(rng.standard_normal(g.shape))
         ref = uhat.copy()
         for i in range(4):
             t = i * cfg.dt
-            assert stepper.step(uhat, t, drift, forcing, sqg=mode == "sqg") is uhat
-            ref = allocating_step(g, cfg, ref, t, drift, forcing, mode == "sqg")
+            assert stepper.step(uhat, t, forcing) is uhat
+            ref = allocating_step(g, cfg, ref, t, b, forcing, mode == "sqg")
             assert np.array_equal(uhat, ref)
 
     def test_batched_and_unbatched_states_share_a_stepper(self):
@@ -182,17 +180,17 @@ class TestHalfSpectrumStep:
         g = make_grid(2, 32, 8.0)
         rng = np.random.default_rng(6)
         cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.04, drift_mode="given")
-        drift = DriftProvider(shear_drift(g))
+        drift = shear_drift(g)
         single = np.fft.rfftn(rng.standard_normal(g.shape))
         stack = np.fft.rfftn(rng.standard_normal((2, *g.shape)), axes=(-2, -1))
-        shared, alone, stacked = _Stepper(g, cfg), _Stepper(g, cfg), _Stepper(g, cfg)
+        shared, alone, stacked = (_Stepper(g, cfg, drift) for _ in range(3))
         a, b = single.copy(), stack.copy()
         for i in range(4):
             t = i * cfg.dt
-            shared.step(a, t, drift, None)
-            shared.step(b, t, drift, None)
-            alone.step(single, t, drift, None)
-            stacked.step(stack, t, drift, None)
+            shared.step(a, t)
+            shared.step(b, t)
+            alone.step(single, t)
+            stacked.step(stack, t)
         assert np.array_equal(a, single)
         assert np.array_equal(b, stack)
 
@@ -204,9 +202,9 @@ class TestHalfSpectrumStep:
 
         def budget(mode, drift, forcing):
             cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.01, drift_mode=mode)
-            stepper, drift, uhat = _Stepper(g, cfg), DriftProvider(drift), np.fft.rfftn(u0)
+            stepper, uhat = _Stepper(g, cfg, drift), np.fft.rfftn(u0)
             calls, inputs = count_transforms(monkeypatch)
-            stepper.step(uhat, 0.0, drift, forcing, sqg=mode == "sqg")
+            stepper.step(uhat, 0.0, forcing)
             monkeypatch.undo()
             return dict(calls), inputs
 
@@ -274,7 +272,7 @@ class TestHalfSpectrumStep:
         uhat = np.fft.rfftn(eigenmode(g).values)
         uhat[1, 2] = complex(uhat[1, 2].real, np.nan)
         with pytest.raises(FloatingPointError, match=r"finiteness at t = 0\.1"):
-            _Stepper(g, cfg).step(uhat, 0.0, DriftProvider(None), None)
+            _Stepper(g, cfg).step(uhat, 0.0)
 
 
 class TestConfigValidation:
@@ -409,6 +407,37 @@ class TestDrift:
         with pytest.raises(ValueError, match=r"\|div b\| = 1\.000e\+00 exceeds 1e-10"):
             solve(eigenmode(g), bad, None, cfg)
 
+    def test_fixed_drift_is_checked_when_its_stepper_is_built(self, monkeypatch):
+        # a drift that is not divergence-free, or breaks the CFL bound at dt,
+        # fails when its stepper is built, so no step is ever taken
+        g = make_grid(2, 32, 2 * np.pi)
+        xs = grid_coordinates(g)
+        steps = []
+        monkeypatch.setattr(_Stepper, "step", lambda *a, **k: steps.append(1))
+        bad = VectorField((ScalarField(g, np.cos(xs[0])), ScalarField(g, np.zeros(g.shape))))
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.05, t_end=0.5, drift_mode="given")
+        cases = [
+            (bad, ValueError, r"\|div b\| = 1\.000e\+00 exceeds 1e-10"),
+            (
+                shear_drift(g, amplitude=50.0),
+                CFLError,
+                r"time step 5\.000e-02 violates the advective CFL; admissible dt <= 1\.963e-03",
+            ),
+        ]
+        for b, error, message in cases:
+            with pytest.raises(error, match=message):
+                _Stepper(g, cfg, b)
+            with pytest.raises(error, match=message):
+                solve(eigenmode(g), b, None, cfg)
+        assert steps == []
+
+    def test_callable_drift_is_rejected(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        b = shear_drift(g)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.02, t_end=0.2, drift_mode="given")
+        with pytest.raises(TypeError, match="the drift must be a VectorField or None, got function"):
+            solve(eigenmode(g), lambda t: b, None, cfg)
+
     def test_fixed_drift_checked_once_per_solve(self, monkeypatch):
         g = make_grid(2, 16, 2 * np.pi)
         calls = []
@@ -496,22 +525,22 @@ class TestMeasureForcing:
 
 def allocating_companion(u_traj, b, Q, config, sqg_drifts=None):
     """The companion loop with fresh arrays at every step, and an SQG drift
-    looked up by nearest time; the in-place comparison_solve must match it
-    bitwise.  sqg_drifts holds one drift per snapshot of the window."""
+    looked up by nearest time at both ends of each step; the in-place
+    comparison_solve must match it bitwise.  sqg_drifts holds one drift per
+    snapshot of the window."""
     grid = u_traj.grid
     idx = u_traj.window(Q.t_start, Q.t0)
     times = [u_traj.times[i] for i in idx]
     dt = float(np.diff(times)[0])
     inside = ball_mask(grid, Q.x0, Q.r)
-    stepper = _Stepper(grid, replace(config, dt=dt))
-    drift = DriftProvider(b)
-    if sqg_drifts is not None:
-        by_time = dict(zip(times, sqg_drifts))
-        drift = DriftProvider(lambda t: by_time[min(by_time, key=lambda tt: abs(tt - t))])
+    stepper = _Stepper(grid, replace(config, dt=dt), b)
+    by_time = dict(zip(times, sqg_drifts or ()))
+    at = lambda t: by_time[min(by_time, key=lambda tt: abs(tt - t))]
     v = u_traj.snapshots[idx[0]].values.copy()
     out = [(times[0], v)]
     for j in range(len(idx) - 1):
-        vhat = stepper.step(np.fft.rfftn(v), times[j], drift, None, sqg=False)
+        drifts = None if sqg_drifts is None else (at(times[j]), at(times[j] + dt))
+        vhat = stepper.step(np.fft.rfftn(v), times[j], drifts=drifts)
         v = np.where(inside, inverse_half(vhat, grid), u_traj.snapshots[idx[j + 1]].values)
         out.append((times[j + 1], v.copy()))
     return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nldd.config import shear_drift
-from nldd.evolution import CFLError, DriftProvider, SolverConfig, _Stepper
+from nldd.evolution import CFLError, SolverConfig, _Stepper
 from nldd.fields import VectorField, make_grid, wavevectors
 from nldd.heatkernel import (
     _gaussian_spectral,
@@ -132,7 +132,15 @@ class TestEstimate:
         est = estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0], cfg, grid)
         uhat0 = _gaussian_spectral(grid, np.array([8.0, 8.0]), grid.spacing)
         with pytest.raises(ValueError, match=r"record time 0\.5 must lie after t_start = 0\.5"):
-            _solve_recording(est.stepper, uhat0, DriftProvider(None), 0.5, np.array([0.5, 1.0]))
+            _solve_recording(est.stepper, uhat0, 0.5, np.array([0.5, 1.0]))
+
+    def test_rejects_sqg_mode(self):
+        # the SQG drift depends on the solution: no kernel to estimate
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="sqg", h_moll=grid.spacing)
+        with pytest.raises(ValueError, match="the equation has no heat kernel"):
+            estimate_kernel(None, kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
 
     def test_rejects_unresolved_mollifier(self):
         grid = make_grid(2, 64, 16.0)
@@ -173,10 +181,27 @@ class TestSanity:
         times = [1.0, 1.5, 2.0]
         est = estimate_kernel(b, kern, 0.0, (2.0, 2.0), times, replace(cfg, dt=0.05), grid)
         assert (len(norms), len(stages)) == (1, 2 * 40)
+        # the drift's CFL bound is checked once, when its stepper is built
         norms.clear()
         with pytest.raises(CFLError, match="violates the advective CFL"):
-            kernel_sanity(replace(est, stepper=_Stepper(grid, replace(cfg, dt=0.5))))
+            _Stepper(grid, replace(cfg, dt=0.5), b)
         assert len(norms) == 1
+
+    def test_sanity_reuses_the_checked_drift_of_the_estimate(self, monkeypatch):
+        # the semigroup re-solve steps with the estimate's stepper, whose
+        # drift was checked when it was built: no divergence check, no norm
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
+        est = estimate_kernel(shear_drift(grid), kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
+        calls = []
+        for name in ("spectral_divergence_max", "max_norm"):
+            method = getattr(VectorField, name)
+            monkeypatch.setattr(
+                VectorField, name, lambda v, _m=method, _n=name: calls.append(_n) or _m(v)
+            )
+        assert kernel_sanity(est).extras["semigroup_ok"]
+        assert calls == []
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_both_widths_in_one_loop_match_single_solves(self, d):
@@ -185,15 +210,15 @@ class TestSanity:
         grid = make_grid(d, 16, 4.0)
         kern = KernelSpec(s=0.5)
         cfg = SolverConfig(kernel=kern, dt=0.05, t_end=1.0, drift_mode="given", h_moll=grid.spacing)
-        drift = DriftProvider(shear_drift(grid))
+        drift = shear_drift(grid)
         y = np.full(d, 1.7)
         h = grid.spacing
         starts = [_gaussian_spectral(grid, y, w) for w in (h, h / 2.0)]
         times = np.array([0.5, 1.0])
-        batched = _solve_recording(_Stepper(grid, cfg), np.stack(starts), drift, 0.0, times)
+        batched = _solve_recording(_Stepper(grid, cfg, drift), np.stack(starts), 0.0, times)
         assert len(batched) == 2
         for fields, uhat0 in zip(batched, starts):
-            alone = _solve_recording(_Stepper(grid, cfg), uhat0, drift, 0.0, times)
+            alone = _solve_recording(_Stepper(grid, cfg, drift), uhat0, 0.0, times)
             assert [f.time for f in fields] == [f.time for f in alone]
             assert all(np.array_equal(f.values, g.values) for f, g in zip(fields, alone))
 
@@ -214,7 +239,7 @@ class TestSanity:
                     continue
                 z = np.array([i, j]) * grid.spacing
                 uhat0 = _gaussian_spectral(grid, z, width)
-                kz = _solve_recording(est.stepper, uhat0, DriftProvider(b), 1.5, np.array([2.0]))[0]
+                kz = _solve_recording(est.stepper, uhat0, 1.5, np.array([2.0]))[0]
                 composed += a[i, j] * kz.values * H**2
         direct = est.raw_fields[width][-1].values
         ref = np.abs(composed - direct).sum() / np.abs(direct).sum()
