@@ -148,6 +148,14 @@ def _cmd_heatkernel(args) -> int:
     return 0 if ok else 1
 
 
+# load each kind of snapshot file, by its magic, and save it unchanged
+_ROUNDTRIPS = {
+    b"NLDD": lambda src, dst: save_field(*load_field(src), dst),
+    b"NLDT": lambda src, dst: save_trajectory(*load_trajectory(src), dst),
+    b"NLDK": lambda src, dst: save_kernel_estimate(load_kernel_estimate(src), dst),
+}
+
+
 def _cmd_snapshot(args) -> int:
     if args.snapshot_command == "info":
         with open(args.path, "rb") as fh:
@@ -180,15 +188,10 @@ def _cmd_snapshot(args) -> int:
     # roundtrip
     with open(args.src, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"NLDD":
-        field, s = load_field(args.src)
-        save_field(field, s, args.dst)
-    elif magic == b"NLDT":
-        traj, s = load_trajectory(args.src)
-        save_trajectory(traj, s, args.dst)
-    else:
+    if magic not in _ROUNDTRIPS:
         print(f"roundtrip unsupported for magic {magic!r}", file=sys.stderr)
         return 1
+    _ROUNDTRIPS[magic](args.src, args.dst)
     print(f"rewrote {args.src} -> {args.dst}")
     return 0
 

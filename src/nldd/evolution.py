@@ -176,7 +176,8 @@ class _Work:
 
 class _Stepper:
     """Precomputed exponential factors for one (grid, kernel, dt) triple, and
-    the drift law it steps with: none (b is None); a fixed drift b, checked
+    the drift law it steps with: none (b is None, or ``config.drift_mode ==
+    "none"``, which drops any b it is handed); a fixed drift b, checked
     here once, divergence-free unless flagged and within the CFL bound at
     dt, with its components that are zero everywhere found here too; or the
     SQG drift R^perp u (``config.drift_mode == "sqg"``), rebuilt at each
@@ -195,6 +196,8 @@ class _Stepper:
         self.grid = grid
         self.config = config
         self.sqg = config.drift_mode == "sqg"
+        if config.drift_mode == "none":
+            b = None
         self.b = b
         self.comps = tuple(range(grid.d)) if self.sqg else ()
         if b is not None:
@@ -356,7 +359,7 @@ def solve(
         raise ValueError("use solve_sqg for the self-coupled mode")
     if b is not None and not isinstance(b, VectorField):
         raise TypeError(f"the drift must be a VectorField or None, got {type(b).__name__}")
-    return _run(u0, None if config.drift_mode == "none" else b, mu, config)
+    return _run(u0, b, mu, config)
 
 
 def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> TrajectoryStore:
@@ -384,7 +387,8 @@ def comparison_solve(
     store every step inside the cylinder's time window (stride 1).  With
     ``config.drift_mode == "sqg"`` the drift at each stored time is the SQG
     drift of that u snapshot, built once and passed to the steps on either
-    side of it; otherwise it is ``b``.
+    side of it; under drift mode "none" there is none, and otherwise it is
+    ``b``.
     """
     grid = u_traj.grid
     Q = cylinder
@@ -400,9 +404,10 @@ def comparison_solve(
     outside = ~ball_mask(grid, Q.x0, Q.r)
 
     # the companion follows u's drift, so its stepper is never SQG: it steps
-    # with b, or is handed the SQG drifts of u's snapshots at each step's ends,
-    # each built once
-    stepper = _Stepper(grid, replace(config, dt=dt, drift_mode="given"), b)
+    # with b (none under drift mode "none"), or is handed the SQG drifts of
+    # u's snapshots at each step's ends, each built once
+    mode = "given" if config.drift_mode == "sqg" else config.drift_mode
+    stepper = _Stepper(grid, replace(config, dt=dt, drift_mode=mode), b)
     sqg_drifts = (biot_savart_sqg(u_traj.snapshots[i]) for i in idx)
     ends = pairwise(sqg_drifts) if config.drift_mode == "sqg" else repeat(None)
 

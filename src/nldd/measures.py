@@ -8,8 +8,11 @@ Q_r(t0, x0) = (t0 - r^(2s), t0) x B_r(x0) is open at both ends.
 The ball of a cylinder may ride along a slant path: at time t its centre is
 x0 + r z_r((t - t0)/r).  ``Cylinder.centers`` is the one place that computes
 it; with no path the centre is x0, so a straight cylinder is the slanted one
-with the zero path.  Masks and interpolation corners are built once per
-distinct centre (``Cylinder.distinct_centers``): once for a straight window.
+with the zero path.  A slant path is plain data (``SlantPath``), sampled once
+by ``potentials.slant_ode`` and handed to every cylinder that rides it.
+Masks and interpolation corners are built once per centre of a window
+(``Cylinder.distinct_centers``): a straight window has the one centre x0, and
+along a path each time has its own.
 """
 
 from __future__ import annotations
@@ -198,20 +201,17 @@ class Cylinder:
     def distinct_centers(
         self, times, path: SlantPath | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of ``centers(times, path)`` and, for each time,
-        the index of its row.  A straight cylinder has one distinct centre.
-
-        Rows are compared bitwise, one void scalar per row, which costs a
-        third of ``np.unique(axis=0)``.
-        """
-        centers = self.centers(times, path)
-        rows = centers.view(np.dtype((np.void, centers.itemsize * centers.shape[1])))
-        _, first, which = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-        return centers[first], which
+        """The ball centres of a window at ``times`` and, for each time, the
+        index of its centre: the one centre x0 with no path, and one centre
+        per time along a path."""
+        size = np.size(times)
+        if path is None:
+            return self.centers(times[:1]), np.zeros(size, dtype=np.intp)
+        return self.centers(times, path), np.arange(size)
 
     def window(self, traj, path: SlantPath | None = None):
         """Snapshots of ``traj`` in the closed time slab [t0 - r^(2s), t0]:
-        (indices, times, distinct centres, index of each snapshot's centre)."""
+        (indices, times, centres, index of each snapshot's centre)."""
         idx = traj.window(self.t_start, self.t0)
         if len(idx) < 2:
             raise UnresolvedCylinderError(
@@ -223,7 +223,7 @@ class Cylinder:
 
     def ball_values(self, traj, path: SlantPath | None = None):
         """Times of the window's snapshots and the values of each in its ball,
-        with one mask per distinct centre."""
+        with one mask per centre."""
         idx, times, centers, which = self.window(traj, path)
         masks = [ball_mask(traj.grid, c, self.r) for c in centers]
         return times, [traj.snapshots[i].values[masks[k]] for i, k in zip(idx, which)]

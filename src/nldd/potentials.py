@@ -15,10 +15,10 @@ the ball centre of each, straight or along a slant path.  Bilinear
 interpolation is a fixed linear map: each point reads the 2^d grid nodes at
 the corners of its cell.  Their flat indices and weights are built once per
 point set (``_corners``) and applied to any number of fields on that grid
-(``_gather``): once per distinct centre of a tail window, so once for a
-straight window, and once per slant-ODE stage for every drift component.
+(``_gather``): once per centre of a tail window, so once for a straight
+window, and once per slant-ODE stage for every drift component.
 Both write into preallocated buffers (``_corner_buffers``) when given them:
-a tail window makes one set and refills it per distinct centre, and a
+a tail window makes one set and refills it per centre, and a
 ``slant_ode`` call makes one set and refills it at every RK stage, so the
 stages allocate no point-sized arrays.  ``interpolate_periodic`` uses a fresh
 set.  ``_corners`` takes every axis through one pass of ufuncs, and the float
@@ -27,9 +27,10 @@ starts from the slope its previous step ended with, so a path costs
 1 + 4 * SLANT_STEPS = 257 stages.
 
 Most of a stage's cost is fixed, not per path, so a slanted check makes one
-``slant_ode`` call: each path takes its own start point, and the radii the
-slanted ``riesz_potential`` asks paths for come from ``potential_radii``,
-which does not depend on the centre, so they join the same call.
+``slant_ode`` call: each path takes its own start point.  A slanted
+``riesz_potential`` takes its paths as data, one per active radius of
+``potential_radii``; those radii do not depend on the centre, so a check
+integrates them in the same call as every other path it needs.
 
 The balls of ``bmo_seminorm`` are centred on grid nodes, so each is the ball
 around node 0 translated by whole nodes: its node offsets are found once per
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -268,9 +268,9 @@ def tail_time_lq(
     (``Q.centers``, along ``slant`` if given) and shared by every q.
     ``offset`` is subtracted from the sampled values of each snapshot.  The
     grid corners of the sample nodes are indexed and weighted once per
-    distinct centre, so once for a straight window, and gathered from every
-    snapshot there.  One set of corner and gather buffers serves the whole
-    window.
+    centre of the window (``Q.window``), so once for a straight window, and
+    gathered from every snapshot there.  One set of corner and gather
+    buffers serves the whole window.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1)
     bad = ~(qs > 1.0)
@@ -301,7 +301,7 @@ def riesz_potential(
     R: float,
     kernel: KernelSpec,
     a: float,
-    slant: Callable[[np.ndarray], list[SlantPath]] | None = None,
+    slant: list[SlantPath] | None = None,
     rho_min: float | None = None,
 ) -> PotentialProfile:
     """Parabolic Riesz potential of order a via a breakpoint-aware radial sum.
@@ -312,13 +312,12 @@ def riesz_potential(
     positive mass already present at rho_min marks the profile divergent and
     the value is reported as +inf.
 
-    With ``slant``, Q_rho is the slanted cylinder along the path that
-    ``slant(radii)`` returns for each radius.  It is asked, in one call, only
-    for the radii whose time slab (t0 - rho^(2s), t0) holds mass of |mu|;
-    every other cylinder has mass 0 whatever its path.  Those radii are
-    ``all_radii[active]`` of ``potential_radii(mu, t0, R, s, rho_min)``, the
-    same floats at every x0, so ``slant`` may return paths integrated before
-    the call, once it has checked that it was asked for exactly their radii.
+    With ``slant``, Q_rho is the slanted cylinder along the path of radius
+    rho.  ``slant`` lists one path for each radius whose time slab
+    (t0 - rho^(2s), t0) holds mass of |mu|, in order; every other cylinder
+    has mass 0 whatever its path.  Those radii are ``all_radii[active]`` of
+    ``potential_radii(mu, t0, R, s, rho_min)``, the same floats at every x0,
+    and a path whose ``r`` is not its radius raises ValueError.
     """
     d = mu.atom_positions.shape[-1] if mu.num_atoms else (
         mu.density.grid.d if mu.density is not None else 2
@@ -349,7 +348,15 @@ def riesz_potential(
     breaks = None if slant is not None else entry[(entry > rho_min) & (entry < R)]
     radii, all_radii, active = potential_radii(mu, t0, R, s, rho_min, breaks)
     all_masses = np.zeros(all_radii.size)
-    paths = slant(all_radii[active]) if slant is not None and active.size else [None] * active.size
+    paths = [None] * active.size
+    if slant is not None:
+        paths, wanted = list(slant), all_radii[active].tolist()
+        if [path.r for path in paths] != wanted:
+            raise ValueError(
+                f"the slanted potential takes one path per active radius of "
+                f"potential_radii, {len(wanted)} of them, but got {len(paths)} paths "
+                "of other radii"
+            )
     for i, path in zip(active, paths):
         all_masses[i] = cylinder_mass(mu, Cylinder(t0, tuple(x0), all_radii[i], s), path)
     masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
@@ -385,8 +392,8 @@ def potential_radii(
     given; ``all_radii`` are those followed by the geometric midpoints of their
     intervals; ``active`` indexes the entries of ``all_radii`` whose time slab
     holds mass of |mu|.  With no breaks (the slanted case) none of it depends
-    on x0, so ``all_radii[active]`` are the radii a slanted ``riesz_potential``
-    at any x0 asks its ``slant`` for, and their paths can be integrated first.
+    on x0, so ``all_radii[active]`` are the radii of the paths a slanted
+    ``riesz_potential`` takes at any x0.
     """
     if rho_min is None:
         rho_min = 1e-4 * R
@@ -445,23 +452,18 @@ def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
     return pts.reshape(-1, 3), wts
 
 
-def slant_ode(
-    b: VectorField,
-    scales,
-    t0: float = 0.0,
-    x0=None,
-) -> list[SlantPath]:
+def slant_ode(b: VectorField, scales, x0=None) -> list[SlantPath]:
     """Backward RK4 integration of the ball-averaged drift ODE on [-1, 0],
     one path per scale r in ``scales``.
 
-    ``b`` is an autonomous VectorField, so ``t0`` is not read.  ``x0`` is one
-    start point of shape (d,) shared by every path, or one per path, of shape
-    (len(scales), d); it defaults to the origin.  For the path of scale r from
-    x0, the right-hand side is the average of b over the ball of radius r
-    centred at x0 + r z_r(t).  All paths advance together in one RK4 loop with
-    state shape (len(scales), d); each is computed with the same arithmetic as
-    a solve of its (scale, x0) alone, so a check integrates every path it
-    needs in one call.
+    ``b`` is an autonomous VectorField.  ``x0`` is one start point of shape
+    (d,) shared by every path, or one per path, of shape (len(scales), d); it
+    defaults to the origin.  For the path of scale r from x0, the right-hand
+    side is the average of b over the ball of radius r centred at
+    x0 + r z_r(t).  All paths advance together in one RK4 loop with state
+    shape (len(scales), d); each is computed with the same arithmetic as a
+    solve of its (scale, x0) alone, so a check integrates every path it needs
+    in one call.
     """
     r = np.asarray(scales, dtype=float).reshape(-1)
     bad = ~((r > 0.0) & (r <= 1.0))

@@ -86,12 +86,14 @@ def load_field(path) -> tuple[ScalarField, float]:
     return field, s
 
 
+def _pack_trajectory(fields: list[ScalarField], s: float) -> bytes:
+    head = TRAJECTORY_MAGIC + struct.pack("<II", VERSION, len(fields))
+    return b"".join([head, *(_pack_field(field, s) for field in fields)])
+
+
 def save_trajectory(traj: TrajectoryStore, s: float, path) -> None:
-    parts = [TRAJECTORY_MAGIC + struct.pack("<II", VERSION, len(traj.times))]
-    for snap in traj.snapshots:
-        parts.append(_pack_field(snap, s))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(_pack_trajectory(traj.snapshots, s))
 
 
 def load_trajectory(path) -> tuple[TrajectoryStore, float]:
@@ -119,14 +121,10 @@ def _read_trajectory(buf: bytes, offset: int) -> tuple[list[ScalarField], float,
 
 def save_kernel_estimate(est, path) -> None:
     d = est.grid.d
-    head = KERNEL_MAGIC + struct.pack("<IId", VERSION, d, est.eta)
-    head += struct.pack(f"<{d}d", *est.y)
+    head = KERNEL_MAGIC + struct.pack(f"<IId{d}d", VERSION, d, est.eta, *est.y)
     s = est.kernel.s if est.kernel is not None else 0.0
-    parts = [head, TRAJECTORY_MAGIC + struct.pack("<II", VERSION, len(est.fields))]
-    for field in est.fields:
-        parts.append(_pack_field(field, s))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(head + _pack_trajectory(est.fields, s))
 
 
 def load_kernel_estimate(path):

@@ -51,6 +51,10 @@ __all__ = [
 
 POTENTIAL_Q = (1.5, 2.0, 4.0)
 NUM_PLACEMENTS = 10
+EXCESS_Q = 2.0  # time exponent of the excess-decay check
+HOLDER_SCALES = 4  # oscillation scales per Hölder placement, at most
+HOLDER_Q = 2.0  # time exponent of the Hölder rows' tail
+BMO_FIT_RADII = (0.25, 0.125, 0.0625)  # scales of the BMO path-norm fit
 
 
 @dataclass
@@ -164,19 +168,17 @@ def _placements(exp: Experiment, rng: np.random.Generator, count: int):
     return out
 
 
-def _integrated_slant(radii: np.ndarray, paths: list[SlantPath]):
-    """A ``riesz_potential`` slant that hands back ``paths``, integrated in
-    advance for ``radii``, once it has checked that it is asked for them."""
-
-    def slant(rhos):
-        if not np.array_equal(rhos, radii):
-            raise ValueError(
-                f"slant paths were integrated for {radii.size} radii, "
-                f"but the potential asks for {np.size(rhos)} other ones"
-            )
-        return paths
-
-    return slant
+def _slant_paths(b: VectorField, requests) -> list[list[SlantPath]]:
+    """The slant paths of b for each request (x0, scales), in one
+    ``slant_ode`` call: per request, one path from x0 per scale, in order."""
+    counts = [len(scales) for _, scales in requests]
+    paths = slant_ode(
+        b,
+        np.concatenate([np.asarray(scales, dtype=float) for _, scales in requests]),
+        x0=np.repeat([np.asarray(x0, dtype=float) for x0, _ in requests], counts, axis=0),
+    )
+    ends = np.cumsum(counts)
+    return [paths[end - count : end] for end, count in zip(ends, counts)]
 
 
 def _potential_rows(
@@ -187,31 +189,26 @@ def _potential_rows(
     resolve.  With a drift, R is capped at 1 and the cylinder and the
     potential follow its slant paths; without one they are straight.
 
-    Every slant path comes from one ``slant_ode`` call: the paths from x0 = 0
-    of ``fit_scales``, which are returned, then for each placement the path
-    of its cylinder and those its potential asks for (``potential_radii``,
-    capped at 1)."""
+    Every slant path comes from one request list (``_slant_paths``): the
+    paths from x0 = 0 of ``fit_scales``, which are returned, then for each
+    placement the path of its cylinder and those its potential takes (the
+    active radii of ``potential_radii``)."""
     s, d = exp.kernel.s, exp.grid.d
-    geometry = [(R, None, None) for _, _, R in placements]  # (R, path, slant) per placement
+    radii = [R for _, _, R in placements]
+    paths = slants = [None] * len(placements)
     fit_paths = []
     if drift is not None:
-        scales, starts, spans = list(fit_scales), [np.zeros(d)] * len(fit_scales), []
-        for t0, x0, R in placements:
-            R = min(R, 1.0)
-            rhos = np.zeros(0)
+        radii = [min(R, 1.0) for R in radii]
+        requests = [(np.zeros(d), fit_scales)]
+        for (t0, x0, _), R in zip(placements, radii):
+            rhos = []
             if exp.mu is not None:
                 _, all_radii, active = potential_radii(exp.mu, t0, R, s)
                 rhos = all_radii[active]
-            spans.append((R, len(scales), rhos))
-            scales += [R, *np.minimum(rhos, 1.0)]
-            starts += [x0] * (1 + rhos.size)
-        paths = slant_ode(drift, scales, x0=np.array(starts))
-        fit_paths = paths[: len(fit_scales)]
-        geometry = [
-            (R, paths[k], _integrated_slant(rhos, paths[k + 1 : k + 1 + rhos.size]))
-            for R, k, rhos in spans
-        ]
-    for (t0, x0, _), (R, path, slant) in zip(placements, geometry):
+            requests.append((x0, [R, *rhos]))
+        fit_paths, *placed = _slant_paths(drift, requests)
+        paths, slants = [p[0] for p in placed], [p[1:] for p in placed]
+    for (t0, x0, _), R, path, slant in zip(placements, radii, paths, slants):
         Q = Cylinder(t0, x0, R, s)
         lhs = point_value(exp.traj, t0, x0)
         try:
@@ -248,9 +245,10 @@ def verify_potential_estimate(
 
 
 def verify_excess_decay(
-    config: ExperimentConfig, m_max: int = 3, q: float = 2.0, salt: int = 2
+    config: ExperimentConfig, m_max: int = 3, salt: int = 2
 ) -> VerificationReport:
     """Geometric excess decay across dyadic scales, plus the measure term."""
+    q = EXCESS_Q
     exp0 = run_experiment(config, drop_measure=True)
     grid, s = exp0.grid, exp0.kernel.s
     R = min(
@@ -318,11 +316,7 @@ def verify_excess_decay(
 
 
 def fit_holder_exponent(
-    config: ExperimentConfig,
-    num_points: int = 10,
-    num_scales: int = 4,
-    q: float = 2.0,
-    salt: int = 3,
+    config: ExperimentConfig, num_points: int = 10, salt: int = 3
 ) -> VerificationReport:
     """Oscillation decay exponent over shrinking cylinders on homogeneous runs."""
     slanted = bool(config.params("holder").get("slanted", False))
@@ -337,6 +331,7 @@ def fit_holder_exponent(
         grid.domain_length / 8.0,
         ((exp.traj.t_end - exp.traj.t_start) * 0.95) ** (1.0 / (2.0 * s)),
     )
+    num_scales = HOLDER_SCALES
     while num_scales > 2 and r0 / 2 ** (num_scales - 1) < 3.0 * grid.spacing:
         num_scales -= 1
     if r0 / 2 ** (num_scales - 1) < 3.0 * grid.spacing:
@@ -348,13 +343,9 @@ def fit_holder_exponent(
     placements = _placements(exp, config.rng(salt), num_points)
     radii = r0 / 2.0 ** np.arange(num_scales)
     path_sets = [[None] * num_scales] * len(placements)
-    if slanted and placements:  # every placement's paths from one call
-        batch = slant_ode(
-            exp.drift,
-            np.tile(np.minimum(radii, 1.0), len(placements)),
-            x0=np.repeat([x0 for _, x0, _ in placements], num_scales, axis=0),
-        )
-        path_sets = [batch[k : k + num_scales] for k in range(0, len(batch), num_scales)]
+    if slanted and placements:  # every placement's paths from one request list
+        scales = np.minimum(radii, 1.0)
+        path_sets = _slant_paths(exp.drift, [(x0, scales) for _, x0, _ in placements])
     for (t0, x0, _), paths in zip(placements, path_sets):
         t0 = max(t0, exp.traj.t_start + r0 ** (2.0 * s))
         oscs = np.array([
@@ -369,9 +360,9 @@ def fit_holder_exponent(
         # the right-hand side on the lhs's own cylinder, slanted or straight
         Q = Cylinder(t0, x0, r0, s)
         (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,), path=paths[0])
-        (rhs2,) = tail_time_lq(exp.traj, Q, (q,), exp.kernel, opts, slant=paths[0])
+        (rhs2,) = tail_time_lq(exp.traj, Q, (HOLDER_Q,), exp.kernel, opts, slant=paths[0])
         report.add(
-            q=q, t0=t0, x0=x0, radius=r0,
+            q=HOLDER_Q, t0=t0, x0=x0, radius=r0,
             lhs=float(oscs[0]) * 0.5, rhs_terms=(rhs1, rhs2),
         )
     report.extras["alphas"] = alphas
@@ -380,9 +371,7 @@ def fit_holder_exponent(
     return report
 
 
-def verify_lorentz(
-    config: ExperimentConfig, p: float, sigma: float, salt: int = 4
-) -> VerificationReport:
+def verify_lorentz(config: ExperimentConfig, p: float, sigma: float) -> VerificationReport:
     """Empirical quasi-norm of u at the target exponent against the mu norm."""
     exp = run_experiment(config)
     grid, s, d = exp.grid, exp.kernel.s, exp.grid.d
@@ -479,13 +468,11 @@ def verify_comparison(
 
 
 def verify_bmo_slanted(
-    config: ExperimentConfig,
-    radii=(0.25, 0.125, 0.0625),
-    num_placements: int = 4,
-    salt: int = 6,
+    config: ExperimentConfig, num_placements: int = 4, salt: int = 6
 ) -> VerificationReport:
-    """Slanted-geometry potential estimate for rough (BMO) drifts at s = 1/2,
-    straight geometry for s > 1/2, plus the drift path size fit."""
+    """The potential estimate for rough (BMO) drifts: along slant paths at
+    s = 1/2, with the size of the paths from x0 = 0 fitted against the
+    c (C1 + C2 |log r|) functional form; straight for s > 1/2."""
     grid = config.build_grid()
     s = config.build_kernel().s
     b = config.build_drift(grid)
@@ -497,22 +484,20 @@ def verify_bmo_slanted(
     report.ceiling = config.ceiling("bmo-slanted")
     report.extras["C1"] = C1
     report.extras["C2"] = C2
+    critical = abs(s - 0.5) <= 1e-12
+    report.extras["mode"] = "BMO, critical slanted" if critical else "BMO, subcritical"
 
-    if abs(s - 0.5) > 1e-12:
-        report.extras["mode"] = "BMO, subcritical"
-        inner = verify_potential_estimate(
-            config, qs=(2.0,), num_placements=num_placements, salt=salt
-        )
-        report.rows.extend(inner.rows)
-        return report
-
-    report.extras["mode"] = "BMO, critical slanted"
-    c0 = float(config.params("bmo").get("c0", 0.1))
     exp = run_experiment(config)
     placements = _placements(exp, config.rng(salt), num_placements)
-    # the rows, and the paths from x0 = 0 whose size is fitted against the
-    # c (C1 + C2 |log r|) functional form, all from one slant_ode call
-    fit_paths = _potential_rows(report, exp, (2.0,), placements, drift=b, fit_scales=radii)
+    # at s = 1/2 the rows follow b's slant paths, and the paths from x0 = 0
+    # of the fit radii come from the same request list
+    drift, radii = (b, BMO_FIT_RADII) if critical else (None, ())
+    fit_paths = _potential_rows(report, exp, (2.0,), placements, drift=drift, fit_scales=radii)
+    if not (critical or report.rows):
+        raise ValueError("no admissible placements; solve window or grid too small")
+    if not critical:
+        return report
+    c0 = float(config.params("bmo").get("c0", 0.1))
     norms = np.array([path.c1_norm for path in fit_paths])
     envelopes = np.array([C1 + C2 * abs(np.log(r)) for r in radii])
     c_fit = float((norms * envelopes).sum() / (envelopes**2).sum())

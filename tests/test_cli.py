@@ -117,9 +117,13 @@ class TestHeatKernel:
         assert "mass check: ok" in printed
         assert "semigroup L1 error" in printed
         assert (out / "kernel.nldd").exists()
-        # the written estimate is recognized by the inspector
+        # the written estimate is recognized by the inspector and copied
+        # byte for byte
         assert main(["snapshot", "info", str(out / "kernel.nldd")]) == 0
         assert "kernel estimate" in capsys.readouterr().out
+        dst = tmp_path / "copy.nldd"
+        assert main(["snapshot", "roundtrip", str(out / "kernel.nldd"), str(dst)]) == 0
+        assert dst.read_bytes() == (out / "kernel.nldd").read_bytes()
 
     def test_the_section_the_error_cases_start_from_runs(self, tmp_path, capsys):
         assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw())]) == 0
@@ -424,12 +428,15 @@ class TestSnapshotCommand:
         assert "field snapshot: d = 2, n = 32" in capsys.readouterr().out
         assert main(["snapshot", "info", str(out / "trajectory.nldd")]) == 0
         assert "trajectory:" in capsys.readouterr().out
-        dst = tmp_path / "copy.nldd"
-        assert main(["snapshot", "roundtrip", str(out / "final.nldd"), str(dst)]) == 0
-        assert dst.read_bytes() == (out / "final.nldd").read_bytes()
+        for name in ("final.nldd", "trajectory.nldd"):
+            dst = tmp_path / f"copy-{name}"
+            assert main(["snapshot", "roundtrip", str(out / name), str(dst)]) == 0
+            assert dst.read_bytes() == (out / name).read_bytes()
 
     def test_info_rejects_unknown_magic(self, tmp_path, capsys):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"ZZZZ" + b"\x00" * 64)
         assert main(["snapshot", "info", str(p)]) == 1
         assert "unrecognized magic" in capsys.readouterr().err
+        assert main(["snapshot", "roundtrip", str(p), str(tmp_path / "copy.bin")]) == 1
+        assert "roundtrip unsupported for magic b'ZZZZ'" in capsys.readouterr().err

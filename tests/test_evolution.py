@@ -601,6 +601,34 @@ class TestComparison:
             comparison_solve(traj, None, Cylinder(1.0, (4.0, 4.0), 2.0, 0.5), cfg)
 
 
+class TestDriftModeNone:
+    """Under drift mode "none" every entry point drops a drift it is handed."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.times == b.times
+        for u, v in zip(a.snapshots, b.snapshots):
+            np.testing.assert_array_equal(u.values, v.values)
+
+    def test_solve_and_comparison_solve(self):
+        traj, _, cfg = atom_run("none")
+        b = shear_drift(traj.grid)
+        u0, mu = traj.snapshots[0], MeasureData.from_atoms([(0.2, (4.0, 4.0), 0.5)], 8.0)
+        self.assert_same(solve(u0, b, mu, cfg), solve(u0, None, mu, cfg))
+        Q = Cylinder(t0=0.55, x0=(4.25, 3.75), r=0.5, s=0.5)
+        self.assert_same(comparison_solve(traj, b, Q, cfg), comparison_solve(traj, None, Q, cfg))
+
+    def test_estimate_kernel(self):
+        from nldd.heatkernel import estimate_kernel
+
+        g = make_grid(2, 32, 8.0)
+        kern = KernelSpec(s=0.5)
+        cfg = SolverConfig(kern, dt=0.05, t_end=1.0, drift_mode="none", h_moll=g.spacing)
+        est = estimate_kernel(shear_drift(g), kern, 0.0, (4.0, 4.0), [1.0], cfg, g)
+        free = estimate_kernel(None, kern, 0.0, (4.0, 4.0), [1.0], cfg, g)
+        np.testing.assert_array_equal(est.fields[0].values, free.fields[0].values)
+
+
 class TestSqg:
     def test_smoke_and_mean(self):
         g = make_grid(2, 32, 2 * np.pi)

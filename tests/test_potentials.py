@@ -365,7 +365,7 @@ class TestSlantOde:
     def test_constant_drift_gives_linear_path(self):
         g = make_grid(2, 32, 8.0)
         b = constant_drift(g, (0.75, -0.25))
-        (path,) = slant_ode(b, [0.5], t0=1.0, x0=(4.0, 4.0))
+        (path,) = slant_ode(b, [0.5], x0=(4.0, 4.0))
         # dz/dt = b everywhere: z(t) = b t on [-1, 0]
         for t in (-1.0, -0.5, -0.25):
             np.testing.assert_allclose(path.at(t), [0.75 * t, -0.25 * t], atol=1e-10)
@@ -390,10 +390,10 @@ class TestSlantOde:
         g = make_grid(2, 32, 8.0)
         b = lacunary_drift(g, [0.3] * 5)
         scales = [1.0, 0.5, 0.3, 0.0625]
-        batch = slant_ode(b, scales, t0=0.7, x0=(3.1, 4.6))
+        batch = slant_ode(b, scales, x0=(3.1, 4.6))
         assert [p.r for p in batch] == scales
         for r, path in zip(scales, batch):
-            (single,) = slant_ode(b, [r], t0=0.7, x0=(3.1, 4.6))
+            (single,) = slant_ode(b, [r], x0=(3.1, 4.6))
             np.testing.assert_array_equal(path.times, single.times)
             np.testing.assert_array_equal(path.samples, single.samples)
             assert path.c1_norm == single.c1_norm
@@ -404,10 +404,10 @@ class TestSlantOde:
         b = lacunary_drift(g, [0.3] * 5)
         scales = [1.0, 0.5, 0.3, 0.0625, 0.5]
         starts = np.array([(3.1, 4.6), (0.0, 0.0), (7.9, 0.2), (3.1, 4.6), (5.25, 2.75)])
-        batch = slant_ode(b, scales, t0=0.7, x0=starts)
+        batch = slant_ode(b, scales, x0=starts)
         assert [p.r for p in batch] == scales
         for r, x0, path in zip(scales, starts, batch):
-            (single,) = slant_ode(b, [r], t0=0.7, x0=tuple(x0))
+            (single,) = slant_ode(b, [r], x0=tuple(x0))
             np.testing.assert_array_equal(path.times, single.times)
             np.testing.assert_array_equal(path.samples, single.samples)
             assert path.c1_norm == single.c1_norm
@@ -421,7 +421,7 @@ class TestSlantOde:
             slant_ode(b, [0.5, 0.25, 1.0], x0=np.zeros((2, 2)))
 
 
-def reference_slant_paths(b, scales, t0, x0, num_steps=64):
+def reference_slant_paths(b, scales, x0, num_steps=64):
     """slant_ode with a stage right-hand side that interpolates into fresh
     arrays: one interpolate_periodic call on the stacked components."""
     r = np.asarray(scales, dtype=float)
@@ -457,8 +457,8 @@ class TestSlantStageBuffers:
         b = VectorField(tuple(ScalarField(g, rng.standard_normal(g.shape)) for _ in range(d)))
         scales = [1.0, 0.7, 0.3, 0.0625, 0.5]
         x0 = np.array([3.1, 4.6, 0.4])[:d]
-        paths = slant_ode(b, scales, t0=0.7, x0=x0)
-        samples, derivs = reference_slant_paths(b, scales, 0.7, x0)
+        paths = slant_ode(b, scales, x0=x0)
+        samples, derivs = reference_slant_paths(b, scales, x0)
         for i, path in enumerate(paths):
             np.testing.assert_array_equal(path.samples, samples[:, i])
             sup = np.linalg.norm(samples[:, i], axis=-1).max() + np.linalg.norm(
@@ -475,7 +475,7 @@ class TestSlantStageBuffers:
         monkeypatch.setattr(
             potentials, "_corners", lambda *a, **k: calls.append(1) or corners(*a, **k)
         )
-        slant_ode(b, [1.0, 0.5, 0.25], t0=0.7, x0=(3.1, 4.6))
+        slant_ode(b, [1.0, 0.5, 0.25], x0=(3.1, 4.6))
         assert len(calls) == 1 + 4 * potentials.SLANT_STEPS
 
     def test_non_finite_stage_point_rejected(self):
@@ -643,6 +643,12 @@ class TestBmoSeminorm:
 
 
 class TestSlantedRiesz:
+    @staticmethod
+    def zero_paths(mu, t0, R, rho_min=None):
+        """Zero slant paths for the active radii of the potential."""
+        _, all_radii, active = potential_radii(mu, t0, R, 0.5, rho_min)
+        return [SlantPath.zero(r) for r in all_radii[active]]
+
     def test_zero_path_matches_straight(self):
         kern = KernelSpec(s=0.5)
         mu = MeasureData.from_atoms(
@@ -651,45 +657,38 @@ class TestSlantedRiesz:
         straight = riesz_potential(mu, 1.0, (4.0, 4.0), 3.0, kern, 1.0, rho_min=0.05)
         slanted = riesz_potential(
             mu, 1.0, (4.0, 4.0), 3.0, kern, 1.0,
-            slant=lambda rhos: [SlantPath.zero(r) for r in rhos], rho_min=0.05,
+            slant=self.zero_paths(mu, 1.0, 3.0, 0.05), rho_min=0.05,
         )
         assert slanted.value == pytest.approx(straight.value, rel=0.02)
-
-    @staticmethod
-    def _requested(mu, t0, R, rho_min):
-        asked = []
-
-        def slant(rhos):
-            asked.extend(rhos)
-            return [SlantPath.zero(r) for r in rhos]
-
-        prof = riesz_potential(
-            mu, t0, (4.0, 4.0), R, KernelSpec(s=0.5), 1.0, slant, rho_min=rho_min
-        )
-        mids = np.sqrt(prof.radii[:-1] * prof.radii[1:])
-        return np.sort(asked), np.sort(np.concatenate([prof.radii, mids]))
 
     def test_paths_only_for_slabs_holding_atoms(self):
         mu = MeasureData.from_atoms(
             [(0.7, (4.6, 4.0), 1.0), (0.9, (4.0, 4.3), 0.5), (1.5, (4.0, 4.0), 2.0)],
             domain_length=16.0,
         )
-        asked, radii = self._requested(mu, 1.0, 3.0, 0.05)
+        _, all_radii, active = potential_radii(mu, 1.0, 3.0, 0.5, 0.05)
         # at s = 1/2 the slab of rho is (1 - rho, 1): it holds the atom at
         # t = 0.9 exactly when rho > 0.1; the atom at t = 1.5 is in no slab
-        np.testing.assert_array_equal(asked, radii[radii > 0.1])
-        assert 0 < asked.size < radii.size
+        np.testing.assert_array_equal(all_radii[active], all_radii[all_radii > 0.1])
+        assert 0 < active.size < all_radii.size
+        paths = self.zero_paths(mu, 1.0, 3.0, 0.05)
+        prof = riesz_potential(mu, 1.0, (4.0, 4.0), 3.0, KernelSpec(s=0.5), 1.0, paths, 0.05)
+        assert prof.value > 0.0
 
     def test_density_asks_every_radius(self):
         g = make_grid(2, 16, 8.0)
         track = DensityTrack(g, [0.0, 2.0], [np.ones(g.shape)] * 2)
         mu = MeasureData(density=track)
-        asked, radii = self._requested(mu, 1.0, 1.0, 0.1)
-        np.testing.assert_array_equal(asked, radii)
+        _, all_radii, active = potential_radii(mu, 1.0, 1.0, 0.5, 0.1)
+        np.testing.assert_array_equal(active, np.arange(all_radii.size))
+        paths = [SlantPath.zero(r) for r in all_radii]
+        prof = riesz_potential(mu, 1.0, (4.0, 4.0), 1.0, KernelSpec(s=0.5), 1.0, paths, 0.1)
+        assert prof.value > 0.0
 
     @pytest.mark.parametrize("kind", ["atoms", "density"])
     def test_asks_for_the_potential_radii_at_every_centre(self, kind):
-        # the slanted radii do not depend on x0, so paths can be integrated first
+        # the slanted radii do not depend on x0, so one list of paths serves
+        # every centre
         g = make_grid(2, 16, 8.0)
         if kind == "atoms":
             mu = MeasureData.from_atoms(
@@ -699,17 +698,21 @@ class TestSlantedRiesz:
         else:
             mu = MeasureData(density=DensityTrack(g, [0.2, 0.6], [np.ones(g.shape)] * 2))
         _, all_radii, active = potential_radii(mu, 1.0, 0.8, 0.5)
+        paths = self.zero_paths(mu, 1.0, 0.8)
         for x0 in ((4.0, 4.0), (1.3, 6.2)):
-            asked = []
-
-            def slant(rhos):
-                asked.append(rhos)
-                return [SlantPath.zero(r) for r in rhos]
-
-            riesz_potential(mu, 1.0, x0, 0.8, KernelSpec(s=0.5), 1.0, slant)
-            (rhos,) = asked
-            np.testing.assert_array_equal(rhos, all_radii[active])
+            slanted = riesz_potential(mu, 1.0, x0, 0.8, KernelSpec(s=0.5), 1.0, paths)
+            np.testing.assert_array_equal(slanted.radii, potential_radii(mu, 1.0, 0.8, 0.5)[0])
         assert 0 < active.size < all_radii.size
+
+    def test_rejects_paths_of_other_radii(self):
+        mu = MeasureData.from_atoms([(0.7, (4.6, 4.0), 1.0)], domain_length=16.0)
+        kern = KernelSpec(s=0.5)
+        paths = self.zero_paths(mu, 1.0, 1.0)
+        assert riesz_potential(mu, 1.0, (4.0, 4.0), 1.0, kern, 1.0, paths).value > 0.0
+        nudged = [SlantPath.zero(np.nextafter(p.r, 1.0)) for p in paths]
+        for wrong in (paths[:-1], paths + paths[-1:], nudged, []):
+            with pytest.raises(ValueError, match=f"{len(paths)} of them, but got {len(wrong)} paths"):
+                riesz_potential(mu, 1.0, (4.0, 4.0), 1.0, kern, 1.0, wrong)
 
     def test_straight_grid_holds_the_atom_breakpoints(self):
         mu = MeasureData.from_atoms([(0.75, (4.0, 4.0), 1.0)], domain_length=16.0)

@@ -14,7 +14,6 @@ from nldd.potentials import TailOptions, excess, slant_ode, tail_time_lq
 from nldd.reports import write_csv
 from nldd.verify import (
     _cylinder_oscillation,
-    _integrated_slant,
     _placements,
     cylinder_lq_mean,
     fit_holder_exponent,
@@ -189,7 +188,7 @@ class TestHolderCheck:
             Q = Cylinder(row.t0, row.x0, row.radius, 0.5)
             path = None
             if slanted:
-                (path,) = slant_ode(exp.drift, [min(row.radius, 1.0)], row.t0, row.x0)
+                (path,) = slant_ode(exp.drift, [min(row.radius, 1.0)], x0=row.x0)
             (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,), path)
             (rhs2,) = tail_time_lq(exp.traj, Q, (2.0,), exp.kernel, exp.tail_options, slant=path)
             assert row.lhs == 0.5 * _cylinder_oscillation(exp.traj, Q, path)
@@ -233,6 +232,25 @@ class TestBmoSlantedCheck:
             verify_bmo_slanted(ExperimentConfig(raw), num_placements=2)
 
 
+    def test_subcritical_rows_carry_the_bmo_ceiling(self):
+        # at s > 1/2 the rows are straight potential-estimate rows, judged
+        # against the BMO check's own ceiling
+        raw = base_raw(
+            grid={"d": 2, "n": 64, "domain_length": 8.0},
+            kernel={"s": 0.75},
+            drift={"family": "lacunary", "coefficients": [0.3] * 5},
+            measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 0.5}]},
+            solver={"dt": 0.02, "t_end": 1.0},
+            seed=11,
+            verification={"ceilings": {"potential-estimate": 1e-3, "bmo-slanted": 10}},
+        )
+        rep = verify_bmo_slanted(ExperimentConfig(raw))
+        assert rep.extras["mode"] == "BMO, subcritical" and rep.rows
+        assert all(row.ceiling == 10 for row in rep.rows)
+        assert 0.0 < rep.fitted_constant < 10 and rep.passed
+        assert "path_norms" not in rep.extras
+
+
 class TestOneSlantIntegration:
     """Every slant path a slanted check needs comes from one slant_ode call."""
 
@@ -271,16 +289,6 @@ class TestOneSlantIntegration:
         rep = fit_holder_exponent(ExperimentConfig(raw), num_points=3)
         assert rep.extras["slanted"] and rep.rows
         assert len(calls) == 1 and calls[0] % 3 == 0
-
-    def test_integrated_slant_checks_the_radii_it_is_asked_for(self):
-        radii = np.array([0.1, 0.2, 0.4])
-        paths = [SlantPath.zero(r) for r in radii]
-        assert _integrated_slant(radii, paths)(radii.copy()) is paths
-        slant = _integrated_slant(radii, paths)
-        with pytest.raises(ValueError, match="for 3 radii, but the potential asks for 2 other"):
-            slant(radii[:2])
-        with pytest.raises(ValueError, match="integrated for 3 radii"):
-            slant(np.nextafter(radii, 1.0))
 
 
 class TestLorentzCheck:
