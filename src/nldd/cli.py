@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .config import ConfigError, grid_point, load_config
 from .fields import ScalarField, l2_norm
@@ -59,6 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("src")
     pr.add_argument("dst")
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: main() may be called many times in one
+    return build_parser()
 
 
 def _load(args):
@@ -197,7 +204,7 @@ def _cmd_snapshot(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -66,6 +66,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
+    "load_yaml",
     "lacunary_drift",
     "shear_drift",
     "check_drift_step",
@@ -396,10 +397,20 @@ def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig
         ) from None
 
 
+# libyaml's parser with the safe constructor when PyYAML was built with it:
+# the same values as yaml.safe_load, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(stream):
+    """yaml.safe_load, with libyaml's parser when it is available."""
+    return yaml.load(stream, Loader=_YAML_LOADER)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = load_yaml(fh)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

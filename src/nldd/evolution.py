@@ -8,19 +8,25 @@ the SQG drift R^perp u rebuilt at each stage); a step may instead be handed
 the drift at its two ends, as the comparison solve hands it u's SQG drift.
 
 The solver state is the rfftn half-spectrum of the real solution, and every
-transform inside a step is real (``rfftn``/``irfftn``).  The SQG drift is
-built from those coefficients, and the forcing is transformed once per step.
-The components of a fixed drift that are zero everywhere are found once,
-and a stage transforms d_j u only for the other components j.  Per step:
+transform inside a step is real: ``fields.forward_half`` (an rfftn) and
+``fields.inverse_half`` (an irfftn), which make numpy's 1-d transforms one
+axis at a time, bitwise the n-d ones.  The SQG drift is built from those
+coefficients, and the forcing is transformed once per step.  The components
+of a fixed drift that are zero everywhere are found once, and a stage
+transforms d_j u only for the other components j.  Per step:
 
-- an SQG step makes 2 rfftn and 10 irfftn: per stage 2 for the drift, 1 for
-  its divergence check, 2 for the gradient and 1 rfftn for the advection;
-- a fixed-drift step makes 2 rfftn, and 2 irfftn per component that is not
-  zero everywhere: 2 for the config's shear and lacunary drifts and a
+- an SQG step makes 2 forward and 10 inverse transforms: per stage 2
+  inverse for the drift, 1 for its divergence check, 2 for the gradient and
+  1 forward for the advection;
+- a fixed-drift step makes 2 forward, and 2 inverse per component that is
+  not zero everywhere: 2 for the config's shear and lacunary drifts and a
   constant one along x1, which are (f(x2), 0);
 - a step with no drift, or a zero one, makes none;
 
-plus 1 rfftn on steps that carry forcing.
+plus 1 forward on steps that carry forcing.  Around the transforms, a stage
+multiplies the state once per advecting component, by that component's
+dealiased ik_j, and folds the sign of -(b, grad u) into the dealiasing of
+the advection term.
 
 A step advances the state in place and refills work arrays its stepper keeps
 per state shape.  A trajectory stores u only.
@@ -39,6 +45,7 @@ from .fields import (
     VectorField,
     ball_mask,
     dealias_mask,
+    forward_half,
     grid_distance,
     half_spectrum,
     inverse_half,
@@ -166,8 +173,8 @@ class _Work:
     SQG drift's arrays (operators._SqgWork) when the stepper is SQG."""
 
     def __init__(self, spectral: tuple[int, ...], physical: tuple[int, ...], sqg: _SqgWork | None):
-        self.pred, self.n0, self.n1, self.fhat, self.masked = (
-            np.empty(spectral, dtype=complex) for _ in range(5)
+        self.pred, self.n0, self.n1, self.fhat = (
+            np.empty(spectral, dtype=complex) for _ in range(4)
         )
         self.finite = np.empty(spectral, dtype=bool)
         self.grad, self.adv = np.empty(physical), np.empty(physical)
@@ -210,9 +217,9 @@ class _Stepper:
         self.exp_full = np.exp(z)
         self.dt_phi1 = config.dt * _phi1(z)
         self.dt_phi2 = config.dt * _phi2(z)
-        self.mask = half_spectrum(dealias_mask(grid))
-        self.iks = _spectral_gradient(grid)
-        self.axes = tuple(range(-grid.d, 0))
+        mask = half_spectrum(dealias_mask(grid))
+        self.masked_iks = tuple(ik * mask for ik in _spectral_gradient(grid))
+        self.neg_mask = -mask.astype(float)
         self._work: dict[tuple[int, ...], _Work] = {}
 
     def _work_for(self, shape: tuple[int, ...]) -> _Work:
@@ -234,20 +241,24 @@ class _Stepper:
         """N(u) = -(b, grad u) + forcing, in spectral space, with b_j d_j u
         summed over the components j in comps; written to out unless it is the
         forcing alone.  out holds each gradient component's coefficients
-        until the advection term is transformed into it."""
+        (the dealiased ik_j times uhat) until the advection term is
+        transformed into it."""
         if not comps:
             if fhat is not None:
                 return fhat
             out.fill(0.0)
             return out
-        np.multiply(uhat, self.mask, out=w.masked)
-        w.adv.fill(0.0)
         barrs = b.arrays()
-        for j in comps:
-            grad = inverse_half(np.multiply(self.iks[j], w.masked, out=out), self.grid, out=w.grad)
-            w.adv += np.multiply(barrs[j], grad, out=grad)
-        np.multiply(np.fft.rfftn(w.adv, axes=self.axes, out=out), self.mask, out=out)
-        return np.subtract(0.0 if fhat is None else fhat, out, out=out)
+        for i, j in enumerate(comps):
+            grad = inverse_half(
+                np.multiply(self.masked_iks[j], uhat, out=out), self.grid, out=w.grad
+            )
+            if i:
+                w.adv += np.multiply(barrs[j], grad, out=grad)
+            else:
+                np.multiply(barrs[j], grad, out=w.adv)
+        np.multiply(forward_half(w.adv, self.grid, out=out), self.neg_mask, out=out)
+        return out if fhat is None else np.add(out, fhat, out=out)
 
     def step(
         self,
@@ -271,7 +282,7 @@ class _Stepper:
             check_cfl(self.grid, dt, bmax)
         else:
             b0 = b1 = self.b
-        fhat = None if forcing is None else np.fft.rfftn(forcing, axes=self.axes, out=w.fhat)
+        fhat = None if forcing is None else forward_half(forcing, self.grid, out=w.fhat)
         n0 = self.nonlinear(uhat, b0, comps, fhat, w, out=w.n0)
         # pred = exp_full * uhat + dt_phi1 * n0; uhat is scratch from here on
         pred = np.multiply(self.exp_full, uhat, out=w.pred)
@@ -332,7 +343,7 @@ def _run(
         )
     stepper = _Stepper(grid, config, b)
     store = TrajectoryStore(grid)
-    uhat = np.fft.rfftn(u0.values)
+    uhat = forward_half(u0.values, grid)
     t = u0.time
     store.append(ScalarField(grid, inverse_half(uhat, grid), t))
     for step_idx in range(n_steps):
@@ -416,7 +427,7 @@ def comparison_solve(
     v = u_traj.snapshots[idx[0]].values.copy()
     vhat = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
     for j, drifts in zip(range(len(idx) - 1), ends):
-        stepper.step(np.fft.rfftn(v, out=vhat), times[j], drifts=drifts)
+        stepper.step(forward_half(v, grid, out=vhat), times[j], drifts=drifts)
         inverse_half(vhat, grid, out=v)
         np.copyto(v, u_traj.snapshots[idx[j + 1]].values, where=outside)
         v_store.append(ScalarField(grid, v.copy(), times[j + 1]))

@@ -24,6 +24,7 @@ __all__ = [
     "wavevectors",
     "half_spectrum",
     "gradient_wavevectors",
+    "forward_half",
     "inverse_half",
     "require_divergence_free",
     "torus_distance",
@@ -125,10 +126,35 @@ def gradient_wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(ks)
 
 
-def inverse_half(coeff: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+def forward_half(
+    values: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
+    """rfftn-layout coefficients of real samples, transformed over the
+    trailing d axes, so a stack of fields gives a stack of coefficient arrays.
+
+    numpy's 1-d transforms in the order ``np.fft.rfftn`` makes them (rfft on
+    the last axis, then fft over the others from the last to the first), each
+    into out, so the result is rfftn's bitwise without its n-d call overhead.
+    """
+    out = np.fft.rfft(values, axis=-1, out=out)
+    for axis in range(-2, -grid.d - 1, -1):
+        np.fft.fft(out, axis=axis, out=out)
+    return out
+
+
+def inverse_half(
+    coeff: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
     """Real samples from rfftn-layout coefficients, transformed over the
-    trailing d axes, so a stack of coefficient arrays gives a stack of fields."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=tuple(range(-grid.d, 0)), out=out)
+    trailing d axes, so a stack of coefficient arrays gives a stack of fields.
+
+    The mirror of forward_half, in the order ``np.fft.irfftn`` makes them:
+    ifft over the leading d - 1 axes from the first (into one new complex
+    array, so coeff is left as it is), then irfft on the last axis into out.
+    """
+    for axis in range(-grid.d, -1):
+        coeff = np.fft.ifft(coeff, axis=axis, out=None if axis == -grid.d else coeff)
+    return np.fft.irfft(coeff, n=grid.n, axis=-1, out=out)
 
 
 @lru_cache(maxsize=64)

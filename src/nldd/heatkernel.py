@@ -4,7 +4,10 @@ Dirac initial data is realized as a periodic Gaussian of width h and one of
 width h/2, solved forward and Richardson-extrapolated in the width (the
 leading bias is quadratic in h).  The solve is linear in its data, so both
 widths advance as one stack through a single step loop, and each step
-refills its stepper's work arrays instead of allocating.  The free kernel
+refills its stepper's work arrays instead of allocating.  The same loop
+solves the semigroup check's Chapman-Kolmogorov composition: at the middle
+evaluation time the composed source joins the stack as a third member, so
+``kernel_sanity`` takes no solver step of its own.  The free kernel
 (no drift) has a closed form at s = 1/2 and is otherwise recovered by radial
 Fourier inversion, the one place here that imports scipy; both serve as
 oracles for the estimated kernel.
@@ -12,6 +15,7 @@ oracles for the estimated kernel.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +24,7 @@ from .evolution import SolverConfig, _Stepper
 from .fields import (
     GridSpec,
     ScalarField,
+    forward_half,
     gradient_wavevectors,
     grid_distance,
     half_spectrum,
@@ -54,7 +59,8 @@ class HeatKernelEstimate:
     raw_fields: dict[float, list[ScalarField]] = field(default_factory=dict)
     mollification_widths: tuple[float, ...] = ()
     kernel: KernelSpec | None = None
-    stepper: _Stepper | None = None  # carries the drift; kernel_sanity re-solves with it
+    # the h/2 composition through times[mid] at times[-1], from estimate_kernel
+    semigroup: ScalarField | None = None
 
     def mass(self, i: int) -> float:
         g = self.grid
@@ -80,11 +86,17 @@ def _solve_recording(
     uhat0: np.ndarray,
     t_start: float,
     record_times: np.ndarray,
+    join: tuple[int, Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> list[ScalarField] | list[list[ScalarField]]:
     """Solve from t_start and return the fields at the sorted record times,
     each of which must lie a whole number of steps after t_start.  A stack
     of initial coefficient arrays (one leading batch axis) is advanced in
-    one loop and gives one such list per member."""
+    one loop and gives one such list per member.
+
+    With ``join = (i, source)`` and a stacked start, ``source`` maps the
+    stack's samples at the i-th record time to the coefficients of one more
+    member, which joins the stack there; its list, last, holds the record
+    times after that one."""
     dt = stepper.config.dt
     grid = stepper.grid
     targets = np.sort(np.asarray(record_times, dtype=float))
@@ -97,16 +109,34 @@ def _solve_recording(
                 f"record time {tt} is not a whole number of steps of dt = {dt} "
                 f"after t_start = {t_start}"
             )
+    join_step, source = (None, None) if join is None else (steps[join[0]], join[1])
     uhat = uhat0.copy()
     out = {}
     for step in range(1, steps[-1] + 1):
         stepper.step(uhat, t_start + (step - 1) * dt)
         if step in steps:
             out[step] = inverse_half(uhat, grid)
-    batched = uhat0.ndim > grid.d
-    members = range(uhat0.shape[0]) if batched else [()]
-    fields = [[ScalarField(grid, out[k][m], t_start + k * dt) for k in steps] for m in members]
-    return fields if batched else fields[0]
+        if step == join_step:
+            uhat = np.concatenate([uhat, source(out[step])[None]])
+    if uhat0.ndim == grid.d:
+        return [ScalarField(grid, out[k], t_start + k * dt) for k in steps]
+    return [
+        [ScalarField(grid, out[k][m], t_start + k * dt) for k in steps if m < len(out[k])]
+        for m in range(uhat.shape[0])
+    ]
+
+
+def _composed_source(grid: GridSpec, width: float, values: np.ndarray) -> np.ndarray:
+    """rfftn coefficients of the Chapman-Kolmogorov sum over the coarse
+    sources z of values(z) H^d g_z, the width-``width`` Gaussian at z.  The
+    sources sit on every SEMIGROUP_Z_STRIDE-th grid point per axis, H apart,
+    so the sum is the Gaussian at 0 convolved with those weights."""
+    H = SEMIGROUP_Z_STRIDE * grid.spacing
+    coarse = (slice(None, None, SEMIGROUP_Z_STRIDE),) * grid.d
+    weights = np.zeros(grid.shape)
+    weights[coarse] = values[coarse] * H**grid.d
+    weights[weights < 1e-10] = 0.0
+    return _gaussian_spectral(grid, np.zeros(grid.d), width) * forward_half(weights, grid)
 
 
 def estimate_kernel(
@@ -119,8 +149,11 @@ def estimate_kernel(
     grid: GridSpec,
 ) -> HeatKernelEstimate:
     """Two-width mollified Dirac solve with Richardson extrapolation.  The
-    solve is linear in its data, so both widths advance as one stack.  The
-    SQG drift depends on the solution, so that equation has no heat kernel."""
+    solve is linear in its data, so both widths advance as one stack.  With
+    three or more times, the h/2 composition through the middle time joins
+    that stack there (``HeatKernelEstimate.semigroup``, read by
+    kernel_sanity).  The SQG drift depends on the solution, so that equation
+    has no heat kernel."""
     if config.drift_mode == "sqg":
         raise ValueError(
             "the SQG drift depends on the solution, so the equation has no heat kernel"
@@ -139,7 +172,11 @@ def estimate_kernel(
     stepper = _Stepper(grid, config, b)
     widths = (h, h / 2.0)
     uhat0 = np.stack([_gaussian_spectral(grid, y, w) for w in widths])
-    raw = dict(zip(widths, _solve_recording(stepper, uhat0, eta, times)))
+    join = None
+    if times.size >= 3:
+        join = (times.size // 2, lambda samples: _composed_source(grid, widths[1], samples[1]))
+    solved = _solve_recording(stepper, uhat0, eta, times, join)
+    raw = dict(zip(widths, solved))
     fields = []
     for i, t in enumerate(times):
         extrap = (4.0 * raw[widths[1]][i].values - raw[widths[0]][i].values) / 3.0
@@ -153,7 +190,7 @@ def estimate_kernel(
         raw_fields=raw,
         mollification_widths=widths,
         kernel=kernel,
-        stepper=stepper,
+        semigroup=solved[2][-1] if join else None,
     )
 
 
@@ -244,14 +281,13 @@ def periodized_free_kernel(
 
 def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
     """Mass, on-diagonal decay, and Chapman-Kolmogorov composition checks."""
-    if not est.raw_fields or est.stepper is None:
+    if est.semigroup is None:
         raise ValueError(
-            "kernel_sanity needs an estimate from estimate_kernel: the semigroup "
-            "check re-solves from its raw fields with its stepper, which a loaded "
-            "estimate does not carry"
+            "kernel_sanity needs an estimate from estimate_kernel with at least "
+            "three evaluation times: the semigroup check reads the composition "
+            "solved alongside the kernel, which a loaded estimate, or one with "
+            "fewer times, does not carry"
         )
-    if est.times.size < 3:
-        raise ValueError("sanity checks need at least three evaluation times")
     grid = est.grid
     d, s = grid.d, est.kernel.s
     report = VerificationReport("heat-kernel-sanity")
@@ -270,24 +306,14 @@ def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
     report.extras["on_diag_fitted"] = float(on_diag.max())
     report.extras["on_diag_per_time"] = on_diag.tolist()
 
-    # semigroup: compose through the midpoint time on a coarse source grid.
-    # The solve is linear and the sources z sit on grid points, so the sum of
-    # a(z) H^d S[g_z] over z is one solve from g_0 convolved with those weights.
-    mid = est.times.size // 2
-    tau, t_final = float(est.times[mid]), float(est.times[-1])
-    width = min(est.mollification_widths)
-    H = SEMIGROUP_Z_STRIDE * grid.spacing
-    coarse = (slice(None, None, SEMIGROUP_Z_STRIDE),) * d
-    weights = np.zeros(grid.shape)
-    weights[coarse] = est.raw_fields[width][mid].values[coarse] * H**d
-    weights[weights < 1e-10] = 0.0
-    uhat0 = _gaussian_spectral(grid, np.zeros(d), width) * np.fft.rfftn(weights)
-    composed = _solve_recording(est.stepper, uhat0, tau, np.array([t_final]))[0].values
-    direct = est.raw_fields[width][-1].values
+    # semigroup: the h/2 kernel composed through the middle time on a coarse
+    # source grid (solved by estimate_kernel) against the direct h/2 kernel
+    composed = est.semigroup.values
+    direct = est.raw_fields[min(est.mollification_widths)][-1].values
     l1_err = np.abs(composed - direct).sum() / np.abs(direct).sum()
     report.extras["semigroup_l1_error"] = float(l1_err)
     report.extras["semigroup_ok"] = bool(l1_err <= SANITY_SEMIGROUP_TOL)
-    report.extras["z_grid_spacing"] = H
+    report.extras["z_grid_spacing"] = SEMIGROUP_Z_STRIDE * grid.spacing
 
     lhs = float(np.abs(masses - 1.0).max())
     report.add(

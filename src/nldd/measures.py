@@ -30,6 +30,7 @@ __all__ = [
     "UnresolvedCylinderError",
     "SlantPath",
     "cylinder_mass",
+    "straight_cylinder_masses",
     "slanted_cylinder_mass",
 ]
 
@@ -287,6 +288,30 @@ def cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath | None = None) -
 
         total += mu.density.windowed_spatial_mass(Q.t_start, Q.t0, masks_at)
     return total
+
+
+def straight_cylinder_masses(
+    mu: MeasureData, t0: float, x0, radii: np.ndarray, s: float
+) -> np.ndarray:
+    """cylinder_mass of each straight cylinder Q_rho(t0, x0), rho in radii,
+    bitwise.  The atom distances to x0 are computed once; each radius selects
+    with its own slab start t0 - rho^(2s), the scalar power of
+    Cylinder.t_start."""
+    length = _require_length(mu)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if mu.num_atoms:
+        dist = torus_distance(mu.atom_positions, x0, length)
+        before = mu.atom_times < t0
+    masses = np.zeros(len(radii))
+    for i, rho in enumerate(radii):
+        t_start = t0 - rho ** (2.0 * s)
+        if mu.num_atoms:
+            inside = (mu.atom_times > t_start) & before & (dist < rho)
+            masses[i] = float(np.abs(mu.atom_masses[inside]).sum())
+        if mu.density is not None:
+            mask = ball_mask(mu.density.grid, x0, rho)
+            masses[i] += mu.density.windowed_spatial_mass(t_start, t0, lambda ts: [mask] * len(ts))
+    return masses
 
 
 def slanted_cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath) -> float:

@@ -25,6 +25,7 @@ from .fields import (
     GridSpec,
     ScalarField,
     VectorField,
+    forward_half,
     gradient_wavevectors,
     half_spectrum,
     inverse_half,
@@ -286,5 +287,5 @@ def biot_savart_sqg(u: ScalarField) -> VectorField:
     """SQG drift b = perp-gradient of (-Laplace)^(-1/2) u, divergence-free."""
     if u.grid.d != 2:
         raise ValueError("the SQG Biot-Savart law is two-dimensional")
-    return _sqg_drift(np.fft.rfftn(u.values), u.grid, u.time)[0]
+    return _sqg_drift(forward_half(u.values, u.grid), u.grid, u.time)[0]
 

@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
-from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass
+from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass, straight_cylinder_masses
 from .operators import KernelSpec, _sphere_area
 
 __all__ = [
@@ -348,8 +348,9 @@ def riesz_potential(
     breaks = None if slant is not None else entry[(entry > rho_min) & (entry < R)]
     radii, all_radii, active = potential_radii(mu, t0, R, s, rho_min, breaks)
     all_masses = np.zeros(all_radii.size)
-    paths = [None] * active.size
-    if slant is not None:
+    if slant is None:
+        all_masses[active] = straight_cylinder_masses(mu, t0, x0, all_radii[active], s)
+    else:
         paths, wanted = list(slant), all_radii[active].tolist()
         if [path.r for path in paths] != wanted:
             raise ValueError(
@@ -357,8 +358,8 @@ def riesz_potential(
                 f"potential_radii, {len(wanted)} of them, but got {len(paths)} paths "
                 "of other radii"
             )
-    for i, path in zip(active, paths):
-        all_masses[i] = cylinder_mass(mu, Cylinder(t0, tuple(x0), all_radii[i], s), path)
+        for i, path in zip(active, paths):
+            all_masses[i] = cylinder_mass(mu, Cylinder(t0, tuple(x0), all_radii[i], s), path)
     masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
     lo, hi = radii[:-1], radii[1:]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, check_drift_step, load_config
+from .config import ConfigError, ExperimentConfig, check_drift_step, load_config, load_yaml
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
 from .fields import GridSpec, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
@@ -493,7 +493,7 @@ def verify_bmo_slanted(
     # of the fit radii come from the same request list
     drift, radii = (b, BMO_FIT_RADII) if critical else (None, ())
     fit_paths = _potential_rows(report, exp, (2.0,), placements, drift=drift, fit_scales=radii)
-    if not (critical or report.rows):
+    if not report.rows:
         raise ValueError("no admissible placements; solve window or grid too small")
     if not critical:
         return report
@@ -542,10 +542,8 @@ def run_campaign(
     if seed is not None:
         config.raw["seed"] = int(seed)
     if ceiling_file is not None:
-        import yaml
-
         with open(ceiling_file) as fh:
-            ceilings = yaml.safe_load(fh) or {}
+            ceilings = load_yaml(fh) or {}
         config.raw["verification"] = {
             **config.verification, "ceilings": {**config.ceilings, **ceilings}
         }

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nldd import evolution, fields, operators
 from nldd.config import lacunary_drift, shear_drift
 from nldd.evolution import (
     CFLError,
@@ -113,17 +114,27 @@ def two_component_drift(grid):
 
 
 def count_transforms(monkeypatch):
-    """Count np.fft n-d transform calls by name, and keep the forward inputs."""
+    """Count the solver's transform calls, fields.forward_half and
+    inverse_half as the evolution and operators modules reach them, and any
+    n-d np.fft call, by name; keep the forward inputs."""
     calls = Counter()
     inputs = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            if _name in ("fftn", "rfftn"):
-                inputs.append(np.array(a))
-            return _fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+    def counting(name, fn):
+        def counted(a, *args, **kwargs):
+            calls[name] += 1
+            if name in ("fftn", "rfftn", "forward_half"):
+                inputs.append(np.array(a))
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    for module in (evolution, operators):
+        for name in ("forward_half", "inverse_half"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(fields, name)))
     return calls, inputs
 
 
@@ -208,17 +219,19 @@ class TestHalfSpectrumStep:
             monkeypatch.undo()
             return dict(calls), inputs
 
-        # given drift: per stage one gradient irfftn per component that is not
-        # zero everywhere and one advection rfftn, plus one forcing rfftn per
-        # step; no complex transform.  The shear drift is (cos x2, 0).
-        assert budget("given", shear_drift(g), forcing)[0] == {"rfftn": 3, "irfftn": 2}
-        assert budget("given", shear_drift(g), None)[0] == {"rfftn": 2, "irfftn": 2}
-        assert budget("given", two_component_drift(g), forcing)[0] == {"rfftn": 3, "irfftn": 4}
-        # SQG, per stage: drift (2 irfftn), its divergence check from the
-        # drift's coefficients (1 irfftn), advection (2 irfftn, 1 rfftn); no
-        # fftn, and no forward transform of the state's physical field
+        # given drift: per stage one gradient inverse per component that is
+        # not zero everywhere and one advection forward, plus one forcing
+        # forward per step; no complex or n-d numpy transform.  The shear
+        # drift is (cos x2, 0).
+        fwd, inv = "forward_half", "inverse_half"
+        assert budget("given", shear_drift(g), forcing)[0] == {fwd: 3, inv: 2}
+        assert budget("given", shear_drift(g), None)[0] == {fwd: 2, inv: 2}
+        assert budget("given", two_component_drift(g), forcing)[0] == {fwd: 3, inv: 4}
+        # SQG, per stage: drift (2 inverse), its divergence check from the
+        # drift's coefficients (1 inverse), advection (2 inverse, 1 forward);
+        # no fftn, and no forward transform of the state's physical field
         calls, inputs = budget("sqg", None, None)
-        assert calls == {"rfftn": 2, "irfftn": 10}
+        assert calls == {fwd: 2, inv: 10}
         assert not any(np.allclose(x, u0) for x in inputs)
 
     @pytest.mark.parametrize("family", ["shear", "lacunary", "two-component", "sqg"])

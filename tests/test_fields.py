@@ -8,6 +8,7 @@ from nldd.fields import (
     VectorField,
     ball_mask,
     dealias_mask,
+    forward_half,
     grid_coordinates,
     grid_distance,
     inverse_half,
@@ -48,6 +49,27 @@ class TestTransforms:
         f = ScalarField(g, rng.standard_normal(g.shape))
         back = inverse_half(np.fft.rfftn(f.values), g)
         np.testing.assert_allclose(back, f.values, atol=1e-13)
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_half_transforms_are_numpys_bitwise(self, d, n, stack):
+        # the 1-d transforms in numpy's own order give rfftn and irfftn to
+        # the bit, over the trailing d axes of a stack too
+        g = make_grid(d, n, 2 * np.pi)
+        axes = tuple(range(-d, 0))
+        values = np.random.default_rng(d).standard_normal(stack + g.shape)
+        want = np.fft.rfftn(values, axes=axes)
+        out = np.empty_like(want)
+        assert forward_half(values, g, out=out) is out
+        for got in (out, forward_half(values, g)):
+            assert got.tobytes() == want.tobytes()
+        coeff = want.copy()
+        back = np.empty_like(values)
+        assert inverse_half(coeff, g, out=back) is back
+        expected = np.fft.irfftn(want, s=g.shape, axes=axes)
+        for got in (back, inverse_half(coeff, g)):
+            assert got.tobytes() == expected.tobytes()
+        assert coeff.tobytes() == want.tobytes()  # the coefficients are left as they are
 
     def test_single_mode_eigenvalue(self):
         g = make_grid(2, 32, 2 * np.pi)

@@ -7,6 +7,7 @@ from nldd.config import shear_drift
 from nldd.evolution import CFLError, SolverConfig, _Stepper
 from nldd.fields import VectorField, make_grid, wavevectors
 from nldd.heatkernel import (
+    _composed_source,
     _gaussian_spectral,
     _solve_recording,
     estimate_kernel,
@@ -129,10 +130,9 @@ class TestEstimate:
         cfg = solver(kern, grid, dt=5e-3, t_end=2.0)
         with pytest.raises(ValueError, match=r"record time 1\.0013 is not a whole number of steps of dt = 0\.005"):
             estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0, 1.0013], cfg, grid)
-        est = estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0], cfg, grid)
         uhat0 = _gaussian_spectral(grid, np.array([8.0, 8.0]), grid.spacing)
         with pytest.raises(ValueError, match=r"record time 0\.5 must lie after t_start = 0\.5"):
-            _solve_recording(est.stepper, uhat0, 0.5, np.array([0.5, 1.0]))
+            _solve_recording(_Stepper(grid, cfg), uhat0, 0.5, np.array([0.5, 1.0]))
 
     def test_rejects_sqg_mode(self):
         # the SQG drift depends on the solution: no kernel to estimate
@@ -188,17 +188,20 @@ class TestSanity:
         assert len(norms) == 1
 
     def test_sanity_reuses_the_checked_drift_of_the_estimate(self, monkeypatch):
-        # the semigroup re-solve steps with the estimate's stepper, whose
-        # drift was checked when it was built: no divergence check, no norm
+        # the composition was solved in the estimate's own loop, with the
+        # drift checked when its stepper was built: kernel_sanity takes no
+        # solver step, and makes no divergence check and no norm
         grid = make_grid(2, 16, 4.0)
         kern = KernelSpec(s=0.5)
         cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
         est = estimate_kernel(shear_drift(grid), kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
         calls = []
-        for name in ("spectral_divergence_max", "max_norm"):
-            method = getattr(VectorField, name)
+        for cls, name in (
+            (VectorField, "spectral_divergence_max"), (VectorField, "max_norm"), (_Stepper, "step")
+        ):
+            method = getattr(cls, name)
             monkeypatch.setattr(
-                VectorField, name, lambda v, _m=method, _n=name: calls.append(_n) or _m(v)
+                cls, name, lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k)
             )
         assert kernel_sanity(est).extras["semigroup_ok"]
         assert calls == []
@@ -239,19 +242,35 @@ class TestSanity:
                     continue
                 z = np.array([i, j]) * grid.spacing
                 uhat0 = _gaussian_spectral(grid, z, width)
-                kz = _solve_recording(est.stepper, uhat0, 1.5, np.array([2.0]))[0]
+                kz = _solve_recording(_Stepper(grid, cfg, b), uhat0, 1.5, np.array([2.0]))[0]
                 composed += a[i, j] * kz.values * H**2
         direct = est.raw_fields[width][-1].values
         ref = np.abs(composed - direct).sum() / np.abs(direct).sum()
         got = kernel_sanity(est).extras["semigroup_l1_error"]
         assert got == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_composition_rides_the_estimate_bitwise(self, d):
+        # the composed source joins the stack at the middle time; its field
+        # at the last time is the one a separate solve from there gives
+        grid = make_grid(d, 16, 4.0)
+        kern = KernelSpec(s=0.75)
+        b = shear_drift(grid)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
+        est = estimate_kernel(b, kern, 0.0, np.full(d, 1.7), [1.0, 1.5, 2.0], cfg, grid)
+        width = min(est.mollification_widths)
+        source = _composed_source(grid, width, est.raw_fields[width][1].values)
+        alone = _solve_recording(_Stepper(grid, cfg, b), source, 1.5, np.array([2.0]))[0]
+        assert est.semigroup.time == alone.time == 2.0
+        assert est.semigroup.values.tobytes() == alone.values.tobytes()
+
     def test_needs_three_times(self):
         grid = make_grid(2, 64, 16.0)
         kern = KernelSpec(s=0.5)
         cfg = solver(kern, grid, dt=5e-3, t_end=2.0)
         est = estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0], cfg, grid)
-        with pytest.raises(ValueError):
+        assert est.semigroup is None
+        with pytest.raises(ValueError, match="needs an estimate from estimate_kernel"):
             kernel_sanity(est)
 
 

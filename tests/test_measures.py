@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldd.fields import make_grid
+from nldd.fields import make_grid, torus_distance
 from nldd.measures import (
     Cylinder,
     DensityTrack,
@@ -11,6 +11,7 @@ from nldd.measures import (
     SlantPath,
     cylinder_mass,
     slanted_cylinder_mass,
+    straight_cylinder_masses,
 )
 
 
@@ -107,6 +108,32 @@ class TestScaling:
         assert cylinder_mass(mu.scaled(factor), Q) == pytest.approx(
             factor * base, rel=1e-12
         )
+
+
+class TestStraightMasses:
+    @pytest.mark.parametrize("with_density", [False, True])
+    def test_match_cylinder_mass_bitwise(self, with_density):
+        # the radii riesz_potential asks for: atom entry radii as breakpoints,
+        # so some atoms sit on a ball's edge or a slab's start
+        rng = np.random.default_rng(9)
+        t0, x0, s = 1.0, np.array([3.0, 5.0]), 0.75
+        n = 12
+        mu = MeasureData(
+            atom_times=rng.uniform(0.0, 1.5, n),
+            atom_positions=rng.uniform(0.0, 8.0, (n, 2)),
+            atom_masses=rng.uniform(-2.0, 2.0, n),
+            domain_length=8.0,
+        )
+        if with_density:
+            g = make_grid(2, 16, 8.0)
+            mu.density = DensityTrack(g, [0.0, 0.6, 1.2], [rng.random(g.shape) for _ in range(3)])
+        dist = torus_distance(mu.atom_positions, x0, 8.0)
+        entry = np.maximum(np.abs(t0 - mu.atom_times) ** (1.0 / (2.0 * s)), dist)
+        radii = np.concatenate([np.geomspace(0.05, 4.0, 40), entry[entry < 4.0]])
+        got = straight_cylinder_masses(mu, t0, x0, radii, s)
+        want = [cylinder_mass(mu, Cylinder(t0, tuple(x0), r, s)) for r in radii]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert 0.0 < got.max()
 
 
 class TestSlant:

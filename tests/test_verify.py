@@ -250,6 +250,21 @@ class TestBmoSlantedCheck:
         assert 0.0 < rep.fitted_constant < 10 and rep.passed
         assert "path_norms" not in rep.extras
 
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    def test_no_resolved_placement_raises_at_every_s(self, s):
+        # snapshots 50 steps apart resolve no placement's cylinder: the check
+        # fails at s = 1/2 as it does at s > 1/2, instead of passing with 0 rows
+        raw = base_raw(
+            grid={"d": 2, "n": 64, "domain_length": 8.0},
+            kernel={"s": s},
+            drift={"family": "lacunary", "coefficients": [0.3] * 5},
+            measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 0.5}]},
+            solver={"dt": 0.02, "t_end": 1.0, "snapshot_stride": 50},
+            seed=11,
+        )
+        with pytest.raises(ValueError, match="no admissible placements"):
+            verify_bmo_slanted(ExperimentConfig(raw))
+
 
 class TestOneSlantIntegration:
     """Every slant path a slanted check needs comes from one slant_ode call."""
