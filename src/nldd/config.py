@@ -43,15 +43,16 @@ Every run is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .evolution import CFLError, SolverConfig, check_cfl
+from .evolution import CFLError, SolverConfig, check_cfl, check_solve
 from .fields import (
-    GridError,
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     grid_coordinates,
@@ -59,6 +60,7 @@ from .fields import (
     make_grid,
     wavenumber_magnitude,
 )
+from .heatkernel import check_estimate
 from .measures import DensityTrack, MeasureData
 from .operators import KernelSpec
 
@@ -70,6 +72,7 @@ __all__ = [
     "lacunary_drift",
     "shear_drift",
     "check_drift_step",
+    "check_solver",
     "grid_point",
 ]
 
@@ -84,6 +87,16 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"config field {path!r}: {message}")
         self.path = path
+
+
+@contextmanager
+def _fields(**paths: str):
+    """Raise a ParameterError from the block as a ConfigError at the config
+    field that sets the parameter it names."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(paths[exc.parameter], str(exc)) from None
 
 
 def _get(section: dict, path: str, key: str, default=None, required: bool = False):
@@ -164,21 +177,16 @@ class ExperimentConfig:
 
     def build_grid(self) -> GridSpec:
         sec = self.section("grid")
-        try:
+        with _fields(d="grid.d", n="grid.n", domain_length="grid.domain_length"):
             return make_grid(
                 d=int(_get(sec, "grid", "d", 2)),
                 n=int(_get(sec, "grid", "n", 64)),
                 domain_length=float(_get(sec, "grid", "domain_length", 2.0 * np.pi)),
             )
-        except GridError as exc:
-            raise ConfigError(f"grid.{exc.parameter}", str(exc)) from None
 
     def build_kernel(self) -> KernelSpec:
-        sec = self.section("kernel")
-        s = float(_get(sec, "kernel", "s", 0.5))
-        if not 0.0 < s < 1.0:
-            raise ConfigError("kernel.s", f"must lie in (0, 1), got {s}")
-        return KernelSpec(s=s)
+        with _fields(s="kernel.s"):
+            return KernelSpec(s=float(_get(self.section("kernel"), "kernel", "s", 0.5)))
 
     @property
     def drift_family(self) -> str:
@@ -283,15 +291,10 @@ class ExperimentConfig:
         sec = self.section("solver")
         if not bool(_get(sec, "solver", "dealias", True)):
             raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
-        dt = float(_get(sec, "solver", "dt", 1e-3))
-        t_end = float(_get(sec, "solver", "t_end", 1.0))
-        for key, value in (("dt", dt), ("t_end", t_end)):
-            if not value > 0:
-                raise ConfigError(f"solver.{key}", f"must be positive, got {value}")
         kwargs = dict(
             kernel=kernel,
-            dt=dt,
-            t_end=t_end,
+            dt=float(_get(sec, "solver", "dt", 1e-3)),
+            t_end=float(_get(sec, "solver", "t_end", 1.0)),
             drift_mode="sqg" if self.drift_family == "sqg" else (
                 "none" if self.drift_family == "none" else "given"
             ),
@@ -299,25 +302,24 @@ class ExperimentConfig:
             snapshot_stride=int(_get(sec, "solver", "snapshot_stride", 1)),
         )
         kwargs.update(overrides)
-        return SolverConfig(**kwargs)
+        with _fields(
+            dt="solver.dt", t_end="solver.t_end", snapshot_stride="solver.snapshot_stride"
+        ):
+            return SolverConfig(**kwargs)
 
     def build_heatkernel(
         self, grid: GridSpec, kernel: KernelSpec, b: VectorField | None
     ) -> tuple[float, np.ndarray, np.ndarray, SolverConfig]:
         """The heatkernel section's source time eta, source point y, sorted
-        record times and solver settings, checked before any solve.  b is the
-        config's drift, checked against the CFL bound at solver.dt."""
+        record times and solver settings, checked before any solve: the
+        section's shape here, b (the config's drift) against the CFL bound at
+        solver.dt, and the rules of an estimate's inputs by
+        heatkernel.check_estimate."""
         sec = self.section("heatkernel")
         for key in sec:
             if key not in HEATKERNEL_FIELDS:
                 known = ", ".join(HEATKERNEL_FIELDS)
                 raise ConfigError(f"heatkernel.{key}", f"unknown field; the section takes {known}")
-        if self.drift_family == "sqg":
-            raise ConfigError(
-                "drift.family",
-                "the SQG drift depends on the solution, so the equation has no heat kernel; "
-                "use none, constant, shear or lacunary",
-            )
         eta = float(_get(sec, "heatkernel", "eta", 0.0))
         y = grid_point(
             _get(sec, "heatkernel", "y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y"
@@ -329,31 +331,13 @@ class ExperimentConfig:
                 f"needs a list of 3 or more times for the semigroup check, got {times!r}",
             )
         times = np.sort(np.asarray(times, dtype=float))
-        if not times[0] > eta:
-            raise ConfigError(
-                "heatkernel.times", f"every time must lie after eta = {eta}, got {times[0]:g}"
-            )
         h_moll = float(_get(sec, "heatkernel", "h_moll", 2.0 * grid.spacing))
-        if h_moll < grid.spacing:
-            raise ConfigError(
-                "heatkernel.h_moll", f"h_moll = {h_moll} is below the grid spacing {grid.spacing}"
-            )
-        solver = self.build_solver(kernel, h_moll=h_moll, t_end=float(times[-1] - eta))
+        solver = self.build_solver(kernel, h_moll=h_moll)
         check_drift_step(b, grid, solver)
-        min_gap = 4.0 * h_moll ** (2.0 * kernel.s)
-        if times[0] - eta < min_gap:
-            raise ConfigError(
-                "heatkernel.times",
-                f"the first time {times[0]:g} lies {times[0] - eta:g} after eta; "
-                f"h_moll = {h_moll:.4g} needs a gap of at least 4 h_moll^(2s) = {min_gap:.4g}",
-            )
-        for t in times:
-            if replace(solver, t_end=float(t - eta)).num_steps is None:
-                raise ConfigError(
-                    "heatkernel.times",
-                    f"time {t:g} is not a whole number of steps of solver.dt = {solver.dt} "
-                    f"after eta = {eta}",
-                )
+        with _fields(
+            times="heatkernel.times", h_moll="heatkernel.h_moll", drift_mode="drift.family"
+        ):
+            check_estimate(grid, solver, eta, times)
         return eta, y, times, solver
 
     @property
@@ -395,6 +379,13 @@ def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig
             f"dt = {solver.dt} violates the advective CFL of the drift, max|b| = {bmax:.6g}; "
             f"admissible dt <= {exc.admissible:.3e}",
         ) from None
+
+
+def check_solver(grid: GridSpec, solver: SolverConfig, mu: MeasureData | None = None) -> None:
+    """evolution.check_solve, raised as a ConfigError at the config field
+    that sets the offending value."""
+    with _fields(t_end="solver.t_end", h_moll="solver.h_moll", drift_mode="drift.family"):
+        check_solve(grid, solver, mu)
 
 
 # libyaml's parser with the safe constructor when PyYAML was built with it:

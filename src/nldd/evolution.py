@@ -41,6 +41,7 @@ import numpy as np
 
 from .fields import (
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     ball_mask,
@@ -66,6 +67,7 @@ __all__ = [
     "TrajectoryStore",
     "CFLError",
     "check_cfl",
+    "check_solve",
     "solve",
     "solve_sqg",
     "comparison_solve",
@@ -101,12 +103,15 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        for name, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if not value > 0:
+                raise ParameterError(name, f"{name} must be positive, got {value}")
         if self.drift_mode not in ("none", "given", "sqg"):
             raise ValueError(f"unknown drift mode {self.drift_mode!r}")
         if self.snapshot_stride < 1:
-            raise ValueError("snapshot stride must be >= 1")
+            raise ParameterError(
+                "snapshot_stride", f"snapshot stride must be >= 1, got {self.snapshot_stride}"
+            )
 
     @property
     def num_steps(self) -> int | None:
@@ -321,6 +326,29 @@ def measure_forcing(
     return ScalarField(grid, out, t)
 
 
+def check_solve(grid: GridSpec, config: SolverConfig, mu: MeasureData | None = None) -> None:
+    """Raise ParameterError, naming the SolverConfig field ('t_end', 'h_moll'
+    or 'drift_mode'), when a solve on grid with measure mu cannot run: t_end
+    not a whole number of steps, atoms with h_moll below the grid spacing, or
+    the SQG drift off the critical case d = 2, s = 1/2."""
+    if config.num_steps is None:
+        raise ParameterError(
+            "t_end",
+            f"t_end = {config.t_end} must be an integer number of steps of dt = {config.dt}",
+        )
+    if mu is not None and mu.num_atoms and config.h_moll < grid.spacing:
+        raise ParameterError(
+            "h_moll",
+            f"h_moll = {config.h_moll} is below the grid spacing {grid.spacing} "
+            "of a measure with atoms",
+        )
+    s = config.kernel.s
+    if config.drift_mode == "sqg" and (grid.d != 2 or abs(s - 0.5) > 1e-12):
+        raise ParameterError(
+            "drift_mode", f"the SQG drift needs d = 2 and s = 1/2, got d = {grid.d} and s = {s}"
+        )
+
+
 def _atom_in_slab(mu: MeasureData, t: float, dt: float) -> bool:
     return bool(np.any((mu.atom_times >= t) & (mu.atom_times < t + dt)))
 
@@ -332,15 +360,8 @@ def _run(
     config: SolverConfig,
 ) -> TrajectoryStore:
     grid = u0.grid
+    check_solve(grid, config, mu)
     n_steps = config.num_steps
-    if n_steps is None:
-        raise ValueError(
-            f"t_end = {config.t_end} must be an integer number of steps of dt = {config.dt}"
-        )
-    if mu is not None and mu.num_atoms and config.h_moll < grid.spacing:
-        raise ValueError(
-            f"mollification width h_moll = {config.h_moll} is below the grid spacing {grid.spacing}"
-        )
     stepper = _Stepper(grid, config, b)
     store = TrajectoryStore(grid)
     uhat = forward_half(u0.values, grid)
@@ -375,10 +396,6 @@ def solve(
 
 def solve_sqg(u0: ScalarField, mu: MeasureData | None, config: SolverConfig) -> TrajectoryStore:
     """Dissipative SQG evolution: drift recomputed from u every stage."""
-    if u0.grid.d != 2:
-        raise ValueError("SQG mode requires d = 2")
-    if abs(config.kernel.s - 0.5) > 1e-12:
-        raise ValueError("SQG mode requires s = 1/2")
     if config.drift_mode != "sqg":
         raise ValueError("config.drift_mode must be 'sqg'")
     return _run(u0, None, mu, config)

@@ -19,6 +19,7 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "make_grid",
+    "ParameterError",
     "dealias_mask",
     "grid_coordinates",
     "wavevectors",
@@ -36,8 +37,9 @@ __all__ = [
 DIVERGENCE_FREE_TOL = 1e-10
 
 
-class GridError(ValueError):
-    """Invalid grid construction parameter, named by ``parameter``."""
+class ParameterError(ValueError):
+    """An input a grid, kernel, solver or solve cannot take, named by
+    ``parameter``; the config layer maps that name onto its field path."""
 
     def __init__(self, parameter: str, message: str):
         super().__init__(message)
@@ -72,11 +74,11 @@ class GridSpec:
 def make_grid(d: int, n: int, domain_length: float) -> GridSpec:
     """Build a grid, rejecting dimensions and sizes the solver cannot handle."""
     if d not in (2, 3):
-        raise GridError("d", f"spatial dimension must be 2 or 3, got {d}")
+        raise ParameterError("d", f"spatial dimension must be 2 or 3, got {d}")
     if n < 8 or (n & (n - 1)) != 0:
-        raise GridError("n", f"points per axis must be a power of two >= 8, got {n}")
+        raise ParameterError("n", f"points per axis must be a power of two >= 8, got {n}")
     if not domain_length > 0:
-        raise GridError("domain_length", f"domain length must be positive, got {domain_length}")
+        raise ParameterError("domain_length", f"domain length must be positive, got {domain_length}")
     return GridSpec(d=d, n=n, domain_length=float(domain_length))
 
 
@@ -229,10 +231,6 @@ class VectorField:
     @property
     def grid(self) -> GridSpec:
         return self.components[0].grid
-
-    @property
-    def time(self) -> float:
-        return self.components[0].time
 
     def max_norm(self) -> float:
         mag2 = sum(c.values**2 for c in self.components)

@@ -1,14 +1,14 @@
 """Heat kernel estimation and the bound checks that go with it.
 
-Dirac initial data is realized as a periodic Gaussian of width h and one of
-width h/2, solved forward and Richardson-extrapolated in the width (the
-leading bias is quadratic in h).  The solve is linear in its data, so both
-widths advance as one stack through a single step loop, and each step
-refills its stepper's work arrays instead of allocating.  The same loop
-solves the semigroup check's Chapman-Kolmogorov composition: at the middle
-evaluation time the composed source joins the stack as a third member, so
-``kernel_sanity`` takes no solver step of its own.  The free kernel
-(no drift) has a closed form at s = 1/2 and is otherwise recovered by radial
+Dirac initial data is realized as (4 g_{h/2} - g_h) / 3, the Richardson
+extrapolation in the width of two periodic Gaussians, whose leading bias is
+quadratic in h; the solve is linear, so one solve from that state is the
+extrapolation of the two widths' solves.  With three or more times the
+semigroup check's terms ride in the same step loop: g_{h/2} as a second
+member of the stack, and from the middle time the composition through it as
+a third, so ``kernel_sanity`` takes no solver step.  ``check_estimate`` is
+the one home of the rules for an estimate's inputs.  The free kernel (no
+drift) has a closed form at s = 1/2 and is otherwise recovered by radial
 Fourier inversion, the one place here that imports scipy; both serve as
 oracles for the estimated kernel.
 """
@@ -16,13 +16,14 @@ oracles for the estimated kernel.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evolution import SolverConfig, _Stepper
 from .fields import (
     GridSpec,
+    ParameterError,
     ScalarField,
     forward_half,
     gradient_wavevectors,
@@ -36,6 +37,7 @@ from .reports import VerificationReport
 
 __all__ = [
     "HeatKernelEstimate",
+    "check_estimate",
     "estimate_kernel",
     "exact_free_kernel",
     "periodized_free_kernel",
@@ -56,18 +58,14 @@ class HeatKernelEstimate:
     y: tuple[float, ...]
     times: np.ndarray
     fields: list[ScalarField]  # Richardson-extrapolated
-    raw_fields: dict[float, list[ScalarField]] = field(default_factory=dict)
-    mollification_widths: tuple[float, ...] = ()
     kernel: KernelSpec | None = None
-    # the h/2 composition through times[mid] at times[-1], from estimate_kernel
-    semigroup: ScalarField | None = None
+    # (composed, direct) at times[-1], from estimate_kernel: the h/2 kernel
+    # composed through times[mid], and the h/2 kernel itself
+    semigroup: tuple[ScalarField, ScalarField] | None = None
 
     def mass(self, i: int) -> float:
         g = self.grid
         return float(self.fields[i].values.mean() * g.domain_length**g.d)
-
-    def distance_to_source(self) -> np.ndarray:
-        return grid_distance(self.grid, self.y)
 
 
 def _gaussian_spectral(grid: GridSpec, y: np.ndarray, width: float) -> np.ndarray:
@@ -87,28 +85,17 @@ def _solve_recording(
     t_start: float,
     record_times: np.ndarray,
     join: tuple[int, Callable[[np.ndarray], np.ndarray]] | None = None,
-) -> list[ScalarField] | list[list[ScalarField]]:
-    """Solve from t_start and return the fields at the sorted record times,
-    each of which must lie a whole number of steps after t_start.  A stack
-    of initial coefficient arrays (one leading batch axis) is advanced in
-    one loop and gives one such list per member.
+) -> list[list[ScalarField]]:
+    """Advance a stack of initial coefficient arrays (one leading batch axis)
+    from t_start in one loop, and give per member its fields at the sorted
+    record times, each a whole number of steps after t_start.
 
-    With ``join = (i, source)`` and a stacked start, ``source`` maps the
-    stack's samples at the i-th record time to the coefficients of one more
-    member, which joins the stack there; its list, last, holds the record
-    times after that one."""
+    With ``join = (i, source)``, ``source`` maps the stack's samples at the
+    i-th record time to the coefficients of one more member, which joins the
+    stack there; its list, last, holds the record times after that one."""
     dt = stepper.config.dt
     grid = stepper.grid
-    targets = np.sort(np.asarray(record_times, dtype=float))
-    steps = np.rint((targets - t_start) / dt).astype(int)
-    for tt, k in zip(targets, steps):
-        if not tt > t_start:
-            raise ValueError(f"record time {tt} must lie after t_start = {t_start} (dt = {dt})")
-        if abs(k * dt - (tt - t_start)) > 1e-9 * (tt - t_start):
-            raise ValueError(
-                f"record time {tt} is not a whole number of steps of dt = {dt} "
-                f"after t_start = {t_start}"
-            )
+    steps = np.rint((np.sort(record_times) - t_start) / dt).astype(int)
     join_step, source = (None, None) if join is None else (steps[join[0]], join[1])
     uhat = uhat0.copy()
     out = {}
@@ -118,8 +105,6 @@ def _solve_recording(
             out[step] = inverse_half(uhat, grid)
         if step == join_step:
             uhat = np.concatenate([uhat, source(out[step])[None]])
-    if uhat0.ndim == grid.d:
-        return [ScalarField(grid, out[k], t_start + k * dt) for k in steps]
     return [
         [ScalarField(grid, out[k][m], t_start + k * dt) for k in steps if m < len(out[k])]
         for m in range(uhat.shape[0])
@@ -139,6 +124,38 @@ def _composed_source(grid: GridSpec, width: float, values: np.ndarray) -> np.nda
     return _gaussian_spectral(grid, np.zeros(grid.d), width) * forward_half(weights, grid)
 
 
+def check_estimate(grid: GridSpec, config: SolverConfig, eta: float, times: np.ndarray) -> None:
+    """Raise ParameterError, naming 'drift_mode', 'h_moll' or 'times', unless
+    a heat kernel from eta can be estimated at the sorted times with these
+    solver settings: the drift is not SQG, h_moll is at least one grid
+    spacing, and every time lies a whole number of steps of dt after eta, the
+    first at least 4 h_moll^(2s) after it."""
+    if config.drift_mode == "sqg":
+        raise ParameterError(
+            "drift_mode",
+            "the SQG drift depends on the solution, so the equation has no heat kernel; "
+            "use none, constant, shear or lacunary",
+        )
+    h = config.h_moll
+    if h < grid.spacing:
+        raise ParameterError("h_moll", f"h_moll = {h} is below the grid spacing {grid.spacing}")
+    if not times[0] > eta:
+        raise ParameterError("times", f"every time must lie after eta = {eta}, got {times[0]:g}")
+    min_gap = 4.0 * h ** (2.0 * config.kernel.s)
+    if times[0] - eta < min_gap:
+        raise ParameterError(
+            "times",
+            f"the first time {times[0]:g} lies {times[0] - eta:g} after eta; "
+            f"h_moll = {h:.4g} needs a gap of at least 4 h_moll^(2s) = {min_gap:.4g}",
+        )
+    for t in times:
+        if replace(config, t_end=float(t - eta)).num_steps is None:
+            raise ParameterError(
+                "times",
+                f"time {t:g} is not a whole number of steps of dt = {config.dt} after eta = {eta}",
+            )
+
+
 def estimate_kernel(
     b,
     kernel: KernelSpec,
@@ -148,49 +165,32 @@ def estimate_kernel(
     config: SolverConfig,
     grid: GridSpec,
 ) -> HeatKernelEstimate:
-    """Two-width mollified Dirac solve with Richardson extrapolation.  The
-    solve is linear in its data, so both widths advance as one stack.  With
-    three or more times, the h/2 composition through the middle time joins
-    that stack there (``HeatKernelEstimate.semigroup``, read by
-    kernel_sanity).  The SQG drift depends on the solution, so that equation
-    has no heat kernel."""
-    if config.drift_mode == "sqg":
-        raise ValueError(
-            "the SQG drift depends on the solution, so the equation has no heat kernel"
-        )
-    times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    """The heat kernel from y at eta, at each of the times: one solve from
+    the Richardson-extrapolated Dirac (4 g_{h/2} - g_h) / 3, h = config.h_moll,
+    whose fields are the estimate's as they come out of the loop.  With three
+    or more times, g_{h/2} advances beside it and the composition through the
+    middle time joins the stack there (``HeatKernelEstimate.semigroup``, read
+    by kernel_sanity).  check_estimate runs before any step."""
     config = replace(config, kernel=kernel)
+    times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
+    check_estimate(grid, config, eta, times)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     h = config.h_moll
-    if h < grid.spacing:
-        raise ValueError("mollification width must be at least one grid spacing")
-    min_gap = 4.0 * h ** (2.0 * kernel.s)
-    if times[0] - eta < min_gap:
-        raise ValueError(
-            f"first evaluation time too close to eta; need t - eta >= {min_gap:.4g}"
-        )
-    stepper = _Stepper(grid, config, b)
-    widths = (h, h / 2.0)
-    uhat0 = np.stack([_gaussian_spectral(grid, y, w) for w in widths])
+    fine = _gaussian_spectral(grid, y, h / 2.0)
+    members = [(4.0 * fine - _gaussian_spectral(grid, y, h)) / 3.0]
     join = None
     if times.size >= 3:
-        join = (times.size // 2, lambda samples: _composed_source(grid, widths[1], samples[1]))
-    solved = _solve_recording(stepper, uhat0, eta, times, join)
-    raw = dict(zip(widths, solved))
-    fields = []
-    for i, t in enumerate(times):
-        extrap = (4.0 * raw[widths[1]][i].values - raw[widths[0]][i].values) / 3.0
-        fields.append(ScalarField(grid, extrap, t))
+        members.append(fine)
+        join = (times.size // 2, lambda samples: _composed_source(grid, h / 2.0, samples[1]))
+    solved = _solve_recording(_Stepper(grid, config, b), np.stack(members), eta, times, join)
     return HeatKernelEstimate(
         grid=grid,
         eta=eta,
         y=tuple(y),
         times=times,
-        fields=fields,
-        raw_fields=raw,
-        mollification_widths=widths,
+        fields=solved[0],
         kernel=kernel,
-        semigroup=solved[2][-1] if join else None,
+        semigroup=(solved[2][-1], solved[1][-1]) if join else None,
     )
 
 
@@ -308,8 +308,7 @@ def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
 
     # semigroup: the h/2 kernel composed through the middle time on a coarse
     # source grid (solved by estimate_kernel) against the direct h/2 kernel
-    composed = est.semigroup.values
-    direct = est.raw_fields[min(est.mollification_widths)][-1].values
+    composed, direct = (f.values for f in est.semigroup)
     l1_err = np.abs(composed - direct).sum() / np.abs(direct).sum()
     report.extras["semigroup_l1_error"] = float(l1_err)
     report.extras["semigroup_ok"] = bool(l1_err <= SANITY_SEMIGROUP_TOL)
@@ -335,7 +334,7 @@ def upper_bound_check(
     the grid (restricted to |x-y| <= L/4) and over times <= T."""
     grid = est.grid
     d, s = grid.d, est.kernel.s
-    dist = est.distance_to_source()
+    dist = grid_distance(grid, est.y)
     window = dist <= grid.domain_length / 4.0
     report = VerificationReport("heat-kernel-upper-bound")
     report.ceiling = ceiling

@@ -62,14 +62,6 @@ class DensityTrack:
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
-    def total_mass(self) -> float:
-        if self.times.size < 2:
-            return 0.0
-        slice_masses = np.array(
-            [np.abs(v).sum() * self.grid.cell_volume for v in self.values]
-        )
-        return float(np.trapezoid(slice_masses, self.times))
-
     def windowed_spatial_mass(self, t0: float, t1: float, masks_at) -> float:
         """Integral of |rho| over (t0, t1) x {mask}, trapezoid in time.
 
@@ -132,13 +124,6 @@ class MeasureData:
     @property
     def num_atoms(self) -> int:
         return self.atom_times.size
-
-    @property
-    def total_mass(self) -> float:
-        total = float(np.abs(self.atom_masses).sum())
-        if self.density is not None:
-            total += self.density.total_mass()
-        return total
 
     def scaled(self, factor: float) -> "MeasureData":
         density = self.density

@@ -23,6 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .fields import (
     GridSpec,
+    ParameterError,
     ScalarField,
     VectorField,
     forward_half,
@@ -55,7 +56,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
-            raise ValueError(f"order s must lie in (0, 1), got {self.s}")
+            raise ParameterError("s", f"order s must lie in (0, 1), got {self.s}")
         if self.truncation_radius is not None and not self.truncation_radius > 0:
             raise ValueError("truncation radius must be positive when present")
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, check_drift_step, load_config, load_yaml
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    check_drift_step,
+    check_solver,
+    load_config,
+    load_yaml,
+)
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
 from .fields import GridSpec, VectorField, ball_mask
 from .lorentz import lorentz_quasi_norm, target_exponent
@@ -85,17 +92,7 @@ def run_experiment(
     if mu is not None and config.section("solver").get("h_moll", 0.0) == 0.0:
         solver_overrides.setdefault("h_moll", 2.0 * grid.spacing)
     solver = config.build_solver(kernel, **solver_overrides)
-    if solver.num_steps is None:
-        raise ConfigError(
-            "solver.t_end",
-            f"t_end = {solver.t_end} must be an integer number of steps of dt = {solver.dt}",
-        )
-    if mu is not None and mu.num_atoms and solver.h_moll < grid.spacing:
-        raise ConfigError(
-            "solver.h_moll",
-            f"h_moll = {solver.h_moll} is below the grid spacing {grid.spacing} "
-            "of a measure with atoms",
-        )
+    check_solver(grid, solver, mu)
     u0 = config.build_initial(grid)
     if initial_scale != 1.0:
         u0 = u0.with_values(initial_scale * u0.values)
@@ -553,6 +550,8 @@ def run_campaign(
         if name not in CHECKS:
             raise ConfigError("verification.selection", f"unknown check {name!r}")
         config.params(name)
+    if config.selection:  # every check solves with these settings
+        check_solver(config.build_grid(), config.build_solver(config.build_kernel()))
 
     os.makedirs(out_dir, exist_ok=True)
     reports: list[VerificationReport] = []

@@ -208,19 +208,24 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "section, value, message",
         [
-            ("kernel", {"s": 1.5}, "config field 'kernel.s': must lie in (0, 1), got 1.5"),
+            ("kernel", {"s": 1.5}, "config field 'kernel.s': order s must lie in (0, 1), got 1.5"),
             (
                 "solver",
                 {"dt": -0.02, "t_end": 0.5},
-                "config field 'solver.dt': must be positive, got -0.02",
+                "config field 'solver.dt': dt must be positive, got -0.02",
             ),
             (
                 "solver",
                 {"dt": 5e-3, "t_end": 0.0},
-                "config field 'solver.t_end': must be positive, got 0.0",
+                "config field 'solver.t_end': t_end must be positive, got 0.0",
+            ),
+            (
+                "solver",
+                {"dt": 5e-3, "t_end": 0.5, "snapshot_stride": 0},
+                "config field 'solver.snapshot_stride': snapshot stride must be >= 1, got 0",
             ),
         ],
-        ids=["kernel.s", "solver.dt", "solver.t_end"],
+        ids=["kernel.s", "solver.dt", "solver.t_end", "solver.snapshot_stride"],
     )
     def test_solve_with_an_out_of_range_value(self, tmp_path, section, value, message):
         cfg = write_cfg(tmp_path, solve_raw(**{section: value}))
@@ -288,6 +293,42 @@ class TestConfigErrors:
         assert captured.err.splitlines() == [f"nldd solve: {message}"]
         assert solves == []
 
+    @pytest.mark.parametrize("command", ["solve", "sqg", "verify"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                {"kernel": {"s": 0.75}},
+                "config field 'drift.family': the SQG drift needs d = 2 and s = 1/2, "
+                "got d = 2 and s = 0.75",
+            ),
+            (
+                {"grid": {"d": 3, "n": 16, "domain_length": 8.0}},
+                "config field 'drift.family': the SQG drift needs d = 2 and s = 1/2, "
+                "got d = 3 and s = 0.5",
+            ),
+        ],
+        ids=["kernel.s", "grid.d"],
+    )
+    def test_sqg_off_the_critical_case_through_main(
+        self, tmp_path, capsys, monkeypatch, command, extra, message
+    ):
+        solves = []
+        monkeypatch.setattr("nldd.verify.solve_sqg", lambda *a, **k: solves.append(a))
+        raw = solve_raw(
+            drift={"family": "sqg"}, verification={"selection": ["potential"]}, **extra
+        )
+        cfg = write_cfg(tmp_path, raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(load_config(cfg))
+        out = tmp_path / "reports"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd {command}: {message}"]
+        assert solves == []
+        assert not out.exists()
+
     def test_heatkernel_with_a_fixed_drift_past_its_cfl_bound(self, tmp_path, capsys, monkeypatch):
         estimates = []
         monkeypatch.setattr("nldd.cli.estimate_kernel", lambda *a, **k: estimates.append(a))
@@ -337,7 +378,7 @@ class TestConfigErrors:
             ),
             (
                 heatkernel_raw(times=[2.0, 3.0, 4.01]),
-                "'heatkernel.times': time 4.01 is not a whole number of steps of solver.dt = 0.05 "
+                "'heatkernel.times': time 4.01 is not a whole number of steps of dt = 0.05 "
                 "after eta = 0.0",
             ),
             (

@@ -124,7 +124,9 @@ class TestMeasure:
         )
         mu = cfg.build_measure(make_grid(2, 16, 4.0))
         assert mu.num_atoms == 1
-        assert mu.total_mass == 3.0
+        assert mu.atom_masses.tolist() == [3.0]
+        assert mu.atom_times.tolist() == [0.5]
+        assert mu.atom_positions.tolist() == [[1.0, 2.0]]
         assert mu.domain_length == 4.0
 
     @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], 1.0], ids=["short", "long", "scalar"])
@@ -142,8 +144,13 @@ class TestMeasure:
             {"measure": {"density": {"kind": "uniform", "level": 2.0,
                                      "t_start": 0.0, "t_end": 1.0}}}
         )
-        mu = cfg.build_measure(make_grid(2, 16, 4.0))
-        assert mu.density.total_mass() == pytest.approx(32.0)
+        g = make_grid(2, 16, 4.0)
+        mu = cfg.build_measure(g)
+        assert mu.num_atoms == 0
+        # 9 slices by default, evenly spaced over [t_start, t_end]
+        np.testing.assert_array_equal(mu.density.times, np.linspace(0.0, 1.0, 9))
+        assert len(mu.density.values) == 9
+        assert all(np.array_equal(v, np.full(g.shape, 2.0)) for v in mu.density.values)
 
     def test_inverse_power_density_peaks_at_center(self):
         g = make_grid(2, 32, 4.0)

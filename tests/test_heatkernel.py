@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldd.config import shear_drift
+from nldd.config import ExperimentConfig, shear_drift
 from nldd.evolution import CFLError, SolverConfig, _Stepper
-from nldd.fields import VectorField, make_grid, wavevectors
+from nldd.fields import ParameterError, VectorField, make_grid, wavevectors
 from nldd.heatkernel import (
     _composed_source,
     _gaussian_spectral,
@@ -25,6 +25,12 @@ def solver(kernel, grid, dt=2e-3, t_end=1.0, h_factor=1.0):
     return SolverConfig(
         kernel=kernel, dt=dt, t_end=t_end, h_moll=h_factor * grid.spacing
     )
+
+
+def width_solve(grid, cfg, b, y, width, t_start, times):
+    """The fields of one Gaussian of the given width at y, solved alone."""
+    uhat0 = _gaussian_spectral(grid, np.asarray(y, dtype=float), width)
+    return _solve_recording(_Stepper(grid, cfg, b), uhat0[None], t_start, np.array(times))[0]
 
 
 class TestExactFreeKernel:
@@ -117,6 +123,50 @@ class TestEstimate:
             a.fields[0].values, b.fields[0].values, atol=1e-10
         )
 
+    @staticmethod
+    def record_stepped_shapes(monkeypatch):
+        shapes = []
+        step = _Stepper.step
+        monkeypatch.setattr(
+            _Stepper, "step", lambda self, uhat, *a, **k: shapes.append(uhat.shape)
+            or step(self, uhat, *a, **k)
+        )
+        return shapes
+
+    def test_one_start_steps_one_member(self, monkeypatch):
+        # fewer than three times: no semigroup terms, so the stack holds the
+        # extrapolated start alone
+        grid = make_grid(2, 16, 4.0)
+        kern = KernelSpec(s=0.5)
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
+        shapes = self.record_stepped_shapes(monkeypatch)
+        est = estimate_kernel(shear_drift(grid), kern, 0.0, (2.0, 2.0), [1.0, 2.0], cfg, grid)
+        assert est.semigroup is None
+        assert shapes == [(1, 16, 9)] * 40
+        # three times: the h/2 term rides along, and the composition joins
+        # at the middle time
+        shapes.clear()
+        estimate_kernel(shear_drift(grid), kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
+        assert shapes == [(2, 16, 9)] * 30 + [(3, 16, 9)] * 10
+
+    @pytest.mark.parametrize("drift", ["none", "shear"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fields_are_the_two_width_extrapolation(self, d, drift):
+        # reference: Richardson in the width from separate h and h/2 solves
+        grid = make_grid(d, 16, 4.0)
+        kern = KernelSpec(s=0.75)
+        b = shear_drift(grid) if drift == "shear" else None
+        mode = "given" if drift == "shear" else "none"
+        cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode=mode, h_moll=grid.spacing)
+        y, h, times = np.full(d, 1.7), grid.spacing, [1.0, 1.5, 2.0]
+        est = estimate_kernel(b, kern, 0.0, y, times, cfg, grid)
+        coarse = width_solve(grid, cfg, b, y, h, 0.0, times)
+        fine = width_solve(grid, cfg, b, y, h / 2.0, 0.0, times)
+        for got, g_h, g_half in zip(est.fields, coarse, fine):
+            want = (4.0 * g_half.values - g_h.values) / 3.0
+            assert got.time == g_h.time
+            assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_rejects_time_too_close_to_source(self):
         grid = make_grid(2, 64, 16.0)
         kern = KernelSpec(s=0.5)
@@ -128,11 +178,12 @@ class TestEstimate:
         grid = make_grid(2, 64, 16.0)
         kern = KernelSpec(s=0.5)
         cfg = solver(kern, grid, dt=5e-3, t_end=2.0)
-        with pytest.raises(ValueError, match=r"record time 1\.0013 is not a whole number of steps of dt = 0\.005"):
+        message = r"^time 1\.0013 is not a whole number of steps of dt = 0\.005 after eta = 0\.0$"
+        with pytest.raises(ParameterError, match=message) as info:
             estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0, 1.0013], cfg, grid)
-        uhat0 = _gaussian_spectral(grid, np.array([8.0, 8.0]), grid.spacing)
-        with pytest.raises(ValueError, match=r"record time 0\.5 must lie after t_start = 0\.5"):
-            _solve_recording(_Stepper(grid, cfg), uhat0, 0.5, np.array([0.5, 1.0]))
+        assert info.value.parameter == "times"
+        with pytest.raises(ParameterError, match=r"^every time must lie after eta = 0\.5, got 0\.5$"):
+            estimate_kernel(None, kern, 0.5, (8.0, 8.0), [0.5, 1.0], cfg, grid)
 
     def test_rejects_sqg_mode(self):
         # the SQG drift depends on the solution: no kernel to estimate
@@ -146,7 +197,7 @@ class TestEstimate:
         grid = make_grid(2, 64, 16.0)
         kern = KernelSpec(s=0.5)
         cfg = SolverConfig(kernel=kern, dt=5e-3, t_end=2.0, h_moll=0.0)
-        with pytest.raises(ValueError, match="mollification"):
+        with pytest.raises(ParameterError, match=r"^h_moll = 0\.0 is below the grid spacing 0\.25$"):
             estimate_kernel(None, kern, 0.0, (8.0, 8.0), [1.0], cfg, grid)
 
 
@@ -176,7 +227,8 @@ class TestSanity:
         with pytest.raises(CFLError, match="violates the advective CFL"):
             estimate_kernel(b, kern, 0.0, (2.0, 2.0), [2.0], cfg, grid)
         assert (len(norms), len(stages)) == (1, 0)
-        # both widths advance as one stack: one norm, and 40 steps of two stages
+        # the kernel and its h/2 term advance as one stack: one norm, and 40
+        # steps of two stages
         norms.clear()
         times = [1.0, 1.5, 2.0]
         est = estimate_kernel(b, kern, 0.0, (2.0, 2.0), times, replace(cfg, dt=0.05), grid)
@@ -221,7 +273,7 @@ class TestSanity:
         batched = _solve_recording(_Stepper(grid, cfg, drift), np.stack(starts), 0.0, times)
         assert len(batched) == 2
         for fields, uhat0 in zip(batched, starts):
-            alone = _solve_recording(_Stepper(grid, cfg, drift), uhat0, 0.0, times)
+            (alone,) = _solve_recording(_Stepper(grid, cfg, drift), uhat0[None], 0.0, times)
             assert [f.time for f in fields] == [f.time for f in alone]
             assert all(np.array_equal(f.values, g.values) for f, g in zip(fields, alone))
 
@@ -232,8 +284,8 @@ class TestSanity:
         b = shear_drift(grid)
         cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
         est = estimate_kernel(b, kern, 0.0, (2.0, 2.0), [1.0, 1.5, 2.0], cfg, grid)
-        width = min(est.mollification_widths)
-        a = est.raw_fields[width][1].values
+        width = grid.spacing / 2.0
+        a = width_solve(grid, cfg, b, (2.0, 2.0), width, 0.0, [1.5])[0].values
         H = 2 * grid.spacing
         composed = np.zeros(grid.shape)
         for i in range(0, grid.n, 2):
@@ -241,28 +293,47 @@ class TestSanity:
                 if a[i, j] * H**2 < 1e-10:
                     continue
                 z = np.array([i, j]) * grid.spacing
-                uhat0 = _gaussian_spectral(grid, z, width)
-                kz = _solve_recording(_Stepper(grid, cfg, b), uhat0, 1.5, np.array([2.0]))[0]
+                kz = width_solve(grid, cfg, b, z, width, 1.5, [2.0])[0]
                 composed += a[i, j] * kz.values * H**2
-        direct = est.raw_fields[width][-1].values
+        direct = width_solve(grid, cfg, b, (2.0, 2.0), width, 0.0, [2.0])[0].values
+        assert est.semigroup[1].values.tobytes() == direct.tobytes()
         ref = np.abs(composed - direct).sum() / np.abs(direct).sum()
         got = kernel_sanity(est).extras["semigroup_l1_error"]
         assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_composition_rides_the_estimate_bitwise(self, d):
-        # the composed source joins the stack at the middle time; its field
-        # at the last time is the one a separate solve from there gives
+        # the h/2 Gaussian rides beside the kernel, and the composed source
+        # joins the stack at the middle time; at the last time both are the
+        # fields separate solves give
         grid = make_grid(d, 16, 4.0)
         kern = KernelSpec(s=0.75)
         b = shear_drift(grid)
         cfg = SolverConfig(kernel=kern, dt=0.05, t_end=2.0, drift_mode="given", h_moll=grid.spacing)
-        est = estimate_kernel(b, kern, 0.0, np.full(d, 1.7), [1.0, 1.5, 2.0], cfg, grid)
-        width = min(est.mollification_widths)
-        source = _composed_source(grid, width, est.raw_fields[width][1].values)
-        alone = _solve_recording(_Stepper(grid, cfg, b), source, 1.5, np.array([2.0]))[0]
-        assert est.semigroup.time == alone.time == 2.0
-        assert est.semigroup.values.tobytes() == alone.values.tobytes()
+        y, width = np.full(d, 1.7), grid.spacing / 2.0
+        est = estimate_kernel(b, kern, 0.0, y, [1.0, 1.5, 2.0], cfg, grid)
+        fine = width_solve(grid, cfg, b, y, width, 0.0, [1.0, 1.5, 2.0])
+        source = _composed_source(grid, width, fine[1].values)
+        (alone,) = _solve_recording(_Stepper(grid, cfg, b), source[None], 1.5, np.array([2.0]))[0]
+        composed, direct = est.semigroup
+        assert composed.time == direct.time == alone.time == 2.0
+        assert composed.values.tobytes() == alone.values.tobytes()
+        assert direct.values.tobytes() == fine[2].values.tobytes()
+
+    def test_bench_semigroup_error_is_pinned(self):
+        # the benchmark's heatkernel config; bench/reference.json pins the
+        # same number, and a change that moves it updates both
+        cfg = ExperimentConfig({
+            "grid": {"d": 2, "n": 32, "domain_length": 8.0}, "kernel": {"s": 0.5},
+            "drift": {"family": "shear", "amplitude": 1.0}, "solver": {"dt": 0.02},
+            "heatkernel": {"times": [1.0, 1.5, 2.0], "h_moll": 0.25},
+        })
+        grid, kernel = cfg.build_grid(), cfg.build_kernel()
+        b = cfg.build_drift(grid)
+        eta, y, times, solver = cfg.build_heatkernel(grid, kernel, b)
+        est = estimate_kernel(b, kernel, eta, y, times, solver, grid)
+        error = kernel_sanity(est).extras["semigroup_l1_error"]
+        assert error == pytest.approx(0.002187838144121118, rel=1e-12)
 
     def test_needs_three_times(self):
         grid = make_grid(2, 64, 16.0)

@@ -54,7 +54,6 @@ class TestAtomMass:
         )
         Q = Cylinder(t0=1.0, x0=(0.0, 0.0), r=1.0, s=0.5)
         assert cylinder_mass(mu, Q) == pytest.approx(3.0)
-        assert mu.total_mass == pytest.approx(3.0)
 
     def test_requires_domain_length(self):
         mu = MeasureData.from_atoms([(0.5, (0, 0), 1.0)])
@@ -67,11 +66,6 @@ class TestDensityMass:
         g = make_grid(2, 32, 4.0)
         times = np.array([0.0, 1.0, 2.0])
         return g, DensityTrack(g, times, [np.full(g.shape, value)] * 3)
-
-    def test_total_mass_uniform(self):
-        g, track = self._uniform_track()
-        # 2 * L^2 * T = 2 * 16 * 2
-        assert track.total_mass() == pytest.approx(64.0)
 
     def test_cylinder_mass_matches_disc_area(self):
         g, track = self._uniform_track()
