@@ -26,6 +26,8 @@ Schema (all sections optional unless a check needs them):
         t_end: 1.0
         num_slices: 9
     solver:   {dt: 1e-3, t_end: 1.0, h_moll: 0.0, snapshot_stride: 1}
+                                  # nldd heatkernel ignores t_end: it solves
+                                  # from eta to the last heatkernel time
     verification:
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
@@ -37,6 +39,10 @@ Schema (all sections optional unless a check needs them):
                                   # eta, the first >= 4 h_moll^(2s) after it
       h_moll: 0.2                 # Dirac width, at least one grid spacing
     seed: 42
+
+An unknown field in grid, kernel, solver or heatkernel is an error.  The
+retired kernel.lam, solver.store_drift and solver.dealias: true are still
+accepted and change nothing.
 
 Every run is deterministic given the seed.
 """
@@ -78,6 +84,9 @@ __all__ = [
 
 DRIFT_FAMILIES = ("none", "constant", "shear", "sqg", "lacunary")
 INITIAL_KINDS = ("zero", "eigenmode", "random")
+GRID_FIELDS = ("d", "n", "domain_length")
+KERNEL_FIELDS = ("s",)
+SOLVER_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "h_moll": 0.0, "snapshot_stride": 1}
 HEATKERNEL_FIELDS = ("eta", "y", "times", "h_moll")
 
 
@@ -96,7 +105,19 @@ def _fields(**paths: str):
     try:
         yield
     except ParameterError as exc:
+        if exc.parameter not in paths:
+            raise
         raise ConfigError(paths[exc.parameter], str(exc)) from None
+
+
+def _known(section: dict, path: str, fields, retired=()) -> dict:
+    """``section`` if every key in it is one of ``fields`` or a ``retired``
+    field that is still accepted; else a ConfigError naming the first other."""
+    for key in section:
+        if key not in fields and key not in retired:
+            known = ", ".join(fields)
+            raise ConfigError(f"{path}.{key}", f"unknown field; the section takes {known}")
+    return section
 
 
 def _get(section: dict, path: str, key: str, default=None, required: bool = False):
@@ -176,7 +197,7 @@ class ExperimentConfig:
     # ---- builders ----
 
     def build_grid(self) -> GridSpec:
-        sec = self.section("grid")
+        sec = _known(self.section("grid"), "grid", GRID_FIELDS)
         with _fields(d="grid.d", n="grid.n", domain_length="grid.domain_length"):
             return make_grid(
                 d=int(_get(sec, "grid", "d", 2)),
@@ -185,8 +206,9 @@ class ExperimentConfig:
             )
 
     def build_kernel(self) -> KernelSpec:
+        sec = _known(self.section("kernel"), "kernel", KERNEL_FIELDS, retired=("lam",))
         with _fields(s="kernel.s"):
-            return KernelSpec(s=float(_get(self.section("kernel"), "kernel", "s", 0.5)))
+            return KernelSpec(s=float(_get(sec, "kernel", "s", 0.5)))
 
     @property
     def drift_family(self) -> str:
@@ -288,23 +310,26 @@ class ExperimentConfig:
         return DensityTrack(grid, times, slices)
 
     def build_solver(self, kernel: KernelSpec, **overrides) -> SolverConfig:
-        sec = self.section("solver")
+        """The solver section's settings.  A field given in ``overrides`` is
+        neither read from the section nor checked as a section field: a value
+        SolverConfig refuses for it raises the ParameterError naming it."""
+        sec = _known(
+            self.section("solver"), "solver", tuple(SOLVER_DEFAULTS),
+            retired=("dealias", "store_drift"),
+        )
         if not bool(_get(sec, "solver", "dealias", True)):
             raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
         kwargs = dict(
             kernel=kernel,
-            dt=float(_get(sec, "solver", "dt", 1e-3)),
-            t_end=float(_get(sec, "solver", "t_end", 1.0)),
             drift_mode="sqg" if self.drift_family == "sqg" else (
                 "none" if self.drift_family == "none" else "given"
             ),
-            h_moll=float(_get(sec, "solver", "h_moll", 0.0)),
-            snapshot_stride=int(_get(sec, "solver", "snapshot_stride", 1)),
         )
+        read = [key for key in SOLVER_DEFAULTS if key not in overrides]
+        for key in read:  # each as the type of its default
+            kwargs[key] = type(SOLVER_DEFAULTS[key])(_get(sec, "solver", key, SOLVER_DEFAULTS[key]))
         kwargs.update(overrides)
-        with _fields(
-            dt="solver.dt", t_end="solver.t_end", snapshot_stride="solver.snapshot_stride"
-        ):
+        with _fields(**{key: f"solver.{key}" for key in read}):
             return SolverConfig(**kwargs)
 
     def build_heatkernel(
@@ -314,12 +339,9 @@ class ExperimentConfig:
         record times and solver settings, checked before any solve: the
         section's shape here, b (the config's drift) against the CFL bound at
         solver.dt, and the rules of an estimate's inputs by
-        heatkernel.check_estimate."""
-        sec = self.section("heatkernel")
-        for key in sec:
-            if key not in HEATKERNEL_FIELDS:
-                known = ", ".join(HEATKERNEL_FIELDS)
-                raise ConfigError(f"heatkernel.{key}", f"unknown field; the section takes {known}")
+        heatkernel.check_estimate.  The solve runs from eta to the last time,
+        so solver.t_end is neither read nor checked."""
+        sec = _known(self.section("heatkernel"), "heatkernel", HEATKERNEL_FIELDS)
         eta = float(_get(sec, "heatkernel", "eta", 0.0))
         y = grid_point(
             _get(sec, "heatkernel", "y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y"
@@ -332,7 +354,8 @@ class ExperimentConfig:
             )
         times = np.sort(np.asarray(times, dtype=float))
         h_moll = float(_get(sec, "heatkernel", "h_moll", 2.0 * grid.spacing))
-        solver = self.build_solver(kernel, h_moll=h_moll)
+        # the estimate never reads t_end, so the default stands in for it
+        solver = self.build_solver(kernel, h_moll=h_moll, t_end=SOLVER_DEFAULTS["t_end"])
         check_drift_step(b, grid, solver)
         with _fields(
             times="heatkernel.times", h_moll="heatkernel.h_moll", drift_mode="drift.family"

@@ -189,11 +189,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("scalar field contains non-finite samples")
 
-    @property
-    def samples(self) -> np.ndarray:
-        """Row-major flat view of the samples."""
-        return self.values.reshape(-1)
-
     def mean(self) -> float:
         return float(self.values.mean())
 

@@ -8,8 +8,9 @@ Q_r(t0, x0) = (t0 - r^(2s), t0) x B_r(x0) is open at both ends.
 The ball of a cylinder may ride along a slant path: at time t its centre is
 x0 + r z_r((t - t0)/r).  ``Cylinder.centers`` is the one place that computes
 it; with no path the centre is x0, so a straight cylinder is the slanted one
-with the zero path.  A slant path is plain data (``SlantPath``), sampled once
-by ``potentials.slant_ode`` and handed to every cylinder that rides it.
+with the zero path.  A slant path is plain data (``SlantPath``): samples and
+slopes computed once by ``potentials.slant_ode``, read between samples by
+cubic Hermite interpolation and handed to every cylinder that rides it.
 Masks and interpolation corners are built once per centre of a window
 (``Cylinder.distinct_centers``): a straight window has the one centre x0, and
 along a path each time has its own.
@@ -217,35 +218,56 @@ class Cylinder:
 
 @dataclass
 class SlantPath:
-    """Sampled solution z_r of the drift-averaging ODE on [-1, 0]."""
+    """Sampled solution z_r of the drift-averaging ODE on [-1, 0], with its
+    slope dz/dtau at every sample, read between samples as the cubic Hermite
+    interpolant of both (dense output)."""
 
     r: float
-    times: np.ndarray
+    times: np.ndarray  # shape (nt,), increasing
     samples: np.ndarray  # shape (nt, d)
+    slopes: np.ndarray  # shape (nt, d)
     c1_norm: float
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        self.slopes = np.atleast_2d(np.asarray(self.slopes, dtype=float))
         if self.samples.shape[0] != self.times.size:
             raise ValueError("one path sample per time node is required")
+        if self.slopes.shape != self.samples.shape:
+            raise ValueError(
+                f"path slopes of shape {self.slopes.shape} do not match samples of shape "
+                f"{self.samples.shape}"
+            )
+        if self.times.size < 2 or np.any(np.diff(self.times) <= 0):
+            raise ValueError("a slant path needs two or more increasing time nodes")
         at_zero = self.samples[np.argmin(np.abs(self.times))]
         if np.abs(at_zero).max() > 1e-10:
             raise ValueError("slant path must vanish at t = 0")
 
-    @classmethod
-    def zero(cls, r: float, d: int = 2, num: int = 33) -> "SlantPath":
-        ts = np.linspace(-1.0, 0.0, num)
-        return cls(r, ts, np.zeros((num, d)), 0.0)
-
     def at(self, t) -> np.ndarray:
-        """Linear interpolation of z_r at rescaled times t in [-1, 0], clamped
-        to the sampled range; shape (*t.shape, d)."""
-        t = np.clip(t, self.times.min(), self.times.max())
-        return np.stack(
-            [np.interp(t, self.times, self.samples[:, j]) for j in range(self.samples.shape[1])],
-            axis=-1,
-        )
+        """z_r at rescaled times t, clamped to the sampled range; shape
+        (*t.shape, d).
+
+        Cubic Hermite interpolation on the bracketing interval from the
+        samples and slopes at its ends: the samples themselves at the nodes,
+        and fourth-order accurate between them, the order of the RK4 steps
+        of ``potentials.slant_ode``.
+        """
+        ts = self.times
+        t = np.minimum(np.maximum(t, ts[0]), ts[-1])
+        hi = np.minimum(np.searchsorted(ts, t, side="right"), ts.size - 1)
+        lo = hi - 1
+        h = ts[hi] - ts[lo]
+        u = (t - ts[lo]) / h
+        v = 1.0 - u
+        # the cubic Hermite basis: weights s of the two samples, which sum to
+        # 1, and d of the two slopes, times h
+        s_lo = v * v * (1.0 + 2.0 * u)
+        huv = h * u * v
+        s_lo, d_lo, s_hi, d_hi = (w[..., None] for w in (s_lo, huv * v, 1.0 - s_lo, -huv * u))
+        z, dz = self.samples, self.slopes
+        return s_lo * z[lo] + d_lo * dz[lo] + s_hi * z[hi] + d_hi * dz[hi]
 
 
 def _require_length(mu: MeasureData) -> float:

@@ -129,6 +129,17 @@ class TestHeatKernel:
         assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw())]) == 0
         assert "semigroup L1 error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_end", [0, -1])
+    def test_solver_t_end_is_not_read(self, tmp_path, capsys, t_end):
+        # the estimate solves from eta to its last time, whatever solver.t_end says
+        runs = {"plain": heatkernel_raw(), "ignored": heatkernel_raw()}
+        runs["ignored"]["solver"] = {"dt": 0.05, "t_end": t_end}
+        for name, raw in runs.items():
+            cfg = write_cfg(tmp_path, raw, f"{name}.yaml")
+            assert main(["heatkernel", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        written = [(tmp_path / name / "kernel.nldd").read_bytes() for name in runs]
+        assert written[0] == written[1]
+
 
 class TestVerify:
     def test_campaign_and_ceiling_file(self, tmp_path):
@@ -276,8 +287,27 @@ class TestConfigErrors:
                 "config field 'solver.dt': dt = 0.02 violates the advective CFL of the "
                 "drift, max|b| = 50; admissible dt <= 5.000e-03",
             ),
+            (
+                {
+                    "grid": {"d": 2, "n": 32, "domain_length": 8.0, "bogus": 1},
+                    "solver": {"dtt": 5, "t_end": 0.5},
+                },
+                "config field 'grid.bogus': unknown field; the section takes d, n, domain_length",
+            ),
+            (
+                {"kernel": {"s": 0.5, "order": 0.75}},
+                "config field 'kernel.order': unknown field; the section takes s",
+            ),
+            (
+                {"solver": {"dtt": 5, "t_end": 0.5}},
+                "config field 'solver.dtt': unknown field; the section takes dt, t_end, h_moll, "
+                "snapshot_stride",
+            ),
         ],
-        ids=["solver.t_end", "solver.h_moll", "solver.dt-cfl"],
+        ids=[
+            "solver.t_end", "solver.h_moll", "solver.dt-cfl",
+            "grid-unknown-key", "kernel-unknown-key", "solver-unknown-key",
+        ],
     )
     def test_solve_with_a_bad_step_or_mollifier_through_main(
         self, tmp_path, capsys, monkeypatch, extra, message
@@ -406,10 +436,16 @@ class TestConfigErrors:
                 "'drift.family': the SQG drift depends on the solution, so the equation has no "
                 "heat kernel; use none, constant, shear or lacunary",
             ),
+            (
+                {**heatkernel_raw(), "solver": {"dt": 0.05, "dtt": 5}},
+                "'solver.dtt': unknown field; the section takes dt, t_end, h_moll, "
+                "snapshot_stride",
+            ),
         ],
         ids=[
             "times-scalar", "times-two", "times-before-eta", "times-off-step", "times-gap",
             "default-section", "y-short", "y-long", "h_moll", "unknown-key", "sqg",
+            "solver-unknown-key",
         ],
     )
     def test_heatkernel_with_a_bad_section(self, tmp_path, capsys, monkeypatch, raw, message):

@@ -140,7 +140,7 @@ class TestFields:
         g = make_grid(2, 8, 1.0)
         f = ScalarField(g, np.arange(64, dtype=float))
         assert f.values.shape == (8, 8)
-        assert f.samples[9] == 9.0
+        assert f.values[1, 1] == 9.0
 
     def test_scalar_field_rejects_nan(self):
         g = make_grid(2, 8, 1.0)

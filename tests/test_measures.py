@@ -136,12 +136,15 @@ class TestSlant:
             [(0.5, (1.0, 0.0), 1.0), (0.2, (3.0, 3.0), 4.0)], domain_length=8.0
         )
         Q = Cylinder(t0=1.0, x0=(0.5, 0.0), r=1.0, s=0.5)
-        assert slanted_cylinder_mass(mu, Q, SlantPath.zero(Q.r)) == cylinder_mass(mu, Q)
+        zero = SlantPath(Q.r, [-1.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+        assert slanted_cylinder_mass(mu, Q, zero) == cylinder_mass(mu, Q)
 
     def test_translated_center_captures_moved_atom(self):
         # path drifts one unit in x1 toward the past
         ts = np.linspace(-1.0, 0.0, 5)
-        path = SlantPath(1.0, ts, np.stack([-ts, np.zeros(5)], axis=1), 1.0)
+        path = SlantPath(
+            1.0, ts, np.stack([-ts, np.zeros(5)], axis=1), np.tile([-1.0, 0.0], (5, 1)), 1.0
+        )
         Q = Cylinder(t0=1.0, x0=(0.0, 0.0), r=1.0, s=0.5)
         # at t = 0.5 the center sits at x1 = 0.5
         np.testing.assert_allclose(Q.centers([0.5], path), [[0.5, 0.0]])
@@ -151,7 +154,13 @@ class TestSlant:
 
     def test_centers_match_scalar_path_evaluation(self):
         ts = np.linspace(-1.0, 0.0, 7)
-        path = SlantPath(0.5, ts, np.stack([ts**2 - ts, 0.3 * ts], axis=1), 1.0)
+        path = SlantPath(
+            0.5,
+            ts,
+            np.stack([ts**2 - ts, 0.3 * ts], axis=1),
+            np.stack([2.0 * ts - 1.0, np.full(7, 0.3)], axis=1),
+            1.0,
+        )
         Q = Cylinder(t0=1.0, x0=(2.0, 3.0), r=0.5, s=0.5)
         times = np.linspace(0.5, 1.0, 11)
         expected = [np.asarray(Q.x0) + Q.r * path.at((t - Q.t0) / Q.r) for t in times]
@@ -165,12 +174,67 @@ class TestSlant:
         )
         Q = Cylinder(t0=1.0, x0=(0.0, 0.0), r=0.5, s=0.5)
         ts = np.linspace(-1.0, 0.0, 5)
-        path = SlantPath(0.5, ts, np.stack([-ts, ts], axis=1), 1.0)
+        path = SlantPath(0.5, ts, np.stack([-ts, ts], axis=1), np.tile([-1.0, 1.0], (5, 1)), 1.0)
         assert cylinder_mass(mu, Q, path) == 0.0
         assert cylinder_mass(mu, Q) == 0.0
 
     def test_path_must_vanish_at_origin(self):
         ts = np.linspace(-1.0, 0.0, 5)
         with pytest.raises(ValueError):
-            SlantPath(1.0, ts, np.ones((5, 2)), 1.0)
+            SlantPath(1.0, ts, np.ones((5, 2)), np.zeros((5, 2)), 1.0)
 
+
+class TestSlantPathReading:
+    """SlantPath.at: cubic Hermite interpolation of the samples and slopes."""
+
+    def test_samples_at_the_nodes(self):
+        rng = np.random.default_rng(5)
+        ts = np.array([-1.0, -0.8, -0.55, -0.3, -0.1, 0.0])
+        samples = rng.standard_normal((6, 2))
+        samples[-1] = 0.0
+        path = SlantPath(0.5, ts, samples, rng.standard_normal((6, 2)), 1.0)
+        np.testing.assert_array_equal(path.at(ts), samples)
+        for t, z in zip(ts, samples):
+            np.testing.assert_array_equal(path.at(t), z)
+
+    def test_reproduces_a_cubic_with_its_slopes(self):
+        def z(t):
+            return np.stack([t**3 - 2.0 * t**2 + 0.5 * t, -0.7 * t**3 + t], axis=-1)
+
+        def dz(t):
+            return np.stack([3.0 * t**2 - 4.0 * t + 0.5, -2.1 * t**2 + 1.0], axis=-1)
+
+        ts = np.array([-1.0, -0.7, -0.45, -0.1, 0.0])
+        path = SlantPath(0.5, ts, z(ts), dz(ts), 1.0)
+        tau = np.linspace(-1.0, 0.0, 1001)
+        np.testing.assert_allclose(path.at(tau), z(tau), rtol=0.0, atol=1e-14)
+
+    def test_straight_path_stays_on_its_line_and_clamps(self):
+        ts = np.linspace(-1.0, 0.0, 33)
+        v = np.array([0.9, -0.4])
+        path = SlantPath(1.0, ts, np.outer(ts, v), np.tile(v, (33, 1)), 1.0)
+        tau = np.linspace(-1.0, 0.0, 1001)
+        np.testing.assert_allclose(path.at(tau), np.outer(tau, v), rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(path.at([-3.0, -1.0]), [-v, -v])
+        np.testing.assert_array_equal(path.at([0.0, 0.5]), np.zeros((2, 2)))
+        assert path.at(np.zeros((4, 3))).shape == (4, 3, 2)
+
+    @pytest.mark.parametrize(
+        "times, slopes, message",
+        [
+            (
+                np.linspace(-1.0, 0.0, 5),
+                np.zeros((4, 2)),
+                r"slopes of shape \(4, 2\) do not match samples of shape \(5, 2\)",
+            ),
+            (np.linspace(-1.0, 0.0, 5), np.zeros((5, 3)), r"slopes of shape \(5, 3\) do not"),
+            (
+                np.array([-1.0, -0.5, -0.5, -0.25, 0.0]),
+                np.zeros((5, 2)),
+                "two or more increasing time nodes",
+            ),
+        ],
+    )
+    def test_rejects_bad_slopes_or_times(self, times, slopes, message):
+        with pytest.raises(ValueError, match=message):
+            SlantPath(1.0, times, np.zeros((5, 2)), slopes, 1.0)

@@ -10,7 +10,7 @@ from nldd.evolution import TrajectoryStore
 from nldd.fields import ScalarField, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath, cylinder_mass
 from nldd.operators import KernelSpec
-from nldd.potentials import TailOptions, excess, slant_ode, tail_time_lq
+from nldd.potentials import SLANT_STEPS, TailOptions, excess, slant_ode, tail_time_lq
 from nldd.reports import write_csv
 from nldd.verify import (
     _cylinder_oscillation,
@@ -217,8 +217,9 @@ class TestBmoSlantedCheck:
         import nldd.verify
 
         def short_paths(*args, **kwargs):
+            half = slice(SLANT_STEPS // 2, None)
             return [
-                SlantPath(p.r, p.times[32:], p.samples[32:], p.c1_norm)
+                SlantPath(p.r, p.times[half], p.samples[half], p.slopes[half], p.c1_norm)
                 for p in slant_ode(*args, **kwargs)
             ]
 
@@ -495,7 +496,7 @@ def test_cylinder_lq_mean_matches_per_snapshot_loop(slanted):
     path = None
     if slanted:  # every snapshot of the window gets a centre of its own
         ts = np.linspace(-1.0, 0.0, 9)
-        path = SlantPath(Q.r, ts, np.outer(ts, (0.9, -0.4)), 1.0)
+        path = SlantPath(Q.r, ts, np.outer(ts, (0.9, -0.4)), np.tile((0.9, -0.4), (9, 1)), 1.0)
         assert len(Q.window(traj, path)[2]) == len(Q.window(traj, path)[0]) > 2
     qs = (1.0, 1.5, 2.0, 4.0)
     np.testing.assert_array_equal(
@@ -509,14 +510,15 @@ class TestCylinderGeometry:
         traj = _random_traj(np.linspace(0.0, 1.0, 11))
         Q = Cylinder(0.95, (3.3, 4.1), 0.7, 0.5)
         straight = CYLINDER_SITES[site](traj, Q, None)
-        zero = CYLINDER_SITES[site](traj, Q, SlantPath.zero(Q.r))
+        zero_path = SlantPath(Q.r, [-1.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+        zero = CYLINDER_SITES[site](traj, Q, zero_path)
         np.testing.assert_array_equal(zero, straight)
 
     @pytest.mark.parametrize("site", sorted(CYLINDER_SITES))
     def test_path_must_reach_the_slab_start(self, site):
         traj = _random_traj(np.linspace(0.0, 1.0, 11))
         Q = Cylinder(0.95, (3.3, 4.1), 0.7, 0.5)
-        short = SlantPath(0.7, np.linspace(-0.5, 0.0, 3), np.zeros((3, 2)), 0.0)
+        short = SlantPath(0.7, np.linspace(-0.5, 0.0, 3), np.zeros((3, 2)), np.zeros((3, 2)), 0.0)
         with pytest.raises(
             ValueError, match=r"starts at rescaled time -0\.5, after -1.* t0 = 0\.95, r = 0\.7$"
         ):
