@@ -100,10 +100,10 @@ def _cmd_potential(args) -> int:
         print("config has no measure; nothing to integrate", file=sys.stderr)
         return 1
     params = config.params("potential")
-    t0 = float(params.get("t0", 1.0))
+    t0 = params.get("t0", 1.0)
     x0 = params.get("x0", [grid.domain_length / 2.0] * grid.d)
     x0 = grid_point(x0, grid, "verification.params.potential.x0")
-    R = float(params.get("R", grid.domain_length / 8.0))
+    R = params.get("R", grid.domain_length / 8.0)
     profile = riesz_potential(mu, t0, x0, R, kernel, a=2.0 * kernel.s)
     print(f"potential P^R_2s at t0 = {t0:.6g}, R = {R:.6g}: {profile.value:.12g}")
     if profile.divergent:
@@ -155,50 +155,53 @@ def _cmd_heatkernel(args) -> int:
     return 0 if ok else 1
 
 
-# load each kind of snapshot file, by its magic, and save it unchanged
-_ROUNDTRIPS = {
-    b"NLDD": lambda src, dst: save_field(*load_field(src), dst),
-    b"NLDT": lambda src, dst: save_trajectory(*load_trajectory(src), dst),
-    b"NLDK": lambda src, dst: save_kernel_estimate(load_kernel_estimate(src), dst),
+# each kind of snapshot file, by its magic: its loader, which returns the
+# arguments of its saver before the path, a one-line description of those
+# arguments, and its saver
+_SNAPSHOT_KINDS = {
+    b"NLDD": (
+        load_field,
+        lambda field, s: (
+            f"field snapshot: d = {field.grid.d}, n = {field.grid.n}, "
+            f"L = {field.grid.domain_length:.6g}, s = {s:.6g}, t = {field.time:.6g}"
+        ),
+        save_field,
+    ),
+    b"NLDT": (
+        load_trajectory,
+        lambda traj, s: (
+            f"trajectory: {len(traj.times)} snapshots, d = {traj.grid.d}, n = {traj.grid.n}, "
+            f"L = {traj.grid.domain_length:.6g}, s = {s:.6g}, "
+            f"t in [{traj.t_start:.6g}, {traj.t_end:.6g}]"
+        ),
+        save_trajectory,
+    ),
+    b"NLDK": (
+        lambda path: (load_kernel_estimate(path),),
+        lambda est: (
+            f"kernel estimate: source {tuple(round(c, 6) for c in est.y)} at "
+            f"eta = {est.eta:.6g}, {len(est.fields)} times"
+        ),
+        save_kernel_estimate,
+    ),
 }
 
 
 def _cmd_snapshot(args) -> int:
-    if args.snapshot_command == "info":
-        with open(args.path, "rb") as fh:
-            magic = fh.read(4)
-        if magic == b"NLDD":
-            field, s = load_field(args.path)
-            g = field.grid
-            print(
-                f"field snapshot: d = {g.d}, n = {g.n}, L = {g.domain_length:.6g}, "
-                f"s = {s:.6g}, t = {field.time:.6g}"
-            )
-        elif magic == b"NLDT":
-            traj, s = load_trajectory(args.path)
-            g = traj.grid
-            print(
-                f"trajectory: {len(traj.times)} snapshots, d = {g.d}, n = {g.n}, "
-                f"L = {g.domain_length:.6g}, s = {s:.6g}, "
-                f"t in [{traj.t_start:.6g}, {traj.t_end:.6g}]"
-            )
-        elif magic == b"NLDK":
-            est = load_kernel_estimate(args.path)
-            print(
-                f"kernel estimate: source {tuple(round(c, 6) for c in est.y)} at "
-                f"eta = {est.eta:.6g}, {len(est.fields)} times"
-            )
-        else:
-            print(f"unrecognized magic {magic!r}", file=sys.stderr)
-            return 1
-        return 0
-    # roundtrip
-    with open(args.src, "rb") as fh:
+    info = args.snapshot_command == "info"
+    path = args.path if info else args.src
+    with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic not in _ROUNDTRIPS:
-        print(f"roundtrip unsupported for magic {magic!r}", file=sys.stderr)
+    if magic not in _SNAPSHOT_KINDS:
+        unknown = "unrecognized magic" if info else "roundtrip unsupported for magic"
+        print(f"{unknown} {magic!r}", file=sys.stderr)
         return 1
-    _ROUNDTRIPS[magic](args.src, args.dst)
+    load, describe, save = _SNAPSHOT_KINDS[magic]
+    loaded = load(path)
+    if info:
+        print(describe(*loaded))
+        return 0
+    save(*loaded, args.dst)
     print(f"rewrote {args.src} -> {args.dst}")
     return 0
 

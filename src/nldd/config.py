@@ -31,7 +31,7 @@ Schema (all sections optional unless a check needs them):
     verification:
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
-      params: {...}               # per-check knobs, see verify module
+      params: {...}               # per-check knobs, see CHECK_PARAMS
     heatkernel:                   # nldd heatkernel; the drift may not be sqg
       eta: 0.0                    # source time
       y: [3.14, 3.14]             # source point, d coordinates
@@ -40,16 +40,20 @@ Schema (all sections optional unless a check needs them):
       h_moll: 0.2                 # Dirac width, at least one grid spacing
     seed: 42
 
-An unknown field in grid, kernel, solver or heatkernel is an error.  The
-retired kernel.lam, solver.store_drift and solver.dealias: true are still
-accepted and change nothing.
+An unknown field is an error in every section: in grid, kernel, drift,
+initial (and each of its modes), measure (each atom and the density), solver,
+heatkernel and verification (its ceilings, which take the inequality ids of
+the checks, and the params of each check).  The retired kernel.lam,
+solver.store_drift and solver.dealias: true are still accepted and change
+nothing.  A number, whole number or flag that is not one is an error at its
+field path.
 
 Every run is deterministic given the seed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +92,32 @@ GRID_FIELDS = ("d", "n", "domain_length")
 KERNEL_FIELDS = ("s",)
 SOLVER_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "h_moll": 0.0, "snapshot_stride": 1}
 HEATKERNEL_FIELDS = ("eta", "y", "times", "h_moll")
+DRIFT_FIELDS = ("family", "vector", "amplitude", "wavenumber", "coefficients")
+INITIAL_FIELDS = ("kind", "modes", "amplitude", "decay")
+MODE_FIELDS = ("axis", "wavenumber", "amplitude", "phase")
+MEASURE_FIELDS = ("atoms", "density")
+ATOM_FIELDS = ("t", "x", "mass")
+DENSITY_FIELDS = ("kind", "exponent", "center", "t_start", "t_end", "num_slices", "level")
+VERIFICATION_FIELDS = ("selection", "ceilings", "params")
+# the knobs each check of verify reads under verification.params, with the
+# type of each (None: read as given), and the inequality id of each check's
+# report, which names its ceiling
+CHECK_PARAMS = {
+    "potential": {"t0": float, "x0": None, "R": float},
+    "excess": {"m_max": int},
+    "holder": {"slanted": bool},
+    "lorentz": {"p": float, "sigma": float},
+    "comparison": {},
+    "bmo": {"c0": float},
+}
+INEQUALITY_IDS = (
+    "potential-estimate",
+    "excess-decay",
+    "holder-exponent",
+    "lorentz-exponent",
+    "comparison-estimate",
+    "bmo-slanted",
+)
 
 
 class ConfigError(ValueError):
@@ -115,17 +145,44 @@ def _known(section: dict, path: str, fields, retired=()) -> dict:
     field that is still accepted; else a ConfigError naming the first other."""
     for key in section:
         if key not in fields and key not in retired:
-            known = ", ".join(fields)
+            known = ", ".join(fields) or "no fields"
             raise ConfigError(f"{path}.{key}", f"unknown field; the section takes {known}")
     return section
 
 
-def _get(section: dict, path: str, key: str, default=None, required: bool = False):
+def _get(section: dict, path: str, key: str, default=None, kind=None, required: bool = False):
+    """``section[key]`` as a ``kind`` (float, int or bool) if one is given,
+    else as written; ``default`` when the key is absent."""
     if key not in section:
         if required:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
-    return section[key]
+    value = section[key]
+    return value if kind is None else _typed(value, kind, f"{path}.{key}")
+
+
+def _typed(value, kind, path: str):
+    """``value`` as a float, int or bool; a ConfigError naming ``path`` for a
+    flag that is not a boolean, a number that is not one or an integer that
+    is not whole.  A string is read by float(), since PyYAML reads 1e-3 as
+    one."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(path, f"must be true or false, got {value!r}")
+        return value
+    if kind is int and type(value) is int:
+        return value
+    number = None
+    if not isinstance(value, bool):  # YAML's true and yes are not numbers
+        with suppress(TypeError, ValueError, OverflowError):
+            number = float(value)
+    if number is None:
+        raise ConfigError(path, f"must be a number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    return int(number)
 
 
 def _mapping(value, path: str) -> dict:
@@ -200,25 +257,29 @@ class ExperimentConfig:
         sec = _known(self.section("grid"), "grid", GRID_FIELDS)
         with _fields(d="grid.d", n="grid.n", domain_length="grid.domain_length"):
             return make_grid(
-                d=int(_get(sec, "grid", "d", 2)),
-                n=int(_get(sec, "grid", "n", 64)),
-                domain_length=float(_get(sec, "grid", "domain_length", 2.0 * np.pi)),
+                d=_get(sec, "grid", "d", 2, int),
+                n=_get(sec, "grid", "n", 64, int),
+                domain_length=_get(sec, "grid", "domain_length", 2.0 * np.pi, float),
             )
 
     def build_kernel(self) -> KernelSpec:
         sec = _known(self.section("kernel"), "kernel", KERNEL_FIELDS, retired=("lam",))
         with _fields(s="kernel.s"):
-            return KernelSpec(s=float(_get(sec, "kernel", "s", 0.5)))
+            return KernelSpec(s=_get(sec, "kernel", "s", 0.5, float))
+
+    @property
+    def drift(self) -> dict:
+        return _known(self.section("drift"), "drift", DRIFT_FIELDS)
 
     @property
     def drift_family(self) -> str:
-        fam = self.section("drift").get("family", "none")
+        fam = self.drift.get("family", "none")
         if fam not in DRIFT_FAMILIES:
             raise ConfigError("drift.family", f"unknown family {fam!r}")
         return fam
 
     def build_drift(self, grid: GridSpec) -> VectorField | None:
-        sec = self.section("drift")
+        sec = self.drift
         fam = self.drift_family
         if fam in ("none", "sqg"):
             return None
@@ -227,14 +288,14 @@ class ExperimentConfig:
         if fam == "shear":
             return shear_drift(
                 grid,
-                amplitude=float(_get(sec, "drift", "amplitude", 1.0)),
-                wavenumber=int(_get(sec, "drift", "wavenumber", 1)),
+                amplitude=_get(sec, "drift", "amplitude", 1.0, float),
+                wavenumber=_get(sec, "drift", "wavenumber", 1, int),
             )
         coeffs = _get(sec, "drift", "coefficients", required=True)
         return lacunary_drift(grid, coeffs)
 
     def build_initial(self, grid: GridSpec) -> ScalarField:
-        sec = self.section("initial")
+        sec = _known(self.section("initial"), "initial", INITIAL_FIELDS)
         kind = _get(sec, "initial", "kind", "zero")
         if kind not in INITIAL_KINDS:
             raise ConfigError("initial.kind", f"unknown kind {kind!r}")
@@ -245,16 +306,18 @@ class ExperimentConfig:
             base = 2.0 * np.pi / grid.domain_length
             vals = np.zeros(grid.shape)
             for i, mode in enumerate(_get(sec, "initial", "modes", required=True)):
-                axis = int(_get(mode, f"initial.modes[{i}]", "axis", 0))
-                wn = int(_get(mode, f"initial.modes[{i}]", "wavenumber", required=True))
-                amp = float(_get(mode, f"initial.modes[{i}]", "amplitude", 1.0))
-                phase = _get(mode, f"initial.modes[{i}]", "phase", "sin")
+                path = f"initial.modes[{i}]"
+                mode = _known(_mapping(mode, path), path, MODE_FIELDS)
+                axis = _get(mode, path, "axis", 0, int)
+                wn = _get(mode, path, "wavenumber", kind=int, required=True)
+                amp = _get(mode, path, "amplitude", 1.0, float)
+                phase = _get(mode, path, "phase", "sin")
                 fn = np.sin if phase == "sin" else np.cos
                 vals += amp * fn(base * wn * xs[axis])
             return ScalarField(grid, vals, 0.0)
         # random: seeded spectral noise with a power-law envelope
-        amp = float(_get(sec, "initial", "amplitude", 1.0))
-        decay = float(_get(sec, "initial", "decay", 2.0))
+        amp = _get(sec, "initial", "amplitude", 1.0, float)
+        decay = _get(sec, "initial", "decay", 2.0, float)
         rng = self.rng(salt=101)
         kmag = wavenumber_magnitude(grid)
         envelope = np.where(kmag > 0, np.maximum(kmag, 1e-12) ** (-decay), 0.0)
@@ -267,19 +330,22 @@ class ExperimentConfig:
         return ScalarField(grid, vals, 0.0)
 
     def build_measure(self, grid: GridSpec) -> MeasureData | None:
-        sec = self.section("measure")
+        sec = _known(self.section("measure"), "measure", MEASURE_FIELDS)
         if not sec:
             return None
         atoms = []
         for i, a in enumerate(sec.get("atoms", []) or []):
             path = f"measure.atoms[{i}]"
-            t = float(_get(a, path, "t", required=True))
+            a = _known(_mapping(a, path), path, ATOM_FIELDS)
+            t = _get(a, path, "t", kind=float, required=True)
             x = grid_point(_get(a, path, "x", required=True), grid, f"{path}.x")
-            atoms.append((t, x, float(_get(a, path, "mass", required=True))))
+            atoms.append((t, x, _get(a, path, "mass", kind=float, required=True)))
         density = None
         dsec = sec.get("density")
         if dsec:
-            density = self._build_density(grid, dsec)
+            density = self._build_density(
+                grid, _known(_mapping(dsec, "measure.density"), "measure.density", DENSITY_FIELDS)
+            )
         if not atoms and density is None:
             return None
         mu = MeasureData.from_atoms(atoms, domain_length=grid.domain_length)
@@ -288,14 +354,14 @@ class ExperimentConfig:
 
     def _build_density(self, grid: GridSpec, dsec: dict) -> DensityTrack:
         kind = _get(dsec, "measure.density", "kind", required=True)
-        t0 = float(_get(dsec, "measure.density", "t_start", 0.0))
-        t1 = float(_get(dsec, "measure.density", "t_end", required=True))
-        num = int(_get(dsec, "measure.density", "num_slices", 9))
+        t0 = _get(dsec, "measure.density", "t_start", 0.0, float)
+        t1 = _get(dsec, "measure.density", "t_end", kind=float, required=True)
+        num = _get(dsec, "measure.density", "num_slices", 9, int)
         if t1 <= t0:
             raise ConfigError("measure.density.t_end", "must exceed t_start")
         times = np.linspace(t0, t1, num)
         if kind == "inverse_power":
-            expo = float(_get(dsec, "measure.density", "exponent", required=True))
+            expo = _get(dsec, "measure.density", "exponent", kind=float, required=True)
             center = np.asarray(
                 _get(dsec, "measure.density", "center", [grid.domain_length / 2.0] * grid.d),
                 dtype=float,
@@ -303,7 +369,7 @@ class ExperimentConfig:
             vals = np.maximum(grid_distance(grid, center), grid.spacing) ** (-expo)
             slices = [vals.copy() for _ in times]
         elif kind == "uniform":
-            level = float(_get(dsec, "measure.density", "level", 1.0))
+            level = _get(dsec, "measure.density", "level", 1.0, float)
             slices = [np.full(grid.shape, level) for _ in times]
         else:
             raise ConfigError("measure.density.kind", f"unknown kind {kind!r}")
@@ -317,7 +383,7 @@ class ExperimentConfig:
             self.section("solver"), "solver", tuple(SOLVER_DEFAULTS),
             retired=("dealias", "store_drift"),
         )
-        if not bool(_get(sec, "solver", "dealias", True)):
+        if not _get(sec, "solver", "dealias", True, bool):
             raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
         kwargs = dict(
             kernel=kernel,
@@ -327,7 +393,8 @@ class ExperimentConfig:
         )
         read = [key for key in SOLVER_DEFAULTS if key not in overrides]
         for key in read:  # each as the type of its default
-            kwargs[key] = type(SOLVER_DEFAULTS[key])(_get(sec, "solver", key, SOLVER_DEFAULTS[key]))
+            default = SOLVER_DEFAULTS[key]
+            kwargs[key] = _get(sec, "solver", key, default, type(default))
         kwargs.update(overrides)
         with _fields(**{key: f"solver.{key}" for key in read}):
             return SolverConfig(**kwargs)
@@ -342,7 +409,7 @@ class ExperimentConfig:
         heatkernel.check_estimate.  The solve runs from eta to the last time,
         so solver.t_end is neither read nor checked."""
         sec = _known(self.section("heatkernel"), "heatkernel", HEATKERNEL_FIELDS)
-        eta = float(_get(sec, "heatkernel", "eta", 0.0))
+        eta = _get(sec, "heatkernel", "eta", 0.0, float)
         y = grid_point(
             _get(sec, "heatkernel", "y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y"
         )
@@ -353,7 +420,7 @@ class ExperimentConfig:
                 f"needs a list of 3 or more times for the semigroup check, got {times!r}",
             )
         times = np.sort(np.asarray(times, dtype=float))
-        h_moll = float(_get(sec, "heatkernel", "h_moll", 2.0 * grid.spacing))
+        h_moll = _get(sec, "heatkernel", "h_moll", 2.0 * grid.spacing, float)
         # the estimate never reads t_end, so the default stands in for it
         solver = self.build_solver(kernel, h_moll=h_moll, t_end=SOLVER_DEFAULTS["t_end"])
         check_drift_step(b, grid, solver)
@@ -365,7 +432,7 @@ class ExperimentConfig:
 
     @property
     def verification(self) -> dict:
-        return self.section("verification")
+        return _known(self.section("verification"), "verification", VERIFICATION_FIELDS)
 
     @property
     def selection(self) -> list[str]:
@@ -378,14 +445,24 @@ class ExperimentConfig:
 
     @property
     def ceilings(self) -> dict:
-        return _mapping(self.verification.get("ceilings", {}), "verification.ceilings")
+        """The ceiling of each inequality id that sets one, as a float."""
+        path = "verification.ceilings"
+        sec = _known(_mapping(self.verification.get("ceilings", {}), path), path, INEQUALITY_IDS)
+        return {key: _get(sec, path, key, kind=float) for key in sec}
 
-    def ceiling(self, inequality_id: str, default: float = np.inf) -> float:
-        return float(self.ceilings.get(inequality_id, default))
+    def ceiling(self, inequality_id: str) -> float:
+        return self.ceilings.get(inequality_id, np.inf)
 
     def params(self, check: str) -> dict:
-        per_check = _mapping(self.verification.get("params", {}), "verification.params")
-        return dict(_mapping(per_check.get(check, {}), f"verification.params.{check}"))
+        """The knobs of one check that verification.params sets, each as its
+        type in CHECK_PARAMS."""
+        per_check = _known(
+            _mapping(self.verification.get("params", {}), "verification.params"),
+            "verification.params", CHECK_PARAMS,
+        )
+        path, kinds = f"verification.params.{check}", CHECK_PARAMS[check]
+        sec = _known(_mapping(per_check.get(check, {}), path), path, kinds)
+        return {key: _get(sec, path, key, kind=kinds[key]) for key in sec}
 
 
 def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig) -> None:

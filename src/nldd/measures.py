@@ -14,6 +14,10 @@ cubic Hermite interpolation and handed to every cylinder that rides it.
 Masks and interpolation corners are built once per centre of a window
 (``Cylinder.distinct_centers``): a straight window has the one centre x0, and
 along a path each time has its own.
+
+``cylinder_masses`` is the one computation of |mu|(Q_rho(t0, x0)), for many
+radii, straight or each along its own path; ``cylinder_mass`` is its
+one-radius call, and ``slab_holds_mass`` tells which radii can hold mass.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ __all__ = [
     "UnresolvedCylinderError",
     "SlantPath",
     "cylinder_mass",
-    "straight_cylinder_masses",
+    "cylinder_masses",
+    "slab_holds_mass",
     "slanted_cylinder_mass",
 ]
 
@@ -63,20 +68,20 @@ class DensityTrack:
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
-    def windowed_spatial_mass(self, t0: float, t1: float, masks_at) -> float:
-        """Integral of |rho| over (t0, t1) x {mask}, trapezoid in time.
-
-        ``masks_at(ts)`` returns one boolean array selecting cells per time in ts.
-        """
-        lo, hi = max(t0, self.times[0]), min(t1, self.times[-1])
+    def mass(self, Q: Cylinder, path: SlantPath | None = None) -> float:
+        """Integral of |rho| over Q, its ball riding ``path``: node sums over
+        one mask per ball centre, trapezoid in time."""
+        lo, hi = max(Q.t_start, self.times[0]), min(Q.t0, self.times[-1])
         if hi <= lo:
             return 0.0
         interior = self.times[(self.times > lo) & (self.times < hi)]
         ts = np.concatenate(([lo], interior, [hi]))
+        centers, which = Q.distinct_centers(ts, path)
+        masks = [ball_mask(self.grid, c, Q.r) for c in centers]
         vals = np.array(
             [
-                (np.abs(self.sample(t)) * mask).sum() * self.grid.cell_volume
-                for t, mask in zip(ts, masks_at(ts))
+                (np.abs(self.sample(t)) * masks[k]).sum() * self.grid.cell_volume
+                for t, k in zip(ts, which)
             ]
         )
         return float(np.trapezoid(vals, ts))
@@ -276,49 +281,49 @@ def _require_length(mu: MeasureData) -> float:
     return mu.domain_length
 
 
-def cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath | None = None) -> float:
-    """|mu|(Q): atom masses in the open cylinder plus the density integral,
-    with the ball centred on Q.centers(t, path) at each time t."""
-    length = _require_length(mu)
-    total = 0.0
+def slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
+    """Whether |mu| has mass in each time slab (t0 - rho^(2s), t0), rho in the
+    array radii.  The slab starts are the scalar powers of ``Cylinder.t_start``
+    and ``cylinder_masses``, so a radius judged empty gets mass 0 on any path."""
+    t_start = np.array([t0 - rho ** (2.0 * s) for rho in radii])
+    held = np.zeros(radii.size, dtype=bool)
     if mu.num_atoms:
-        in_time = (mu.atom_times > Q.t_start) & (mu.atom_times < Q.t0)
-        dist = torus_distance(mu.atom_positions, Q.centers(mu.atom_times, path), length)
-        total += float(np.abs(mu.atom_masses[in_time & (dist < Q.r)]).sum())
+        charged = (mu.atom_times < t0) & (mu.atom_masses != 0.0)
+        held |= (mu.atom_times[charged] > t_start[:, None]).any(axis=1)
     if mu.density is not None:
-        grid = mu.density.grid
-
-        def masks_at(ts):
-            centers, which = Q.distinct_centers(ts, path)
-            masks = [ball_mask(grid, c, Q.r) for c in centers]
-            return [masks[k] for k in which]
-
-        total += mu.density.windowed_spatial_mass(Q.t_start, Q.t0, masks_at)
-    return total
+        ts = mu.density.times
+        held |= np.minimum(t0, ts[-1]) > np.maximum(t_start, ts[0])
+    return held
 
 
-def straight_cylinder_masses(
-    mu: MeasureData, t0: float, x0, radii: np.ndarray, s: float
-) -> np.ndarray:
-    """cylinder_mass of each straight cylinder Q_rho(t0, x0), rho in radii,
-    bitwise.  The atom distances to x0 are computed once; each radius selects
-    with its own slab start t0 - rho^(2s), the scalar power of
-    Cylinder.t_start."""
+def cylinder_masses(mu: MeasureData, t0: float, x0, radii, s: float, paths=None) -> np.ndarray:
+    """|mu|(Q_rho(t0, x0)) for each rho in radii: the atom masses in the open
+    cylinder plus the density integral, the ball riding ``paths[i]`` for
+    radius i (None, or no list: centred on x0).  Atoms enter by the slab start
+    t0 - rho^(2s) of ``Cylinder.t_start``; straight, their distances to x0
+    are computed once, and a Cylinder is built only for the density."""
     length = _require_length(mu)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    masses = np.zeros(len(radii))
     if mu.num_atoms:
         dist = torus_distance(mu.atom_positions, x0, length)
         before = mu.atom_times < t0
-    masses = np.zeros(len(radii))
-    for i, rho in enumerate(radii):
-        t_start = t0 - rho ** (2.0 * s)
+    for i, (rho, path) in enumerate(zip(radii, paths or [None] * len(radii), strict=True)):
+        if path is not None or mu.density is not None:
+            Q = Cylinder(t0, x0, rho, s)
         if mu.num_atoms:
-            inside = (mu.atom_times > t_start) & before & (dist < rho)
-            masses[i] = float(np.abs(mu.atom_masses[inside]).sum())
+            if path is not None:
+                dist = torus_distance(mu.atom_positions, Q.centers(mu.atom_times, path), length)
+            inside = (mu.atom_times > t0 - rho ** (2.0 * s)) & before & (dist < rho)
+            masses[i] = np.abs(mu.atom_masses[inside]).sum()
         if mu.density is not None:
-            mask = ball_mask(mu.density.grid, x0, rho)
-            masses[i] += mu.density.windowed_spatial_mass(t_start, t0, lambda ts: [mask] * len(ts))
+            masses[i] += mu.density.mass(Q, path)
     return masses
+
+
+def cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath | None = None) -> float:
+    """|mu|(Q) with the ball riding ``path``: ``cylinder_masses`` of Q.r."""
+    return float(cylinder_masses(mu, Q.t0, Q.x0, [Q.r], Q.s, [path])[0])
 
 
 def slanted_cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath) -> float:

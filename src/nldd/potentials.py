@@ -8,7 +8,8 @@ bilinear interpolation.  The rule is a fixed weighted sum of |v| over sample
 offsets from the center, built once per time window and shared by every
 snapshot and every q.  Radial grids for the straight parabolic potentials
 insert the exact entry radii of atoms so that the piecewise-constant atom
-masses are integrated in closed form between breakpoints.
+masses are integrated in closed form between breakpoints.  Straight or
+slanted, a potential's masses come from one ``measures.cylinder_masses`` call.
 
 A time window is a cylinder's window (``Cylinder.window``): its snapshots and
 the ball centre of each, straight or along a slant path.  Bilinear
@@ -47,7 +48,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
-from .measures import Cylinder, MeasureData, SlantPath, cylinder_mass, straight_cylinder_masses
+from .measures import (
+    Cylinder, MeasureData, SlantPath, _require_length, cylinder_masses, slab_holds_mass
+)
 from .operators import KernelSpec, _sphere_area
 
 __all__ = [
@@ -332,9 +335,7 @@ def riesz_potential(
         raise ValueError(f"potential order must lie in (0, d+2s), got {a}")
     if rho_min is None:
         rho_min = 1e-4 * R
-    length = mu.domain_length
-    if length is None:
-        raise ValueError("measure needs a domain length for torus geometry")
+    length = _require_length(mu)
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
@@ -351,19 +352,14 @@ def riesz_potential(
     # exact atom breakpoints in the straight case only
     breaks = None if slant is not None else entry[(entry > rho_min) & (entry < R)]
     radii, all_radii, active = potential_radii(mu, t0, R, s, rho_min, breaks)
+    if slant is not None and [path.r for path in slant] != all_radii[active].tolist():
+        raise ValueError(
+            f"the slanted potential takes one path per active radius of "
+            f"potential_radii, {active.size} of them, but got {len(slant)} paths "
+            "of other radii"
+        )
     all_masses = np.zeros(all_radii.size)
-    if slant is None:
-        all_masses[active] = straight_cylinder_masses(mu, t0, x0, all_radii[active], s)
-    else:
-        paths, wanted = list(slant), all_radii[active].tolist()
-        if [path.r for path in paths] != wanted:
-            raise ValueError(
-                f"the slanted potential takes one path per active radius of "
-                f"potential_radii, {len(wanted)} of them, but got {len(paths)} paths "
-                "of other radii"
-            )
-        for i, path in zip(active, paths):
-            all_masses[i] = cylinder_mass(mu, Cylinder(t0, tuple(x0), all_radii[i], s), path)
+    all_masses[active] = cylinder_masses(mu, t0, x0, all_radii[active], s, slant)
     masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
     lo, hi = radii[:-1], radii[1:]
 
@@ -407,24 +403,7 @@ def potential_radii(
     if breaks is not None:
         radii = np.unique(np.concatenate([radii, breaks]))
     all_radii = np.concatenate([radii, np.sqrt(radii[:-1] * radii[1:])])
-    return radii, all_radii, np.flatnonzero(_slab_holds_mass(mu, t0, all_radii, s))
-
-
-def _slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
-    """Whether |mu| has mass in each time slab (t0 - rho^(2s), t0).
-
-    The slab starts are scalar powers, as Cylinder.t_start computes them, so
-    that a radius judged empty gets mass 0 from cylinder_mass along any path.
-    """
-    t_start = np.array([t0 - rho ** (2.0 * s) for rho in radii])
-    held = np.zeros(radii.size, dtype=bool)
-    if mu.num_atoms:
-        charged = (mu.atom_times < t0) & (mu.atom_masses != 0.0)
-        held |= (mu.atom_times[charged] > t_start[:, None]).any(axis=1)
-    if mu.density is not None:
-        ts = mu.density.times
-        held |= np.minimum(t0, ts[-1]) > np.maximum(t_start, ts[0])
-    return held
+    return radii, all_radii, np.flatnonzero(slab_holds_mass(mu, t0, all_radii, s))
 
 
 @lru_cache(maxsize=4)

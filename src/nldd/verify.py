@@ -316,7 +316,7 @@ def fit_holder_exponent(
     config: ExperimentConfig, num_points: int = 10, salt: int = 3
 ) -> VerificationReport:
     """Oscillation decay exponent over shrinking cylinders on homogeneous runs."""
-    slanted = bool(config.params("holder").get("slanted", False))
+    slanted = config.params("holder").get("slanted", False)
     if slanted and config.drift_family in ("none", "sqg"):
         raise ConfigError(
             "verification.params.holder.slanted", f"needs an explicit drift, not {config.drift_family!r}"
@@ -494,7 +494,7 @@ def verify_bmo_slanted(
         raise ValueError("no admissible placements; solve window or grid too small")
     if not critical:
         return report
-    c0 = float(config.params("bmo").get("c0", 0.1))
+    c0 = config.params("bmo").get("c0", 0.1)
     norms = np.array([path.c1_norm for path in fit_paths])
     envelopes = np.array([C1 + C2 * abs(np.log(r)) for r in radii])
     c_fit = float((norms * envelopes).sum() / (envelopes**2).sum())
@@ -511,14 +511,12 @@ def verify_bmo_slanted(
 
 CHECKS = {
     "potential": lambda cfg: verify_potential_estimate(cfg),
-    "excess": lambda cfg: verify_excess_decay(
-        cfg, m_max=int(cfg.params("excess").get("m_max", 3))
-    ),
+    "excess": lambda cfg: verify_excess_decay(cfg, m_max=cfg.params("excess").get("m_max", 3)),
     "holder": lambda cfg: fit_holder_exponent(cfg),
     "lorentz": lambda cfg: verify_lorentz(
         cfg,
-        p=float(cfg.params("lorentz").get("p", 1.2)),
-        sigma=float(cfg.params("lorentz").get("sigma", np.inf)),
+        p=cfg.params("lorentz").get("p", 1.2),
+        sigma=cfg.params("lorentz").get("sigma", np.inf),
     ),
     "comparison": lambda cfg: verify_comparison(cfg),
     "bmo": lambda cfg: verify_bmo_slanted(cfg),
@@ -549,6 +547,7 @@ def run_campaign(
     for name in config.selection:
         if name not in CHECKS:
             raise ConfigError("verification.selection", f"unknown check {name!r}")
+    for name in CHECKS:
         config.params(name)
     if config.selection:  # every check solves with these settings
         check_solver(config.build_grid(), config.build_solver(config.build_kernel()))

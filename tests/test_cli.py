@@ -162,6 +162,14 @@ class TestVerify:
                   "--ceiling-file", str(ceil)])
             == 1
         )
+        # a misspelt inequality id in the file sets no ceiling: it is refused
+        ceil.write_text(yaml.safe_dump({"lorentz-exponnent": 1e-12}))
+        assert (
+            main(["verify", "--config", cfg, "--out", str(tmp_path / "misspelt"),
+                  "--ceiling-file", str(ceil)])
+            == 2
+        )
+        assert not (tmp_path / "misspelt").exists()
 
     @pytest.mark.parametrize(
         "verification, message",
@@ -175,8 +183,52 @@ class TestVerify:
                 {"params": {"lorentz": 1.2}},
                 "config field 'verification.params.lorentz': must be a mapping, got 1.2",
             ),
+            (
+                {"ceilings": {"potential-estimat": 1e-3}},
+                "config field 'verification.ceilings.potential-estimat': unknown field; the "
+                "section takes potential-estimate, excess-decay, holder-exponent, "
+                "lorentz-exponent, comparison-estimate, bmo-slanted",
+            ),
+            (
+                {"ceilings": {"lorentz-exponent": "tight"}},
+                "config field 'verification.ceilings.lorentz-exponent': must be a number, "
+                "got 'tight'",
+            ),
+            (
+                {"params": {"holder": {"slanted": "false"}}},
+                "config field 'verification.params.holder.slanted': must be true or false, "
+                "got 'false'",
+            ),
+            (
+                {"params": {"excess": {"m_max": 2.5}}},
+                "config field 'verification.params.excess.m_max': must be an integer, got 2.5",
+            ),
+            (
+                {"params": {"holder": {"slant": True}}},
+                "config field 'verification.params.holder.slant': unknown field; the section "
+                "takes slanted",
+            ),
+            (
+                {"params": {"comparison": {"m_max": 2}}},
+                "config field 'verification.params.comparison.m_max': unknown field; the "
+                "section takes no fields",
+            ),
+            (
+                {"params": {"holdr": {"slanted": True}}},
+                "config field 'verification.params.holdr': unknown field; the section takes "
+                "potential, excess, holder, lorentz, comparison, bmo",
+            ),
+            (
+                {"holder": {"slanted": True}},
+                "config field 'verification.holder': unknown field; the section takes "
+                "selection, ceilings, params",
+            ),
         ],
-        ids=["ceilings", "params.lorentz"],
+        ids=[
+            "ceilings", "params.lorentz", "ceiling-unknown-id", "ceiling-not-a-number",
+            "holder.slanted-string", "excess.m_max-not-whole", "holder-unknown-key",
+            "comparison-takes-no-key", "params-unknown-check", "verification-unknown-key",
+        ],
     )
     @pytest.mark.parametrize("ceiling_file", [False, True])
     def test_bad_sub_section_through_main(
@@ -303,10 +355,62 @@ class TestConfigErrors:
                 "config field 'solver.dtt': unknown field; the section takes dt, t_end, h_moll, "
                 "snapshot_stride",
             ),
+            (
+                {"drift": {"family": "shear", "amplitude": "abc"}},
+                "config field 'drift.amplitude': must be a number, got 'abc'",
+            ),
+            (
+                {"grid": {"d": 2.9, "n": 64.5, "domain_length": 8.0}},
+                "config field 'grid.d': must be an integer, got 2.9",
+            ),
+            (
+                {"grid": {"d": 2, "n": 64.5, "domain_length": 8.0}},
+                "config field 'grid.n': must be an integer, got 64.5",
+            ),
+            (
+                {"solver": {"dt": 5e-3, "t_end": 0.5, "snapshot_stride": 2.5}},
+                "config field 'solver.snapshot_stride': must be an integer, got 2.5",
+            ),
+            (
+                {"solver": {"dt": True, "t_end": 0.5}},
+                "config field 'solver.dt': must be a number, got True",
+            ),
+            (
+                {"drift": {"family": "shear", "amplitud": 5.0}},
+                "config field 'drift.amplitud': unknown field; the section takes family, "
+                "vector, amplitude, wavenumber, coefficients",
+            ),
+            (
+                {"initial": {"kind": "random", "decy": 2.0}},
+                "config field 'initial.decy': unknown field; the section takes kind, modes, "
+                "amplitude, decay",
+            ),
+            (
+                {"initial": {"kind": "eigenmode", "modes": [{"wavenumber": 1, "amp": 2.0}]}},
+                "config field 'initial.modes[0].amp': unknown field; the section takes axis, "
+                "wavenumber, amplitude, phase",
+            ),
+            (
+                {"measure": {"atom": [{"t": 0.1, "x": [4.0, 4.0], "mass": 1.0}]}},
+                "config field 'measure.atom': unknown field; the section takes atoms, density",
+            ),
+            (
+                {"measure": {"atoms": [{"t": 0.1, "x": [4.0, 4.0], "m": 1.0}]}},
+                "config field 'measure.atoms[0].m': unknown field; the section takes t, x, mass",
+            ),
+            (
+                {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "levl": 2.0}}},
+                "config field 'measure.density.levl': unknown field; the section takes kind, "
+                "exponent, center, t_start, t_end, num_slices, level",
+            ),
         ],
         ids=[
             "solver.t_end", "solver.h_moll", "solver.dt-cfl",
             "grid-unknown-key", "kernel-unknown-key", "solver-unknown-key",
+            "drift.amplitude-not-a-number", "grid.d-not-whole", "grid.n-not-whole",
+            "solver.snapshot_stride-not-whole", "solver.dt-a-flag", "drift-unknown-key",
+            "initial-unknown-key", "mode-unknown-key", "measure-unknown-key",
+            "atom-unknown-key", "density-unknown-key",
         ],
     )
     def test_solve_with_a_bad_step_or_mollifier_through_main(

@@ -41,6 +41,22 @@ class TestLoad:
         with pytest.raises(ConfigError, match=r"'solver': must be a mapping, got 0\.01"):
             cfg.build_solver(cfg.build_kernel())
 
+    def test_numbers_read_as_their_field_types(self, tmp_path):
+        # PyYAML reads 1e-3 as a string, and 64.0 is a whole number
+        cfg = load_config(write(
+            tmp_path,
+            "grid: {n: 64.0, domain_length: 8}\n"
+            "solver: {dt: 1e-3, t_end: 1, snapshot_stride: 2.0}\n"
+            "verification: {params: {holder: {slanted: true}, potential: {R: 1}}}\n",
+        ))
+        g = cfg.build_grid()
+        assert (g.n, g.domain_length) == (64, 8.0) and type(g.n) is int
+        sc = cfg.build_solver(cfg.build_kernel())
+        assert (sc.dt, sc.t_end, sc.snapshot_stride) == (1e-3, 1.0, 2)
+        assert type(sc.t_end) is float and type(sc.snapshot_stride) is int
+        assert cfg.params("holder") == {"slanted": True}
+        assert cfg.params("potential") == {"R": 1.0}
+
     def test_missing_required_field_names_path(self, tmp_path):
         cfg = load_config(write(tmp_path, "drift: {family: constant}\n"))
         with pytest.raises(ConfigError, match="drift.vector"):

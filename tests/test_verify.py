@@ -1,11 +1,14 @@
 import csv
 import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
-from nldd.config import ConfigError, ExperimentConfig
+from nldd import verify
+from nldd.config import CHECK_PARAMS, INEQUALITY_IDS, ConfigError, ExperimentConfig
 from nldd.evolution import TrajectoryStore
 from nldd.fields import ScalarField, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath, cylinder_mass
@@ -422,6 +425,13 @@ class TestCampaign:
         with pytest.raises(ConfigError, match=rf"config field '{path}': "):
             run_campaign(self._write(tmp_path, raw), tmp_path / "out")
         assert solves == [] and not (tmp_path / "out").exists()
+
+    def test_checks_match_the_config_schema(self):
+        # the config takes params for each check and ceilings for each
+        # inequality id the checks report
+        assert list(verify.CHECKS) == list(CHECK_PARAMS)
+        reported = re.findall(r'VerificationReport\("([^"]+)"\)', inspect.getsource(verify))
+        assert sorted(reported) == sorted(INEQUALITY_IDS)
 
     def test_csv_body_deterministic(self, tmp_path):
         raw = base_raw(
