@@ -40,13 +40,15 @@ Schema (all sections optional unless a check needs them):
       h_moll: 0.2                 # Dirac width, at least one grid spacing
     seed: 42
 
-An unknown field is an error in every section: in grid, kernel, drift,
-initial (and each of its modes), measure (each atom and the density), solver,
-heatkernel and verification (its ceilings, which take the inequality ids of
-the checks, and the params of each check).  The retired kernel.lam,
-solver.store_drift and solver.dealias: true are still accepted and change
-nothing.  A number, whole number or flag that is not one is an error at its
-field path.
+SCHEMA declares every field and its kind, and one reader types a section
+field by field, so bad input fails at its field path: an unknown top-level
+section, or an unknown field in any section (down to each mode, atom,
+ceiling and check's params); a number, whole number or flag that is not
+one; a word not in its list (a phase is sin | cos); or a list field that is
+not a list, typed item by item (a point may be one number, read as one
+coordinate).  The retired kernel.lam, solver.store_drift and solver.dealias:
+true are still accepted and change nothing.  Each default lives in the one
+builder that reads it.
 
 Every run is deterministic given the seed.
 """
@@ -86,24 +88,13 @@ __all__ = [
     "grid_point",
 ]
 
-DRIFT_FAMILIES = ("none", "constant", "shear", "sqg", "lacunary")
-INITIAL_KINDS = ("zero", "eigenmode", "random")
-GRID_FIELDS = ("d", "n", "domain_length")
-KERNEL_FIELDS = ("s",)
-SOLVER_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "h_moll": 0.0, "snapshot_stride": 1}
-HEATKERNEL_FIELDS = ("eta", "y", "times", "h_moll")
-DRIFT_FIELDS = ("family", "vector", "amplitude", "wavenumber", "coefficients")
-INITIAL_FIELDS = ("kind", "modes", "amplitude", "decay")
-MODE_FIELDS = ("axis", "wavenumber", "amplitude", "phase")
-MEASURE_FIELDS = ("atoms", "density")
-ATOM_FIELDS = ("t", "x", "mass")
-DENSITY_FIELDS = ("kind", "exponent", "center", "t_start", "t_end", "num_slices", "level")
-VERIFICATION_FIELDS = ("selection", "ceilings", "params")
-# the knobs each check of verify reads under verification.params, with the
-# type of each (None: read as given), and the inequality id of each check's
-# report, which names its ceiling
+RETIRED = "retired"  # accepted as written, and changes no run
+NUMBERS = "numbers"  # a list of numbers, or one number read as a list of one
+# the knobs verification.params takes for each check of verify (those of
+# potential place nldd potential's point), and the inequality id of each
+# check's report, which names its ceiling
 CHECK_PARAMS = {
-    "potential": {"t0": float, "x0": None, "R": float},
+    "potential": {"t0": float, "x0": NUMBERS, "R": float},
     "excess": {"m_max": int},
     "holder": {"slanted": bool},
     "lorentz": {"p": float, "sigma": float},
@@ -118,6 +109,53 @@ INEQUALITY_IDS = (
     "comparison-estimate",
     "bmo-slanted",
 )
+# every field of a config and its kind: float, int or bool; NUMBERS; a tuple
+# of the words it may be; a mapping of sub-fields; a list of one kind, [kind];
+# or RETIRED
+SCHEMA = {
+    "grid": {"d": int, "n": int, "domain_length": float},
+    "kernel": {"s": float, "lam": RETIRED},
+    "drift": {
+        "family": ("none", "constant", "shear", "sqg", "lacunary"),
+        "vector": NUMBERS,
+        "amplitude": float,
+        "wavenumber": int,
+        "coefficients": [float],
+    },
+    "initial": {
+        "kind": ("zero", "eigenmode", "random"),
+        "modes": [{"axis": int, "wavenumber": int, "amplitude": float, "phase": ("sin", "cos")}],
+        "amplitude": float,
+        "decay": float,
+    },
+    "measure": {
+        "atoms": [{"t": float, "x": NUMBERS, "mass": float}],
+        "density": {
+            "kind": ("inverse_power", "uniform"),
+            "exponent": float,
+            "center": NUMBERS,
+            "t_start": float,
+            "t_end": float,
+            "num_slices": int,
+            "level": float,
+        },
+    },
+    "solver": {
+        "dt": float,
+        "t_end": float,
+        "h_moll": float,
+        "snapshot_stride": int,
+        "dealias": RETIRED,
+        "store_drift": RETIRED,
+    },
+    "heatkernel": {"eta": float, "y": NUMBERS, "times": [float], "h_moll": float},
+    "verification": {
+        "selection": [tuple(CHECK_PARAMS)],
+        "ceilings": dict.fromkeys(INEQUALITY_IDS, float),
+        "params": CHECK_PARAMS,
+    },
+    "seed": int,
+}
 
 
 class ConfigError(ValueError):
@@ -140,32 +178,35 @@ def _fields(**paths: str):
         raise ConfigError(paths[exc.parameter], str(exc)) from None
 
 
-def _known(section: dict, path: str, fields, retired=()) -> dict:
-    """``section`` if every key in it is one of ``fields`` or a ``retired``
-    field that is still accepted; else a ConfigError naming the first other."""
-    for key in section:
-        if key not in fields and key not in retired:
-            known = ", ".join(fields) or "no fields"
-            raise ConfigError(f"{path}.{key}", f"unknown field; the section takes {known}")
-    return section
-
-
-def _get(section: dict, path: str, key: str, default=None, kind=None, required: bool = False):
-    """``section[key]`` as a ``kind`` (float, int or bool) if one is given,
-    else as written; ``default`` when the key is absent."""
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    return value if kind is None else _typed(value, kind, f"{path}.{key}")
-
-
-def _typed(value, kind, path: str):
-    """``value`` as a float, int or bool; a ConfigError naming ``path`` for a
-    flag that is not a boolean, a number that is not one or an integer that
-    is not whole.  A string is read by float(), since PyYAML reads 1e-3 as
-    one."""
+def _read(value, path: str, kind):
+    """``value`` read as ``kind`` (see SCHEMA): a mapping keeps the fields it
+    sets, each read as its own kind.  A ConfigError names the path of the
+    first field that is not of its kind.  A number may be a string, since
+    PyYAML reads 1e-3 as one."""
+    if kind is RETIRED:
+        return value
+    if isinstance(kind, dict):
+        if value is None:
+            raise ConfigError(path, "section has no value; give it fields or drop it")
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"must be a mapping, got {value!r}")
+        for key in value:
+            if key not in kind:
+                known = ", ".join(k for k in kind if kind[k] is not RETIRED) or "no fields"
+                raise ConfigError(f"{path}.{key}", f"unknown field; the section takes {known}")
+        return {key: _read(item, f"{path}.{key}", kind[key]) for key, item in value.items()}
+    if kind is NUMBERS:
+        if not isinstance(value, list):  # one number is a list of one
+            return [_read(value, path, float)]
+        kind = [float]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(path, f"must be a list, got {value!r}")
+        return [_read(item, f"{path}[{i}]", kind[0]) for i, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(path, f"must be one of {', '.join(kind)}, got {value!r}")
+        return value
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(path, f"must be true or false, got {value!r}")
@@ -176,29 +217,25 @@ def _typed(value, kind, path: str):
     if not isinstance(value, bool):  # YAML's true and yes are not numbers
         with suppress(TypeError, ValueError, OverflowError):
             number = float(value)
-    if number is None:
-        raise ConfigError(path, f"must be a number, got {value!r}")
-    if kind is float:
+    if kind is float and number is not None:
         return number
-    if not number.is_integer():
-        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if number is None or not number.is_integer():
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(path, f"must be {noun}, got {value!r}")
     return int(number)
 
 
-def _mapping(value, path: str) -> dict:
-    """``value`` if it is a mapping; a ConfigError naming ``path`` if it was
-    written with no value or is a scalar or a list."""
-    if value is None:
-        raise ConfigError(path, "section has no value; give it fields or drop it")
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"must be a mapping, got {value!r}")
-    return value
+def _required(section: dict, path: str, key: str):
+    """``section[key]``; a ConfigError naming the field if it is absent."""
+    if key not in section:
+        raise ConfigError(f"{path}.{key}", "missing required field")
+    return section[key]
 
 
 def grid_point(value, grid: GridSpec, path: str) -> np.ndarray:
     """``value`` as a point of the d-torus; a ConfigError naming ``path``
     unless it has d coordinates."""
-    x = np.atleast_1d(np.asarray(value, dtype=float))
+    x = np.asarray(value, dtype=float)
     if x.shape != (grid.d,):
         raise ConfigError(path, f"needs {grid.d} coordinates, got {x.size}")
     return x
@@ -226,98 +263,73 @@ def lacunary_drift(grid: GridSpec, coefficients) -> VectorField:
     return _along_x1(grid, b1)
 
 
-def _constant_drift(grid: GridSpec, vector) -> VectorField:
-    vector = np.asarray(vector, dtype=float)
-    if vector.size != grid.d:
-        raise ConfigError("drift.vector", f"needs {grid.d} components")
-    comps = tuple(
-        ScalarField(grid, np.full(grid.shape, v), 0.0) for v in vector
-    )
-    return VectorField(comps)
-
-
 @dataclass
 class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        return _read(self.raw.get("seed", 0), "seed", SCHEMA["seed"])
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(self.seed + salt)
 
     def section(self, name: str) -> dict:
-        """The mapping under a top-level key; {} when the key is absent."""
-        return _mapping(self.raw.get(name, {}), name)
+        """The fields that a top-level section sets, each read as its kind in
+        SCHEMA; {} when the config has no such section."""
+        return _read(self.raw.get(name, {}), name, SCHEMA[name])
 
     # ---- builders ----
 
     def build_grid(self) -> GridSpec:
-        sec = _known(self.section("grid"), "grid", GRID_FIELDS)
+        sec = self.section("grid")
         with _fields(d="grid.d", n="grid.n", domain_length="grid.domain_length"):
             return make_grid(
-                d=_get(sec, "grid", "d", 2, int),
-                n=_get(sec, "grid", "n", 64, int),
-                domain_length=_get(sec, "grid", "domain_length", 2.0 * np.pi, float),
+                d=sec.get("d", 2), n=sec.get("n", 64),
+                domain_length=sec.get("domain_length", 2.0 * np.pi),
             )
 
     def build_kernel(self) -> KernelSpec:
-        sec = _known(self.section("kernel"), "kernel", KERNEL_FIELDS, retired=("lam",))
         with _fields(s="kernel.s"):
-            return KernelSpec(s=_get(sec, "kernel", "s", 0.5, float))
-
-    @property
-    def drift(self) -> dict:
-        return _known(self.section("drift"), "drift", DRIFT_FIELDS)
+            return KernelSpec(s=self.section("kernel").get("s", 0.5))
 
     @property
     def drift_family(self) -> str:
-        fam = self.drift.get("family", "none")
-        if fam not in DRIFT_FAMILIES:
-            raise ConfigError("drift.family", f"unknown family {fam!r}")
-        return fam
+        return self.section("drift").get("family", "none")
 
     def build_drift(self, grid: GridSpec) -> VectorField | None:
-        sec = self.drift
+        sec = self.section("drift")
         fam = self.drift_family
         if fam in ("none", "sqg"):
             return None
         if fam == "constant":
-            return _constant_drift(grid, _get(sec, "drift", "vector", required=True))
+            vector = grid_point(_required(sec, "drift", "vector"), grid, "drift.vector")
+            return VectorField(tuple(
+                ScalarField(grid, np.full(grid.shape, v), 0.0) for v in vector
+            ))
         if fam == "shear":
             return shear_drift(
-                grid,
-                amplitude=_get(sec, "drift", "amplitude", 1.0, float),
-                wavenumber=_get(sec, "drift", "wavenumber", 1, int),
+                grid, amplitude=sec.get("amplitude", 1.0), wavenumber=sec.get("wavenumber", 1)
             )
-        coeffs = _get(sec, "drift", "coefficients", required=True)
-        return lacunary_drift(grid, coeffs)
+        return lacunary_drift(grid, _required(sec, "drift", "coefficients"))
 
     def build_initial(self, grid: GridSpec) -> ScalarField:
-        sec = _known(self.section("initial"), "initial", INITIAL_FIELDS)
-        kind = _get(sec, "initial", "kind", "zero")
-        if kind not in INITIAL_KINDS:
-            raise ConfigError("initial.kind", f"unknown kind {kind!r}")
+        sec = self.section("initial")
+        kind = sec.get("kind", "zero")
         if kind == "zero":
             return ScalarField(grid, np.zeros(grid.shape), 0.0)
         if kind == "eigenmode":
             xs = grid_coordinates(grid)
             base = 2.0 * np.pi / grid.domain_length
             vals = np.zeros(grid.shape)
-            for i, mode in enumerate(_get(sec, "initial", "modes", required=True)):
-                path = f"initial.modes[{i}]"
-                mode = _known(_mapping(mode, path), path, MODE_FIELDS)
-                axis = _get(mode, path, "axis", 0, int)
-                wn = _get(mode, path, "wavenumber", kind=int, required=True)
-                amp = _get(mode, path, "amplitude", 1.0, float)
-                phase = _get(mode, path, "phase", "sin")
-                fn = np.sin if phase == "sin" else np.cos
-                vals += amp * fn(base * wn * xs[axis])
+            for i, mode in enumerate(_required(sec, "initial", "modes")):
+                wn = _required(mode, f"initial.modes[{i}]", "wavenumber")
+                fn = np.sin if mode.get("phase", "sin") == "sin" else np.cos
+                vals += mode.get("amplitude", 1.0) * fn(base * wn * xs[mode.get("axis", 0)])
             return ScalarField(grid, vals, 0.0)
         # random: seeded spectral noise with a power-law envelope
-        amp = _get(sec, "initial", "amplitude", 1.0, float)
-        decay = _get(sec, "initial", "decay", 2.0, float)
+        amp = sec.get("amplitude", 1.0)
+        decay = sec.get("decay", 2.0)
         rng = self.rng(salt=101)
         kmag = wavenumber_magnitude(grid)
         envelope = np.where(kmag > 0, np.maximum(kmag, 1e-12) ** (-decay), 0.0)
@@ -330,22 +342,18 @@ class ExperimentConfig:
         return ScalarField(grid, vals, 0.0)
 
     def build_measure(self, grid: GridSpec) -> MeasureData | None:
-        sec = _known(self.section("measure"), "measure", MEASURE_FIELDS)
+        sec = self.section("measure")
         if not sec:
             return None
         atoms = []
-        for i, a in enumerate(sec.get("atoms", []) or []):
+        for i, a in enumerate(sec.get("atoms", [])):
             path = f"measure.atoms[{i}]"
-            a = _known(_mapping(a, path), path, ATOM_FIELDS)
-            t = _get(a, path, "t", kind=float, required=True)
-            x = grid_point(_get(a, path, "x", required=True), grid, f"{path}.x")
-            atoms.append((t, x, _get(a, path, "mass", kind=float, required=True)))
+            t = _required(a, path, "t")
+            x = grid_point(_required(a, path, "x"), grid, f"{path}.x")
+            atoms.append((t, x, _required(a, path, "mass")))
         density = None
-        dsec = sec.get("density")
-        if dsec:
-            density = self._build_density(
-                grid, _known(_mapping(dsec, "measure.density"), "measure.density", DENSITY_FIELDS)
-            )
+        if sec.get("density"):
+            density = self._build_density(grid, sec["density"])
         if not atoms and density is None:
             return None
         mu = MeasureData.from_atoms(atoms, domain_length=grid.domain_length)
@@ -353,51 +361,38 @@ class ExperimentConfig:
         return mu
 
     def _build_density(self, grid: GridSpec, dsec: dict) -> DensityTrack:
-        kind = _get(dsec, "measure.density", "kind", required=True)
-        t0 = _get(dsec, "measure.density", "t_start", 0.0, float)
-        t1 = _get(dsec, "measure.density", "t_end", kind=float, required=True)
-        num = _get(dsec, "measure.density", "num_slices", 9, int)
+        path = "measure.density"
+        kind = _required(dsec, path, "kind")
+        t0 = dsec.get("t_start", 0.0)
+        t1 = _required(dsec, path, "t_end")
         if t1 <= t0:
             raise ConfigError("measure.density.t_end", "must exceed t_start")
-        times = np.linspace(t0, t1, num)
+        times = np.linspace(t0, t1, dsec.get("num_slices", 9))
         if kind == "inverse_power":
-            expo = _get(dsec, "measure.density", "exponent", kind=float, required=True)
-            center = np.asarray(
-                _get(dsec, "measure.density", "center", [grid.domain_length / 2.0] * grid.d),
-                dtype=float,
+            expo = _required(dsec, path, "exponent")
+            center = grid_point(
+                dsec.get("center", [grid.domain_length / 2.0] * grid.d), grid, f"{path}.center"
             )
             vals = np.maximum(grid_distance(grid, center), grid.spacing) ** (-expo)
             slices = [vals.copy() for _ in times]
-        elif kind == "uniform":
-            level = _get(dsec, "measure.density", "level", 1.0, float)
-            slices = [np.full(grid.shape, level) for _ in times]
-        else:
-            raise ConfigError("measure.density.kind", f"unknown kind {kind!r}")
+        else:  # uniform
+            slices = [np.full(grid.shape, dsec.get("level", 1.0)) for _ in times]
         return DensityTrack(grid, times, slices)
 
     def build_solver(self, kernel: KernelSpec, **overrides) -> SolverConfig:
         """The solver section's settings.  A field given in ``overrides`` is
-        neither read from the section nor checked as a section field: a value
-        SolverConfig refuses for it raises the ParameterError naming it."""
-        sec = _known(
-            self.section("solver"), "solver", tuple(SOLVER_DEFAULTS),
-            retired=("dealias", "store_drift"),
-        )
-        if not _get(sec, "solver", "dealias", True, bool):
+        typed in the section but not used: a value SolverConfig refuses for
+        it raises the ParameterError naming it."""
+        sec = self.section("solver")
+        sec.pop("store_drift", None)
+        if sec.pop("dealias", True) is not True:
             raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
-        kwargs = dict(
-            kernel=kernel,
-            drift_mode="sqg" if self.drift_family == "sqg" else (
-                "none" if self.drift_family == "none" else "given"
-            ),
-        )
-        read = [key for key in SOLVER_DEFAULTS if key not in overrides]
-        for key in read:  # each as the type of its default
-            default = SOLVER_DEFAULTS[key]
-            kwargs[key] = _get(sec, "solver", key, default, type(default))
-        kwargs.update(overrides)
+        fam = self.drift_family
+        mode = fam if fam in ("none", "sqg") else "given"
+        read = {"dt": 1e-3, "t_end": 1.0, **sec}
+        read = {key: value for key, value in read.items() if key not in overrides}
         with _fields(**{key: f"solver.{key}" for key in read}):
-            return SolverConfig(**kwargs)
+            return SolverConfig(kernel=kernel, drift_mode=mode, **read, **overrides)
 
     def build_heatkernel(
         self, grid: GridSpec, kernel: KernelSpec, b: VectorField | None
@@ -407,22 +402,20 @@ class ExperimentConfig:
         section's shape here, b (the config's drift) against the CFL bound at
         solver.dt, and the rules of an estimate's inputs by
         heatkernel.check_estimate.  The solve runs from eta to the last time,
-        so solver.t_end is neither read nor checked."""
-        sec = _known(self.section("heatkernel"), "heatkernel", HEATKERNEL_FIELDS)
-        eta = _get(sec, "heatkernel", "eta", 0.0, float)
-        y = grid_point(
-            _get(sec, "heatkernel", "y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y"
-        )
-        times = _get(sec, "heatkernel", "times", [eta + 0.5, eta + 1.0, eta + 2.0])
-        if not isinstance(times, list) or len(times) < 3:
+        so solver.t_end is not read."""
+        sec = self.section("heatkernel")
+        eta = sec.get("eta", 0.0)
+        y = grid_point(sec.get("y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y")
+        times = sec.get("times", [eta + 0.5, eta + 1.0, eta + 2.0])
+        if len(times) < 3:
             raise ConfigError(
                 "heatkernel.times",
                 f"needs a list of 3 or more times for the semigroup check, got {times!r}",
             )
         times = np.sort(np.asarray(times, dtype=float))
-        h_moll = _get(sec, "heatkernel", "h_moll", 2.0 * grid.spacing, float)
-        # the estimate never reads t_end, so the default stands in for it
-        solver = self.build_solver(kernel, h_moll=h_moll, t_end=SOLVER_DEFAULTS["t_end"])
+        h_moll = sec.get("h_moll", 2.0 * grid.spacing)
+        # the estimate never reads t_end, so any positive time stands in for it
+        solver = self.build_solver(kernel, h_moll=h_moll, t_end=1.0)
         check_drift_step(b, grid, solver)
         with _fields(
             times="heatkernel.times", h_moll="heatkernel.h_moll", drift_mode="drift.family"
@@ -431,38 +424,25 @@ class ExperimentConfig:
         return eta, y, times, solver
 
     @property
-    def verification(self) -> dict:
-        return _known(self.section("verification"), "verification", VERIFICATION_FIELDS)
-
-    @property
     def selection(self) -> list[str]:
-        names = self.verification.get("selection", []) or []
-        if not isinstance(names, (list, tuple)):
-            raise ConfigError(
-                "verification.selection", f"must be a list of check names, got {names!r}"
-            )
-        return list(names)
-
-    @property
-    def ceilings(self) -> dict:
-        """The ceiling of each inequality id that sets one, as a float."""
-        path = "verification.ceilings"
-        sec = _known(_mapping(self.verification.get("ceilings", {}), path), path, INEQUALITY_IDS)
-        return {key: _get(sec, path, key, kind=float) for key in sec}
+        return self.section("verification").get("selection", [])
 
     def ceiling(self, inequality_id: str) -> float:
-        return self.ceilings.get(inequality_id, np.inf)
+        return self.section("verification").get("ceilings", {}).get(inequality_id, np.inf)
 
     def params(self, check: str) -> dict:
-        """The knobs of one check that verification.params sets, each as its
-        type in CHECK_PARAMS."""
-        per_check = _known(
-            _mapping(self.verification.get("params", {}), "verification.params"),
-            "verification.params", CHECK_PARAMS,
-        )
-        path, kinds = f"verification.params.{check}", CHECK_PARAMS[check]
-        sec = _known(_mapping(per_check.get(check, {}), path), path, kinds)
-        return {key: _get(sec, path, key, kind=kinds[key]) for key in sec}
+        """The knobs of one check that verification.params sets."""
+        return self.section("verification").get("params", {}).get(check, {})
+
+    def add_ceilings(self, ceilings, path: str) -> None:
+        """Set the ceilings of the mapping ``ceilings``, read from ``path``,
+        over the verification section's own, which are checked first; the
+        new ones are kept as written."""
+        _read(ceilings, path, SCHEMA["verification"]["ceilings"])
+        own = self.section("verification").get("ceilings", {})
+        self.raw["verification"] = {
+            **self.raw.get("verification", {}), "ceilings": {**own, **ceilings}
+        }
 
 
 def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig) -> None:
@@ -510,6 +490,9 @@ def load_config(path) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be a mapping")
-    if not isinstance(raw.get("seed", 0), int):
-        raise ConfigError("seed", f"must be an integer, got {raw['seed']!r}")
-    return ExperimentConfig(raw)
+    for key in raw:
+        if key not in SCHEMA:
+            raise ConfigError(key, f"unknown section; the document takes {', '.join(SCHEMA)}")
+    config = ExperimentConfig(raw)
+    config.seed  # read now, so a bad seed fails before any section is read
+    return config

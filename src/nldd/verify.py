@@ -33,7 +33,7 @@ from .measures import (
     UnresolvedCylinderError,
     cylinder_mass,
 )
-from .operators import KernelSpec
+from .operators import KernelSpec, _sphere_area
 from .potentials import (
     TailOptions,
     bmo_seminorm,
@@ -89,7 +89,7 @@ def run_experiment(
     mu = None if drop_measure else config.build_measure(grid)
     if mu is not None and measure_scale != 1.0:
         mu = mu.scaled(measure_scale)
-    if mu is not None and config.section("solver").get("h_moll", 0.0) == 0.0:
+    if mu is not None and not config.section("solver").get("h_moll"):
         solver_overrides.setdefault("h_moll", 2.0 * grid.spacing)
     solver = config.build_solver(kernel, **solver_overrides)
     check_solver(grid, solver, mu)
@@ -142,6 +142,18 @@ def _cylinder_oscillation(
     return max(v.max() for v in values) - min(v.min() for v in values)
 
 
+def _grid_node(grid: GridSpec, rng: np.random.Generator) -> tuple:
+    """A grid node drawn uniformly from ``rng``."""
+    return tuple(float(i) * grid.spacing for i in rng.integers(0, grid.n, grid.d))
+
+
+def _outer_radius(exp: Experiment) -> float:
+    """The largest scale of a check's nested cylinders: at most L/8, and
+    deep enough in time to fit 95% of the solved window."""
+    window = exp.traj.t_end - exp.traj.t_start
+    return min(exp.grid.domain_length / 8.0, (window * 0.95) ** (1.0 / (2.0 * exp.kernel.s)))
+
+
 def _placements(exp: Experiment, rng: np.random.Generator, count: int):
     """Seeded (t0, x0, R) triples whose cylinders fit the solved window."""
     grid, s = exp.grid, exp.kernel.s
@@ -160,8 +172,7 @@ def _placements(exp: Experiment, rng: np.random.Generator, count: int):
         t0 = traj.times[traj.index_at(t0)]
         if t0 - depth < traj.t_start:
             t0 = traj.t_start + depth
-        x0 = tuple(float(i) * grid.spacing for i in rng.integers(0, grid.n, grid.d))
-        out.append((t0, x0, R))
+        out.append((t0, _grid_node(grid, rng), R))
     return out
 
 
@@ -248,17 +259,13 @@ def verify_excess_decay(
     q = EXCESS_Q
     exp0 = run_experiment(config, drop_measure=True)
     grid, s = exp0.grid, exp0.kernel.s
-    R = min(
-        grid.domain_length / 8.0,
-        ((exp0.traj.t_end - exp0.traj.t_start) * 0.95) ** (1.0 / (2.0 * s)),
-    )
+    R = _outer_radius(exp0)
     if R / 2**m_max < 4.0 * grid.spacing:
         raise ValueError(
             f"insufficient scale separation: R/2^m = {R / 2 ** m_max:.3g} "
             f"is below 4 spacings = {4 * grid.spacing:.3g}"
         )
-    rng = config.rng(salt)
-    x0 = tuple(float(i) * grid.spacing for i in rng.integers(0, grid.n, grid.d))
+    x0 = _grid_node(grid, config.rng(salt))
     t0 = exp0.traj.t_end
     opts = exp0.tail_options
 
@@ -313,10 +320,10 @@ def verify_excess_decay(
 
 
 def fit_holder_exponent(
-    config: ExperimentConfig, num_points: int = 10, salt: int = 3
+    config: ExperimentConfig, num_points: int = 10, salt: int = 3, slanted: bool = False
 ) -> VerificationReport:
-    """Oscillation decay exponent over shrinking cylinders on homogeneous runs."""
-    slanted = config.params("holder").get("slanted", False)
+    """Oscillation decay exponent over shrinking cylinders on homogeneous runs,
+    along the drift's slant paths if ``slanted`` and s = 1/2."""
     if slanted and config.drift_family in ("none", "sqg"):
         raise ConfigError(
             "verification.params.holder.slanted", f"needs an explicit drift, not {config.drift_family!r}"
@@ -324,10 +331,7 @@ def fit_holder_exponent(
     exp = run_experiment(config, drop_measure=True)
     grid, s = exp.grid, exp.kernel.s
     slanted = slanted and abs(s - 0.5) < 1e-12
-    r0 = min(
-        grid.domain_length / 8.0,
-        ((exp.traj.t_end - exp.traj.t_start) * 0.95) ** (1.0 / (2.0 * s)),
-    )
+    r0 = _outer_radius(exp)
     num_scales = HOLDER_SCALES
     while num_scales > 2 and r0 / 2 ** (num_scales - 1) < 3.0 * grid.spacing:
         num_scales -= 1
@@ -368,14 +372,18 @@ def fit_holder_exponent(
     return report
 
 
-def verify_lorentz(config: ExperimentConfig, p: float, sigma: float) -> VerificationReport:
+def verify_lorentz(
+    config: ExperimentConfig, p: float = 1.2, sigma: float = np.inf
+) -> VerificationReport:
     """Empirical quasi-norm of u at the target exponent against the mu norm."""
-    exp = run_experiment(config)
-    grid, s, d = exp.grid, exp.kernel.s, exp.grid.d
+    grid, s = config.build_grid(), config.build_kernel().s
+    d = grid.d
     if not 1.0 < p < (d + 2.0 * s) / (2.0 * s):
         raise ValueError(f"p must lie in (1, (d+2s)/(2s)), got {p}")
-    if exp.mu is None or exp.mu.density is None:
+    mu = config.build_measure(grid)
+    if mu is None or mu.density is None:
         raise ValueError("the Lorentz check needs a density measure")
+    exp = run_experiment(config)
     p_target = target_exponent(d, s, p)
 
     window = ball_mask(grid, (grid.domain_length / 2.0,) * d, grid.domain_length / 4.0)
@@ -424,7 +432,7 @@ def verify_comparison(
     }
     exp1 = exps[1.0] if 1.0 in exps else next(iter(exps.values()))
     grid, s, d = exp1.grid, exp1.kernel.s, exp1.grid.d
-    ball_vol = np.pi * 1.0 if d == 2 else 4.0 * np.pi / 3.0
+    ball_vol = _sphere_area(d) / d
     rng = config.rng(salt)
 
     # cylinders biased toward the atoms so the mass term is active
@@ -465,11 +473,12 @@ def verify_comparison(
 
 
 def verify_bmo_slanted(
-    config: ExperimentConfig, num_placements: int = 4, salt: int = 6
+    config: ExperimentConfig, num_placements: int = 4, salt: int = 6, c0: float = 0.1
 ) -> VerificationReport:
     """The potential estimate for rough (BMO) drifts: along slant paths at
     s = 1/2, with the size of the paths from x0 = 0 fitted against the
-    c (C1 + C2 |log r|) functional form; straight for s > 1/2."""
+    c (C1 + C2 |log r|) functional form and the cylinder enlargement
+    1 + c0 (C1 + C2 |log r|) recorded; straight for s > 1/2."""
     grid = config.build_grid()
     s = config.build_kernel().s
     b = config.build_drift(grid)
@@ -494,7 +503,6 @@ def verify_bmo_slanted(
         raise ValueError("no admissible placements; solve window or grid too small")
     if not critical:
         return report
-    c0 = config.params("bmo").get("c0", 0.1)
     norms = np.array([path.c1_norm for path in fit_paths])
     envelopes = np.array([C1 + C2 * abs(np.log(r)) for r in radii])
     c_fit = float((norms * envelopes).sum() / (envelopes**2).sum())
@@ -509,17 +517,15 @@ def verify_bmo_slanted(
     return report
 
 
+# each check with the knobs verification.params sets for it; the potential
+# knobs place nldd potential's one evaluation, not the check's placements
 CHECKS = {
     "potential": lambda cfg: verify_potential_estimate(cfg),
-    "excess": lambda cfg: verify_excess_decay(cfg, m_max=cfg.params("excess").get("m_max", 3)),
-    "holder": lambda cfg: fit_holder_exponent(cfg),
-    "lorentz": lambda cfg: verify_lorentz(
-        cfg,
-        p=cfg.params("lorentz").get("p", 1.2),
-        sigma=cfg.params("lorentz").get("sigma", np.inf),
-    ),
+    "excess": lambda cfg: verify_excess_decay(cfg, **cfg.params("excess")),
+    "holder": lambda cfg: fit_holder_exponent(cfg, **cfg.params("holder")),
+    "lorentz": lambda cfg: verify_lorentz(cfg, **cfg.params("lorentz")),
     "comparison": lambda cfg: verify_comparison(cfg),
-    "bmo": lambda cfg: verify_bmo_slanted(cfg),
+    "bmo": lambda cfg: verify_bmo_slanted(cfg, **cfg.params("bmo")),
 }
 
 
@@ -538,17 +544,9 @@ def run_campaign(
         config.raw["seed"] = int(seed)
     if ceiling_file is not None:
         with open(ceiling_file) as fh:
-            ceilings = load_yaml(fh) or {}
-        config.raw["verification"] = {
-            **config.verification, "ceilings": {**config.ceilings, **ceilings}
-        }
-    # the settings the checks read fail here, before any solve, as config errors
-    config.ceilings
-    for name in config.selection:
-        if name not in CHECKS:
-            raise ConfigError("verification.selection", f"unknown check {name!r}")
-    for name in CHECKS:
-        config.params(name)
+            config.add_ceilings(load_yaml(fh) or {}, "--ceiling-file")
+    # the settings the checks read fail here, before any solve, as config
+    # errors: reading the selection reads the whole verification section
     if config.selection:  # every check solves with these settings
         check_solver(config.build_grid(), config.build_solver(config.build_kernel()))
 

@@ -1,6 +1,8 @@
 """The benchmark's traced run (bench/run.py --trace 1) wraps nldd functions
 by name and runs the layer probes, which build nldd objects with keyword
-fields; a rename that drops one of them must fail here, not in the bench."""
+fields, and every workload runs configs that the config schema must accept;
+a rename that drops one of them, or a stricter config reader, must fail
+here, not in the bench."""
 
 import importlib
 import math
@@ -14,6 +16,7 @@ import numpy.fft
 import nldd.measures
 import nldd.potentials
 import nldd.verify
+from nldd.config import load_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,3 +65,18 @@ def test_etd_step_probe_runs(probes, mode):
 def test_multiplier_and_excess_probes_run(probes):
     for seconds in (probes.multiplier_table_s(), probes.excess_s(11)):
         assert math.isfinite(seconds) and seconds > 0.0
+
+
+def test_workload_configs_load_and_build(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "run", raising=False)
+    run = importlib.import_module("run")
+    for wl in run.WORKLOADS.values():
+        ws = tmp_path / wl.name
+        run.write_configs(wl, ws, run.REFERENCE_SEED)  # as JSON
+        run.set_up(wl, ws)  # load_config and build grid, kernel, drift, initial and measure
+        for stem in wl.configs(run.REFERENCE_SEED):
+            cfg = load_config(ws / f"{stem}.yaml")
+            assert cfg.seed == run.REFERENCE_SEED
+            for name in cfg.raw.keys() - {"seed"}:
+                cfg.section(name)

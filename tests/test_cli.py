@@ -142,7 +142,7 @@ class TestHeatKernel:
 
 
 class TestVerify:
-    def test_campaign_and_ceiling_file(self, tmp_path):
+    def test_campaign_and_ceiling_file(self, tmp_path, capsys):
         raw = solve_raw(
             initial={"kind": "random", "amplitude": 1.0, "decay": 2.5},
             solver={"dt": 4e-3, "t_end": 1.0},
@@ -170,6 +170,18 @@ class TestVerify:
             == 2
         )
         assert not (tmp_path / "misspelt").exists()
+        # so is a file that is not a mapping of ids, at the flag
+        ceil.write_text("- 1\n")
+        capsys.readouterr()
+        assert (
+            main(["verify", "--config", cfg, "--out", str(tmp_path / "listed"),
+                  "--ceiling-file", str(ceil)])
+            == 2
+        )
+        assert capsys.readouterr().err.splitlines() == [
+            "nldd verify: config field '--ceiling-file': must be a mapping, got [1]"
+        ]
+        assert not (tmp_path / "listed").exists()
 
     @pytest.mark.parametrize(
         "verification, message",
@@ -403,6 +415,37 @@ class TestConfigErrors:
                 "config field 'measure.density.levl': unknown field; the section takes kind, "
                 "exponent, center, t_start, t_end, num_slices, level",
             ),
+            (
+                {"solvr": {"dt": 5e-3, "t_end": 0.5}},
+                "config field 'solvr': unknown section; the document takes grid, kernel, drift, "
+                "initial, measure, solver, heatkernel, verification, seed",
+            ),
+            (
+                {"initial": {"kind": "eigenmode", "modes": [{"wavenumber": 1, "phase": "sine"}]}},
+                "config field 'initial.modes[0].phase': must be one of sin, cos, got 'sine'",
+            ),
+            (
+                {"measure": {"atoms": 5}},
+                "config field 'measure.atoms': must be a list, got 5",
+            ),
+            (
+                {"initial": {"kind": "eigenmode", "modes": 3}},
+                "config field 'initial.modes': must be a list, got 3",
+            ),
+            (
+                {"drift": {"family": "lacunary", "coefficients": [0.3, "abc"]}},
+                "config field 'drift.coefficients[1]': must be a number, got 'abc'",
+            ),
+            (
+                {"drift": {"family": "constant", "vector": [1.0, "x"]}},
+                "config field 'drift.vector[1]': must be a number, got 'x'",
+            ),
+            (
+                {"measure": {"density": {
+                    "kind": "inverse_power", "exponent": 1.0, "center": [4.0], "t_end": 0.5,
+                }}},
+                "config field 'measure.density.center': needs 2 coordinates, got 1",
+            ),
         ],
         ids=[
             "solver.t_end", "solver.h_moll", "solver.dt-cfl",
@@ -410,7 +453,9 @@ class TestConfigErrors:
             "drift.amplitude-not-a-number", "grid.d-not-whole", "grid.n-not-whole",
             "solver.snapshot_stride-not-whole", "solver.dt-a-flag", "drift-unknown-key",
             "initial-unknown-key", "mode-unknown-key", "measure-unknown-key",
-            "atom-unknown-key", "density-unknown-key",
+            "atom-unknown-key", "density-unknown-key", "unknown-section", "phase-unknown-word",
+            "atoms-not-a-list", "modes-not-a-list", "coefficients-item", "vector-item",
+            "density-center-short",
         ],
     )
     def test_solve_with_a_bad_step_or_mollifier_through_main(
@@ -499,7 +544,11 @@ class TestConfigErrors:
         [
             (
                 heatkernel_raw(times=2.0),
-                "'heatkernel.times': needs a list of 3 or more times for the semigroup check, got 2.0",
+                "'heatkernel.times': must be a list, got 2.0",
+            ),
+            (
+                heatkernel_raw(times=[1.0, 1.5, "abc"]),
+                "'heatkernel.times[2]': must be a number, got 'abc'",
             ),
             (
                 heatkernel_raw(times=[2.0, 3.0]),
@@ -547,7 +596,7 @@ class TestConfigErrors:
             ),
         ],
         ids=[
-            "times-scalar", "times-two", "times-before-eta", "times-off-step", "times-gap",
+            "times-scalar", "times-item", "times-two", "times-before-eta", "times-off-step", "times-gap",
             "default-section", "y-short", "y-long", "h_moll", "unknown-key", "sqg",
             "solver-unknown-key",
         ],
@@ -585,8 +634,7 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "nldd verify: config field 'verification.selection': "
-            "must be a list of check names, got 'potential'"
+            "nldd verify: config field 'verification.selection': must be a list, got 'potential'"
         ]
         assert not out.exists()
 
@@ -595,7 +643,8 @@ class TestConfigErrors:
         out = self.run_cli("verify", "--config", cfg, "--out", str(tmp_path / "reports"))
         assert out.returncode == 2
         assert out.stderr.splitlines() == [
-            "nldd verify: config field 'verification.selection': unknown check 'nope'"
+            "nldd verify: config field 'verification.selection[0]': must be one of potential, "
+            "excess, holder, lorentz, comparison, bmo, got 'nope'"
         ]
 
 

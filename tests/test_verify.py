@@ -180,10 +180,9 @@ class TestHolderCheck:
             grid={"d": 2, "n": 64, "domain_length": 8.0},
             drift={"family": "lacunary", "coefficients": [0.3] * 3},
             solver={"dt": 0.02, "t_end": 1.0},
-            verification={"params": {"holder": {"slanted": slanted}}},
         )
         cfg = ExperimentConfig(raw)
-        rep = fit_holder_exponent(cfg, num_points=3)
+        rep = fit_holder_exponent(cfg, num_points=3, slanted=slanted)
         assert rep.extras["slanted"] is slanted and rep.rows
         exp = run_experiment(cfg, drop_measure=True)
         moved = []
@@ -209,7 +208,7 @@ class TestHolderCheck:
         solves = []
         monkeypatch.setattr("nldd.verify.run_experiment", lambda *a, **k: solves.append(a))
         with pytest.raises(ConfigError, match=r"'verification\.params\.holder\.slanted'"):
-            fit_holder_exponent(ExperimentConfig(raw))
+            verify.CHECKS["holder"](ExperimentConfig(raw))
         assert solves == []
 
 
@@ -304,16 +303,24 @@ class TestOneSlantIntegration:
 
     def test_slanted_holder_check(self, monkeypatch):
         calls = self.spy(monkeypatch)
-        raw = base_raw(**self.RAW, verification={"params": {"holder": {"slanted": True}}})
-        rep = fit_holder_exponent(ExperimentConfig(raw), num_points=3)
+        cfg = ExperimentConfig(base_raw(**self.RAW))
+        rep = fit_holder_exponent(cfg, num_points=3, slanted=True)
         assert rep.extras["slanted"] and rep.rows
         assert len(calls) == 1 and calls[0] % 3 == 0
 
 
 class TestLorentzCheck:
-    def test_needs_density(self):
+    @staticmethod
+    def spy(monkeypatch):
+        solves = []
+        monkeypatch.setattr("nldd.verify.solve", lambda *a, **k: solves.append(a))
+        return solves
+
+    def test_needs_density(self, monkeypatch):
+        solves = self.spy(monkeypatch)
         with pytest.raises(ValueError, match="density"):
             verify_lorentz(ExperimentConfig(base_raw()), p=1.2, sigma=np.inf)
+        assert solves == []  # rejected before any solve
 
     def test_reports_target_exponent(self):
         cfg = ExperimentConfig(base_raw(measure=density_measure()))
@@ -322,10 +329,12 @@ class TestLorentzCheck:
         assert rep.rows[0].lhs >= 0.0
         assert rep.rows[0].rhs > 0.0
 
-    def test_p_range_guard(self):
+    def test_p_range_guard(self, monkeypatch):
+        solves = self.spy(monkeypatch)
         cfg = ExperimentConfig(base_raw(measure=density_measure()))
         with pytest.raises(ValueError, match="p must"):
             verify_lorentz(cfg, p=5.0, sigma=2.0)
+        assert solves == []
 
 
 class TestComparisonCheck:
@@ -357,7 +366,7 @@ class TestCampaign:
 
     def test_unknown_check_rejected(self, tmp_path):
         raw = base_raw(verification={"selection": ["spectral-gap"]})
-        with pytest.raises(ConfigError, match="unknown check"):
+        with pytest.raises(ConfigError, match=r"'verification\.selection\[0\]': must be one of"):
             run_campaign(self._write(tmp_path, raw), tmp_path / "out")
 
     def test_passing_campaign_writes_artifacts(self, tmp_path):
