@@ -80,7 +80,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
-    "load_yaml",
+    "read_yaml_file",
     "lacunary_drift",
     "shear_drift",
     "check_drift_step",
@@ -324,8 +324,13 @@ class ExperimentConfig:
             vals = np.zeros(grid.shape)
             for i, mode in enumerate(_required(sec, "initial", "modes")):
                 wn = _required(mode, f"initial.modes[{i}]", "wavenumber")
+                axis = mode.get("axis", 0)
+                if not 0 <= axis < grid.d:
+                    raise ConfigError(
+                        f"initial.modes[{i}].axis", f"must lie in [0, {grid.d}), got {axis}"
+                    )
                 fn = np.sin if mode.get("phase", "sin") == "sin" else np.cos
-                vals += mode.get("amplitude", 1.0) * fn(base * wn * xs[mode.get("axis", 0)])
+                vals += mode.get("amplitude", 1.0) * fn(base * wn * xs[axis])
             return ScalarField(grid, vals, 0.0)
         # random: seeded spectral noise with a power-law envelope
         amp = sec.get("amplitude", 1.0)
@@ -367,7 +372,13 @@ class ExperimentConfig:
         t1 = _required(dsec, path, "t_end")
         if t1 <= t0:
             raise ConfigError("measure.density.t_end", "must exceed t_start")
-        times = np.linspace(t0, t1, dsec.get("num_slices", 9))
+        num_slices = dsec.get("num_slices", 9)
+        if num_slices < 2:
+            raise ConfigError(
+                "measure.density.num_slices",
+                f"needs 2 or more slices to span [t_start, t_end], got {num_slices}",
+            )
+        times = np.linspace(t0, t1, num_slices)
         if kind == "inverse_power":
             expo = _required(dsec, path, "exponent")
             center = grid_point(
@@ -473,19 +484,23 @@ def check_solver(grid: GridSpec, solver: SolverConfig, mu: MeasureData | None = 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def load_yaml(stream):
-    """yaml.safe_load, with libyaml's parser when it is available."""
-    return yaml.load(stream, Loader=_YAML_LOADER)
-
-
-def load_config(path) -> ExperimentConfig:
+def read_yaml_file(path, flag: str):
+    """The YAML document in the file at ``path``, given by the command-line
+    option ``flag``; a ConfigError at the option, naming the file, when the
+    file cannot be read or is not YAML."""
     try:
         with open(path) as fh:
-            raw = load_yaml(fh)
+            return yaml.load(fh, Loader=_YAML_LOADER)
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot read {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError("<document>", f"YAML parse error{where}: {exc}") from exc
+        raise ConfigError(flag, f"YAML parse error in {path}{where}: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    raw = read_yaml_file(path, "--config")
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -57,7 +57,6 @@ from .operators import (
     KernelSpec,
     _spectral_gradient,
     _sqg_drift,
-    _SqgWork,
     biot_savart_sqg,
     diffusion_multiplier,
 )
@@ -174,16 +173,19 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 class _Work:
     """The arrays one step fills, for one state shape: spectral arrays in the
-    shape of the state, physical ones in the shape of its samples, and the
-    SQG drift's arrays (operators._SqgWork) when the stepper is SQG."""
+    shape of the state, physical ones in the shape of its samples, and the SQG
+    drift b when the stepper is SQG, which is built with n1, tmp, grad and
+    adv as scratch: each is free while a drift is built."""
 
-    def __init__(self, spectral: tuple[int, ...], physical: tuple[int, ...], sqg: _SqgWork | None):
-        self.pred, self.n0, self.n1, self.fhat = (
+    def __init__(
+        self, spectral: tuple[int, ...], physical: tuple[int, ...], drift: tuple[int, ...] | None
+    ):
+        self.tmp, self.n0, self.n1, self.fhat = (
             np.empty(spectral, dtype=complex) for _ in range(4)
         )
         self.finite = np.empty(spectral, dtype=bool)
         self.grad, self.adv = np.empty(physical), np.empty(physical)
-        self.sqg = sqg
+        self.b = None if drift is None else np.empty(drift)
 
 
 class _Stepper:
@@ -230,8 +232,8 @@ class _Stepper:
     def _work_for(self, shape: tuple[int, ...]) -> _Work:
         w = self._work.get(shape)
         if w is None:
-            sqg = _SqgWork(self.grid) if self.sqg else None
-            w = self._work[shape] = _Work(shape, shape[: -self.grid.d] + self.grid.shape, sqg)
+            drift = (self.grid.d, *self.grid.shape) if self.sqg else None
+            w = self._work[shape] = _Work(shape, shape[: -self.grid.d] + self.grid.shape, drift)
         return w
 
     def nonlinear(
@@ -283,20 +285,20 @@ class _Stepper:
             (b0, b1), comps = drifts, tuple(range(self.grid.d))
             check_cfl(self.grid, dt, b0.max_norm())
         elif sqg:
-            b0, bmax = _sqg_drift(uhat, self.grid, t, out=w.sqg)
+            b0, bmax = _sqg_drift(uhat, self.grid, t, w.b, w.n1, w.tmp, w.grad, w.adv)
             check_cfl(self.grid, dt, bmax)
         else:
             b0 = b1 = self.b
         fhat = None if forcing is None else forward_half(forcing, self.grid, out=w.fhat)
         n0 = self.nonlinear(uhat, b0, comps, fhat, w, out=w.n0)
-        # pred = exp_full * uhat + dt_phi1 * n0; uhat is scratch from here on
-        pred = np.multiply(self.exp_full, uhat, out=w.pred)
-        pred += np.multiply(self.dt_phi1, n0, out=uhat)
+        # the predictor exp_full * uhat + dt_phi1 * n0, in place in uhat
+        np.multiply(self.exp_full, uhat, out=uhat)
+        uhat += np.multiply(self.dt_phi1, n0, out=w.tmp)
         if sqg:  # the drift lagged by one predictor stage
-            b1 = _sqg_drift(pred, self.grid, t + dt, out=w.sqg)[0]
-        n1 = self.nonlinear(pred, b1, comps, fhat, w, out=w.n1)
+            b1 = _sqg_drift(uhat, self.grid, t + dt, w.b, w.n1, w.tmp, w.grad, w.adv)[0]
+        n1 = self.nonlinear(uhat, b1, comps, fhat, w, out=w.n1)
         delta = np.subtract(n1, n0, out=w.n1)
-        np.add(pred, np.multiply(self.dt_phi2, delta, out=delta), out=uhat)
+        uhat += np.multiply(self.dt_phi2, delta, out=delta)
         if not np.isfinite(uhat, out=w.finite).all():
             raise FloatingPointError(f"solution lost finiteness at t = {t + dt:.6g}")
         return uhat

@@ -24,6 +24,7 @@ __all__ = [
     "grid_coordinates",
     "wavevectors",
     "half_spectrum",
+    "read_only",
     "gradient_wavevectors",
     "forward_half",
     "inverse_half",
@@ -82,30 +83,31 @@ def make_grid(d: int, n: int, domain_length: float) -> GridSpec:
     return GridSpec(d=d, n=n, domain_length=float(domain_length))
 
 
-@lru_cache(maxsize=64)
-def _axis(n: int, length: float) -> np.ndarray:
-    return np.arange(n) * (length / n)
+def read_only(tables):
+    """``tables``, an array or a tuple of arrays, with each array marked
+    read-only: a cached table is shared by every caller."""
+    for a in tables if isinstance(tables, tuple) else (tables,):
+        a.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=64)
-def _coordinate_axes(d: int, n: int, length: float) -> tuple[np.ndarray, ...]:
-    return tuple(np.meshgrid(*([_axis(n, length)] * d), indexing="ij"))
+def _axis(grid: GridSpec) -> np.ndarray:
+    """The grid's coordinates along one axis."""
+    return read_only(np.arange(grid.n) * grid.spacing)
 
 
+@lru_cache(maxsize=64)
 def grid_coordinates(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Meshgrid coordinate arrays (x_1, ..., x_d), shape grid.shape each."""
-    return _coordinate_axes(grid.d, grid.n, grid.domain_length)
+    return read_only(tuple(np.meshgrid(*([_axis(grid)] * grid.d), indexing="ij")))
 
 
 @lru_cache(maxsize=64)
-def _wavevector_axes(d: int, n: int, length: float) -> tuple[np.ndarray, ...]:
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-    return tuple(np.meshgrid(*([k] * d), indexing="ij"))
-
-
 def wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Wavevector component arrays (k_1, ..., k_d)."""
-    return _wavevector_axes(grid.d, grid.n, grid.domain_length)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    return read_only(tuple(np.meshgrid(*([k] * grid.d), indexing="ij")))
 
 
 def half_spectrum(a: np.ndarray) -> np.ndarray:
@@ -124,8 +126,7 @@ def gradient_wavevectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
     ks = [half_spectrum(k) for k in wavevectors(grid)]
     for j, k in enumerate(ks):
         k[(slice(None),) * j + (grid.n // 2,)] = 0.0
-        k.flags.writeable = False  # cached: shared by every caller
-    return tuple(ks)
+    return read_only(tuple(ks))
 
 
 def forward_half(
@@ -160,13 +161,9 @@ def inverse_half(
 
 
 @lru_cache(maxsize=64)
-def _wavenumber_magnitude(d: int, n: int, length: float) -> np.ndarray:
-    ks = _wavevector_axes(d, n, length)
-    return np.sqrt(sum(k**2 for k in ks))
-
-
 def wavenumber_magnitude(grid: GridSpec) -> np.ndarray:
-    return _wavenumber_magnitude(grid.d, grid.n, grid.domain_length)
+    """|k| on the fftn layout."""
+    return read_only(np.sqrt(sum(k**2 for k in wavevectors(grid))))
 
 
 @dataclass
@@ -241,20 +238,16 @@ class VectorField:
 
 
 @lru_cache(maxsize=64)
-def _dealias_mask(d: int, n: int) -> np.ndarray:
-    m = np.fft.fftfreq(n) * n
-    keep_1d = np.abs(m) <= n / 3.0
-    mask = np.ones((n,) * d, dtype=bool)
+def dealias_mask(grid: GridSpec) -> np.ndarray:
+    """Two-thirds rule mask: True where all |m_i| <= n/3."""
+    d, n = grid.d, grid.n
+    keep_1d = np.abs(np.fft.fftfreq(n) * n) <= n / 3.0
+    mask = np.ones(grid.shape, dtype=bool)
     for axis in range(d):
         shape = [1] * d
         shape[axis] = n
         mask &= keep_1d.reshape(shape)
-    return mask
-
-
-def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Two-thirds rule mask: True where all |m_i| <= n/3."""
-    return _dealias_mask(grid.d, grid.n)
+    return read_only(mask)
 
 
 def torus_distance(points: np.ndarray, center: np.ndarray, length: float) -> np.ndarray:
@@ -272,7 +265,7 @@ def grid_distance(grid: GridSpec, center) -> np.ndarray:
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     length = grid.domain_length
-    x = _axis(grid.n, length)
+    x = _axis(grid)
     dist2 = 0.0
     for j in range(grid.d):
         delta = x - center[j]

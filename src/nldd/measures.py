@@ -133,7 +133,9 @@ class MeasureData:
 
     def scaled(self, factor: float) -> "MeasureData":
         density = self.density
-        if density is not None:
+        if density is not None and factor == 0:
+            density = None  # zero everywhere: it would force nothing at every step
+        elif density is not None:
             density = DensityTrack(
                 density.grid, density.times.copy(), [abs(factor) * v for v in density.values]
             )

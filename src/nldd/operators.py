@@ -30,6 +30,7 @@ from .fields import (
     gradient_wavevectors,
     half_spectrum,
     inverse_half,
+    read_only,
     require_divergence_free,
     wavenumber_magnitude,
 )
@@ -210,57 +211,33 @@ def diffusion_multiplier(grid: GridSpec, kernel: KernelSpec) -> np.ndarray:
     return truncated_multiplier_table(grid, kernel)
 
 
-def _zero_nyquist(hat: np.ndarray, grid) -> np.ndarray:
-    # the unpaired Nyquist mode breaks Hermitian symmetry under odd
-    # spectral multipliers; drop it before applying one
-    out = hat.copy()
-    half = grid.n // 2
-    for axis in range(grid.d):
-        idx = [slice(None)] * grid.d
-        idx[axis] = half
-        out[tuple(idx)] = 0.0
-    return out
-
-
 @lru_cache(maxsize=16)
 def _sqg_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    # rfftn-layout factors uhat -> bhat, 1j*(-k2, k1)/|k| off the Nyquist planes
+    # rfftn-layout factors uhat -> bhat, 1j*(-k2, k1)/|k| off the Nyquist
+    # planes: the unpaired Nyquist mode breaks Hermitian symmetry under odd
+    # spectral multipliers, so it is dropped
     k1, k2 = gradient_wavevectors(grid)
-    kmag = wavenumber_magnitude(grid)
-    inv = np.zeros_like(kmag)
-    nz = kmag > 0
-    inv[nz] = 1.0 / kmag[nz]
-    inv = half_spectrum(_zero_nyquist(inv, grid))
-    return 1j * (-k2) * inv, 1j * k1 * inv
+    kmag = half_spectrum(wavenumber_magnitude(grid))
+    inv = np.divide(1.0, kmag, out=np.zeros_like(kmag), where=kmag > 0)
+    for axis in range(grid.d):
+        inv[(slice(None),) * axis + (grid.n // 2,)] = 0.0
+    return read_only((1j * (-k2) * inv, 1j * k1 * inv))
 
 
 @lru_cache(maxsize=16)
 def _spectral_gradient(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """rfftn-layout multipliers 1j*k_j of the partial derivatives."""
-    iks = tuple(1j * k for k in gradient_wavevectors(grid))
-    for ik in iks:
-        ik.flags.writeable = False  # cached: shared by every caller
-    return iks
-
-
-class _SqgWork:
-    """The arrays one SQG drift evaluation fills: the drift b, and scratch for
-    a spectral coefficient array, the divergence and two real fields."""
-
-    def __init__(self, grid: GridSpec):
-        half = grid.shape[:-1] + (grid.n // 2 + 1,)
-        self.b = np.empty((grid.d, *grid.shape))
-        self.hat = np.empty(half, dtype=complex)
-        self.div = np.empty(half, dtype=complex)
-        self.real = np.empty((2, *grid.shape))
+    return read_only(tuple(1j * k for k in gradient_wavevectors(grid)))
 
 
 def _sqg_drift(
-    uhat: np.ndarray, grid: GridSpec, time: float, out: _SqgWork | None = None
+    uhat: np.ndarray, grid: GridSpec, time: float, b: np.ndarray,
+    hat: np.ndarray, div: np.ndarray, re0: np.ndarray, re1: np.ndarray,
 ) -> tuple[VectorField, float]:
     """SQG drift from the rfftn coefficients of u, checked divergence-free,
-    and its max norm.  The drift's components are views of ``out.b``; without
-    ``out`` the arrays are fresh.
+    and its max norm.  The drift's components are views of ``b``, of shape
+    (d, *grid.shape); ``hat`` and ``div``, in the shape of uhat, and the real
+    fields ``re0`` and ``re1``, in the shape of the samples, are scratch.
 
     Each component b_j is the real inverse transform of m_j * uhat.  The
     check reads max|div b| on the grid from one more real inverse transform,
@@ -270,14 +247,13 @@ def _sqg_drift(
     coefficients whose Nyquist planes are zero, as here by construction; on a
     Nyquist mode it would read 0, so other drifts keep the fftn check.
     """
-    w = _SqgWork(grid) if out is None else out
-    w.div.fill(0.0)
-    for m, ik, c in zip(_sqg_multipliers(grid), _spectral_gradient(grid), w.b):
-        inverse_half(np.multiply(m, uhat, out=w.hat), grid, out=c)
-        w.div += np.multiply(ik, w.hat, out=w.hat)
-    field = VectorField(tuple(ScalarField(grid, c, time) for c in w.b))
-    err = float(np.abs(inverse_half(w.div, grid, out=w.real[0]), out=w.real[0]).max())
-    mag2 = np.add(np.square(w.b[0], out=w.real[0]), np.square(w.b[1], out=w.real[1]), out=w.real[0])
+    div.fill(0.0)
+    for m, ik, c in zip(_sqg_multipliers(grid), _spectral_gradient(grid), b):
+        inverse_half(np.multiply(m, uhat, out=hat), grid, out=c)
+        div += np.multiply(ik, hat, out=hat)
+    field = VectorField(tuple(ScalarField(grid, c, time) for c in b))
+    err = float(np.abs(inverse_half(div, grid, out=re0), out=re0).max())
+    mag2 = np.add(np.square(b[0], out=re0), np.square(b[1], out=re1), out=re0)
     norm = float(np.sqrt(mag2.max()))
     require_divergence_free(err, norm)
     field.divergence_free = True  # set after the check, so the fftn one does not run
@@ -286,7 +262,11 @@ def _sqg_drift(
 
 def biot_savart_sqg(u: ScalarField) -> VectorField:
     """SQG drift b = perp-gradient of (-Laplace)^(-1/2) u, divergence-free."""
-    if u.grid.d != 2:
+    grid = u.grid
+    if grid.d != 2:
         raise ValueError("the SQG Biot-Savart law is two-dimensional")
-    return _sqg_drift(forward_half(u.values, u.grid), u.grid, u.time)[0]
+    uhat = forward_half(u.values, grid)
+    hat, div = np.empty((2, *uhat.shape), dtype=complex)
+    b, real = np.empty((grid.d, *grid.shape)), np.empty((2, *grid.shape))
+    return _sqg_drift(uhat, grid, u.time, b, hat, div, *real)[0]
 

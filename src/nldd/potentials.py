@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .fields import GridSpec, ScalarField, VectorField, ball_mask, torus_distance
+from .fields import GridSpec, ScalarField, VectorField, ball_mask, read_only, torus_distance
 from .measures import (
     Cylinder, MeasureData, SlantPath, _require_length, cylinder_masses, slab_holds_mass
 )
@@ -196,7 +196,7 @@ def _gather(
 
 @lru_cache(maxsize=8)
 def _panel_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(order)
+    return read_only(leggauss(order))
 
 
 def _radial_grid(r: float, R: float, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,7 +423,7 @@ def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
             axis=-1,
         )
         wts = np.repeat(w_rad / n_ang, n_ang)
-        return pts, wts
+        return read_only((pts, wts))
     rho = u ** (1.0 / 3.0)
     ct, wct = leggauss(n_rad)
     phi = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
@@ -433,7 +433,7 @@ def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
     r_ct = np.broadcast_to(np.outer(rho, ct)[:, :, None], (n_rad, n_rad, n_ang))
     pts = np.stack([r_st * np.cos(phi), r_st * np.sin(phi), r_ct], axis=-1)
     wts = np.repeat(np.outer(w_rad, wct / 2.0).ravel() / n_ang, n_ang)
-    return pts.reshape(-1, 3), wts
+    return read_only((pts.reshape(-1, 3), wts))
 
 
 def slant_ode(b: VectorField, scales, x0=None) -> list[SlantPath]:

@@ -21,7 +21,7 @@ from .config import (
     check_drift_step,
     check_solver,
     load_config,
-    load_yaml,
+    read_yaml_file,
 )
 from .evolution import SolverConfig, TrajectoryStore, comparison_solve, solve, solve_sqg
 from .fields import GridSpec, VectorField, ball_mask
@@ -81,12 +81,15 @@ class Experiment:
 
 
 def run_experiment(
-    config: ExperimentConfig, drop_measure: bool = False, measure_scale: float = 1.0,
-    initial_scale: float = 1.0, **solver_overrides
+    config: ExperimentConfig, measure_scale: float = 1.0, initial_scale: float = 1.0,
+    **solver_overrides
 ) -> Experiment:
+    """Solve the config's problem, with its measure scaled by ``measure_scale``
+    (0 gives the homogeneous run, which steps with no forcing) and its
+    initial data by ``initial_scale``."""
     grid = config.build_grid()
     kernel = config.build_kernel()
-    mu = None if drop_measure else config.build_measure(grid)
+    mu = config.build_measure(grid)
     if mu is not None and measure_scale != 1.0:
         mu = mu.scaled(measure_scale)
     if mu is not None and not config.section("solver").get("h_moll"):
@@ -257,7 +260,7 @@ def verify_excess_decay(
 ) -> VerificationReport:
     """Geometric excess decay across dyadic scales, plus the measure term."""
     q = EXCESS_Q
-    exp0 = run_experiment(config, drop_measure=True)
+    exp0 = run_experiment(config, measure_scale=0.0)
     grid, s = exp0.grid, exp0.kernel.s
     R = _outer_radius(exp0)
     if R / 2**m_max < 4.0 * grid.spacing:
@@ -269,10 +272,13 @@ def verify_excess_decay(
     t0 = exp0.traj.t_end
     opts = exp0.tail_options
 
-    E = np.array(
-        [excess(exp0.traj, t0, x0, R / 2**m, q, exp0.kernel, opts).total
-         for m in range(m_max + 1)]
-    )
+    def excesses(exp: Experiment) -> np.ndarray:
+        return np.array(
+            [excess(exp.traj, t0, x0, R / 2**m, q, exp.kernel, opts).total
+             for m in range(m_max + 1)]
+        )
+
+    E = excesses(exp0)
     report = VerificationReport("excess-decay")
     report.ceiling = config.ceiling("excess-decay")
     if E[0] <= 1e-14:
@@ -297,13 +303,9 @@ def verify_excess_decay(
             lhs=float(E[m]), rhs_terms=(C0 * 2.0 ** (-alpha * m) * E[0],),
         )
 
-    mu = config.build_measure(grid)
-    if mu is not None:
+    if exp0.mu is not None:
         exp1 = run_experiment(config)
-        E1 = np.array(
-            [excess(exp1.traj, t0, x0, R / 2**m, q, exp1.kernel, opts).total
-             for m in range(m_max + 1)]
-        )
+        E1 = excesses(exp1)
         d = grid.d
         mass = cylinder_mass(exp1.mu, Cylinder(t0, x0, R, s))
         for m in ms:
@@ -328,7 +330,7 @@ def fit_holder_exponent(
         raise ConfigError(
             "verification.params.holder.slanted", f"needs an explicit drift, not {config.drift_family!r}"
         )
-    exp = run_experiment(config, drop_measure=True)
+    exp = run_experiment(config, measure_scale=0.0)
     grid, s = exp.grid, exp.kernel.s
     slanted = slanted and abs(s - 0.5) < 1e-12
     r0 = _outer_radius(exp)
@@ -543,8 +545,8 @@ def run_campaign(
     if seed is not None:
         config.raw["seed"] = int(seed)
     if ceiling_file is not None:
-        with open(ceiling_file) as fh:
-            config.add_ceilings(load_yaml(fh) or {}, "--ceiling-file")
+        ceilings = read_yaml_file(ceiling_file, "--ceiling-file")
+        config.add_ceilings(ceilings or {}, "--ceiling-file")
     # the settings the checks read fail here, before any solve, as config
     # errors: reading the selection reads the whole verification section
     if config.selection:  # every check solves with these settings

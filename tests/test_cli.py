@@ -183,6 +183,21 @@ class TestVerify:
         ]
         assert not (tmp_path / "listed").exists()
 
+    @pytest.mark.parametrize("broken", [True, False], ids=["not-yaml", "missing"])
+    def test_ceiling_file_that_cannot_be_read(self, tmp_path, capsys, broken):
+        cfg = write_cfg(tmp_path, solve_raw(verification={"selection": ["lorentz"]}))
+        ceil = tmp_path / "ceil.yaml"
+        if broken:
+            ceil.write_text("lorentz-exponent: [1\n")
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--ceiling-file", str(ceil)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        reason = "YAML parse error in" if broken else "cannot read"
+        assert line.startswith(f"nldd verify: config field '--ceiling-file': {reason} {ceil}")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "verification, message",
         [
@@ -326,6 +341,15 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd solve: {message}"]
 
+    def test_solve_with_a_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "nope.yaml"
+        assert main(["solve", "--config", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"nldd solve: config field '--config': cannot read {missing}: No such file or directory"
+        ]
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -446,6 +470,26 @@ class TestConfigErrors:
                 }}},
                 "config field 'measure.density.center': needs 2 coordinates, got 1",
             ),
+            (
+                {"initial": {"kind": "eigenmode", "modes": [{"axis": 5, "wavenumber": 1}]}},
+                "config field 'initial.modes[0].axis': must lie in [0, 2), got 5",
+            ),
+            (
+                {"initial": {"kind": "eigenmode", "modes": [
+                    {"axis": 0, "wavenumber": 1}, {"axis": -1, "wavenumber": 2},
+                ]}},
+                "config field 'initial.modes[1].axis': must lie in [0, 2), got -1",
+            ),
+            (
+                {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "num_slices": 0}}},
+                "config field 'measure.density.num_slices': needs 2 or more slices to span "
+                "[t_start, t_end], got 0",
+            ),
+            (
+                {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "num_slices": 1}}},
+                "config field 'measure.density.num_slices': needs 2 or more slices to span "
+                "[t_start, t_end], got 1",
+            ),
         ],
         ids=[
             "solver.t_end", "solver.h_moll", "solver.dt-cfl",
@@ -455,7 +499,8 @@ class TestConfigErrors:
             "initial-unknown-key", "mode-unknown-key", "measure-unknown-key",
             "atom-unknown-key", "density-unknown-key", "unknown-section", "phase-unknown-word",
             "atoms-not-a-list", "modes-not-a-list", "coefficients-item", "vector-item",
-            "density-center-short",
+            "density-center-short", "mode-axis-past-d", "mode-axis-negative",
+            "num_slices-zero", "num_slices-one",
         ],
     )
     def test_solve_with_a_bad_step_or_mollifier_through_main(

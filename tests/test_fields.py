@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldd import fields, operators, potentials
 from nldd.fields import (
     ScalarField,
     VectorField,
@@ -171,3 +172,31 @@ class TestFields:
         kmag = wavenumber_magnitude(g)
         assert kmag[0, 0] == 0.0
         assert kmag[1, 0] == pytest.approx(2 * np.pi / 4.0)
+
+
+# every cached table, called with a fresh key each time: a GridSpec equal to
+# the last one, or a quadrature order or dimension
+CACHED_TABLES = {
+    "_axis": lambda: fields._axis(make_grid(2, 16, 8.0)),
+    "grid_coordinates": lambda: grid_coordinates(make_grid(2, 16, 8.0)),
+    "wavevectors": lambda: wavevectors(make_grid(2, 16, 8.0)),
+    "wavenumber_magnitude": lambda: wavenumber_magnitude(make_grid(2, 16, 8.0)),
+    "dealias_mask": lambda: dealias_mask(make_grid(2, 16, 8.0)),
+    "gradient_wavevectors": lambda: fields.gradient_wavevectors(make_grid(2, 16, 8.0)),
+    "_spectral_gradient": lambda: operators._spectral_gradient(make_grid(2, 16, 8.0)),
+    "_sqg_multipliers": lambda: operators._sqg_multipliers(make_grid(2, 16, 8.0)),
+    "_panel_nodes": lambda: potentials._panel_nodes(12),
+    "_disk_quadrature-2d": lambda: potentials._disk_quadrature(2),
+    "_disk_quadrature-3d": lambda: potentials._disk_quadrature(3),
+}
+
+
+@pytest.mark.parametrize("name", list(CACHED_TABLES))
+def test_cached_tables_are_shared_and_read_only(name):
+    # one object per key, which no caller can change under the others
+    table = CACHED_TABLES[name]
+    first = table()
+    assert table() is first
+    for a in first if isinstance(first, tuple) else (first,):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0

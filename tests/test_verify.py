@@ -65,6 +65,26 @@ class TestRunExperiment:
         exp = run_experiment(ExperimentConfig(raw))
         assert exp.solver.h_moll == pytest.approx(2.0 * exp.grid.spacing)
 
+    @pytest.mark.parametrize(
+        "drift", [{"family": "none"}, {"family": "shear", "amplitude": 0.5}, {"family": "sqg"}],
+        ids=["none", "shear", "sqg"],
+    )
+    @pytest.mark.parametrize(
+        "measure",
+        [{"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": -0.5}]}, density_measure()],
+        ids=["atom", "density"],
+    )
+    def test_zero_measure_scale_is_the_homogeneous_run(self, drift, measure):
+        # the measure scaled by 0 forces nothing, so the run steps as the same
+        # config with no measure section does, to the bit
+        plain = run_experiment(ExperimentConfig(base_raw(drift=drift)))
+        zero = run_experiment(
+            ExperimentConfig(base_raw(drift=drift, measure=measure)), measure_scale=0.0
+        )
+        assert zero.traj.times == plain.traj.times
+        for a, b in zip(zero.traj.snapshots, plain.traj.snapshots, strict=True):
+            assert np.array_equal(a.values, b.values)
+
     def test_initial_scale(self):
         one = run_experiment(ExperimentConfig(base_raw()))
         two = run_experiment(ExperimentConfig(base_raw()), initial_scale=2.0)
@@ -184,7 +204,7 @@ class TestHolderCheck:
         cfg = ExperimentConfig(raw)
         rep = fit_holder_exponent(cfg, num_points=3, slanted=slanted)
         assert rep.extras["slanted"] is slanted and rep.rows
-        exp = run_experiment(cfg, drop_measure=True)
+        exp = run_experiment(cfg, measure_scale=0.0)
         moved = []
         for row in rep.rows:
             Q = Cylinder(row.t0, row.x0, row.radius, 0.5)
