@@ -136,7 +136,7 @@ def _cmd_heatkernel(args) -> int:
     kernel = config.build_kernel()
     b = config.build_drift(grid)
     eta, y, times, solver = config.build_heatkernel(grid, kernel, b)
-    est = estimate_kernel(b, kernel, eta, y, times, solver, grid)
+    est = estimate_kernel(b, eta, y, times, solver, grid)
     for i, t in enumerate(est.times):
         print(f"t = {t:.6g}: mass = {est.mass(i):.8g}, max = {est.fields[i].values.max():.6g}")
     report = kernel_sanity(est)

@@ -25,9 +25,11 @@ Schema (all sections optional unless a check needs them):
         t_start: 0.0
         t_end: 1.0
         num_slices: 9
-    solver:   {dt: 1e-3, t_end: 1.0, h_moll: 0.0, snapshot_stride: 1}
-                                  # nldd heatkernel ignores t_end: it solves
-                                  # from eta to the last heatkernel time
+    solver:   {dt: 1e-3, t_end: 1.0, h_moll: 0.25, snapshot_stride: 1}
+                                  # h_moll, the atoms' width: at least one grid
+                                  # spacing, default two; nldd heatkernel
+                                  # ignores t_end: it solves from eta to the
+                                  # last heatkernel time
     verification:
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
@@ -36,8 +38,11 @@ Schema (all sections optional unless a check needs them):
       eta: 0.0                    # source time
       y: [3.14, 3.14]             # source point, d coordinates
       times: [0.5, 1.0, 2.0]      # 3 or more, whole steps of solver.dt after
-                                  # eta, the first >= 4 h_moll^(2s) after it
-      h_moll: 0.2                 # Dirac width, at least one grid spacing
+                                  # eta, the first >= 4 h_moll^(2s) after it;
+                                  # default eta + g (1, 2, 4), g the fewest
+                                  # whole steps >= max(0.5, 4 h_moll^(2s))
+      h_moll: 0.2                 # Dirac width, at least one grid spacing;
+                                  # default two grid spacings
     seed: 42
 
 SCHEMA declares every field and its kind, and one reader types a section
@@ -46,17 +51,16 @@ section, or an unknown field in any section (down to each mode, atom,
 ceiling and check's params); a number, whole number or flag that is not
 one; a word not in its list (a phase is sin | cos); or a list field that is
 not a list, typed item by item (a point may be one number, read as one
-coordinate).  The retired kernel.lam, solver.store_drift and solver.dealias:
-true are still accepted and change nothing.  Each default lives in the one
-builder that reads it.
+coordinate).  Each default lives in the one builder that reads it.
 
 Every run is deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -88,7 +92,6 @@ __all__ = [
     "grid_point",
 ]
 
-RETIRED = "retired"  # accepted as written, and changes no run
 NUMBERS = "numbers"  # a list of numbers, or one number read as a list of one
 # the knobs verification.params takes for each check of verify (those of
 # potential place nldd potential's point), and the inequality id of each
@@ -110,11 +113,10 @@ INEQUALITY_IDS = (
     "bmo-slanted",
 )
 # every field of a config and its kind: float, int or bool; NUMBERS; a tuple
-# of the words it may be; a mapping of sub-fields; a list of one kind, [kind];
-# or RETIRED
+# of the words it may be; a mapping of sub-fields; or a list of one kind, [kind]
 SCHEMA = {
     "grid": {"d": int, "n": int, "domain_length": float},
-    "kernel": {"s": float, "lam": RETIRED},
+    "kernel": {"s": float},
     "drift": {
         "family": ("none", "constant", "shear", "sqg", "lacunary"),
         "vector": NUMBERS,
@@ -140,14 +142,7 @@ SCHEMA = {
             "level": float,
         },
     },
-    "solver": {
-        "dt": float,
-        "t_end": float,
-        "h_moll": float,
-        "snapshot_stride": int,
-        "dealias": RETIRED,
-        "store_drift": RETIRED,
-    },
+    "solver": {"dt": float, "t_end": float, "h_moll": float, "snapshot_stride": int},
     "heatkernel": {"eta": float, "y": NUMBERS, "times": [float], "h_moll": float},
     "verification": {
         "selection": [tuple(CHECK_PARAMS)],
@@ -183,8 +178,6 @@ def _read(value, path: str, kind):
     sets, each read as its own kind.  A ConfigError names the path of the
     first field that is not of its kind.  A number may be a string, since
     PyYAML reads 1e-3 as one."""
-    if kind is RETIRED:
-        return value
     if isinstance(kind, dict):
         if value is None:
             raise ConfigError(path, "section has no value; give it fields or drop it")
@@ -192,7 +185,7 @@ def _read(value, path: str, kind):
             raise ConfigError(path, f"must be a mapping, got {value!r}")
         for key in value:
             if key not in kind:
-                known = ", ".join(k for k in kind if kind[k] is not RETIRED) or "no fields"
+                known = ", ".join(kind) or "no fields"
                 raise ConfigError(f"{path}.{key}", f"unknown field; the section takes {known}")
         return {key: _read(item, f"{path}.{key}", kind[key]) for key, item in value.items()}
     if kind is NUMBERS:
@@ -395,12 +388,9 @@ class ExperimentConfig:
         typed in the section but not used: a value SolverConfig refuses for
         it raises the ParameterError naming it."""
         sec = self.section("solver")
-        sec.pop("store_drift", None)
-        if sec.pop("dealias", True) is not True:
-            raise ConfigError("solver.dealias", "the solver always dealiases; drop the field")
         fam = self.drift_family
         mode = fam if fam in ("none", "sqg") else "given"
-        read = {"dt": 1e-3, "t_end": 1.0, **sec}
+        read = {"dt": 1e-3, "t_end": 1.0, "h_moll": 2.0 * self.build_grid().spacing, **sec}
         read = {key: value for key, value in read.items() if key not in overrides}
         with _fields(**{key: f"solver.{key}" for key in read}):
             return SolverConfig(kernel=kernel, drift_mode=mode, **read, **overrides)
@@ -417,16 +407,16 @@ class ExperimentConfig:
         sec = self.section("heatkernel")
         eta = sec.get("eta", 0.0)
         y = grid_point(sec.get("y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y")
-        times = sec.get("times", [eta + 0.5, eta + 1.0, eta + 2.0])
+        h_moll = sec.get("h_moll", 2.0 * grid.spacing)
+        # the estimate never reads t_end, so any positive time stands in for it
+        solver = self.build_solver(kernel, h_moll=h_moll, t_end=1.0)
+        times = sec["times"] if "times" in sec else _default_times(eta, solver)
         if len(times) < 3:
             raise ConfigError(
                 "heatkernel.times",
                 f"needs a list of 3 or more times for the semigroup check, got {times!r}",
             )
         times = np.sort(np.asarray(times, dtype=float))
-        h_moll = sec.get("h_moll", 2.0 * grid.spacing)
-        # the estimate never reads t_end, so any positive time stands in for it
-        solver = self.build_solver(kernel, h_moll=h_moll, t_end=1.0)
         check_drift_step(b, grid, solver)
         with _fields(
             times="heatkernel.times", h_moll="heatkernel.h_moll", drift_mode="drift.family"
@@ -454,6 +444,16 @@ class ExperimentConfig:
         self.raw["verification"] = {
             **self.raw.get("verification", {}), "ceilings": {**own, **ceilings}
         }
+
+
+def _default_times(eta: float, solver: SolverConfig) -> list[float]:
+    """eta + g (1, 2, 4), where g is the fewest whole steps of solver.dt that
+    reach max(0.5, 4 h_moll^(2s)): 0.5 itself when it is whole steps and the
+    mollified Dirac needs no wider first gap."""
+    gap = max(0.5, 4.0 * solver.h_moll ** (2.0 * solver.kernel.s))
+    if replace(solver, t_end=gap).num_steps is None:
+        gap = math.ceil(gap / solver.dt) * solver.dt
+    return [eta + gap, eta + 2.0 * gap, eta + 4.0 * gap]
 
 
 def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig) -> None:

@@ -189,9 +189,6 @@ class ScalarField:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "ScalarField":
-        return ScalarField(self.grid, values, self.time if time is None else time)
-
 
 def require_divergence_free(err: float, max_norm: float) -> None:
     """Raise unless max|div b| = err is within DIVERGENCE_FREE_TOL * max|b|."""

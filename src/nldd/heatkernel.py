@@ -49,6 +49,8 @@ __all__ = [
 SANITY_MASS_TOL = 1e-4  # |mass - 1| allowed at every evaluation time
 SANITY_SEMIGROUP_TOL = 0.02  # relative L1 error of the Chapman-Kolmogorov composition
 SEMIGROUP_Z_STRIDE = 2  # intermediate sources on every 2nd grid point per axis
+PERIODIC_IMAGES = 4  # periodized_free_kernel sums the images within 4 periods
+GLUING_SLACK = 1e-8  # p - p_rho below this is roundoff, not a gluing constant
 
 
 @dataclass
@@ -157,21 +159,15 @@ def check_estimate(grid: GridSpec, config: SolverConfig, eta: float, times: np.n
 
 
 def estimate_kernel(
-    b,
-    kernel: KernelSpec,
-    eta: float,
-    y,
-    times,
-    config: SolverConfig,
-    grid: GridSpec,
+    b, eta: float, y, times, config: SolverConfig, grid: GridSpec
 ) -> HeatKernelEstimate:
-    """The heat kernel from y at eta, at each of the times: one solve from
-    the Richardson-extrapolated Dirac (4 g_{h/2} - g_h) / 3, h = config.h_moll,
-    whose fields are the estimate's as they come out of the loop.  With three
-    or more times, g_{h/2} advances beside it and the composition through the
-    middle time joins the stack there (``HeatKernelEstimate.semigroup``, read
-    by kernel_sanity).  check_estimate runs before any step."""
-    config = replace(config, kernel=kernel)
+    """The heat kernel of config.kernel from y at eta, at each of the times:
+    one solve from the Richardson-extrapolated Dirac (4 g_{h/2} - g_h) / 3,
+    h = config.h_moll, whose fields are the estimate's as they come out of
+    the loop.  With three or more times, g_{h/2} advances beside it and the
+    composition through the middle time joins the stack there
+    (``HeatKernelEstimate.semigroup``, read by kernel_sanity).
+    check_estimate runs before any step."""
     times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
     check_estimate(grid, config, eta, times)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -189,7 +185,7 @@ def estimate_kernel(
         y=tuple(y),
         times=times,
         fields=solved[0],
-        kernel=kernel,
+        kernel=config.kernel,
         semigroup=(solved[2][-1], solved[1][-1]) if join else None,
     )
 
@@ -249,7 +245,7 @@ def _tail_amplitude(kernel: KernelSpec, d: int) -> float:
 
 
 def periodized_free_kernel(
-    kernel: KernelSpec, grid: GridSpec, t: float, displacement: np.ndarray, images: int = 4
+    kernel: KernelSpec, grid: GridSpec, t: float, displacement: np.ndarray
 ) -> np.ndarray:
     """Free kernel summed over periodic images; oracle for torus solves.
 
@@ -263,11 +259,11 @@ def periodized_free_kernel(
     d = grid.d
     s = kernel.s
     total = np.zeros(disp.shape[:-1])
-    shifts = np.arange(-images, images + 1)
+    shifts = np.arange(-PERIODIC_IMAGES, PERIODIC_IMAGES + 1)
     for off in np.stack(np.meshgrid(*([shifts] * d), indexing="ij"), axis=-1).reshape(-1, d):
         rr = np.sqrt(((disp + off * L) ** 2).sum(axis=-1))
         total += exact_free_kernel(kernel, d, t, rr.ravel()).reshape(rr.shape)
-    side = (2 * images + 1) * L
+    side = (2 * PERIODIC_IMAGES + 1) * L
     if d == 2:
         r_cut = side / np.sqrt(np.pi)
         surface = 2.0 * np.pi
@@ -291,7 +287,7 @@ def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
     grid = est.grid
     d, s = grid.d, est.kernel.s
     report = VerificationReport("heat-kernel-sanity")
-    report.ceiling = np.inf
+    report.ceiling = 1.0
 
     masses = np.array([est.mass(i) for i in range(est.times.size)])
     report.extras["masses"] = masses.tolist()
@@ -322,14 +318,11 @@ def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
         radius=0.0,
         lhs=lhs + l1_err,
         rhs_terms=(SANITY_MASS_TOL + SANITY_SEMIGROUP_TOL, 0.0, 0.0),
-        ceiling=1.0,
     )
     return report
 
 
-def upper_bound_check(
-    est: HeatKernelEstimate, T: float, ceiling: float = np.inf
-) -> VerificationReport:
+def upper_bound_check(est: HeatKernelEstimate, T: float) -> VerificationReport:
     """Ratio p * (|x-y| + (t-eta)^(1/(2s)))^(d+2s) / (t-eta), maximized over
     the grid (restricted to |x-y| <= L/4) and over times <= T."""
     grid = est.grid
@@ -337,7 +330,6 @@ def upper_bound_check(
     dist = grid_distance(grid, est.y)
     window = dist <= grid.domain_length / 4.0
     report = VerificationReport("heat-kernel-upper-bound")
-    report.ceiling = ceiling
     per_time = []
     for i, t in enumerate(est.times):
         if t > T + 1e-12:
@@ -350,44 +342,36 @@ def upper_bound_check(
         per_time.append(cmax)
         report.add(
             q=0.0, t0=t, x0=est.y, radius=grid.domain_length / 4.0,
-            lhs=cmax, rhs_terms=(1.0, 0.0, 0.0), ceiling=ceiling,
+            lhs=cmax, rhs_terms=(1.0, 0.0, 0.0),
         )
     report.extras["fitted_per_time"] = per_time
     return report
 
 
 def gluing_check(
-    b,
-    kernel: KernelSpec,
-    rho_list,
-    eta: float,
-    y,
-    t: float,
-    config: SolverConfig,
-    grid: GridSpec,
-    slack: float = 1e-8,
+    b, rho_list, eta: float, y, t: float, config: SolverConfig, grid: GridSpec
 ) -> VerificationReport:
-    """Fit the smallest constants in both truncated-vs-full kernel bounds.
+    """Fit the smallest constants in both truncated-vs-full kernel bounds of
+    order s = config.kernel.s.
 
     First bound: p <= p_rho + c (t-eta) rho^(-d-2s).  Second bound:
     p_rho <= exp(C (t-eta) rho^(-2s)) p.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d, s = grid.d, kernel.s
+    d, s = grid.d, config.kernel.s
     gap = t - eta
     times = np.array([t])
-    full = estimate_kernel(b, kernel.untruncated(), eta, y, times, config, grid)
+    full = estimate_kernel(b, eta, y, times, replace(config, kernel=KernelSpec(s)), grid)
     p = full.fields[0].values
     report = VerificationReport("gluing-lemma")
-    report.ceiling = np.inf
     fits_c, fits_C = [], []
     agreement = {}
     for rho in rho_list:
         if rho > grid.domain_length / 4.0 + 1e-12:
             raise ValueError("truncation radius must be at most L/4")
-        trunc = estimate_kernel(b, kernel.truncated(rho), eta, y, times, config, grid)
-        p_rho = trunc.fields[0].values
-        diff = p - p_rho - slack
+        truncated = replace(config, kernel=KernelSpec(s, rho))
+        p_rho = estimate_kernel(b, eta, y, times, truncated, grid).fields[0].values
+        diff = p - p_rho - GLUING_SLACK
         c_fit = float(max(diff.max(), 0.0) * rho ** (d + 2.0 * s) / gap)
         mask = p > 1e-6 * p.max()
         log_ratio = np.log(np.maximum(p_rho[mask], 1e-300) / p[mask])
@@ -399,7 +383,6 @@ def gluing_check(
             q=0.0, t0=t, x0=tuple(y), radius=rho,
             lhs=float(p.max()),
             rhs_terms=(float(p_rho.max()), c_fit * gap * rho ** (-d - 2.0 * s), 0.0),
-            ceiling=np.inf,
         )
     report.extras["fitted_c"] = fits_c
     report.extras["fitted_C"] = fits_C

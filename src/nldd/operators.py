@@ -10,7 +10,8 @@ divided by the kernel normalization C(d, s) so that rho -> infinity recovers
 |k|^(2s).  C(d, s) itself is computed by quadrature of the same integral over
 all of R^d at |k| = 1, which keeps the two operators mutually consistent by
 construction.  scipy is imported by the functions that need it (C(d, s) and
-the d = 2 angular factor J0), so the untruncated operators never load it.
+the d = 2 angular factor J0), so the operators of a kernel that is not
+truncated never load it.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ class KernelSpec:
             raise ParameterError("s", f"order s must lie in (0, 1), got {self.s}")
         if self.truncation_radius is not None and not self.truncation_radius > 0:
             raise ValueError("truncation radius must be positive when present")
-
-    def truncated(self, rho: float) -> "KernelSpec":
-        return KernelSpec(self.s, rho)
-
-    def untruncated(self) -> "KernelSpec":
-        return KernelSpec(self.s)
 
 
 def _angular_factor(d: int, x: np.ndarray) -> np.ndarray:

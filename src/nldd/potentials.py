@@ -74,6 +74,10 @@ POINTS_PER_OCTAVE = 24  # log-spaced radii per octave of a Riesz potential
 # (cellular) drift at amplitudes 1 to 8, where 16 steps are not
 SLANT_STEPS = 32
 BMO_CENTER_STRIDE = 4  # ball centres of bmo_seminorm on every 4th grid point
+# the unit-ball rule that averages the drift in slant_ode: Gauss-Legendre nodes
+# in radius^d (and in the polar cosine in 3-d), midpoint nodes in the azimuth
+DISK_RADIAL_NODES = 8
+DISK_ANGULAR_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -406,9 +410,10 @@ def potential_radii(
     return radii, all_radii, np.flatnonzero(slab_holds_mass(mu, t0, all_radii, s))
 
 
-@lru_cache(maxsize=4)
-def _disk_quadrature(d: int, n_rad: int = 8, n_ang: int = 16):
+@lru_cache(maxsize=2)
+def _disk_quadrature(d: int):
     """Points/weights averaging a function over the unit ball."""
+    n_rad, n_ang = DISK_RADIAL_NODES, DISK_ANGULAR_NODES
     xg, wg = leggauss(n_rad)
     u = 0.5 * (xg + 1.0)  # radius^d variable on [0, 1]
     w_rad = 0.5 * wg

@@ -82,7 +82,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows) and self.fitted_constant <= self.ceiling
 
-    def add(self, q, t0, x0, radius, lhs, rhs_terms, ceiling=None) -> ReportRow:
+    def add(self, q, t0, x0, radius, lhs, rhs_terms) -> ReportRow:
         terms = tuple(float(t) for t in rhs_terms) + (0.0,) * (3 - len(rhs_terms))
         row = ReportRow(
             q=float(q),
@@ -91,7 +91,7 @@ class VerificationReport:
             radius=float(radius),
             lhs=float(lhs),
             rhs_terms=terms[:3],
-            ceiling=float(self.ceiling if ceiling is None else ceiling),
+            ceiling=float(self.ceiling),
         )
         self.rows.append(row)
         return row

@@ -81,24 +81,18 @@ class Experiment:
 
 
 def run_experiment(
-    config: ExperimentConfig, measure_scale: float = 1.0, initial_scale: float = 1.0,
-    **solver_overrides
+    config: ExperimentConfig, measure_scale: float = 1.0, **solver_overrides
 ) -> Experiment:
     """Solve the config's problem, with its measure scaled by ``measure_scale``
-    (0 gives the homogeneous run, which steps with no forcing) and its
-    initial data by ``initial_scale``."""
+    (0 gives the homogeneous run, which steps with no forcing)."""
     grid = config.build_grid()
     kernel = config.build_kernel()
     mu = config.build_measure(grid)
     if mu is not None and measure_scale != 1.0:
         mu = mu.scaled(measure_scale)
-    if mu is not None and not config.section("solver").get("h_moll"):
-        solver_overrides.setdefault("h_moll", 2.0 * grid.spacing)
     solver = config.build_solver(kernel, **solver_overrides)
     check_solver(grid, solver, mu)
     u0 = config.build_initial(grid)
-    if initial_scale != 1.0:
-        u0 = u0.with_values(initial_scale * u0.values)
     b = config.build_drift(grid)
     check_drift_step(b, grid, solver)
     if config.drift_family == "sqg":
@@ -143,6 +137,12 @@ def _cylinder_oscillation(
     ``path`` if given."""
     _, values = Q.ball_values(traj, path)
     return max(v.max() for v in values) - min(v.min() for v in values)
+
+
+def _check_knob(ok: bool, check: str, knob: str, message: str) -> None:
+    """Raise ConfigError at verification.params.<check>.<knob> unless ok."""
+    if not ok:
+        raise ConfigError(f"verification.params.{check}.{knob}", message)
 
 
 def _grid_node(grid: GridSpec, rng: np.random.Generator) -> tuple:
@@ -259,6 +259,7 @@ def verify_excess_decay(
     config: ExperimentConfig, m_max: int = 3, salt: int = 2
 ) -> VerificationReport:
     """Geometric excess decay across dyadic scales, plus the measure term."""
+    _check_knob(m_max >= 1, "excess", "m_max", f"m_max must be at least 1, got {m_max}")
     q = EXCESS_Q
     exp0 = run_experiment(config, measure_scale=0.0)
     grid, s = exp0.grid, exp0.kernel.s
@@ -326,10 +327,10 @@ def fit_holder_exponent(
 ) -> VerificationReport:
     """Oscillation decay exponent over shrinking cylinders on homogeneous runs,
     along the drift's slant paths if ``slanted`` and s = 1/2."""
-    if slanted and config.drift_family in ("none", "sqg"):
-        raise ConfigError(
-            "verification.params.holder.slanted", f"needs an explicit drift, not {config.drift_family!r}"
-        )
+    _check_knob(
+        not slanted or config.drift_family not in ("none", "sqg"), "holder", "slanted",
+        f"needs an explicit drift, not {config.drift_family!r}",
+    )
     exp = run_experiment(config, measure_scale=0.0)
     grid, s = exp.grid, exp.kernel.s
     slanted = slanted and abs(s - 0.5) < 1e-12
@@ -380,8 +381,11 @@ def verify_lorentz(
     """Empirical quasi-norm of u at the target exponent against the mu norm."""
     grid, s = config.build_grid(), config.build_kernel().s
     d = grid.d
-    if not 1.0 < p < (d + 2.0 * s) / (2.0 * s):
-        raise ValueError(f"p must lie in (1, (d+2s)/(2s)), got {p}")
+    p_max = (d + 2.0 * s) / (2.0 * s)
+    _check_knob(
+        1.0 < p < p_max, "lorentz", "p", f"p must lie in (1, (d+2s)/(2s)) = (1, {p_max:g}), got {p}"
+    )
+    _check_knob(sigma > 0.0, "lorentz", "sigma", f"sigma must be positive, got {sigma}")
     mu = config.build_measure(grid)
     if mu is None or mu.density is None:
         raise ValueError("the Lorentz check needs a density measure")
@@ -481,6 +485,7 @@ def verify_bmo_slanted(
     s = 1/2, with the size of the paths from x0 = 0 fitted against the
     c (C1 + C2 |log r|) functional form and the cylinder enlargement
     1 + c0 (C1 + C2 |log r|) recorded; straight for s > 1/2."""
+    _check_knob(c0 >= 0.0, "bmo", "c0", f"c0 must be >= 0, got {c0}")
     grid = config.build_grid()
     s = config.build_kernel().s
     b = config.build_drift(grid)

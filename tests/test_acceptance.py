@@ -85,14 +85,14 @@ def test_02_kernel_oracle(report):
     kern = KernelSpec(s=0.5)
     cfg = SolverConfig(kernel=kern, dt=2e-3, t_end=1.0, h_moll=grid.spacing)
     y = np.array([8.0, 8.0])
-    est = estimate_kernel(None, kern, 0.0, y, [1.0], cfg, grid)
+    est = estimate_kernel(None, 0.0, y, [1.0], cfg, grid)
     vals = est.fields[0].values
     coords = np.stack(
         np.meshgrid(*[np.arange(grid.n) * grid.spacing] * 2, indexing="ij"), axis=-1
     )
     # on the torus the free-space profile must be summed over periodic images;
     # the raw single-image formula is off by ~20% at the 1e-3 level set
-    oracle = periodized_free_kernel(kern, grid, 1.0, coords - y, images=4)
+    oracle = periodized_free_kernel(kern, grid, 1.0, coords - y)
     region = oracle >= 1e-3
     field_err = float(
         (np.abs(vals[region] - oracle[region]) / oracle[region]).max()
@@ -122,7 +122,7 @@ def test_03_upper_bound_stability(report):
         cfg = SolverConfig(
             kernel=kern, dt=2e-3, t_end=1.0, drift_mode="given", h_moll=grid.spacing
         )
-        est = estimate_kernel(b, kern, 0.0, (4.0, 4.0), [0.25, 0.5, 1.0], cfg, grid)
+        est = estimate_kernel(b, 0.0, (4.0, 4.0), [0.25, 0.5, 1.0], cfg, grid)
         rep = upper_bound_check(est, T=1.0)
         maxima.extend(r.lhs for r in rep.rows)
     spread = max(maxima) / min(maxima) - 1.0
@@ -139,9 +139,7 @@ def test_04_truncation_gluing(report):
     grid = make_grid(2, 256, 16.0)
     kern = KernelSpec(s=0.75)
     cfg = SolverConfig(kernel=kern, dt=1.25e-3, t_end=0.0625, h_moll=grid.spacing)
-    rep = gluing_check(
-        None, kern, [0.5, 1.0, 2.0, 4.0], 0.0, (8.0, 8.0), 0.0625, cfg, grid
-    )
+    rep = gluing_check(None, [0.5, 1.0, 2.0, 4.0], 0.0, (8.0, 8.0), 0.0625, cfg, grid)
     cs = np.array(rep.extras["fitted_c"][:3])
     Cs = np.array(rep.extras["fitted_C"][:3])
     agree = rep.extras["max_rel_difference"][4.0]
@@ -192,13 +190,14 @@ def test_05_pointwise_potential_bound(report):
             cfg, exp=run_experiment(cfg), num_placements=10
         )
         raw2 = random_raw(
-            measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]}
+            initial={"kind": "random", "amplitude": 2.0, "decay": 2.5},
+            measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]},
         )
         if drift:
             raw2["drift"] = drift
         cfg2 = ExperimentConfig(raw2)
         r2 = verify_potential_estimate(
-            cfg2, exp=run_experiment(cfg2, initial_scale=2.0), num_placements=10
+            cfg2, exp=run_experiment(cfg2), num_placements=10
         )
         homog = max(homog, abs(r2.fitted_constant / r1.fitted_constant - 1.0))
     ok = worst <= CEILING and homog <= 1e-10

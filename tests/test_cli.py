@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from nldd.cli import main
-from nldd.config import ConfigError, load_config
+from nldd.config import ConfigError, ExperimentConfig, load_config
 from nldd.verify import run_experiment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -128,6 +129,41 @@ class TestHeatKernel:
     def test_the_section_the_error_cases_start_from_runs(self, tmp_path, capsys):
         assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw())]) == 0
         assert "semigroup L1 error" in capsys.readouterr().out
+
+    def test_default_section_runs(self, tmp_path, capsys):
+        # the default grid (n = 64, L = 2 pi) and width h_moll = 2 spacings
+        # need a first gap of 4 h_moll = 0.7854: the default times start at
+        # the first whole step of the default dt = 1e-3 past it
+        config = ExperimentConfig({"kernel": {"s": 0.5}})
+        grid, kernel = config.build_grid(), config.build_kernel()
+        _, _, times, _ = config.build_heatkernel(grid, kernel, None)
+        np.testing.assert_allclose(times, [0.786, 1.572, 3.144], rtol=1e-12)
+        assert main(["heatkernel", "--config", write_cfg(tmp_path, config.raw)]) == 0
+        printed = capsys.readouterr().out
+        assert "mass check: ok" in printed
+        assert "(ok)" in printed
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {
+                "grid": {"d": 2, "n": 64, "domain_length": 8.0}, "kernel": {"s": 0.75},
+                "solver": {"dt": 0.01}, "heatkernel": {"eta": 0.3, "h_moll": 0.125},
+            },
+            {
+                "grid": {"d": 2, "n": 32, "domain_length": 8.0}, "kernel": {"s": 0.75},
+                "solver": {"dt": 0.02}, "heatkernel": {"h_moll": 0.25},
+            },
+            {"grid": {"d": 2, "n": 128, "domain_length": 8.0}, "kernel": {"s": 0.5}},
+        ],
+        ids=["eta", "gap-exactly-half", "default-dt"],
+    )
+    def test_default_times_where_the_first_gap_of_a_half_suffices(self, raw):
+        # wherever eta + (0.5, 1, 2) can be estimated, those are the defaults
+        config = ExperimentConfig(raw)
+        grid, kernel = config.build_grid(), config.build_kernel()
+        eta, _, times, _ = config.build_heatkernel(grid, kernel, None)
+        assert times.tolist() == [eta + 0.5, eta + 1.0, eta + 2.0]
 
     @pytest.mark.parametrize("t_end", [0, -1])
     def test_solver_t_end_is_not_read(self, tmp_path, capsys, t_end):
@@ -368,6 +404,14 @@ class TestConfigErrors:
             ),
             (
                 {
+                    "solver": {"dt": 5e-3, "t_end": 0.5, "h_moll": 0.0},
+                    "measure": {"atoms": [{"t": 0.1, "x": [4.0, 4.0], "mass": 1.0}]},
+                },
+                "config field 'solver.h_moll': h_moll = 0.0 is below the grid spacing 0.25 "
+                "of a measure with atoms",
+            ),
+            (
+                {
                     "grid": {"d": 2, "n": 16, "domain_length": 8.0},
                     "drift": {"family": "shear", "amplitude": 50.0},
                     "solver": {"dt": 0.02, "t_end": 0.5},
@@ -492,7 +536,7 @@ class TestConfigErrors:
             ),
         ],
         ids=[
-            "solver.t_end", "solver.h_moll", "solver.dt-cfl",
+            "solver.t_end", "solver.h_moll", "solver.h_moll-zero", "solver.dt-cfl",
             "grid-unknown-key", "kernel-unknown-key", "solver-unknown-key",
             "drift.amplitude-not-a-number", "grid.d-not-whole", "grid.n-not-whole",
             "solver.snapshot_stride-not-whole", "solver.dt-a-flag", "drift-unknown-key",
@@ -614,11 +658,6 @@ class TestConfigErrors:
                 "'heatkernel.times': the first time 1 lies 1 after eta; h_moll = 0.5 needs a gap "
                 "of at least 4 h_moll^(2s) = 2",
             ),
-            (
-                {"kernel": {"s": 0.5}},
-                "'heatkernel.times': the first time 0.5 lies 0.5 after eta; h_moll = 0.1963 needs "
-                "a gap of at least 4 h_moll^(2s) = 0.7854",
-            ),
             (heatkernel_raw(y=[1.0]), "'heatkernel.y': needs 2 coordinates, got 1"),
             (heatkernel_raw(y=[1.0, 2.0, 3.0]), "'heatkernel.y': needs 2 coordinates, got 3"),
             (
@@ -642,7 +681,7 @@ class TestConfigErrors:
         ],
         ids=[
             "times-scalar", "times-item", "times-two", "times-before-eta", "times-off-step", "times-gap",
-            "default-section", "y-short", "y-long", "h_moll", "unknown-key", "sqg",
+            "y-short", "y-long", "h_moll", "unknown-key", "sqg",
             "solver-unknown-key",
         ],
     )

@@ -238,15 +238,13 @@ class TestVerificationSection:
         with pytest.raises(ConfigError, match="'solver.dealias'"):
             cfg.build_solver(cfg.build_kernel())
 
-    def test_retired_fields_change_nothing(self):
-        # kernel.lam, solver.dealias: true and solver.store_drift never
-        # changed an output; configs that still set them build the same run
-        plain = ExperimentConfig({"kernel": {"s": 0.5}, "solver": {"dt": 0.01}})
-        retired = ExperimentConfig({
-            "kernel": {"s": 0.5, "lam": 2.0},
-            "solver": {"dt": 0.01, "dealias": True, "store_drift": True},
-        })
-        assert retired.build_kernel() == plain.build_kernel()
-        assert retired.build_solver(retired.build_kernel()) == plain.build_solver(
-            plain.build_kernel()
-        )
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("kernel", "lam", 2.0), ("solver", "dealias", True), ("solver", "store_drift", True)],
+        ids=["kernel.lam", "solver.dealias", "solver.store_drift"],
+    )
+    def test_retired_fields_are_unknown(self, section, key, value):
+        # fields that no run read are refused like any unknown field
+        cfg = ExperimentConfig({section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"^config field '{section}\.{key}': unknown field"):
+            cfg.section(section)

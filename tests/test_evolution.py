@@ -531,7 +531,7 @@ class TestMeasureForcing:
         )
         base = solve(u0, None, mu, cfg).snapshots[-1].values
         doubled = solve(
-            u0.with_values(2.0 * u0.values), None, mu.scaled(2.0), cfg
+            ScalarField(u0.grid, 2.0 * u0.values, u0.time), None, mu.scaled(2.0), cfg
         ).snapshots[-1].values
         np.testing.assert_array_equal(doubled, 2.0 * base)
 
@@ -637,8 +637,8 @@ class TestDriftModeNone:
         g = make_grid(2, 32, 8.0)
         kern = KernelSpec(s=0.5)
         cfg = SolverConfig(kern, dt=0.05, t_end=1.0, drift_mode="none", h_moll=g.spacing)
-        est = estimate_kernel(shear_drift(g), kern, 0.0, (4.0, 4.0), [1.0], cfg, g)
-        free = estimate_kernel(None, kern, 0.0, (4.0, 4.0), [1.0], cfg, g)
+        est = estimate_kernel(shear_drift(g), 0.0, (4.0, 4.0), [1.0], cfg, g)
+        free = estimate_kernel(None, 0.0, (4.0, 4.0), [1.0], cfg, g)
         np.testing.assert_array_equal(est.fields[0].values, free.fields[0].values)
 
 

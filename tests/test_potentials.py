@@ -210,7 +210,8 @@ class TestTail:
         times = np.array([traj.times[i] for i in idx])
         refs = [
             reference_tail(
-                u.with_values(u.values - offset), x0 + r * path.at((t - t0) / r), r, s, 4.0
+                ScalarField(u.grid, u.values - offset, u.time),
+                x0 + r * path.at((t - t0) / r), r, s, 4.0,
             )
             for t, u in zip(times, (traj.snapshots[i] for i in idx))
         ]
@@ -616,7 +617,7 @@ class TestExcess:
         means = [u.values[ball_mask(g, center(t), r)].mean() for t, u in zip(times, snaps)]
         mean_Q = float(np.trapezoid(means, times) / (times[-1] - times[0]))
         tails = np.array([
-            tail(u.with_values(u.values - mean_Q), center(t), r, kern, opts)
+            tail(ScalarField(u.grid, u.values - mean_Q, u.time), center(t), r, kern, opts)
             for t, u in zip(times, snaps)
         ])
         ref = (np.trapezoid(tails**q, times) / (times[-1] - times[0])) ** (1.0 / q)

@@ -30,11 +30,14 @@ from nldd.verify import (
 )
 
 
+RANDOM = {"kind": "random", "amplitude": 1.0, "decay": 2.5}
+
+
 def base_raw(**extra):
     raw = {
         "grid": {"d": 2, "n": 32, "domain_length": 8.0},
         "kernel": {"s": 0.5},
-        "initial": {"kind": "random", "amplitude": 1.0, "decay": 2.5},
+        "initial": RANDOM,
         "solver": {"dt": 4e-3, "t_end": 1.0},
         "seed": 7,
     }
@@ -85,9 +88,11 @@ class TestRunExperiment:
         for a, b in zip(zero.traj.snapshots, plain.traj.snapshots, strict=True):
             assert np.array_equal(a.values, b.values)
 
-    def test_initial_scale(self):
+    def test_doubled_amplitude_doubles_the_run(self):
+        # the solve is linear in its data, and initial.amplitude scales the
+        # random data by a power of two, exactly
         one = run_experiment(ExperimentConfig(base_raw()))
-        two = run_experiment(ExperimentConfig(base_raw()), initial_scale=2.0)
+        two = run_experiment(ExperimentConfig(base_raw(initial=dict(RANDOM, amplitude=2.0))))
         np.testing.assert_array_equal(
             two.traj.snapshots[-1].values, 2.0 * one.traj.snapshots[-1].values
         )
@@ -107,7 +112,7 @@ class TestPotentialCheck:
         # the estimate is linear: rescaling the data cannot change the fit
         cfg = ExperimentConfig(base_raw())
         exp1 = run_experiment(cfg)
-        exp2 = run_experiment(cfg, initial_scale=2.0)
+        exp2 = run_experiment(ExperimentConfig(base_raw(initial=dict(RANDOM, amplitude=2.0))))
         r1 = verify_potential_estimate(cfg, exp=exp1, num_placements=4)
         r2 = verify_potential_estimate(cfg, exp=exp2, num_placements=4)
         assert r2.fitted_constant == pytest.approx(r1.fitted_constant, rel=1e-10)
@@ -374,6 +379,36 @@ class TestComparisonCheck:
         for per_factor in ratios.values():
             for val in per_factor.values():
                 assert val == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "check, knob, value, message",
+    [
+        ("excess", "m_max", 0, "m_max must be at least 1, got 0"),
+        ("excess", "m_max", -1, "m_max must be at least 1, got -1"),
+        ("lorentz", "p", 1.0, "p must lie in (1, (d+2s)/(2s)) = (1, 3), got 1.0"),
+        ("lorentz", "p", 3.0, "p must lie in (1, (d+2s)/(2s)) = (1, 3), got 3.0"),
+        ("lorentz", "sigma", -2.0, "sigma must be positive, got -2.0"),
+        ("lorentz", "sigma", 0.0, "sigma must be positive, got 0.0"),
+        ("bmo", "c0", -1.0, "c0 must be >= 0, got -1.0"),
+    ],
+    ids=[
+        "excess.m_max-zero", "excess.m_max-negative", "lorentz.p-at-1", "lorentz.p-at-max",
+        "lorentz.sigma-negative", "lorentz.sigma-zero", "bmo.c0-negative",
+    ],
+)
+def test_bad_check_knob_fails_at_its_field_before_any_solve(monkeypatch, check, knob, value, message):
+    solves = []
+    monkeypatch.setattr("nldd.verify.solve", lambda *a, **k: solves.append(a))
+    cfg = ExperimentConfig(base_raw(
+        drift={"family": "shear"},
+        measure={**density_measure(), "atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 0.5}]},
+        verification={"params": {check: {knob: value}}},
+    ))
+    path = f"verification.params.{check}.{knob}"
+    with pytest.raises(ConfigError, match=re.escape(f"config field '{path}': {message}")):
+        verify.CHECKS[check](cfg)
+    assert solves == []
 
 
 class TestCampaign:
