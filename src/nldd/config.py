@@ -28,8 +28,9 @@ Schema (all sections optional unless a check needs them):
     solver:   {dt: 1e-3, t_end: 1.0, h_moll: 0.25, snapshot_stride: 1}
                                   # h_moll, the atoms' width: at least one grid
                                   # spacing, default two; nldd heatkernel
-                                  # ignores t_end: it solves from eta to the
-                                  # last heatkernel time
+                                  # ignores t_end (it solves from eta to the
+                                  # last heatkernel time) and refuses h_moll
+                                  # (its Dirac width is heatkernel.h_moll)
     verification:
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
@@ -403,7 +404,13 @@ class ExperimentConfig:
         section's shape here, b (the config's drift) against the CFL bound at
         solver.dt, and the rules of an estimate's inputs by
         heatkernel.check_estimate.  The solve runs from eta to the last time,
-        so solver.t_end is not read."""
+        so solver.t_end is not read; the Dirac width is heatkernel.h_moll, so
+        a solver.h_moll is refused."""
+        if "h_moll" in self.section("solver"):
+            raise ConfigError(
+                "solver.h_moll",
+                "nldd heatkernel does not read it; set the Dirac width with heatkernel.h_moll",
+            )
         sec = self.section("heatkernel")
         eta = sec.get("eta", 0.0)
         y = grid_point(sec.get("y", [grid.domain_length / 2.0] * grid.d), grid, "heatkernel.y")

@@ -10,17 +10,24 @@ the drift at its two ends, as the comparison solve hands it u's SQG drift.
 The solver state is the rfftn half-spectrum of the real solution, and every
 transform inside a step is real: ``fields.forward_half`` (an rfftn) and
 ``fields.inverse_half`` (an irfftn), which make numpy's 1-d transforms one
-axis at a time, bitwise the n-d ones.  The SQG drift is built from those
-coefficients, and the forcing is transformed once per step.  The components
-of a fixed drift that are zero everywhere are found once, and a stage
-transforms d_j u only for the other components j.  Per step:
+axis at a time, bitwise the n-d ones.  A dealiased gradient's coefficients
+and the dealiased advection term are zero past the last-axis columns the
+two-thirds mask keeps (n//3 + 1 of them), so their transforms are the band
+ones, ``fields.inverse_band`` and ``fields.forward_band``, whose complex
+passes touch only those columns, bitwise the full ones.  The SQG drift is
+built from the state's coefficients by one stacked inverse transform, and
+its divergence check reads a bound from the coefficients, with no
+transform unless the bound fails.  The forcing is transformed once per
+step.  The components of a fixed drift that are zero everywhere are found
+once, and a stage transforms d_j u only for the other components j.  Per
+step:
 
-- an SQG step makes 2 forward and 10 inverse transforms: per stage 2
-  inverse for the drift, 1 for its divergence check, 2 for the gradient and
-  1 forward for the advection;
-- a fixed-drift step makes 2 forward, and 2 inverse per component that is
-  not zero everywhere: 2 for the config's shear and lacunary drifts and a
-  constant one along x1, which are (f(x2), 0);
+- an SQG step makes 2 forward and 8 inverse transforms: per stage 2
+  inverse for the drift, in one stacked call, 2 band inverse for the
+  gradient and 1 band forward for the advection;
+- a fixed-drift step makes 2 band forward, and 2 band inverse per
+  component that is not zero everywhere: 2 for the config's shear and
+  lacunary drifts and a constant one along x1, which are (f(x2), 0);
 - a step with no drift, or a zero one, makes none;
 
 plus 1 forward on steps that carry forcing.  Around the transforms, a stage
@@ -46,9 +53,11 @@ from .fields import (
     VectorField,
     ball_mask,
     dealias_mask,
+    forward_band,
     forward_half,
     grid_distance,
     half_spectrum,
+    inverse_band,
     inverse_half,
     require_divergence_free,
 )
@@ -173,16 +182,17 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 class _Work:
     """The arrays one step fills, for one state shape: spectral arrays in the
-    shape of the state, physical ones in the shape of its samples, and the SQG
-    drift b when the stepper is SQG, which is built with n1, tmp, grad and
-    adv as scratch: each is free while a drift is built."""
+    shape of the state, physical ones in the shape of its samples, and the
+    SQG drift b when the stepper is SQG.  tmp and n1 are the two members of
+    one stack, pair, which holds the SQG drift's coefficients while a drift
+    is built, with grad and adv as its other scratch: each is free then."""
 
     def __init__(
         self, spectral: tuple[int, ...], physical: tuple[int, ...], drift: tuple[int, ...] | None
     ):
-        self.tmp, self.n0, self.n1, self.fhat = (
-            np.empty(spectral, dtype=complex) for _ in range(4)
-        )
+        self.pair = np.empty((2, *spectral), dtype=complex)
+        self.tmp, self.n1 = self.pair
+        self.n0, self.fhat = (np.empty(spectral, dtype=complex) for _ in range(2))
         self.finite = np.empty(spectral, dtype=bool)
         self.grad, self.adv = np.empty(physical), np.empty(physical)
         self.b = None if drift is None else np.empty(drift)
@@ -249,7 +259,8 @@ class _Stepper:
         summed over the components j in comps; written to out unless it is the
         forcing alone.  out holds each gradient component's coefficients
         (the dealiased ik_j times uhat) until the advection term is
-        transformed into it."""
+        transformed into it.  Both are zero past the mask's columns, so their
+        transforms are the band ones."""
         if not comps:
             if fhat is not None:
                 return fhat
@@ -257,14 +268,14 @@ class _Stepper:
             return out
         barrs = b.arrays()
         for i, j in enumerate(comps):
-            grad = inverse_half(
+            grad = inverse_band(
                 np.multiply(self.masked_iks[j], uhat, out=out), self.grid, out=w.grad
             )
             if i:
                 w.adv += np.multiply(barrs[j], grad, out=grad)
             else:
                 np.multiply(barrs[j], grad, out=w.adv)
-        np.multiply(forward_half(w.adv, self.grid, out=out), self.neg_mask, out=out)
+        np.multiply(forward_band(w.adv, self.grid, out=out), self.neg_mask, out=out)
         return out if fhat is None else np.add(out, fhat, out=out)
 
     def step(
@@ -285,7 +296,7 @@ class _Stepper:
             (b0, b1), comps = drifts, tuple(range(self.grid.d))
             check_cfl(self.grid, dt, b0.max_norm())
         elif sqg:
-            b0, bmax = _sqg_drift(uhat, self.grid, t, w.b, w.n1, w.tmp, w.grad, w.adv)
+            b0, bmax = _sqg_drift(uhat, self.grid, t, w.b, w.pair, w.grad, w.adv)
             check_cfl(self.grid, dt, bmax)
         else:
             b0 = b1 = self.b
@@ -295,7 +306,7 @@ class _Stepper:
         np.multiply(self.exp_full, uhat, out=uhat)
         uhat += np.multiply(self.dt_phi1, n0, out=w.tmp)
         if sqg:  # the drift lagged by one predictor stage
-            b1 = _sqg_drift(uhat, self.grid, t + dt, w.b, w.n1, w.tmp, w.grad, w.adv)[0]
+            b1 = _sqg_drift(uhat, self.grid, t + dt, w.b, w.pair, w.grad, w.adv)[0]
         n1 = self.nonlinear(uhat, b1, comps, fhat, w, out=w.n1)
         delta = np.subtract(n1, n0, out=w.n1)
         uhat += np.multiply(self.dt_phi2, delta, out=delta)

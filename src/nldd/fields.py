@@ -28,6 +28,10 @@ __all__ = [
     "gradient_wavevectors",
     "forward_half",
     "inverse_half",
+    "inverse_half_bound",
+    "dealias_columns",
+    "forward_band",
+    "inverse_band",
     "require_divergence_free",
     "torus_distance",
     "grid_distance",
@@ -146,17 +150,74 @@ def forward_half(
 
 
 def inverse_half(
-    coeff: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
+    coeff: np.ndarray,
+    grid: GridSpec,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Real samples from rfftn-layout coefficients, transformed over the
     trailing d axes, so a stack of coefficient arrays gives a stack of fields.
 
     The mirror of forward_half, in the order ``np.fft.irfftn`` makes them:
-    ifft over the leading d - 1 axes from the first (into one new complex
-    array, so coeff is left as it is), then irfft on the last axis into out.
+    ifft over the leading d - 1 axes from the first, into ``work``, then
+    irfft on the last axis into out.  ``work`` is a new complex array when
+    it is None, so coeff is left as it is; pass coeff itself to transform in
+    place and spare the allocation.
     """
     for axis in range(-grid.d, -1):
-        coeff = np.fft.ifft(coeff, axis=axis, out=None if axis == -grid.d else coeff)
+        coeff = np.fft.ifft(coeff, axis=axis, out=work if axis == -grid.d else coeff)
+    return np.fft.irfft(coeff, n=grid.n, axis=-1, out=out)
+
+
+def inverse_half_bound(coeff: np.ndarray, grid: GridSpec, scratch: np.ndarray) -> float:
+    """An upper bound on max|inverse_half(coeff)|, with no transform, for any
+    rfftn-layout coeff (contiguous along its last axis); ``scratch``, of
+    coeff's shape and dtype, is overwritten.
+
+    A coefficient c adds at most 2 |c| / N <= 2 (|Re c| + |Im c|) / N to any
+    sample (N grid points): twice, with its conjugate partner, in the
+    interior columns, and at most once, as a real part, in the
+    self-conjugate columns 0 and n/2, whatever its imaginary part.
+    """
+    parts = np.abs(coeff.view(float), out=scratch.view(float))
+    return 2.0 / grid.num_points * float(parts.sum())
+
+
+def dealias_columns(grid: GridSpec) -> int:
+    """Last-axis columns of the rfftn layout in which the two-thirds mask
+    keeps any entry: column m is kept where m <= n/3, that is m <= n//3."""
+    return grid.n // 3 + 1
+
+
+def forward_band(values: np.ndarray, grid: GridSpec, out: np.ndarray) -> np.ndarray:
+    """forward_half into out for a term that the two-thirds mask is about to
+    cut: out's first dealias_columns(grid) columns hold the rfftn
+    coefficients, the rest zero.
+
+    The rfft fills every column; the complex passes over the other axes run
+    on the first dealias_columns(grid) columns alone.  Each 1-d transform is
+    independent of the others, so those columns are forward_half's bitwise.
+    """
+    np.fft.rfft(values, axis=-1, out=out)
+    band = out[..., : dealias_columns(grid)]
+    for axis in range(-2, -grid.d - 1, -1):
+        np.fft.fft(band, axis=axis, out=band)
+    out[..., band.shape[-1] :] = 0.0
+    return out
+
+
+def inverse_band(coeff: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """inverse_half of rfftn coefficients that are zero past
+    dealias_columns(grid) columns, such as a dealiased derivative's.
+
+    The complex passes run in place on the first dealias_columns(grid)
+    columns, which are overwritten; the zero columns are left as they are
+    for the irfft to read.  Each 1-d transform is independent of the
+    others, so the samples are inverse_half's bitwise.
+    """
+    band = coeff[..., : dealias_columns(grid)]
+    for axis in range(-grid.d, -1):
+        np.fft.ifft(band, axis=axis, out=band)
     return np.fft.irfft(coeff, n=grid.n, axis=-1, out=out)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .fields import (
+    DIVERGENCE_FREE_TOL,
     GridSpec,
     ParameterError,
     ScalarField,
@@ -31,6 +32,7 @@ from .fields import (
     gradient_wavevectors,
     half_spectrum,
     inverse_half,
+    inverse_half_bound,
     read_only,
     require_divergence_free,
     wavenumber_magnitude,
@@ -207,49 +209,57 @@ def diffusion_multiplier(grid: GridSpec, kernel: KernelSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _sqg_multipliers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _sqg_multipliers(grid: GridSpec) -> np.ndarray:
     # rfftn-layout factors uhat -> bhat, 1j*(-k2, k1)/|k| off the Nyquist
-    # planes: the unpaired Nyquist mode breaks Hermitian symmetry under odd
-    # spectral multipliers, so it is dropped
+    # planes, stacked on a leading axis: the unpaired Nyquist mode breaks
+    # Hermitian symmetry under odd spectral multipliers, so it is dropped
     k1, k2 = gradient_wavevectors(grid)
     kmag = half_spectrum(wavenumber_magnitude(grid))
     inv = np.divide(1.0, kmag, out=np.zeros_like(kmag), where=kmag > 0)
     for axis in range(grid.d):
         inv[(slice(None),) * axis + (grid.n // 2,)] = 0.0
-    return read_only((1j * (-k2) * inv, 1j * k1 * inv))
+    return read_only(np.stack((1j * (-k2) * inv, 1j * k1 * inv)))
 
 
 @lru_cache(maxsize=16)
-def _spectral_gradient(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """rfftn-layout multipliers 1j*k_j of the partial derivatives."""
-    return read_only(tuple(1j * k for k in gradient_wavevectors(grid)))
+def _spectral_gradient(grid: GridSpec) -> np.ndarray:
+    """rfftn-layout multipliers 1j*k_j of the partial derivatives, stacked
+    on a leading axis."""
+    return read_only(np.stack([1j * k for k in gradient_wavevectors(grid)]))
 
 
 def _sqg_drift(
     uhat: np.ndarray, grid: GridSpec, time: float, b: np.ndarray,
-    hat: np.ndarray, div: np.ndarray, re0: np.ndarray, re1: np.ndarray,
+    hat: np.ndarray, re0: np.ndarray, re1: np.ndarray,
 ) -> tuple[VectorField, float]:
     """SQG drift from the rfftn coefficients of u, checked divergence-free,
     and its max norm.  The drift's components are views of ``b``, of shape
-    (d, *grid.shape); ``hat`` and ``div``, in the shape of uhat, and the real
+    (d, *grid.shape); ``hat``, of shape (d, *uhat.shape), and the real
     fields ``re0`` and ``re1``, in the shape of the samples, are scratch.
 
-    Each component b_j is the real inverse transform of m_j * uhat.  The
-    check reads max|div b| on the grid from one more real inverse transform,
-    of the sum over j of ik_j * (m_j * uhat): the divergence of the very
-    coefficients b is transformed from, so no sample of b is transformed
-    back.  That equals VectorField.spectral_divergence_max up to roundoff on
-    coefficients whose Nyquist planes are zero, as here by construction; on a
-    Nyquist mode it would read 0, so other drifts keep the fftn check.
+    b is the real inverse transform of the stack m_j * uhat, made by one
+    multiply and one stacked transform in place in ``hat``.  The check reads
+    the divergence of the very coefficients b is transformed from, D = sum
+    over j of ik_j * (m_j * uhat), so no sample of b is transformed back.
+    It first reads fields.inverse_half_bound(D), an upper bound on
+    max|div b| on the grid that costs no transform; only a bound above the
+    tolerance runs the inverse transform of D, so a drift passes or fails on
+    the exact value, which a failure reports.  That exact value equals
+    VectorField.spectral_divergence_max up to roundoff on coefficients
+    whose Nyquist planes are zero, as here by construction; on a Nyquist
+    mode it would read 0, so other drifts keep the fftn check.
     """
-    div.fill(0.0)
-    for m, ik, c in zip(_sqg_multipliers(grid), _spectral_gradient(grid), b):
-        inverse_half(np.multiply(m, uhat, out=hat), grid, out=c)
-        div += np.multiply(ik, hat, out=hat)
+    m = _sqg_multipliers(grid)
+    inverse_half(np.multiply(m, uhat, out=hat), grid, out=b, work=hat)
     field = VectorField(tuple(ScalarField(grid, c, time) for c in b))
-    err = float(np.abs(inverse_half(div, grid, out=re0), out=re0).max())
     mag2 = np.add(np.square(b[0], out=re0), np.square(b[1], out=re1), out=re0)
     norm = float(np.sqrt(mag2.max()))
+    # the transform ran in place in hat: form b's coefficients again
+    ik_hat = np.multiply(_spectral_gradient(grid), np.multiply(m, uhat, out=hat), out=hat)
+    div = np.add(ik_hat[0], ik_hat[1], out=hat[0])
+    err = inverse_half_bound(div, grid, scratch=hat[1])
+    if err > DIVERGENCE_FREE_TOL * norm:
+        err = float(np.abs(inverse_half(div, grid, out=re0), out=re0).max())
     require_divergence_free(err, norm)
     field.divergence_free = True  # set after the check, so the fftn one does not run
     return field, norm
@@ -261,7 +271,7 @@ def biot_savart_sqg(u: ScalarField) -> VectorField:
     if grid.d != 2:
         raise ValueError("the SQG Biot-Savart law is two-dimensional")
     uhat = forward_half(u.values, grid)
-    hat, div = np.empty((2, *uhat.shape), dtype=complex)
+    hat = np.empty((grid.d, *uhat.shape), dtype=complex)
     b, real = np.empty((grid.d, *grid.shape)), np.empty((2, *grid.shape))
-    return _sqg_drift(uhat, grid, u.time, b, hat, div, *real)[0]
+    return _sqg_drift(uhat, grid, u.time, b, hat, *real)[0]
 

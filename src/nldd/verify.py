@@ -139,10 +139,34 @@ def _cylinder_oscillation(
     return max(v.max() for v in values) - min(v.min() for v in values)
 
 
-def _check_knob(ok: bool, check: str, knob: str, message: str) -> None:
-    """Raise ConfigError at verification.params.<check>.<knob> unless ok."""
-    if not ok:
-        raise ConfigError(f"verification.params.{check}.{knob}", message)
+def _knob_error(config: ExperimentConfig, check: str, knob: str, value) -> str | None:
+    """Why ``value`` lies outside the range of the knob verification.params
+    .<check>.<knob>, or None when it lies inside."""
+    if (check, knob) == ("excess", "m_max") and value < 1:
+        return f"m_max must be at least 1, got {value}"
+    if (check, knob) == ("lorentz", "p"):
+        d, s = config.build_grid().d, config.build_kernel().s
+        p_max = (d + 2.0 * s) / (2.0 * s)
+        if not 1.0 < value < p_max:
+            return f"p must lie in (1, (d+2s)/(2s)) = (1, {p_max:g}), got {value}"
+    if (check, knob) == ("lorentz", "sigma") and not value > 0.0:
+        return f"sigma must be positive, got {value}"
+    if (check, knob) == ("bmo", "c0") and not value >= 0.0:
+        return f"c0 must be >= 0, got {value}"
+    if (check, knob) == ("holder", "slanted") and value and config.drift_family in ("none", "sqg"):
+        return f"needs an explicit drift, not {config.drift_family!r}"
+    return None
+
+
+def _check_knobs(config: ExperimentConfig, check: str, knobs: dict) -> None:
+    """Raise ConfigError at verification.params.<check>.<knob> for the first
+    of ``knobs`` out of its range.  Each check runs it on its own knobs, and
+    run_campaign on the knobs the config sets for every selected check,
+    before any solve."""
+    for knob, value in knobs.items():
+        message = _knob_error(config, check, knob, value)
+        if message is not None:
+            raise ConfigError(f"verification.params.{check}.{knob}", message)
 
 
 def _grid_node(grid: GridSpec, rng: np.random.Generator) -> tuple:
@@ -259,7 +283,7 @@ def verify_excess_decay(
     config: ExperimentConfig, m_max: int = 3, salt: int = 2
 ) -> VerificationReport:
     """Geometric excess decay across dyadic scales, plus the measure term."""
-    _check_knob(m_max >= 1, "excess", "m_max", f"m_max must be at least 1, got {m_max}")
+    _check_knobs(config, "excess", {"m_max": m_max})
     q = EXCESS_Q
     exp0 = run_experiment(config, measure_scale=0.0)
     grid, s = exp0.grid, exp0.kernel.s
@@ -327,10 +351,7 @@ def fit_holder_exponent(
 ) -> VerificationReport:
     """Oscillation decay exponent over shrinking cylinders on homogeneous runs,
     along the drift's slant paths if ``slanted`` and s = 1/2."""
-    _check_knob(
-        not slanted or config.drift_family not in ("none", "sqg"), "holder", "slanted",
-        f"needs an explicit drift, not {config.drift_family!r}",
-    )
+    _check_knobs(config, "holder", {"slanted": slanted})
     exp = run_experiment(config, measure_scale=0.0)
     grid, s = exp.grid, exp.kernel.s
     slanted = slanted and abs(s - 0.5) < 1e-12
@@ -381,11 +402,7 @@ def verify_lorentz(
     """Empirical quasi-norm of u at the target exponent against the mu norm."""
     grid, s = config.build_grid(), config.build_kernel().s
     d = grid.d
-    p_max = (d + 2.0 * s) / (2.0 * s)
-    _check_knob(
-        1.0 < p < p_max, "lorentz", "p", f"p must lie in (1, (d+2s)/(2s)) = (1, {p_max:g}), got {p}"
-    )
-    _check_knob(sigma > 0.0, "lorentz", "sigma", f"sigma must be positive, got {sigma}")
+    _check_knobs(config, "lorentz", {"p": p, "sigma": sigma})
     mu = config.build_measure(grid)
     if mu is None or mu.density is None:
         raise ValueError("the Lorentz check needs a density measure")
@@ -485,7 +502,7 @@ def verify_bmo_slanted(
     s = 1/2, with the size of the paths from x0 = 0 fitted against the
     c (C1 + C2 |log r|) functional form and the cylinder enlargement
     1 + c0 (C1 + C2 |log r|) recorded; straight for s > 1/2."""
-    _check_knob(c0 >= 0.0, "bmo", "c0", f"c0 must be >= 0, got {c0}")
+    _check_knobs(config, "bmo", {"c0": c0})
     grid = config.build_grid()
     s = config.build_kernel().s
     b = config.build_drift(grid)
@@ -556,6 +573,8 @@ def run_campaign(
     # errors: reading the selection reads the whole verification section
     if config.selection:  # every check solves with these settings
         check_solver(config.build_grid(), config.build_solver(config.build_kernel()))
+    for name in config.selection:
+        _check_knobs(config, name, config.params(name))
 
     os.makedirs(out_dir, exist_ok=True)
     reports: list[VerificationReport] = []

@@ -678,11 +678,16 @@ class TestConfigErrors:
                 "'solver.dtt': unknown field; the section takes dt, t_end, h_moll, "
                 "snapshot_stride",
             ),
+            (
+                {**heatkernel_raw(), "solver": {"dt": 0.05, "h_moll": 0.5}},
+                "'solver.h_moll': nldd heatkernel does not read it; set the Dirac width with "
+                "heatkernel.h_moll",
+            ),
         ],
         ids=[
             "times-scalar", "times-item", "times-two", "times-before-eta", "times-off-step", "times-gap",
             "y-short", "y-long", "h_moll", "unknown-key", "sqg",
-            "solver-unknown-key",
+            "solver-unknown-key", "solver-h_moll",
         ],
     )
     def test_heatkernel_with_a_bad_section(self, tmp_path, capsys, monkeypatch, raw, message):
@@ -720,6 +725,48 @@ class TestConfigErrors:
         assert captured.err.splitlines() == [
             "nldd verify: config field 'verification.selection': must be a list, got 'potential'"
         ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "check, knobs, message",
+        [
+            (
+                "excess", {"m_max": 0},
+                "'verification.params.excess.m_max': m_max must be at least 1, got 0",
+            ),
+            (
+                "lorentz", {"p": 3.5},
+                "'verification.params.lorentz.p': p must lie in (1, (d+2s)/(2s)) = (1, 3), got 3.5",
+            ),
+            (
+                "lorentz", {"sigma": 0.0},
+                "'verification.params.lorentz.sigma': sigma must be positive, got 0.0",
+            ),
+            ("bmo", {"c0": -1.0}, "'verification.params.bmo.c0': c0 must be >= 0, got -1.0"),
+            (
+                "holder", {"slanted": True},
+                "'verification.params.holder.slanted': needs an explicit drift, not 'none'",
+            ),
+        ],
+        ids=["excess.m_max", "lorentz.p", "lorentz.sigma", "bmo.c0", "holder.slanted"],
+    )
+    def test_verify_with_a_knob_out_of_range(
+        self, tmp_path, capsys, monkeypatch, check, knobs, message
+    ):
+        # a selected check's knobs are checked before the checks ahead of it
+        # in the selection solve
+        steps = []
+        monkeypatch.setattr("nldd.evolution._Stepper.step", lambda *a, **k: steps.append(a))
+        cfg = write_cfg(tmp_path, solve_raw(
+            measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]},
+            verification={"selection": ["potential", check], "params": {check: knobs}},
+        ))
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd verify: config field {message}"]
+        assert steps == []
         assert not out.exists()
 
     def test_verify_with_an_unknown_check(self, tmp_path):

@@ -113,29 +113,37 @@ def two_component_drift(grid):
     return VectorField(tuple(ScalarField(grid, c) for c in comps), divergence_free=True)
 
 
-def count_transforms(monkeypatch):
-    """Count the solver's transform calls, fields.forward_half and
-    inverse_half as the evolution and operators modules reach them, and any
-    n-d np.fft call, by name; keep the forward inputs."""
+def count_transforms(monkeypatch, grid):
+    """Count the fields the solver transforms, by helper: fields.forward_half,
+    inverse_half, forward_band and inverse_band as the evolution and
+    operators modules reach them, a stacked call counting each member, and
+    any n-d np.fft call; keep the forward inputs, and count numpy's complex
+    1-d passes (fft and ifft) by the number of columns they transform."""
     calls = Counter()
     inputs = []
+    widths = Counter()
 
     def counting(name, fn):
         def counted(a, *args, **kwargs):
-            calls[name] += 1
-            if name in ("fftn", "rfftn", "forward_half"):
+            if name in ("fft", "ifft"):
+                widths[a.shape[-1]] += 1
+            elif name in ("forward_half", "forward_band", "inverse_half", "inverse_band"):
+                calls[name] += int(np.prod(a.shape[: a.ndim - grid.d]))
+            else:
+                calls[name] += 1
+            if name in ("fftn", "rfftn", "forward_half", "forward_band"):
                 inputs.append(np.array(a))
             return fn(a, *args, **kwargs)
 
         return counted
 
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     for module in (evolution, operators):
-        for name in ("forward_half", "inverse_half"):
+        for name in ("forward_half", "inverse_half", "forward_band", "inverse_band"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(fields, name)))
-    return calls, inputs
+    return calls, inputs, widths
 
 
 class TestHalfSpectrumStep:
@@ -210,28 +218,41 @@ class TestHalfSpectrumStep:
         rng = np.random.default_rng(2)
         u0 = rng.standard_normal(g.shape)
         forcing = rng.standard_normal(g.shape)
+        # the columns of the half spectrum, and those the two-thirds mask keeps
+        half, band = g.n // 2 + 1, g.n // 3 + 1
 
         def budget(mode, drift, forcing):
             cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.01, t_end=0.01, drift_mode=mode)
             stepper, uhat = _Stepper(g, cfg, drift), np.fft.rfftn(u0)
-            calls, inputs = count_transforms(monkeypatch)
+            calls, inputs, widths = count_transforms(monkeypatch, g)
             stepper.step(uhat, 0.0, forcing)
             monkeypatch.undo()
-            return dict(calls), inputs
+            return dict(calls), inputs, dict(widths)
 
-        # given drift: per stage one gradient inverse per component that is
-        # not zero everywhere and one advection forward, plus one forcing
-        # forward per step; no complex or n-d numpy transform.  The shear
-        # drift is (cos x2, 0).
+        # given drift: per stage one band gradient inverse per component that
+        # is not zero everywhere and one band advection forward, plus one
+        # forcing forward per step; no n-d numpy transform.  The shear drift
+        # is (cos x2, 0).  The gradient and advection column passes touch the
+        # band's columns, the forcing's all of them.
         fwd, inv = "forward_half", "inverse_half"
-        assert budget("given", shear_drift(g), forcing)[0] == {fwd: 3, inv: 2}
-        assert budget("given", shear_drift(g), None)[0] == {fwd: 2, inv: 2}
-        assert budget("given", two_component_drift(g), forcing)[0] == {fwd: 3, inv: 4}
-        # SQG, per stage: drift (2 inverse), its divergence check from the
-        # drift's coefficients (1 inverse), advection (2 inverse, 1 forward);
-        # no fftn, and no forward transform of the state's physical field
-        calls, inputs = budget("sqg", None, None)
-        assert calls == {fwd: 2, inv: 10}
+        fwd_band, inv_band = "forward_band", "inverse_band"
+        assert budget("given", shear_drift(g), forcing)[::2] == (
+            {fwd: 1, fwd_band: 2, inv_band: 2}, {half: 1, band: 4}
+        )
+        assert budget("given", shear_drift(g), None)[::2] == (
+            {fwd_band: 2, inv_band: 2}, {band: 4}
+        )
+        assert budget("given", two_component_drift(g), forcing)[::2] == (
+            {fwd: 1, fwd_band: 2, inv_band: 4}, {half: 1, band: 6}
+        )
+        # SQG, 2 forward and 8 inverse per step; per stage: the drift (2
+        # inverse, in one stacked call), whose divergence check reads a bound
+        # from its coefficients with no transform, and the advection (2 band
+        # inverse, 1 band forward); no fftn, and no forward transform of the
+        # state's physical field
+        calls, inputs, widths = budget("sqg", None, None)
+        assert calls == {inv: 4, fwd_band: 2, inv_band: 4}
+        assert widths == {half: 2, band: 6}
         assert not any(np.allclose(x, u0) for x in inputs)
 
     @pytest.mark.parametrize("family", ["shear", "lacunary", "two-component", "sqg"])

@@ -8,11 +8,16 @@ from nldd.fields import (
     ScalarField,
     VectorField,
     ball_mask,
+    dealias_columns,
     dealias_mask,
+    forward_band,
     forward_half,
     grid_coordinates,
     grid_distance,
+    half_spectrum,
+    inverse_band,
     inverse_half,
+    inverse_half_bound,
     make_grid,
     torus_distance,
     wavenumber_magnitude,
@@ -71,6 +76,55 @@ class TestTransforms:
         for got in (back, inverse_half(coeff, g)):
             assert got.tobytes() == expected.tobytes()
         assert coeff.tobytes() == want.tobytes()  # the coefficients are left as they are
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_band_transforms_are_the_full_ones_bitwise(self, d, n, stack):
+        # on coefficients the two-thirds mask has cut, the band transforms
+        # give forward_half's band and inverse_half's samples to the bit
+        g = make_grid(d, n, 2 * np.pi)
+        c = dealias_columns(g)
+        rng = np.random.default_rng(d)
+        values = rng.standard_normal(stack + g.shape)
+        full = forward_half(values, g)
+        out = np.full_like(full, np.nan)
+        assert forward_band(values, g, out=out) is out
+        assert out[..., :c].tobytes() == full[..., :c].tobytes()
+        assert not out[..., c:].any()
+        coeff = full * half_spectrum(dealias_mask(g))
+        want = inverse_half(coeff, g)
+        samples = np.empty_like(values)
+        work = coeff.copy()
+        assert inverse_band(work, g, out=samples) is samples
+        assert samples.tobytes() == want.tobytes()
+        assert work[..., c:].tobytes() == coeff[..., c:].tobytes()  # the zero columns stay
+        # inverse_half in place in its input gives the same samples
+        assert inverse_half(work := coeff.copy(), g, work=work).tobytes() == want.tobytes()
+
+    def test_dealias_columns_are_the_masks(self):
+        for d, n in ((2, 16), (2, 256), (3, 32)):
+            g = make_grid(d, n, 1.0)
+            kept = half_spectrum(dealias_mask(g)).any(axis=tuple(range(d - 1)))
+            assert np.flatnonzero(kept).tolist() == list(range(dealias_columns(g)))
+
+    def test_inverse_bound_is_above_the_exact_maximum(self):
+        # any half spectrum, imaginary parts in the self-conjugate columns 0
+        # and n/2 included
+        g = make_grid(2, 32, 2 * np.pi)
+        rng = np.random.default_rng(9)
+        for scale in (1.0, 1e-15, 1e3):
+            coeff = scale * (
+                rng.standard_normal((32, 17)) + 1j * rng.standard_normal((32, 17))
+            )
+            assert coeff[:, [0, 16]].imag.all()
+            exact = np.abs(np.fft.irfftn(coeff, s=g.shape, axes=(0, 1))).max()
+            bound = inverse_half_bound(coeff, g, scratch=np.empty_like(coeff))
+            assert exact <= bound <= 2.0 * np.abs(coeff).sum() * np.sqrt(2) / g.num_points
+        # one interior coefficient reaches it
+        coeff = np.zeros((32, 17), dtype=complex)
+        coeff[3, 5] = 4.0
+        bound = inverse_half_bound(coeff, g, scratch=np.empty_like(coeff))
+        assert bound == np.abs(np.fft.irfftn(coeff, s=g.shape, axes=(0, 1))).max()
 
     def test_single_mode_eigenvalue(self):
         g = make_grid(2, 32, 2 * np.pi)

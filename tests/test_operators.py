@@ -4,6 +4,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from nldd import operators
+from nldd.config import ExperimentConfig
 from nldd.fields import (
     ScalarField,
     VectorField,
@@ -223,38 +224,59 @@ class TestBiotSavart:
         m1, m2 = operators._sqg_multipliers(g)
         monkeypatch.setattr(operators, "_sqg_multipliers", lambda grid: (m2, -m1))
 
-    def test_real_divergence_check_reads_the_fftn_value(self, monkeypatch):
-        g = make_grid(2, 64, 2 * np.pi)
-        u = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+    @staticmethod
+    def exact_divergence(u, multipliers):
+        """max|div b| on the grid, read from the coefficients b is
+        transformed from: the irfftn of sum over j of ik_j (m_j uhat)."""
+        g = u.grid
+        hat = np.multiply(multipliers, np.fft.rfftn(u.values))
+        ik_hat = operators._spectral_gradient(g) * hat
+        return float(np.abs(np.fft.irfftn(ik_hat[0] + ik_hat[1], s=g.shape, axes=(0, 1))).max())
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_divergence_check_reads_a_bound_on_the_exact_value(self, monkeypatch, n):
+        g = make_grid(2, n, 8.0)
+        config = {"grid": {"d": 2, "n": n, "domain_length": 8.0}, "initial": {"kind": "random"}}
+        smooth = ExperimentConfig(config).build_initial(g)
+        noise = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
         seen = []
         monkeypatch.setattr(operators, "require_divergence_free", lambda err, _: seen.append(err))
-        b = biot_savart_sqg(u)
-        # both read roundoff on the SQG drift; the check takes the divergence
-        # of the coefficients b is transformed from, so it misses the roundoff
-        # of the fftn check's forward transforms of b (4.3e-15 against 2.1e-14
-        # with numpy 2.4's pocketfft)
-        assert seen[0] <= 1e-13 * b.max_norm()
-        assert 0.1 <= seen[0] / b.spectral_divergence_max() <= 0.4
+        # on the SQG drift the check reads fields.inverse_half_bound of the
+        # divergence of the coefficients b is transformed from: above that
+        # divergence's exact grid maximum, and still roundoff (white noise,
+        # with content up to the Nyquist planes, reads 1.5e-13 max|b| at
+        # n = 256, the config's random data 4e-15)
+        for u, ceiling in ((smooth, 1e-13), (noise, 1e-12)):
+            b = biot_savart_sqg(u)
+            exact = self.exact_divergence(u, operators._sqg_multipliers(g))
+            assert exact <= seen[-1] <= ceiling * b.max_norm()
+        # a bound above the tolerance makes the check read the exact value
         self.gradient_law(monkeypatch, g)
-        grad = biot_savart_sqg(u)
+        grad = biot_savart_sqg(noise)
         want = VectorField(grad.components).spectral_divergence_max()
         assert want > 1.0
-        assert seen[1] == pytest.approx(want, rel=1e-12)
+        assert seen[-1] == pytest.approx(want, rel=1e-12)
+        assert seen[-1] == self.exact_divergence(noise, operators._sqg_multipliers(g))
 
     def test_a_multiplier_off_by_one_part_in_a_million_raises(self, monkeypatch):
         # the check reads the drift's own coefficients, so it sees a law that
-        # is wrong in one multiplier (|div b| = 3.7e-5 here)
+        # is wrong in one multiplier (|div b| = 3.7e-5 here), and reports the
+        # exact value
         g = make_grid(2, 64, 2 * np.pi)
         m1, m2 = operators._sqg_multipliers(g)
         monkeypatch.setattr(operators, "_sqg_multipliers", lambda grid: (m1 * (1 + 1e-6), m2))
         u = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
-        with pytest.raises(ValueError, match="divergence-free assertion failed"):
+        exact = self.exact_divergence(u, operators._sqg_multipliers(g))
+        assert 1e-5 < exact < 1e-4
+        with pytest.raises(ValueError, match="divergence-free assertion failed") as info:
             biot_savart_sqg(u)
+        assert f"|div b| = {exact:.3e} " in str(info.value)
 
     def test_drift_that_is_not_divergence_free_raises(self, monkeypatch):
         g = make_grid(2, 32, 2 * np.pi)
         self.gradient_law(monkeypatch, g)
         u = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
-        with pytest.raises(ValueError, match="divergence-free assertion failed"):
+        exact = self.exact_divergence(u, operators._sqg_multipliers(g))
+        with pytest.raises(ValueError, match="divergence-free assertion failed") as info:
             biot_savart_sqg(u)
-
+        assert f"|div b| = {exact:.3e} " in str(info.value)
