@@ -6,11 +6,13 @@ minimum-image torus distance, and the time interval of the backward cylinder
 Q_r(t0, x0) = (t0 - r^(2s), t0) x B_r(x0) is open at both ends.
 
 The ball of a cylinder may ride along a slant path: at time t its centre is
-x0 + r z_r((t - t0)/r).  ``Cylinder.centers`` is the one place that computes
-it; with no path the centre is x0, so a straight cylinder is the slanted one
-with the zero path.  A slant path is plain data (``SlantPath``): samples and
-slopes computed once by ``potentials.slant_ode``, read between samples by
-cubic Hermite interpolation and handed to every cylinder that rides it.
+x0 + r z_r((t - t0)/r).  ``_path_centers`` is the one place that computes
+it, for any number of radii, each riding its own path; ``Cylinder.centers`` is
+its one-radius call, and with no path the centre is x0, so a straight
+cylinder is the slanted one with the zero path.  A slant path is plain data
+(``SlantPath``): samples and slopes computed once by ``potentials.slant_ode``,
+read between samples by cubic Hermite interpolation and handed to every
+cylinder that rides it.
 Masks and interpolation corners are built once per centre of a window
 (``Cylinder.distinct_centers``): a straight window has the one centre x0, and
 along a path each time has its own.
@@ -23,6 +25,7 @@ one-radius call, and ``slab_holds_mass`` tells which radii can hold mass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -184,13 +187,7 @@ class Cylinder:
         x0 = np.asarray(self.x0)
         if path is None:
             return np.repeat(x0[None], times.size, axis=0)
-        if path.times.min() > -1.0 + 1e-12:
-            raise ValueError(
-                f"slant path starts at rescaled time {path.times.min():g}, after -1: "
-                f"it does not cover the time slab of the cylinder at t0 = {self.t0:g}, "
-                f"r = {self.r:g}"
-            )
-        return x0 + self.r * path.at((times - self.t0) / self.r)
+        return _path_centers(self.t0, x0, np.array([self.r]), [path], times)[0]
 
     def distinct_centers(
         self, times, path: SlantPath | None = None
@@ -261,20 +258,61 @@ class SlantPath:
         and fourth-order accurate between them, the order of the RK4 steps
         of ``potentials.slant_ode``.
         """
-        ts = self.times
-        t = np.minimum(np.maximum(t, ts[0]), ts[-1])
-        hi = np.minimum(np.searchsorted(ts, t, side="right"), ts.size - 1)
-        lo = hi - 1
-        h = ts[hi] - ts[lo]
-        u = (t - ts[lo]) / h
-        v = 1.0 - u
-        # the cubic Hermite basis: weights s of the two samples, which sum to
-        # 1, and d of the two slopes, times h
-        s_lo = v * v * (1.0 + 2.0 * u)
-        huv = h * u * v
-        s_lo, d_lo, s_hi, d_hi = (w[..., None] for w in (s_lo, huv * v, 1.0 - s_lo, -huv * u))
-        z, dz = self.samples, self.slopes
-        return s_lo * z[lo] + d_lo * dz[lo] + s_hi * z[hi] + d_hi * dz[hi]
+        return _hermite(self.times, self.samples, self.slopes, t)
+
+
+def _hermite(ts: np.ndarray, z: np.ndarray, dz: np.ndarray, t, first=0) -> np.ndarray:
+    """The cubic Hermite reading of ``SlantPath.at`` at rescaled times t, for
+    paths sampled on one time grid ``ts`` whose samples ``z`` and slopes
+    ``dz`` are stacked in rows: t reads the path whose rows start at row
+    ``first`` (broadcast against t).  Each output element takes the same
+    arithmetic as a one-path reading."""
+    t = np.minimum(np.maximum(t, ts[0]), ts[-1])
+    hi = np.minimum(np.searchsorted(ts, t, side="right"), ts.size - 1)
+    lo = hi - 1
+    h = ts[hi] - ts[lo]
+    u = (t - ts[lo]) / h
+    v = 1.0 - u
+    # the cubic Hermite basis: weights s of the two samples, which sum to 1,
+    # and d of the two slopes, times h
+    s_lo = v * v * (1.0 + 2.0 * u)
+    huv = h * u * v
+    s_lo, d_lo, s_hi, d_hi = (w[..., None] for w in (s_lo, huv * v, 1.0 - s_lo, -huv * u))
+    lo, hi = lo + first, hi + first
+    return s_lo * z[lo] + d_lo * dz[lo] + s_hi * z[hi] + d_hi * dz[hi]
+
+
+def _path_centers(t0: float, x0: np.ndarray, radii: np.ndarray, paths, times) -> np.ndarray:
+    """Ball centres x0 + rho z_rho((t - t0)/rho) of the cylinders of radii
+    ``radii`` at t0, each riding its own path, at each of ``times``: shape
+    (len(radii), len(times), d).
+
+    A path must reach rescaled time -1, the start of the cylinder's time slab.
+    Consecutive paths that share one time-grid array, as the paths of one
+    ``potentials.slant_ode`` call do, are read in one Hermite evaluation.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    for rho, path in zip(radii, paths, strict=True):
+        if path.times.min() > -1.0 + 1e-12:
+            raise ValueError(
+                f"slant path starts at rescaled time {path.times.min():g}, after -1: "
+                f"it does not cover the time slab of the cylinder at t0 = {t0:g}, "
+                f"r = {rho:g}"
+            )
+    out = np.empty((len(paths), times.size, x0.size))
+    start = 0
+    for _, run in groupby(paths, key=lambda path: id(path.times)):
+        run = list(run)
+        ts = run[0].times
+        rho = radii[start : start + len(run), None]
+        first = ts.size * np.arange(len(run))[:, None]
+        z = np.concatenate([path.samples for path in run])
+        dz = np.concatenate([path.slopes for path in run])
+        out[start : start + len(run)] = x0 + rho[..., None] * _hermite(
+            ts, z, dz, (times - t0) / rho, first
+        )
+        start += len(run)
+    return out
 
 
 def _require_length(mu: MeasureData) -> float:
@@ -283,11 +321,18 @@ def _require_length(mu: MeasureData) -> float:
     return mu.domain_length
 
 
+def _slab_starts(t0: float, radii, s: float) -> np.ndarray:
+    """The slab start t0 - rho^(2s) of ``Cylinder.t_start`` for each radius,
+    one scalar power per radius: ``np.power`` on an array rounds some of
+    them differently."""
+    return np.array([t0 - rho ** (2.0 * s) for rho in np.asarray(radii, dtype=float).tolist()])
+
+
 def slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
     """Whether |mu| has mass in each time slab (t0 - rho^(2s), t0), rho in the
-    array radii.  The slab starts are the scalar powers of ``Cylinder.t_start``
-    and ``cylinder_masses``, so a radius judged empty gets mass 0 on any path."""
-    t_start = np.array([t0 - rho ** (2.0 * s) for rho in radii])
+    array radii.  The slab starts are those of ``Cylinder.t_start`` and
+    ``cylinder_masses``, so a radius judged empty gets mass 0 on any path."""
+    t_start = _slab_starts(t0, radii, s)
     held = np.zeros(radii.size, dtype=bool)
     if mu.num_atoms:
         charged = (mu.atom_times < t0) & (mu.atom_masses != 0.0)
@@ -301,31 +346,45 @@ def slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> 
 def cylinder_masses(mu: MeasureData, t0: float, x0, radii, s: float, paths=None) -> np.ndarray:
     """|mu|(Q_rho(t0, x0)) for each rho in radii: the atom masses in the open
     cylinder plus the density integral, the ball riding ``paths[i]`` for
-    radius i (None, or no list: centred on x0).  Atoms enter by the slab start
-    t0 - rho^(2s) of ``Cylinder.t_start``; straight, their distances to x0
-    are computed once, and a Cylinder is built only for the density."""
+    radius i, or centred on x0 without paths.
+
+    The atoms take one pass over every radius at once: a table of which atoms
+    lie in which cylinder, from the slab starts of ``Cylinder.t_start`` and
+    the atoms' distances to x0 (computed once) or to the path centres at
+    their times (``_path_centers``).  A row changes only where an atom
+    enters or leaves: straight, the rows are nested in rho, so a potential's
+    radii (its grid, then its midpoints, each ascending) make at most two
+    runs of each distinct row.  Each run's |masses| are summed once, as
+    ``np.abs(masses[row]).sum()``, so a radius gets bitwise the sum of its
+    own atoms for any number of atoms.  A Cylinder is built only for the
+    density."""
     length = _require_length(mu)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    masses = np.zeros(len(radii))
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if paths is not None and len(paths) != radii.size:
+        raise ValueError(f"{len(paths)} slant paths for {radii.size} radii")
+    masses = np.zeros(radii.size)
     if mu.num_atoms:
-        dist = torus_distance(mu.atom_positions, x0, length)
-        before = mu.atom_times < t0
-    for i, (rho, path) in enumerate(zip(radii, paths or [None] * len(radii), strict=True)):
-        if path is not None or mu.density is not None:
-            Q = Cylinder(t0, x0, rho, s)
-        if mu.num_atoms:
-            if path is not None:
-                dist = torus_distance(mu.atom_positions, Q.centers(mu.atom_times, path), length)
-            inside = (mu.atom_times > t0 - rho ** (2.0 * s)) & before & (dist < rho)
-            masses[i] = np.abs(mu.atom_masses[inside]).sum()
-        if mu.density is not None:
-            masses[i] += mu.density.mass(Q, path)
+        centers = x0 if paths is None else _path_centers(t0, x0, radii, paths, mu.atom_times)
+        inside = (
+            (mu.atom_times > _slab_starts(t0, radii, s)[:, None])
+            & (mu.atom_times < t0)
+            & (torus_distance(mu.atom_positions, centers, length) < radii[:, None])
+        )
+        # a row is summed once for each run of radii that share it
+        new = np.ones(radii.size, dtype=bool)
+        new[1:] = (inside[1:] != inside[:-1]).any(axis=1)
+        sums = np.array([np.abs(mu.atom_masses[inside[i]]).sum() for i in np.flatnonzero(new)])
+        masses = sums[np.cumsum(new) - 1]
+    if mu.density is not None:
+        for i, (rho, path) in enumerate(zip(radii, paths or [None] * radii.size)):
+            masses[i] += mu.density.mass(Cylinder(t0, x0, rho, s), path)
     return masses
 
 
 def cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath | None = None) -> float:
     """|mu|(Q) with the ball riding ``path``: ``cylinder_masses`` of Q.r."""
-    return float(cylinder_masses(mu, Q.t0, Q.x0, [Q.r], Q.s, [path])[0])
+    return float(cylinder_masses(mu, Q.t0, Q.x0, [Q.r], Q.s, None if path is None else [path])[0])
 
 
 def slanted_cylinder_mass(mu: MeasureData, Q: Cylinder, path: SlantPath) -> float:

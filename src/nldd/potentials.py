@@ -5,8 +5,13 @@ Tail integrals over the complement of a ball are truncated at R_max <= L/2 on
 the torus and evaluated in polar coordinates: composite Gauss-Legendre panels
 in radius, uniform (trapezoid) angles, with the field sampled by periodic
 bilinear interpolation.  The rule is a fixed weighted sum of |v| over sample
-offsets from the center, built once per time window and shared by every
-snapshot and every q.  Radial grids for the straight parabolic potentials
+offsets from the center, shared by every snapshot of a window and every q,
+and built once per radius: ``_tail_nodes`` keeps the last rule it built, so a
+check that asks for one radius again reuses it.  A weighted sum is a product
+of arrays and numpy's pairwise sum, which runs on the calling thread and
+never calls BLAS: BLAS splits a dot product of more than 10,000 terms across
+its threads, so with ``@`` a tail's last bits would depend on the BLAS thread
+count.  Radial grids for the straight parabolic potentials
 insert the exact entry radii of atoms so that the piecewise-constant atom
 masses are integrated in closed form between breakpoints.  Straight or
 slanted, a potential's masses come from one ``measures.cylinder_masses`` call.
@@ -21,7 +26,9 @@ window, and once per slant-ODE stage for every drift component.
 Both write into preallocated buffers (``_corner_buffers``) when given them:
 a tail window makes one set and refills it per centre, and a
 ``slant_ode`` call makes one set and refills it at every RK stage, so the
-stages allocate no point-sized arrays.  ``interpolate_periodic`` uses a fresh
+stages allocate no point-sized arrays.  A stage gathers only the drift
+components that are not zero everywhere: the ball mean of a zero component is
+exactly +0.  ``interpolate_periodic`` uses a fresh
 set.  ``_corners`` takes every axis through one pass of ufuncs, and the float
 remainder only where a grid coordinate lies outside [0, n).  Each RK4 step
 starts from the slope its previous step ended with, so a path costs
@@ -41,6 +48,7 @@ scale and gathered for one slab of centres at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,7 +196,8 @@ def _gather(
     """
     flat, weights = corners
     d = flat.shape[0].bit_length() - 1  # 2^d corners
-    nodes = values.reshape(*values.shape[: values.ndim - d], -1)
+    # the node count is spelled out, since -1 cannot be inferred for an empty batch
+    nodes = values.reshape(*values.shape[: values.ndim - d], math.prod(values.shape[values.ndim - d :]))
     taken = np.take(nodes, flat, axis=-1, out=out, mode="clip")  # every index is in range
     taken *= weights
     corner = (slice(None),) * (nodes.ndim - 1)
@@ -218,13 +227,15 @@ def _radial_grid(r: float, R: float, order: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@lru_cache(maxsize=1)
 def _tail_nodes(grid: GridSpec, r: float, R_max: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Offsets o_i and weights w_i with tail(v; x0, r) = sum_i w_i |v(x0 + o_i)|.
 
     Composite GL panels of TAIL_QUADRATURE_ORDER nodes in radius; on the
     sphere of radius rho, m uniform angles in d = 2, or m uniform azimuths
     times the 12-node cos(theta) Gauss rule in d = 3.  The weight of a node is r^(2s) area rho^(-1-2s) w_rad / m,
-    times wg_j / 2 in d = 3.
+    times wg_j / 2 in d = 3.  The last rule built is kept (read-only), so
+    the placements of a check that share a radius build it once.
     """
     if r >= R_max:
         raise ValueError(f"tail radius r = {r} must be below R_max = {R_max}")
@@ -241,7 +252,7 @@ def _tail_nodes(grid: GridSpec, r: float, R_max: float, s: float) -> tuple[np.nd
         r ** (2.0 * s) * _sphere_area(d) * radii ** (-1.0 - 2.0 * s) * w_rad / m, m
     )
     if d == 2:
-        return rho[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1), weights
+        return read_only((rho[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1), weights))
     ct, wct = _panel_nodes(12)
     st = np.sqrt(1.0 - ct**2)
     unit = np.stack(
@@ -252,7 +263,7 @@ def _tail_nodes(grid: GridSpec, r: float, R_max: float, s: float) -> tuple[np.nd
         ],
         axis=-1,
     )
-    return (rho[None, :, None] * unit).reshape(-1, 3), np.outer(wct / 2.0, weights).ravel()
+    return read_only(((rho[None, :, None] * unit).reshape(-1, 3), np.outer(wct / 2.0, weights).ravel()))
 
 
 def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) -> float:
@@ -260,7 +271,7 @@ def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) ->
     |v(y)| |x0-y|^(-d-2s) dy, truncated at opts.truncation_radius."""
     offsets, weights = _tail_nodes(v.grid, r, opts.truncation_radius, kernel.s)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return float(weights @ np.abs(interpolate_periodic(v, v.grid, x0 + offsets)))
+    return float((weights * np.abs(interpolate_periodic(v, v.grid, x0 + offsets))).sum())
 
 
 def tail_time_lq(
@@ -300,7 +311,7 @@ def tail_time_lq(
             sampled = _gather(traj.snapshots[idx[j]].values, corners, out=taken)
             if offset:  # bilinear weights sum to 1, so the offset comes off the samples
                 sampled -= offset
-            vals[j] = weights @ np.abs(sampled)
+            vals[j] = np.multiply(weights, np.abs(sampled, out=sampled), out=sampled).sum()
     span = times[-1] - times[0]
     return np.array([(np.trapezoid(vals**q, times) / span) ** (1.0 / q) for q in qs])
 
@@ -467,20 +478,25 @@ def slant_ode(b: VectorField, scales, x0=None) -> list[SlantPath]:
             f"slant start points must have shape ({d},) or ({r.size}, {d}), got {x0.shape}"
         )
     pts_unit, wts = _disk_quadrature(d)
-    components = np.stack(b.arrays())
+    # a component that is zero everywhere has ball means +0, the zeros each
+    # slope starts from
+    comps = [j for j, a in enumerate(b.arrays()) if a.any()]
+    components = np.stack(b.arrays())[comps]
     # every stage refills one set of buffers: its points, their corners and
-    # the gather of all d components at all corners
+    # the gather of those components at all corners
     offsets = r[:, None, None] * pts_unit
     pts = np.empty_like(offsets)
     buffers = _corner_buffers(d, offsets.shape[:-1])
-    taken = np.empty((d, *buffers[1].shape))
+    taken = np.empty((len(comps), *buffers[1].shape))
 
     def rhs(z: np.ndarray) -> np.ndarray:
         centers = x0 + r[:, None] * z
         np.add(centers[:, None, :], offsets, out=pts)
         means = _gather(components, _corners(grid, pts, out=buffers), out=taken)
         means *= wts
-        return means.sum(axis=-1).T
+        slope = np.zeros((r.size, d))
+        slope[:, comps] = means.sum(axis=-1).T
+        return slope
 
     h = -1.0 / SLANT_STEPS
     times = [0.0]

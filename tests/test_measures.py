@@ -151,6 +151,79 @@ class TestStraightMasses:
         assert 0.0 < got.max()
 
 
+def loop_masses(mu, t0, x0, radii, s, paths=None):
+    """The atom masses of cylinder_masses radius by radius: each radius's own
+    slab start, distances and inside-set, and its own sum."""
+    masses = []
+    for i, rho in enumerate(radii):
+        centers = x0 if paths is None else x0 + rho * paths[i].at((mu.atom_times - t0) / rho)
+        dist = torus_distance(mu.atom_positions, centers, mu.domain_length)
+        inside = (mu.atom_times > t0 - rho ** (2.0 * s)) & (mu.atom_times < t0) & (dist < rho)
+        masses.append(np.abs(mu.atom_masses[inside]).sum())
+    return np.array(masses)
+
+
+class TestOnePassMasses:
+    """cylinder_masses sums each run of equal inside-sets once; every radius
+    must still get bitwise the sum of its own atoms.  Nine atoms take numpy's
+    8-way unrolled pairwise sum, fewer a plain loop."""
+
+    @staticmethod
+    def measure(num_atoms, seed):
+        rng = np.random.default_rng(seed)
+        return MeasureData(
+            atom_times=rng.uniform(0.0, 1.0, num_atoms),
+            atom_positions=np.array([3.0, 5.0]) + rng.uniform(-1.0, 1.0, (num_atoms, 2)),
+            atom_masses=rng.uniform(-2.0, 2.0, num_atoms) * 10.0 ** rng.uniform(-8, 8, num_atoms),
+            domain_length=8.0,
+        )
+
+    @pytest.mark.parametrize("num_atoms", [1, 3, 9])
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    def test_straight_match_the_per_radius_loop(self, num_atoms, s):
+        t0, x0 = 1.0, np.array([3.0, 5.0])
+        mu = self.measure(num_atoms, 10)
+        # the radii of a straight riesz_potential: entry radii as breakpoints,
+        # then the interval midpoints, so the radii rise twice
+        dist = torus_distance(mu.atom_positions, x0, 8.0)
+        entry = np.maximum((t0 - mu.atom_times) ** (1.0 / (2.0 * s)), dist)
+        _, all_radii, active = potential_radii(mu, t0, 2.0, s, 1e-3, entry[entry < 2.0])
+        radii = all_radii[active]
+        got = cylinder_masses(mu, t0, x0, radii, s)
+        assert got.tobytes() == loop_masses(mu, t0, x0, radii, s).tobytes()
+        assert np.unique(got).size == num_atoms + (got.min() == 0.0)
+
+    @pytest.mark.parametrize("num_atoms", [3, 9])
+    def test_slanted_match_the_per_radius_loop(self, num_atoms):
+        t0, x0, s = 1.0, np.array([3.0, 5.0]), 0.5
+        mu = self.measure(num_atoms, 20 + num_atoms)
+        _, all_radii, active = potential_radii(mu, t0, 1.0, s, 1e-3)
+        radii = all_radii[active]
+        paths = slant_ode(_bending_drift(), radii, x0=x0)
+        got = cylinder_masses(mu, t0, x0, radii, s, paths)
+        assert got.tobytes() == loop_masses(mu, t0, x0, radii, s, paths).tobytes()
+        assert got.tobytes() != cylinder_masses(mu, t0, x0, radii, s).tobytes()
+
+    def test_paths_of_several_calls_match_the_per_radius_loop(self):
+        # paths on different time grids are read one run of shared grids at a time
+        t0, x0, s = 1.0, np.array([3.0, 5.0]), 0.5
+        mu = self.measure(9, 31)
+        radii = np.geomspace(0.05, 1.0, 12)
+        paths = [
+            *slant_ode(_bending_drift(), radii[:5], x0=x0),
+            SlantPath(radii[5], [-1.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2)), 0.0),
+            *slant_ode(_bending_drift(), radii[6:], x0=x0),
+        ]
+        got = cylinder_masses(mu, t0, x0, radii, s, paths)
+        assert got.tobytes() == loop_masses(mu, t0, x0, radii, s, paths).tobytes()
+
+    def test_path_count_must_match_the_radii(self):
+        mu = self.measure(3, 1)
+        paths = slant_ode(_bending_drift(), [0.5, 0.25], x0=(3.0, 5.0))
+        with pytest.raises(ValueError, match="2 slant paths for 3 radii"):
+            cylinder_masses(mu, 1.0, (3.0, 5.0), [0.5, 0.25, 0.1], 0.5, paths)
+
+
 class TestPinnedMasses:
     """riesz_potential and cylinder_mass on atoms, and on atoms plus an
     inverse_power density at n = 32, as one cylinder-mass function computed

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +244,7 @@ class TestTail:
         offsets, weights = _tail_nodes(g, r, 4.0, s)
         idx = traj.window(Q.t_start, Q.t0)
         vals = np.array([
-            weights @ np.abs(interpolate_periodic(traj.snapshots[i].values, g, x0 + offsets) - offset)
+            (weights * np.abs(interpolate_periodic(traj.snapshots[i].values, g, x0 + offsets) - offset)).sum()
             for i in idx
         ])
         ts = times[idx]
@@ -268,11 +272,42 @@ class TestTail:
         centres = Q.centers(ts, path)
         assert np.unique(centres, axis=0).shape[0] == len(idx)
         vals = np.array([
-            weights @ np.abs(_gather(traj.snapshots[i].values, _corners(g, c + offsets)) - offset)
+            (weights * np.abs(_gather(traj.snapshots[i].values, _corners(g, c + offsets)) - offset)).sum()
             for i, c in zip(idx, centres)
         ])
         ref = [(np.trapezoid(vals**q, ts) / (ts[-1] - ts[0])) ** (1.0 / q) for q in qs]
         np.testing.assert_array_equal(got, ref)
+
+    def test_a_window_of_more_than_ten_thousand_nodes_reads_the_same_on_one_and_two_blas_threads(self):
+        # OpenBLAS splits a dot product of more than 10,000 terms across its
+        # threads, which moves the last bits of a BLAS-summed tail
+        code = """
+import numpy as np
+from nldd.evolution import TrajectoryStore
+from nldd.fields import ScalarField, make_grid
+from nldd.measures import Cylinder
+from nldd.operators import KernelSpec
+from nldd.potentials import TailOptions, _tail_nodes, tail_time_lq
+g = make_grid(2, 128, 8.0)
+rng = np.random.default_rng(7)
+traj = TrajectoryStore(g)
+for t in (0.0, 0.5, 1.0):
+    traj.append(ScalarField(g, rng.standard_normal(g.shape), t))
+Q = Cylinder(1.0, (3.3, 4.1), 0.5, 0.5)
+print(_tail_nodes(g, Q.r, 4.0, 0.5)[1].size)
+print(tail_time_lq(traj, Q, (1.5, 2.0), KernelSpec(s=0.5), TailOptions(4.0)).tobytes().hex())
+"""
+        src = str(Path(potentials.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout.split())
+        assert int(outputs[0][0]) > 10_000
+        assert outputs[0] == outputs[1]
 
     def test_q_validation_names_the_value(self):
         g = make_grid(2, 16, 8.0)
@@ -475,6 +510,32 @@ class TestSlantStageBuffers:
             ).max()
             assert path.c1_norm == sup
         assert np.abs(samples).max() > 0.0
+
+    @pytest.mark.parametrize("drift", ["lacunary", "zero"])
+    def test_zero_components_give_the_all_component_paths(self, drift):
+        # lacunary drift has a zero x2 component; the zero drift has two
+        g = make_grid(2, 32, 8.0)
+        b = lacunary_drift(g, [0.3] * 5) if drift == "lacunary" else constant_drift(g, (0.0, 0.0))
+        scales = [1.0, 0.5, 0.0625]
+        x0 = np.array([(3.1, 4.6), (0.2, 7.9), (5.0, 1.0)])
+        paths = slant_ode(b, scales, x0=x0)
+        samples, derivs = reference_slant_paths(b, scales, x0)
+        for i, path in enumerate(paths):
+            np.testing.assert_array_equal(path.samples, samples[:, i])
+            np.testing.assert_array_equal(path.slopes, derivs[:, i])
+            assert not np.signbit(path.samples[:, 1]).any()  # +0, as the gathered zeros gave
+            assert not np.signbit(path.slopes[:, 1]).any()
+        assert (np.abs(samples[..., 0]).max() > 0.0) == (drift == "lacunary")
+
+    def test_stages_gather_only_the_components_that_move(self, monkeypatch):
+        g = make_grid(2, 32, 8.0)
+        gathered = []
+        gather = potentials._gather
+        monkeypatch.setattr(
+            potentials, "_gather", lambda v, *a, **k: gathered.append(v.shape[0]) or gather(v, *a, **k)
+        )
+        slant_ode(lacunary_drift(g, [0.3] * 5), [1.0, 0.5], x0=(3.1, 4.6))
+        assert gathered == [1] * (1 + 4 * potentials.SLANT_STEPS)
 
     def test_each_step_reuses_the_slope_at_its_start(self, monkeypatch):
         g = make_grid(2, 32, 8.0)

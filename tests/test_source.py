@@ -25,3 +25,50 @@ def unread_parameters(src: Path = SRC) -> list[str]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot"}
+
+
+def blas_products(src: Path = SRC) -> list[str]:
+    """``module:line`` of every product in ``src`` that numpy hands to BLAS:
+    ``@``, the calls in BLAS_PRODUCTS (as functions or methods) and
+    ``linalg.norm`` without an ``axis``, which is a dot product of the
+    flattened array.  BLAS may split one across threads, and then its last
+    bits depend on the thread count."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.stem}:{node.lineno} @")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in BLAS_PRODUCTS:
+                found.append(f"{path.stem}:{node.lineno} {name}")
+            if name == "norm" and not any(k.arg == "axis" for k in node.keywords) and len(node.args) < 3:
+                found.append(f"{path.stem}:{node.lineno} norm")
+    return found
+
+
+def test_no_output_depends_on_the_blas_thread_count():
+    assert blas_products() == []
+
+
+def test_blas_products_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import numpy as np\n"
+        "a = w @ v\n"
+        "a @= v\n"
+        "b = np.dot(w, v) + w.dot(v) + np.vdot(w, v) + np.inner(w, v)\n"
+        "c = np.matmul(w, v) + np.tensordot(w, v, 1) + np.vecdot(w, v)\n"
+        "d = np.linalg.norm(v)\n"
+        "e = np.linalg.norm(v, axis=-1) + np.linalg.norm(v, 2, -1) + (w * v).sum()\n"
+    )
+    assert sorted(blas_products(tmp_path)) == sorted([
+        "m:2 @", "m:3 @",
+        "m:4 dot", "m:4 dot", "m:4 vdot", "m:4 inner",
+        "m:5 matmul", "m:5 tensordot", "m:5 vecdot",
+        "m:6 norm",
+    ])
