@@ -249,14 +249,15 @@ class _Stepper:
     def nonlinear(
         self,
         uhat: np.ndarray,
-        b: VectorField | None,
+        b: np.ndarray | tuple[np.ndarray, ...] | None,
         comps: tuple[int, ...],
         fhat: np.ndarray | None,
         w: _Work,
         out: np.ndarray,
     ) -> np.ndarray:
         """N(u) = -(b, grad u) + forcing, in spectral space, with b_j d_j u
-        summed over the components j in comps; written to out unless it is the
+        summed over the components j in comps, b_j being b[j] (arrays in the
+        shape of the samples); written to out unless it is the
         forcing alone.  out holds each gradient component's coefficients
         (the dealiased ik_j times uhat) until the advection term is
         transformed into it.  Both are zero past the mask's columns, so their
@@ -266,15 +267,14 @@ class _Stepper:
                 return fhat
             out.fill(0.0)
             return out
-        barrs = b.arrays()
         for i, j in enumerate(comps):
             grad = inverse_band(
                 np.multiply(self.masked_iks[j], uhat, out=out), self.grid, out=w.grad
             )
             if i:
-                w.adv += np.multiply(barrs[j], grad, out=grad)
+                w.adv += np.multiply(b[j], grad, out=grad)
             else:
-                np.multiply(barrs[j], grad, out=w.adv)
+                np.multiply(b[j], grad, out=w.adv)
         np.multiply(forward_band(w.adv, self.grid, out=out), self.neg_mask, out=out)
         return out if fhat is None else np.add(out, fhat, out=out)
 
@@ -293,20 +293,20 @@ class _Stepper:
         sqg = self.sqg and drifts is None
         comps = self.comps
         if drifts is not None:
-            (b0, b1), comps = drifts, tuple(range(self.grid.d))
-            check_cfl(self.grid, dt, b0.max_norm())
-        elif sqg:
-            b0, bmax = _sqg_drift(uhat, self.grid, t, w.b, w.pair, w.grad, w.adv)
-            check_cfl(self.grid, dt, bmax)
+            (b0, b1), comps = (b.arrays() for b in drifts), tuple(range(self.grid.d))
+            check_cfl(self.grid, dt, drifts[0].max_norm())
+        elif sqg:  # the drift at t, and at t + dt once the predictor is made
+            b0 = b1 = w.b
+            check_cfl(self.grid, dt, _sqg_drift(uhat, self.grid, w.b, w.pair, w.grad, w.adv))
         else:
-            b0 = b1 = self.b
+            b0 = b1 = None if self.b is None else self.b.arrays()
         fhat = None if forcing is None else forward_half(forcing, self.grid, out=w.fhat)
         n0 = self.nonlinear(uhat, b0, comps, fhat, w, out=w.n0)
         # the predictor exp_full * uhat + dt_phi1 * n0, in place in uhat
         np.multiply(self.exp_full, uhat, out=uhat)
         uhat += np.multiply(self.dt_phi1, n0, out=w.tmp)
         if sqg:  # the drift lagged by one predictor stage
-            b1 = _sqg_drift(uhat, self.grid, t + dt, w.b, w.pair, w.grad, w.adv)[0]
+            _sqg_drift(uhat, self.grid, w.b, w.pair, w.grad, w.adv)
         n1 = self.nonlinear(uhat, b1, comps, fhat, w, out=w.n1)
         delta = np.subtract(n1, n0, out=w.n1)
         uhat += np.multiply(self.dt_phi2, delta, out=delta)

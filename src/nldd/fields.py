@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 DIVERGENCE_FREE_TOL = 1e-10
+# what a field with a NaN or infinite sample is refused with
+NON_FINITE_SAMPLES = "scalar field contains non-finite samples"
 
 
 class ParameterError(ValueError):
@@ -245,7 +247,7 @@ class ScalarField:
                     f"samples of shape {self.values.shape} do not fit grid {self.grid.shape}"
                 )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("scalar field contains non-finite samples")
+            raise ValueError(NON_FINITE_SAMPLES)
 
     def mean(self) -> float:
         return float(self.values.mean())

@@ -19,7 +19,7 @@ along a path each time has its own.
 
 ``cylinder_masses`` is the one computation of |mu|(Q_rho(t0, x0)), for many
 radii, straight or each along its own path; ``cylinder_mass`` is its
-one-radius call, and ``slab_holds_mass`` tells which radii can hold mass.
+one-radius call, and ``slab_holds_mass`` tells which slabs can hold mass.
 """
 
 from __future__ import annotations
@@ -328,12 +328,12 @@ def _slab_starts(t0: float, radii, s: float) -> np.ndarray:
     return np.array([t0 - rho ** (2.0 * s) for rho in np.asarray(radii, dtype=float).tolist()])
 
 
-def slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> np.ndarray:
-    """Whether |mu| has mass in each time slab (t0 - rho^(2s), t0), rho in the
-    array radii.  The slab starts are those of ``Cylinder.t_start`` and
-    ``cylinder_masses``, so a radius judged empty gets mass 0 on any path."""
-    t_start = _slab_starts(t0, radii, s)
-    held = np.zeros(radii.size, dtype=bool)
+def slab_holds_mass(mu: MeasureData, t0: float, t_start: np.ndarray) -> np.ndarray:
+    """Whether |mu| has mass in each time slab (t_start, t0), for the slab
+    starts ``_slab_starts(t0, radii, s)``.  Those are the starts of
+    ``Cylinder.t_start`` and ``cylinder_masses``, so a radius judged empty
+    gets mass 0 on any path."""
+    held = np.zeros(t_start.size, dtype=bool)
     if mu.num_atoms:
         charged = (mu.atom_times < t0) & (mu.atom_masses != 0.0)
         held |= (mu.atom_times[charged] > t_start[:, None]).any(axis=1)
@@ -343,10 +343,13 @@ def slab_holds_mass(mu: MeasureData, t0: float, radii: np.ndarray, s: float) -> 
     return held
 
 
-def cylinder_masses(mu: MeasureData, t0: float, x0, radii, s: float, paths=None) -> np.ndarray:
+def cylinder_masses(
+    mu: MeasureData, t0: float, x0, radii, s: float, paths=None, t_start=None
+) -> np.ndarray:
     """|mu|(Q_rho(t0, x0)) for each rho in radii: the atom masses in the open
     cylinder plus the density integral, the ball riding ``paths[i]`` for
-    radius i, or centred on x0 without paths.
+    radius i, or centred on x0 without paths.  ``t_start`` is
+    ``_slab_starts(t0, radii, s)`` when the caller has it.
 
     The atoms take one pass over every radius at once: a table of which atoms
     lie in which cylinder, from the slab starts of ``Cylinder.t_start`` and
@@ -365,9 +368,11 @@ def cylinder_masses(mu: MeasureData, t0: float, x0, radii, s: float, paths=None)
         raise ValueError(f"{len(paths)} slant paths for {radii.size} radii")
     masses = np.zeros(radii.size)
     if mu.num_atoms:
+        if t_start is None:
+            t_start = _slab_starts(t0, radii, s)
         centers = x0 if paths is None else _path_centers(t0, x0, radii, paths, mu.atom_times)
         inside = (
-            (mu.atom_times > _slab_starts(t0, radii, s)[:, None])
+            (mu.atom_times > t_start[:, None])
             & (mu.atom_times < t0)
             & (torus_distance(mu.atom_positions, centers, length) < radii[:, None])
         )

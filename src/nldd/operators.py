@@ -16,6 +16,7 @@ truncated never load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .fields import (
     DIVERGENCE_FREE_TOL,
+    NON_FINITE_SAMPLES,
     GridSpec,
     ParameterError,
     ScalarField,
@@ -229,13 +231,15 @@ def _spectral_gradient(grid: GridSpec) -> np.ndarray:
 
 
 def _sqg_drift(
-    uhat: np.ndarray, grid: GridSpec, time: float, b: np.ndarray,
+    uhat: np.ndarray, grid: GridSpec, b: np.ndarray,
     hat: np.ndarray, re0: np.ndarray, re1: np.ndarray,
-) -> tuple[VectorField, float]:
-    """SQG drift from the rfftn coefficients of u, checked divergence-free,
-    and its max norm.  The drift's components are views of ``b``, of shape
-    (d, *grid.shape); ``hat``, of shape (d, *uhat.shape), and the real
-    fields ``re0`` and ``re1``, in the shape of the samples, are scratch.
+) -> float:
+    """SQG drift from the rfftn coefficients of u, into ``b`` of shape
+    (d, *grid.shape), checked finite and divergence-free; returns its max
+    norm.  ``hat``, of shape (d, *uhat.shape), and the real fields ``re0``
+    and ``re1``, in the shape of the samples, are scratch.  A NaN or
+    infinite sample makes the norm non-finite, so the norm is the
+    finiteness check.
 
     b is the real inverse transform of the stack m_j * uhat, made by one
     multiply and one stacked transform in place in ``hat``.  The check reads
@@ -251,9 +255,10 @@ def _sqg_drift(
     """
     m = _sqg_multipliers(grid)
     inverse_half(np.multiply(m, uhat, out=hat), grid, out=b, work=hat)
-    field = VectorField(tuple(ScalarField(grid, c, time) for c in b))
     mag2 = np.add(np.square(b[0], out=re0), np.square(b[1], out=re1), out=re0)
     norm = float(np.sqrt(mag2.max()))
+    if not math.isfinite(norm):
+        raise ValueError(NON_FINITE_SAMPLES)
     # the transform ran in place in hat: form b's coefficients again
     ik_hat = np.multiply(_spectral_gradient(grid), np.multiply(m, uhat, out=hat), out=hat)
     div = np.add(ik_hat[0], ik_hat[1], out=hat[0])
@@ -261,8 +266,7 @@ def _sqg_drift(
     if err > DIVERGENCE_FREE_TOL * norm:
         err = float(np.abs(inverse_half(div, grid, out=re0), out=re0).max())
     require_divergence_free(err, norm)
-    field.divergence_free = True  # set after the check, so the fftn one does not run
-    return field, norm
+    return norm
 
 
 def biot_savart_sqg(u: ScalarField) -> VectorField:
@@ -273,5 +277,8 @@ def biot_savart_sqg(u: ScalarField) -> VectorField:
     uhat = forward_half(u.values, grid)
     hat = np.empty((grid.d, *uhat.shape), dtype=complex)
     b, real = np.empty((grid.d, *grid.shape)), np.empty((2, *grid.shape))
-    return _sqg_drift(uhat, grid, u.time, b, hat, *real)[0]
+    _sqg_drift(uhat, grid, b, hat, *real)
+    field = VectorField(tuple(ScalarField(grid, c, u.time) for c in b))
+    field.divergence_free = True  # set after the check, so the fftn one does not run
+    return field
 

@@ -26,12 +26,22 @@ window, and once per slant-ODE stage for every drift component.
 Both write into preallocated buffers (``_corner_buffers``) when given them:
 a tail window makes one set and refills it per centre, and a
 ``slant_ode`` call makes one set and refills it at every RK stage, so the
-stages allocate no point-sized arrays.  A stage gathers only the drift
-components that are not zero everywhere: the ball mean of a zero component is
-exactly +0.  ``interpolate_periodic`` uses a fresh
-set.  ``_corners`` takes every axis through one pass of ufuncs, and the float
-remainder only where a grid coordinate lies outside [0, n).  Each RK4 step
-starts from the slope its previous step ended with, so a path costs
+stages allocate no point-sized arrays.  ``interpolate_periodic`` uses a
+fresh set.
+
+Point sets are stored axis-first, as (d, ...) arrays: a tail rule's offsets
+and a stage's disk offsets, so a centre is added to them one axis at a time
+in contiguous passes.  ``_corners`` builds each axis's corner parts (its
+lower and upper nodes and their shares, ``_axis_parts``), then combines the
+axes into flat indices and weights (``_combine``); a caller that refills a
+buffer set rebuilds only the parts of the axes whose coordinates changed.
+Along a drift component that is zero everywhere the ball means are exactly
++0, so a slant path stays at +0 there and its stage points never move: a
+stage rebuilds, and gathers, only the components that are not zero
+everywhere.  A slanted tail window rebuilds only the axes along which its
+centres move.  The remainder that takes a grid coordinate onto [0, n) runs
+only when the coordinates' extremes lie outside it.  Each RK4 step starts
+from the slope its previous step ended with, so a path costs
 1 + 4 * SLANT_STEPS = 129 stages; those slopes stay with the samples for the
 path's cubic Hermite dense output (``SlantPath.at``).
 
@@ -43,7 +53,7 @@ integrates them in the same call as every other path it needs.
 
 The balls of ``bmo_seminorm`` are centred on grid nodes, so each is the ball
 around node 0 translated by whole nodes: its node offsets are found once per
-scale and gathered for one slab of centres at a time.
+radius, for C1 and C2 alike, and gathered for one slab of centres at a time.
 """
 
 from __future__ import annotations
@@ -57,7 +67,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .fields import GridSpec, ScalarField, VectorField, ball_mask, read_only, torus_distance
 from .measures import (
-    Cylinder, MeasureData, SlantPath, _require_length, cylinder_masses, slab_holds_mass
+    Cylinder,
+    MeasureData,
+    SlantPath,
+    _require_length,
+    _slab_starts,
+    cylinder_masses,
+    slab_holds_mass,
 )
 from .operators import KernelSpec, _sphere_area
 
@@ -124,8 +140,9 @@ def interpolate_periodic(f: ScalarField | np.ndarray, grid: GridSpec, points: np
 
 def _corner_buffers(d: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Empty outputs of ``_corners`` for points of shape (*shape, d): flat
-    indices and weights, (2^d, *shape), then the per-axis fractions, node ends
-    and range flags, (2, d, *shape), as lower/upper pairs."""
+    indices and weights, (2^d, *shape), then the corner parts of the axes,
+    (2, d, *shape) each: node shares and node ends as lower/upper pairs, and
+    scratch flags for the wraps."""
     return (
         np.empty((2**d, *shape), dtype=np.intp),
         np.empty((2**d, *shape)),
@@ -136,54 +153,93 @@ def _corner_buffers(d: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _corners(
-    grid: GridSpec, points: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+    grid: GridSpec, points: np.ndarray, out: tuple[np.ndarray, ...] | None = None, axes=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat grid indices and bilinear weights of the 2^d cell corners of each
     point, each of shape (2^d, ...) for points of shape (..., d).
 
-    ``out`` is a buffer set from ``_corner_buffers`` for this point shape,
-    refilled in place; without it a fresh set is made.  Corner c takes the
-    upper node along axis j when bit j of c is set.  The grid coordinate of x
-    is x / h % n; for a tiny negative x it rounds up to exactly n, which is
-    node 0.  All d axes go through each step at once, and the remainder is
-    taken only outside [0, n), where it is not the identity.
+    The points are read one axis at a time, so they are best stored
+    axis-first, as the transpose of a (d, ...) array.  ``out`` is a buffer
+    set from ``_corner_buffers`` for this point shape, refilled in place;
+    without it a fresh set is made.  The corner parts of the axes listed in
+    ``axes`` (default all) are built, by ``_axis_parts``; every other axis
+    keeps the parts ``out`` holds from an earlier call, which must have read
+    the same coordinates along it.  Then ``_combine`` forms the corners.
     """
     points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        bad = points[~np.isfinite(points).all(axis=-1)][0]
-        raise ValueError(f"interpolation point {bad} is not finite")
-    n, d = grid.n, grid.d
-    flat, weights, shares, ends, outside = (
+    d = grid.d
+    flat, weights, shares, ends, scratch = (
         _corner_buffers(d, points.shape[:-1]) if out is None else out
     )
+    coords = points.transpose(-1, *range(points.ndim - 1))
+    # all axes in one pass of ufuncs, or each listed axis on its own
+    runs = [slice(None)] if axes is None or len(axes) == d else [slice(j, j + 1) for j in axes]
+    for run in runs:
+        _axis_parts(grid, coords[run], shares[:, run], ends[:, run], scratch[:, run], points)
+    _combine(grid.n, shares, ends, flat, weights)
+    return flat, weights
+
+
+def _axis_parts(grid: GridSpec, coords, shares, ends, scratch, points) -> None:
+    """The corner parts of the axes of ``coords``, of shape (k, ...): the
+    lower and upper node along each into ``ends``, and their shares into
+    ``shares``, each of shape (2, k, ...) as lower/upper pairs.
+
+    The grid coordinate of x is x / h % n; for a tiny negative x it rounds up
+    to exactly n, which is node 0.  The remainder is the identity on [0, n),
+    so it is skipped when the coordinates' extremes lie there.  A non-finite
+    coordinate fails that test, so only then are the points scanned, and a
+    non-finite one of ``points`` raises ValueError.  Within one period of
+    [0, n), as is a tail rule around a centre on the torus, np.remainder
+    adds or subtracts n and nothing else, so the same float additions are
+    made in one unmasked pass; farther out it is taken.
+    """
+    n = grid.n
     # shares[1] holds the grid coordinates, then their fractions above the
     # lower nodes; shares[0] the lower nodes, then 1 - fraction
-    np.divide(points.transpose(-1, *range(points.ndim - 1)), grid.spacing, out=shares[1])
-    np.less(shares[1], 0.0, out=outside[0])
-    np.greater_equal(shares[1], n, out=outside[1])
-    np.logical_or(outside[0], outside[1], out=outside[0])
-    np.remainder(shares[1], n, out=shares[1], where=outside[0])
-    np.floor(shares[1], out=shares[0])
-    np.subtract(shares[1], shares[0], out=shares[1])
-    # the lower node lies in [0, n] and the upper one above it in [1, n + 1],
-    # so subtracting n from those at or past n takes them mod n
+    coord = np.divide(coords, grid.spacing, out=shares[1])
+    # 0 lies in [0, n - 1), so an empty set is on the torus and needs no wrap
+    low, top = coord.min(initial=0.0), coord.max(initial=0.0)
+    if not (low >= 0.0 and top < n):
+        if not np.isfinite(coords).all():
+            bad = points[~np.isfinite(points).all(axis=-1)][0]
+            raise ValueError(f"interpolation point {bad} is not finite")
+        if low >= -n and top < 2 * n:
+            # n, -n or 0.0 added to each, which turns -0.0 to +0.0: the
+            # same node and shares
+            below = np.less(coord, 0.0, out=scratch[0]).view(np.int8)
+            above = np.greater_equal(coord, n, out=scratch[1]).view(np.int8)
+            coord += np.multiply(np.subtract(below, above, out=below), float(n), out=shares[0])
+        else:
+            np.remainder(coord, n, out=coord)
+        top = coord.max()
+    np.floor(coord, out=shares[0])
+    np.subtract(coord, shares[0], out=shares[1])
     np.copyto(ends[0], shares[0], casting="unsafe")
     np.add(ends[0], 1, out=ends[1])
-    np.greater_equal(ends, n, out=outside)
-    np.subtract(ends, n, out=ends, where=outside)
+    # node n is node 0: an upper node reaches it where a coordinate is at
+    # least n - 1, and a lower one where a coordinate rounded up to n
+    if top >= n - 1:
+        np.subtract(ends, n, out=ends, where=np.greater_equal(ends, n, out=scratch))
     np.subtract(1.0, shares[1], out=shares[0])
-    # corners 2^j .. 2^(j+1) - 1 are corners 0 .. 2^j - 1 moved to the upper
-    # node along axis j
-    flat[:2] = ends[:, 0]
-    weights[:2] = shares[:, 0]
-    for j in range(1, d):
+
+
+def _combine(
+    n: int, shares: np.ndarray, ends: np.ndarray, flat: np.ndarray, weights: np.ndarray
+) -> None:
+    """The flat indices and weights of the 2^d corners from the corner parts
+    of the d axes: corners 0 and 1 take the lower and upper node along axis
+    0, and corners 2^j .. 2^(j+1) - 1 are corners 0 .. 2^j - 1 moved to the
+    upper node along axis j."""
+    lower_flat, lower_weights = ends[:, 0], shares[:, 0]
+    for j in range(1, shares.shape[1]):
         lower, upper = slice(0, 2**j), slice(2**j, 2 ** (j + 1))
-        np.multiply(flat[lower], n, out=flat[lower])
+        np.multiply(lower_flat, n, out=flat[lower])
         np.add(flat[lower], ends[1, j], out=flat[upper])
         np.add(flat[lower], ends[0, j], out=flat[lower])
-        np.multiply(weights[lower], shares[1, j], out=weights[upper])
-        np.multiply(weights[lower], shares[0, j], out=weights[lower])
-    return flat, weights
+        np.multiply(lower_weights, shares[1, j], out=weights[upper])
+        np.multiply(lower_weights, shares[0, j], out=weights[lower])
+        lower_flat, lower_weights = flat[: 2 ** (j + 1)], weights[: 2 ** (j + 1)]
 
 
 def _gather(
@@ -251,8 +307,9 @@ def _tail_nodes(grid: GridSpec, r: float, R_max: float, s: float) -> tuple[np.nd
     weights = np.repeat(
         r ** (2.0 * s) * _sphere_area(d) * radii ** (-1.0 - 2.0 * s) * w_rad / m, m
     )
+    # the offsets are stored axis-first and returned as their (nodes, d) transpose
     if d == 2:
-        return read_only((rho[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1), weights))
+        return read_only((np.stack([rho * np.cos(angle), rho * np.sin(angle)]).T, weights))
     ct, wct = _panel_nodes(12)
     st = np.sqrt(1.0 - ct**2)
     unit = np.stack(
@@ -260,10 +317,9 @@ def _tail_nodes(grid: GridSpec, r: float, R_max: float, s: float) -> tuple[np.nd
             np.outer(st, np.cos(angle)),
             np.outer(st, np.sin(angle)),
             np.outer(ct, np.ones(rho.size)),
-        ],
-        axis=-1,
+        ]
     )
-    return read_only(((rho[None, :, None] * unit).reshape(-1, 3), np.outer(wct / 2.0, weights).ravel()))
+    return read_only(((rho * unit).reshape(3, -1).T, np.outer(wct / 2.0, weights).ravel()))
 
 
 def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) -> float:
@@ -271,6 +327,7 @@ def tail(v: ScalarField, x0, r: float, kernel: KernelSpec, opts: TailOptions) ->
     |v(y)| |x0-y|^(-d-2s) dy, truncated at opts.truncation_radius."""
     offsets, weights = _tail_nodes(v.grid, r, opts.truncation_radius, kernel.s)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    # x0 + offsets is stored axis-first, as the offsets are
     return float((weights * np.abs(interpolate_periodic(v, v.grid, x0 + offsets))).sum())
 
 
@@ -301,12 +358,20 @@ def tail_time_lq(
     idx, times, centers, which = Q.window(traj, slant)
     grid = traj.grid
     offsets, weights = _tail_nodes(grid, Q.r, opts.truncation_radius, kernel.s)
+    offsets = offsets.T  # axis-first, as stored
     vals = np.empty(times.size)
     points = np.empty_like(offsets)
     buffers = _corner_buffers(grid.d, weights.shape)
     taken = np.empty_like(buffers[1])
+    # the first centre builds the corner parts of every axis, and each later
+    # one those of the axes along which the centres move
+    axes = range(grid.d)
+    moving = [j for j in axes if (centers[:, j] != centers[0, j]).any()]
     for k, center in enumerate(centers):
-        corners = _corners(grid, np.add(center, offsets, out=points), out=buffers)
+        for j in axes:
+            np.add(center[j], offsets[j], out=points[j])
+        corners = _corners(grid, points.T, out=buffers, axes=axes)
+        axes = moving
         for j in np.flatnonzero(which == k):
             sampled = _gather(traj.snapshots[idx[j]].values, corners, out=taken)
             if offset:  # bilinear weights sum to 1, so the offset comes off the samples
@@ -366,7 +431,7 @@ def riesz_potential(
 
     # exact atom breakpoints in the straight case only
     breaks = None if slant is not None else entry[(entry > rho_min) & (entry < R)]
-    radii, all_radii, active = potential_radii(mu, t0, R, s, rho_min, breaks)
+    radii, all_radii, active, t_start = _potential_grid(mu, t0, R, s, rho_min, breaks)
     if slant is not None and [path.r for path in slant] != all_radii[active].tolist():
         raise ValueError(
             f"the slanted potential takes one path per active radius of "
@@ -374,7 +439,7 @@ def riesz_potential(
             "of other radii"
         )
     all_masses = np.zeros(all_radii.size)
-    all_masses[active] = cylinder_masses(mu, t0, x0, all_radii[active], s, slant)
+    all_masses[active] = cylinder_masses(mu, t0, x0, all_radii[active], s, slant, t_start)
     masses, mid_mass = all_masses[: radii.size], all_masses[radii.size:]
     lo, hi = radii[:-1], radii[1:]
 
@@ -411,6 +476,19 @@ def potential_radii(
     on x0, so ``all_radii[active]`` are the radii of the paths a slanted
     ``riesz_potential`` takes at any x0.
     """
+    return _potential_grid(mu, t0, R, s, rho_min, breaks)[:3]
+
+
+def _potential_grid(
+    mu: MeasureData,
+    t0: float,
+    R: float,
+    s: float,
+    rho_min: float | None = None,
+    breaks: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``potential_radii`` and the slab starts of its active radii, which
+    ``cylinder_masses`` takes as they are."""
     if rho_min is None:
         rho_min = 1e-4 * R
     n_log = max(8, int(np.ceil(POINTS_PER_OCTAVE * np.log2(R / rho_min))))
@@ -418,7 +496,9 @@ def potential_radii(
     if breaks is not None:
         radii = np.unique(np.concatenate([radii, breaks]))
     all_radii = np.concatenate([radii, np.sqrt(radii[:-1] * radii[1:])])
-    return radii, all_radii, np.flatnonzero(slab_holds_mass(mu, t0, all_radii, s))
+    t_start = _slab_starts(t0, all_radii, s)
+    active = np.flatnonzero(slab_holds_mass(mu, t0, t_start))
+    return radii, all_radii, active, t_start[active]
 
 
 @lru_cache(maxsize=2)
@@ -479,20 +559,25 @@ def slant_ode(b: VectorField, scales, x0=None) -> list[SlantPath]:
         )
     pts_unit, wts = _disk_quadrature(d)
     # a component that is zero everywhere has ball means +0, the zeros each
-    # slope starts from
+    # slope starts from, so a path stays at +0 along its axis and the stage
+    # points never move along it
     comps = [j for j, a in enumerate(b.arrays()) if a.any()]
     components = np.stack(b.arrays())[comps]
-    # every stage refills one set of buffers: its points, their corners and
-    # the gather of those components at all corners
-    offsets = r[:, None, None] * pts_unit
+    # every stage refills one set of buffers: its points, axis-first, their
+    # corners and the gather of those components at all corners
+    offsets = pts_unit.T[:, None, :] * r[:, None]
     pts = np.empty_like(offsets)
-    buffers = _corner_buffers(d, offsets.shape[:-1])
+    points = np.moveaxis(pts, 0, -1)  # the (scale, node, axis) view _corners reads
+    buffers = _corner_buffers(d, offsets.shape[1:])
     taken = np.empty((len(comps), *buffers[1].shape))
 
-    def rhs(z: np.ndarray) -> np.ndarray:
+    def rhs(z: np.ndarray, axes=comps) -> np.ndarray:
+        """The slopes at z, with the stage points and corner parts built
+        along ``axes``; the other axes keep those of the first stage."""
         centers = x0 + r[:, None] * z
-        np.add(centers[:, None, :], offsets, out=pts)
-        means = _gather(components, _corners(grid, pts, out=buffers), out=taken)
+        for j in axes:
+            np.add(centers[:, j, None], offsets[j], out=pts[j])
+        means = _gather(components, _corners(grid, points, out=buffers, axes=axes), out=taken)
         means *= wts
         slope = np.zeros((r.size, d))
         slope[:, comps] = means.sum(axis=-1).T
@@ -501,7 +586,7 @@ def slant_ode(b: VectorField, scales, x0=None) -> list[SlantPath]:
     h = -1.0 / SLANT_STEPS
     times = [0.0]
     zs = [np.zeros((r.size, d))]
-    derivs = [rhs(zs[0])]
+    derivs = [rhs(zs[0], axes=range(d))]
     t, z = 0.0, zs[0]
     for _ in range(SLANT_STEPS):
         k1 = derivs[-1]  # the slope at the end of the last step
@@ -570,7 +655,10 @@ def bmo_seminorm(b: VectorField, scales: list[float]) -> tuple[float, float]:
     the mean oscillation of b.
 
     The balls are centred on every BMO_CENTER_STRIDE-th grid node, and their
-    values are gathered one slab of centres at a time (``_ball_rows``).
+    values are gathered one slab of centres at a time (``_ball_rows``), for
+    each radius once: C1 reads the unit balls where C2 does at r = 1.  On a
+    torus of side at most 2 the unit ball covers it, and C1 is the mean of
+    |b| over the grid.
     """
     grid = b.grid
     for r in scales:
@@ -579,18 +667,16 @@ def bmo_seminorm(b: VectorField, scales: list[float]) -> tuple[float, float]:
     comp_vals = [c.values.ravel() for c in b.components]
     speed = np.sqrt(sum(v**2 for v in comp_vals))
 
-    c1 = 0.0
-    if grid.domain_length > 2.0:
-        for rows in _ball_rows(grid, 1.0):
-            c1 = max(c1, float(speed[rows].mean(axis=-1).max()))
-    else:
-        c1 = float(speed.mean())
-
+    unit_balls = grid.domain_length > 2.0
+    c1 = 0.0 if unit_balls else float(speed.mean())
     c2 = 0.0
-    for r in scales:
+    for r in dict.fromkeys([*scales, 1.0] if unit_balls else scales):
         for rows in _ball_rows(grid, r):
-            balls = [v[rows] for v in comp_vals]
-            means = [ball.mean(axis=-1, keepdims=True) for ball in balls]
-            osc = np.sqrt(sum((ball - mu) ** 2 for ball, mu in zip(balls, means))).mean(axis=-1)
-            c2 = max(c2, float(osc.max()))
+            if unit_balls and r == 1.0:
+                c1 = max(c1, float(speed[rows].mean(axis=-1).max()))
+            if r in scales:
+                balls = [v[rows] for v in comp_vals]
+                means = [ball.mean(axis=-1, keepdims=True) for ball in balls]
+                osc = np.sqrt(sum((ball - mu) ** 2 for ball, mu in zip(balls, means))).mean(axis=-1)
+                c2 = max(c2, float(osc.max()))
     return c1, c2

@@ -297,22 +297,28 @@ def verify_excess_decay(
     t0 = exp0.traj.t_end
     opts = exp0.tail_options
 
-    def excesses(exp: Experiment) -> np.ndarray:
-        return np.array(
-            [excess(exp.traj, t0, x0, R / 2**m, q, exp.kernel, opts).total
-             for m in range(m_max + 1)]
-        )
+    def excess_at(exp: Experiment, m: int) -> float:
+        return excess(exp.traj, t0, x0, R / 2**m, q, exp.kernel, opts).total
 
-    E = excesses(exp0)
     report = VerificationReport("excess-decay")
     report.ceiling = config.ceiling("excess-decay")
-    if E[0] <= 1e-14:
+    first = excess_at(exp0, 0)
+    if first <= 1e-14:
         # constant solutions have zero excess at every scale: vacuous pass
         for m in range(m_max + 1):
             report.add(q=q, t0=t0, x0=x0, radius=R / 2**m, lhs=0.0, rhs_terms=(1e-300,))
         report.extras["alpha"] = 0.0
         report.extras["vacuous"] = True
         return report
+    exp1 = None if exp0.mu is None else run_experiment(config)
+    runs = [exp0] if exp1 is None else [exp0, exp1]
+    # every run's excess radius by radius, so the runs share each radius's
+    # tail rule: one row per run
+    table = np.array(
+        [[first, *(excess_at(exp, 0) for exp in runs[1:])]]
+        + [[excess_at(exp, m) for exp in runs] for m in range(1, m_max + 1)]
+    ).T
+    E = table[0]
     ms = np.arange(m_max + 1)
     logE = np.log2(np.maximum(E, 1e-300))
     slope, intercept = np.polyfit(ms, logE, 1)
@@ -328,9 +334,8 @@ def verify_excess_decay(
             lhs=float(E[m]), rhs_terms=(C0 * 2.0 ** (-alpha * m) * E[0],),
         )
 
-    if exp0.mu is not None:
-        exp1 = run_experiment(config)
-        E1 = excesses(exp1)
+    if exp1 is not None:
+        E1 = table[1]
         d = grid.d
         mass = cylinder_mass(exp1.mu, Cylinder(t0, x0, R, s))
         for m in ms:

@@ -4,8 +4,10 @@
 
 Each case runs one nldd subcommand in-process on a small config and keeps
 one of its outputs, stored in full: a verify campaign's report.csv, an
-.nldd snapshot, or stdout.  Together the cases cover every check, straight
-and slanted; no, shear, lacunary and SQG drift; atoms and a density.
+.nldd snapshot, or stdout; or a part of one, the fitted quantities of the
+slanted BMO check from report.json, which also holds a timestamp.  Together
+the cases cover every check, straight and slanted; no, shear, lacunary and
+SQG drift; atoms and a density.
 meta.json records the numpy version and the SIMD extensions numpy found on
 the machine that made them; the test compares byte for byte where both
 match, and to 1e-12 relative otherwise.
@@ -40,18 +42,26 @@ def _run(s, grid=COARSE, **sections):
             "seed": 11, **sections}
 
 
-def _campaign(s, drift, measure, selection, grid=COARSE, params=None):
+def _campaign(s, drift, measure, selection, grid=COARSE, params=None, kept="report.csv"):
     sections = {"measure": measure, "verification": {"selection": selection, "params": params or {}}}
     if drift is not None:
         sections["drift"] = drift
-    return "verify", _run(s, grid, **sections), "report.csv"
+    return "verify", _run(s, grid, **sections), kept
 
 
-# file name -> (subcommand, config, the output kept: a file under --out, or
-# None for stdout)
+def bmo_extras(out: Path) -> bytes:
+    """The sizes and path fit of the slanted BMO check, from report.json."""
+    extras = json.loads((out / "report.json").read_text())["checks"]["bmo-slanted"]["extras"]
+    kept = {key: extras[key] for key in ("C1", "C2", "path_norms", "path_residual")}
+    return (json.dumps(kept, indent=2) + "\n").encode()
+
+
+# file name -> (subcommand, config, the output kept: a file under --out, a
+# function of --out, or None for stdout)
 CASES = {
     # s = 1/2, shear drift, an atom: the BMO rows ride slant paths
     "verify-shear-atom.csv": _campaign(0.5, SHEAR, ATOM, ["potential", "comparison", "bmo"]),
+    "verify-shear-atom-bmo.json": _campaign(0.5, SHEAR, ATOM, ["bmo"], kept=bmo_extras),
     "verify-shear-atom-fine.csv": _campaign(
         0.5, SHEAR, ATOM, ["excess", "holder"], FINE,
         {"excess": {"m_max": 1}, "holder": {"slanted": True}},
@@ -102,6 +112,8 @@ def run_case(name: str, work: Path) -> bytes:
         raise RuntimeError(f"golden case {name}: nldd {command} exited with {code}")
     if kept is None:
         return stdout.getvalue().encode()
+    if callable(kept):
+        return kept(work / "out")
     return (work / "out" / kept).read_bytes()
 
 

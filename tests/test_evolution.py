@@ -678,6 +678,29 @@ class TestSqg:
         # dissipation: energy decreases
         assert (final.values**2).sum() < (u0.values**2).sum()
 
+    def test_step_reads_the_drift_as_arrays(self, monkeypatch):
+        # the step builds no field around its drift, so no sample scan runs
+        g = make_grid(2, 32, 2 * np.pi)
+        u0 = np.sin(grid_coordinates(g)[0])
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.02, t_end=0.2, drift_mode="sqg")
+        stepper = _Stepper(g, cfg)
+        built = []
+        post_init = ScalarField.__post_init__
+        monkeypatch.setattr(
+            ScalarField, "__post_init__", lambda f: built.append(1) or post_init(f)
+        )
+        uhat = stepper.step(np.fft.rfftn(u0), 0.0)
+        assert built == [] and np.isfinite(uhat).all()
+
+    def test_non_finite_drift_raises(self):
+        # check_cfl would pass a NaN max norm, so the drift refuses it first
+        g = make_grid(2, 16, 2 * np.pi)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.02, t_end=0.2, drift_mode="sqg")
+        uhat = np.fft.rfftn(np.sin(grid_coordinates(g)[0]))
+        uhat[1, 2] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="^scalar field contains non-finite samples$"):
+            _Stepper(g, cfg).step(uhat, 0.0)
+
     def test_mode_guards(self):
         g = make_grid(2, 16, 2 * np.pi)
         u0 = ScalarField(g, np.zeros(g.shape))

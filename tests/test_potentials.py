@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath
 from nldd.operators import KernelSpec
 from nldd.potentials import (
     TailOptions,
+    _corner_buffers,
     _corners,
     _disk_quadrature,
     _gather,
@@ -146,6 +148,67 @@ class TestInterpolation:
         pts = np.array([[0.5, 1.0], [np.nan, 2.0], [np.inf, 0.0]])
         with pytest.raises(ValueError, match=r"interpolation point \[nan  2\.\] is not finite"):
             interpolate_periodic(f, g, pts)
+
+    # coordinates on the torus [0, L), up to its last node or just below L;
+    # at L; within one period of it; and farther out: tiny negatives, exact
+    # nodes, -L and far off
+    REACH = {
+        "torus": lambda L, h: [0.0, -0.0, h, 3.0 * h, 0.3, 0.5 * L, L - h],
+        "below-L": lambda L, h: [0.0, 0.3, L - 1e-15],
+        "at-L": lambda L, h: [0.0, h, L],
+        "period": lambda L, h: [-1e-17, -L, -h, 2.0 * L - 1e-15, L, L + h, -0.5 * L, 1.5 * L],
+        "beyond": lambda L, h: [-1.5 * L, -L - h, 0.3, L + 0.3],
+        "far": lambda L, h: [-5.3 * L, -2.0 * L - 0.1, 3.7 * L, 2.0 * L, -1e-17, L - 1e-15],
+    }
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("reach", list(REACH))
+    def test_static_axes_give_a_fresh_full_build(self, d, reach):
+        # after a full build into a buffer set, rebuilding only the axes
+        # whose coordinates change gives bitwise the corners of a fresh
+        # full build, and of the remainder taken everywhere
+        g = make_grid(d, 16, 4.0)
+        values = np.array(self.REACH[reach](g.domain_length, g.spacing))
+        rng = np.random.default_rng(50 + d)
+        points = np.stack(np.meshgrid(*[values] * d, indexing="ij")).reshape(d, -1)  # axis-first
+        buffers = _corner_buffers(d, points.shape[1:])
+        _corners(g, points.T, out=buffers)
+        subsets = [c for k in range(d + 1) for c in itertools.combinations(range(d), k)]
+        for moving in subsets * 2:
+            points = points.copy()
+            for j in moving:
+                points[j] = rng.permutation(points[j])
+            got = _corners(g, points.T, out=buffers, axes=list(moving))
+            for want in (_corners(g, np.ascontiguousarray(points.T)), self.reference_corners(g, points.T)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+    def test_empty_point_sets(self):
+        g = make_grid(2, 16, 4.0)
+        assert interpolate_periodic(np.ones(g.shape), g, np.zeros((0, 2))).shape == (0,)
+        assert slant_ode(constant_drift(g, (1.0, 0.0)), []) == []
+
+    def test_non_finite_point_on_a_rebuilt_axis_rejected(self):
+        g = make_grid(2, 16, 4.0)
+        points = np.array([[0.5, 1.0, 2.0], [1.0, 2.0, 3.0]])  # axis-first
+        buffers = _corner_buffers(2, (3,))
+        _corners(g, points.T, out=buffers)
+        points[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"interpolation point \[ 1\. nan\] is not finite"):
+            _corners(g, points.T, out=buffers, axes=[1])
+
+
+def record_corner_axes(monkeypatch) -> list:
+    """The list of axes each later ``_corners`` call of a buffer-refilling
+    caller is given, in call order."""
+    built = []
+    corners = potentials._corners
+    monkeypatch.setattr(
+        potentials,
+        "_corners",
+        lambda g, p, out=None, axes=None: built.append(list(axes)) or corners(g, p, out, axes),
+    )
+    return built
 
 
 def reference_tail(v, x0, r, s, R_max, order=12):
@@ -277,6 +340,33 @@ class TestTail:
         ])
         ref = [(np.trapezoid(vals**q, ts) / (ts[-1] - ts[0])) ** (1.0 / q) for q in qs]
         np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, -0.5, 0.0)])
+    def test_a_window_moving_along_one_axis_matches_fresh_corners(self, monkeypatch, direction):
+        # its centres are static along the other axes, whose corner parts
+        # are built at the first centre only
+        d = len(direction)
+        g = make_grid(d, 32 if d == 2 else 16, 8.0)
+        times = np.linspace(0.0, 1.0, 7)
+        traj = random_traj(g, 13, times)
+        x0, r, s = np.array([3.3, 5.1, 0.2])[:d], 0.6, 0.5
+        direction = np.array(direction)
+        samples = np.linspace(0.7, 0.0, 5)[:, None] * direction
+        slopes = np.tile(-0.7 * direction, (5, 1))
+        path = SlantPath(r, np.linspace(-1.0, 0.0, 5), samples, slopes, 1.0)
+        Q = Cylinder(1.0, x0, r, s)
+        offsets, weights = _tail_nodes(g, r, 4.0, s)
+        idx = traj.window(Q.t_start, Q.t0)
+        vals = np.array([
+            (weights * np.abs(_gather(traj.snapshots[i].values, _corners(g, c + offsets)))).sum()
+            for i, c in zip(idx, Q.centers(times[idx], path))
+        ])
+        ts = times[idx]
+        want = (np.trapezoid(vals**2.0, ts) / (ts[-1] - ts[0])) ** 0.5
+        built = record_corner_axes(monkeypatch)
+        got = tail_time_lq(traj, Q, (2.0,), KernelSpec(s=s), TailOptions(4.0), slant=path)
+        assert built == [list(range(d))] + [np.flatnonzero(direction).tolist()] * (len(idx) - 1)
+        assert got[0] == want
 
     def test_a_window_of_more_than_ten_thousand_nodes_reads_the_same_on_one_and_two_blas_threads(self):
         # OpenBLAS splits a dot product of more than 10,000 terms across its
@@ -527,6 +617,30 @@ class TestSlantStageBuffers:
             assert not np.signbit(path.slopes[:, 1]).any()
         assert (np.abs(samples[..., 0]).max() > 0.0) == (drift == "lacunary")
 
+    def test_a_zero_component_keeps_its_axis_at_positive_zero_in_3d(self, monkeypatch):
+        # the stages rebuild the corner parts of axes 0 and 2 only
+        g = make_grid(3, 16, 8.0)
+        rng = np.random.default_rng(26)
+        b = VectorField(
+            (
+                ScalarField(g, rng.standard_normal(g.shape)),
+                ScalarField(g, np.zeros(g.shape)),
+                ScalarField(g, rng.standard_normal(g.shape)),
+            )
+        )
+        scales = [1.0, 0.5, 0.0625]
+        x0 = np.array([(3.1, 4.6, 0.4), (0.2, 7.9, 7.99), (5.0, 1.0, 4.0)])
+        samples, derivs = reference_slant_paths(b, scales, x0)
+        built = record_corner_axes(monkeypatch)
+        paths = slant_ode(b, scales, x0=x0)
+        assert built == [[0, 1, 2]] + [[0, 2]] * (4 * potentials.SLANT_STEPS)
+        for i, path in enumerate(paths):
+            np.testing.assert_array_equal(path.samples, samples[:, i])
+            np.testing.assert_array_equal(path.slopes, derivs[:, i])
+            for along in (path.samples[:, 1], path.slopes[:, 1]):
+                assert not along.any() and not np.signbit(along).any()
+        assert np.abs(samples[..., [0, 2]]).max(axis=0).min() > 0.0  # every path moves along both
+
     def test_stages_gather_only_the_components_that_move(self, monkeypatch):
         g = make_grid(2, 32, 8.0)
         gathered = []
@@ -576,17 +690,32 @@ class TestSlantPathsThatBend:
     def psi(self, x, amplitude):
         return amplitude * (np.sin(self.K * x[..., 0]) - np.sin(self.K * x[..., 1])) / self.K
 
-    @pytest.mark.parametrize("amplitude", [1.0, 8.0])
-    def test_hermite_paths_beat_linear_reading_of_twice_the_steps(self, amplitude):
+    def drift(self, amplitude):
         g = make_grid(2, 64, 8.0)
         x1, x2 = grid_coordinates(g)
-        b = VectorField(
+        return VectorField(
             (
                 ScalarField(g, amplitude * np.cos(self.K * x2)),
                 ScalarField(g, amplitude * np.cos(self.K * x1)),
             ),
             divergence_free=True,
         )
+
+    def test_paths_along_every_axis_match_the_reference_bitwise(self):
+        # every axis moves, so every stage rebuilds every axis
+        b = self.drift(8.0)
+        scales = np.tile(self.SCALES, len(self.STARTS))
+        starts = np.repeat(self.STARTS, len(self.SCALES), axis=0)
+        paths = slant_ode(b, scales, x0=starts)
+        samples, derivs = reference_slant_paths(b, scales, starts)
+        for i, path in enumerate(paths):
+            np.testing.assert_array_equal(path.samples, samples[:, i])
+            np.testing.assert_array_equal(path.slopes, derivs[:, i])
+        assert np.abs(samples).max(axis=0).min() > 0.0  # every path moves along both axes
+
+    @pytest.mark.parametrize("amplitude", [1.0, 8.0])
+    def test_hermite_paths_beat_linear_reading_of_twice_the_steps(self, amplitude):
+        b = self.drift(amplitude)
         scales = np.tile(self.SCALES, len(self.STARTS))
         starts = np.repeat(self.STARTS, len(self.SCALES), axis=0)
         paths = slant_ode(b, scales, x0=starts)
@@ -758,6 +887,17 @@ class TestBmoSeminorm:
     def test_lacunary_drift_matches_per_centre_masks(self):
         b = lacunary_drift(make_grid(2, 64, 8.0), [0.3] * 5)
         assert bmo_seminorm(b, [0.5, 1.0]) == self.reference(b, [0.5, 1.0])
+
+    @pytest.mark.parametrize("scales", [[0.5, 1.0], [1.0, 0.5], [0.5]])
+    def test_rows_of_each_radius_are_built_once(self, monkeypatch, scales):
+        # C1 reads the unit balls where C2 does
+        b = lacunary_drift(make_grid(2, 64, 8.0), [0.3] * 5)
+        want = self.reference(b, scales)
+        built = []
+        ball_rows = potentials._ball_rows
+        monkeypatch.setattr(potentials, "_ball_rows", lambda g, r: built.append(r) or ball_rows(g, r))
+        assert bmo_seminorm(b, scales) == want
+        assert sorted(built) == [0.5, 1.0]
 
     def test_gathers_one_slab_of_centres_at_a_time(self):
         b = lacunary_drift(make_grid(2, 128, 8.0), [0.3] * 5)

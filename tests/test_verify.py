@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from nldd import verify
+from nldd import potentials, verify
 from nldd.config import CHECK_PARAMS, INEQUALITY_IDS, ConfigError, ExperimentConfig
 from nldd.evolution import TrajectoryStore
 from nldd.fields import ScalarField, make_grid
@@ -160,6 +160,22 @@ class TestExcessCheck:
         rep = verify_excess_decay(cfg, m_max=2)
         assert rep.extras["alpha"] > 0.0
         assert all(r.passed for r in rep.rows)
+
+    def test_each_tail_rule_is_built_once(self):
+        # both runs take their excess radius by radius, so the second run at
+        # each radius reuses the tail rule the first one built
+        cfg = ExperimentConfig(
+            base_raw(
+                grid={"d": 2, "n": 64, "domain_length": 8.0},
+                solver={"dt": 0.02, "t_end": 1.2},
+                measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 0.5}]},
+            )
+        )
+        potentials._tail_nodes.cache_clear()
+        rep = verify_excess_decay(cfg, m_max=1)
+        info = potentials._tail_nodes.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        assert len(rep.rows) == 4 and len(rep.extras["excess_with_measure"]) == 2
 
     def test_vacuous_for_zero_data(self):
         cfg = ExperimentConfig(
