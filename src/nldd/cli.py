@@ -3,7 +3,9 @@
 Subcommands: solve, sqg, potential, heatkernel, verify, snapshot.  Every
 run-producing subcommand takes --config (YAML schema in config.py), an
 optional --seed override, and --out for artifacts.  A config that fails
-validation prints its field path and message on one stderr line and exits 2.
+validation prints its field path and message on one stderr line and exits 2;
+a snapshot file that cannot be read or parsed prints one stderr line and
+exits 1.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .fields import ScalarField, l2_norm
 from .heatkernel import estimate_kernel, kernel_sanity
 from .potentials import TailOptions, riesz_potential, tail
 from .snapshots import (
+    SnapshotFormatError,
     load_field,
     load_kernel_estimate,
     load_trajectory,
@@ -190,14 +193,18 @@ _SNAPSHOT_KINDS = {
 def _cmd_snapshot(args) -> int:
     info = args.snapshot_command == "info"
     path = args.path if info else args.src
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic not in _SNAPSHOT_KINDS:
-        unknown = "unrecognized magic" if info else "roundtrip unsupported for magic"
-        print(f"{unknown} {magic!r}", file=sys.stderr)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+        if magic not in _SNAPSHOT_KINDS:
+            unknown = "unrecognized magic" if info else "roundtrip unsupported for magic"
+            print(f"{unknown} {magic!r}", file=sys.stderr)
+            return 1
+        load, describe, save = _SNAPSHOT_KINDS[magic]
+        loaded = load(path)
+    except (OSError, SnapshotFormatError) as exc:
+        print(f"nldd snapshot: {exc}", file=sys.stderr)
         return 1
-    load, describe, save = _SNAPSHOT_KINDS[magic]
-    loaded = load(path)
     if info:
         print(describe(*loaded))
         return 0

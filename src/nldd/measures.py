@@ -213,11 +213,16 @@ class Cylinder:
         return (idx, times, *self.distinct_centers(times, path))
 
     def ball_values(self, traj, path: SlantPath | None = None):
-        """Times of the window's snapshots and the values of each in its ball,
-        with one mask per centre."""
+        """Times of the window's snapshots and, for each distinct ball centre,
+        the window rows that share it and their values in its ball, stacked
+        (rows, nodes): one mask per centre."""
         idx, times, centers, which = self.window(traj, path)
-        masks = [ball_mask(traj.grid, c, self.r) for c in centers]
-        return times, [traj.snapshots[i].values[masks[k]] for i, k in zip(idx, which)]
+        blocks = []
+        for k, center in enumerate(centers):
+            mask = ball_mask(traj.grid, center, self.r)
+            rows = np.flatnonzero(which == k)
+            blocks.append((rows, np.stack([traj.snapshots[idx[j]].values[mask] for j in rows])))
+        return times, blocks
 
 
 @dataclass

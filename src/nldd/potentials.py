@@ -621,10 +621,14 @@ def excess(
 ) -> ExcessReport:
     """Interior oscillation plus weighted tail of the recentered solution."""
     Q = Cylinder(t0, x0, r, kernel.s)
-    times, values = Q.ball_values(traj, slant)
+    times, blocks = Q.ball_values(traj, slant)
     span = times[-1] - times[0]
-    mean_Q = float(np.trapezoid([v.mean() for v in values], times) / span)
-    osc = np.array([np.abs(v - mean_Q).mean() for v in values])
+    means, osc = np.empty((2, times.size))  # per snapshot
+    for rows, values in blocks:
+        means[rows] = values.mean(axis=1)
+    mean_Q = float(np.trapezoid(means, times) / span)
+    for rows, values in blocks:
+        osc[rows] = np.abs(values - mean_Q).mean(axis=1)
     interior = float((np.trapezoid(osc**q, times) / span) ** (1.0 / q))
     (tail_part,) = tail_time_lq(traj, Q, (q,), kernel, opts, offset=mean_Q, slant=slant)
     return ExcessReport(interior, float(tail_part))

@@ -37,16 +37,21 @@ class SnapshotFormatError(ValueError):
     pass
 
 
-def _check_header(buf: bytes, offset: int, magic: bytes) -> int:
-    if len(buf) < offset + 8:
+def _unpack(fmt: str, buf: bytes, offset: int) -> tuple[tuple, int]:
+    """The header values ``fmt`` reads at ``offset``, and the offset after them."""
+    end = offset + struct.calcsize(fmt)
+    if len(buf) < end:
         raise SnapshotFormatError("truncated header")
-    got = buf[offset : offset + 4]
+    return struct.unpack_from(fmt, buf, offset), end
+
+
+def _check_header(buf: bytes, offset: int, magic: bytes) -> int:
+    (got, version), offset = _unpack("<4sI", buf, offset)
     if got != magic:
         raise SnapshotFormatError(f"bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack_from("<I", buf, offset + 4)
     if version >> 16 > VERSION >> 16:
         raise SnapshotFormatError(f"unsupported future major version {version >> 16}")
-    return offset + 8
+    return offset
 
 
 def _pack_field(field: ScalarField, s: float) -> bytes:
@@ -59,11 +64,7 @@ def _pack_field(field: ScalarField, s: float) -> bytes:
 
 def _read_field(buf: bytes, offset: int) -> tuple[ScalarField, float, int]:
     offset = _check_header(buf, offset, FIELD_MAGIC)
-    fixed = struct.calcsize("<IIddd")
-    if len(buf) < offset + fixed:
-        raise SnapshotFormatError("truncated field header")
-    d, n, L, s, t = struct.unpack_from("<IIddd", buf, offset)
-    offset += fixed
+    (d, n, L, s, t), offset = _unpack("<IIddd", buf, offset)
     count = n**d
     payload = count * 8
     if len(buf) < offset + payload:
@@ -108,8 +109,7 @@ def load_trajectory(path) -> tuple[TrajectoryStore, float]:
 
 def _read_trajectory(buf: bytes, offset: int) -> tuple[list[ScalarField], float, int]:
     offset = _check_header(buf, offset, TRAJECTORY_MAGIC)
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    (count,), offset = _unpack("<I", buf, offset)
     if count == 0:
         raise SnapshotFormatError("trajectory with no snapshots")
     fields, s = [], 0.0
@@ -133,10 +133,8 @@ def load_kernel_estimate(path):
     with open(path, "rb") as fh:
         buf = fh.read()
     offset = _check_header(buf, 0, KERNEL_MAGIC)
-    d, eta = struct.unpack_from("<Id", buf, offset)
-    offset += struct.calcsize("<Id")
-    y = struct.unpack_from(f"<{d}d", buf, offset)
-    offset += 8 * d
+    (d, eta), offset = _unpack("<Id", buf, offset)
+    y, offset = _unpack(f"<{d}d", buf, offset)
     fields, s, _ = _read_trajectory(buf, offset)
     return HeatKernelEstimate(
         grid=fields[0].grid,

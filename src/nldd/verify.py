@@ -113,15 +113,12 @@ def cylinder_lq_mean(
     traj: TrajectoryStore, Q: Cylinder, qs, path: SlantPath | None = None
 ) -> np.ndarray:
     """(space-time average of |u|^q over the cylinder)^(1/q) for each q in qs,
-    with the ball along ``path`` if given.  The snapshots that share a ball
-    centre (all of a straight window) are gathered into one array, and each q
-    takes one pass over it."""
-    idx, times, centers, which = Q.window(traj, path)
+    with the ball along ``path`` if given.  Each q takes one pass over the
+    stacked ball values of each centre (``Cylinder.ball_values``)."""
+    times, blocks = Q.ball_values(traj, path)
     means = np.empty((len(qs), times.size))  # ball mean of |u|^q per q and snapshot
-    for k, center in enumerate(centers):
-        mask = ball_mask(traj.grid, center, Q.r)
-        rows = np.flatnonzero(which == k)
-        a = np.abs(np.stack([traj.snapshots[idx[j]].values[mask] for j in rows]))
+    for rows, values in blocks:
+        a = np.abs(values)
         for i, q in enumerate(qs):
             means[i, rows] = (a**q).mean(axis=1)
     span = times[-1] - times[0]
@@ -135,8 +132,8 @@ def _cylinder_oscillation(
 ) -> float:
     """sup - inf of u over the cylinder's snapshots, with the ball along
     ``path`` if given."""
-    _, values = Q.ball_values(traj, path)
-    return max(v.max() for v in values) - min(v.min() for v in values)
+    _, blocks = Q.ball_values(traj, path)
+    return max(v.max() for _, v in blocks) - min(v.min() for _, v in blocks)
 
 
 def _knob_error(config: ExperimentConfig, check: str, knob: str, value) -> str | None:
@@ -405,25 +402,21 @@ def verify_lorentz(
     config: ExperimentConfig, p: float = 1.2, sigma: float = np.inf
 ) -> VerificationReport:
     """Empirical quasi-norm of u at the target exponent against the mu norm."""
-    grid, s = config.build_grid(), config.build_kernel().s
-    d = grid.d
     _check_knobs(config, "lorentz", {"p": p, "sigma": sigma})
-    mu = config.build_measure(grid)
-    if mu is None or mu.density is None:
+    if not config.section("measure").get("density"):
         raise ValueError("the Lorentz check needs a density measure")
     exp = run_experiment(config)
-    p_target = target_exponent(d, s, p)
+    grid, traj, dens = exp.grid, exp.traj, exp.mu.density
+    x0, radius = (grid.domain_length / 2.0,) * grid.d, grid.domain_length / 4.0
+    p_target = target_exponent(grid.d, exp.kernel.s, p)
 
-    window = ball_mask(grid, (grid.domain_length / 2.0,) * d, grid.domain_length / 4.0)
-    t_mid = 0.5 * (exp.traj.t_start + exp.traj.t_end)
-    idx = [i for i, t in enumerate(exp.traj.times) if t > t_mid]
-    u_samples = np.concatenate(
-        [exp.traj.snapshots[i].values[window] for i in idx]
-    )
-    span_u = exp.traj.times[idx[-1]] - exp.traj.times[idx[0]] if len(idx) > 1 else 1.0
+    window = ball_mask(grid, x0, radius)
+    t_mid = 0.5 * (traj.t_start + traj.t_end)
+    idx = [i for i, t in enumerate(traj.times) if t > t_mid]
+    u_samples = np.concatenate([traj.snapshots[i].values[window] for i in idx])
+    span_u = traj.times[idx[-1]] - traj.times[idx[0]] if len(idx) > 1 else 1.0
     vol_u = grid.cell_volume * max(span_u / max(len(idx) - 1, 1), 1e-12)
 
-    dens = exp.mu.density
     mu_samples = np.concatenate([v[window] for v in dens.values])
     span_mu = dens.times[-1] - dens.times[0]
     vol_mu = grid.cell_volume * max(span_mu / max(dens.times.size - 1, 1), 1e-12)
@@ -432,11 +425,7 @@ def verify_lorentz(
     mu_norm = lorentz_quasi_norm(mu_samples, vol_mu, p, sigma)
     report = VerificationReport("lorentz-exponent")
     report.ceiling = config.ceiling("lorentz-exponent")
-    report.add(
-        q=p, t0=exp.traj.t_end, x0=(grid.domain_length / 2.0,) * d,
-        radius=grid.domain_length / 4.0,
-        lhs=u_norm, rhs_terms=(mu_norm,),
-    )
+    report.add(q=p, t0=traj.t_end, x0=x0, radius=radius, lhs=u_norm, rhs_terms=(mu_norm,))
     report.extras["target_exponent"] = p_target
     report.extras["sigma"] = sigma
     report.extras["u_quasi_norm"] = u_norm
@@ -451,29 +440,28 @@ def verify_comparison(
     salt: int = 5,
 ) -> VerificationReport:
     """sup-in-time ball mean of u - v against the cylinder measure mass."""
-    base = config.build_measure(config.build_grid())
-    if base is None or base.num_atoms == 0:
+    if not config.section("measure").get("atoms"):
         raise ValueError("the comparison check needs an atomic measure")
     exps = {
         f: run_experiment(config, measure_scale=f, snapshot_stride=1)
         for f in mass_factors
     }
     exp1 = exps[1.0] if 1.0 in exps else next(iter(exps.values()))
-    grid, s, d = exp1.grid, exp1.kernel.s, exp1.grid.d
+    grid, s, d, mu = exp1.grid, exp1.kernel.s, exp1.grid.d, exp1.mu
     ball_vol = _sphere_area(d) / d
     rng = config.rng(salt)
 
     # cylinders biased toward the atoms so the mass term is active
     cylinders = []
     for _ in range(num_cylinders):
-        i = int(rng.integers(0, base.num_atoms))
+        i = int(rng.integers(0, mu.num_atoms))
         r = float(rng.uniform(max(4.0 * grid.spacing, grid.domain_length / 32.0),
                               grid.domain_length / 8.0))
         jitter = rng.uniform(-0.25 * r, 0.25 * r, d)
-        x0 = tuple((base.atom_positions[i] + jitter) % grid.domain_length)
+        x0 = tuple((mu.atom_positions[i] + jitter) % grid.domain_length)
         depth = r ** (2.0 * s)
         t0 = float(
-            np.clip(base.atom_times[i] + 0.5 * depth, exp1.traj.t_start + depth,
+            np.clip(mu.atom_times[i] + 0.5 * depth, exp1.traj.t_start + depth,
                     exp1.traj.t_end)
         )
         cylinders.append(Cylinder(t0, x0, r, s))
@@ -508,11 +496,10 @@ def verify_bmo_slanted(
     c (C1 + C2 |log r|) functional form and the cylinder enlargement
     1 + c0 (C1 + C2 |log r|) recorded; straight for s > 1/2."""
     _check_knobs(config, "bmo", {"c0": c0})
-    grid = config.build_grid()
-    s = config.build_kernel().s
-    b = config.build_drift(grid)
-    if b is None:
+    if config.drift_family in ("none", "sqg"):
         raise ValueError("the BMO check needs an explicit drift")
+    exp = run_experiment(config)
+    grid, s, b = exp.grid, exp.kernel.s, exp.drift
     scales = [r for r in (0.5, 1.0) if grid.spacing < r <= grid.domain_length / 2.0]
     C1, C2 = bmo_seminorm(b, scales or [2.0 * grid.spacing])
     report = VerificationReport("bmo-slanted")
@@ -521,8 +508,6 @@ def verify_bmo_slanted(
     report.extras["C2"] = C2
     critical = abs(s - 0.5) <= 1e-12
     report.extras["mode"] = "BMO, critical slanted" if critical else "BMO, subcritical"
-
-    exp = run_experiment(config)
     placements = _placements(exp, config.rng(salt), num_placements)
     # at s = 1/2 the rows follow b's slant paths, and the paths from x0 = 0
     # of the fit radii come from the same request list

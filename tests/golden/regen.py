@@ -4,8 +4,10 @@
 
 Each case runs one nldd subcommand in-process on a small config and keeps
 one of its outputs, stored in full: a verify campaign's report.csv, an
-.nldd snapshot, or stdout; or a part of one, the fitted quantities of the
-slanted BMO check from report.json, which also holds a timestamp.  Together
+.nldd snapshot, or stdout; or a part of one, the extras of report.json,
+which also holds a timestamp: the fitted quantities of the slanted BMO
+check, and every extra of the excess, Hölder, Lorentz and comparison
+checks.  Together
 the cases cover every check, straight and slanted; no, shear, lacunary and
 SQG drift; atoms and a density.
 meta.json records the numpy version and the SIMD extensions numpy found on
@@ -49,11 +51,22 @@ def _campaign(s, drift, measure, selection, grid=COARSE, params=None, kept="repo
     return "verify", _run(s, grid, **sections), kept
 
 
+def _extras(out: Path) -> dict:
+    """Each check's extras, by inequality id, from report.json."""
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    return {name: check["extras"] for name, check in checks.items()}
+
+
 def bmo_extras(out: Path) -> bytes:
-    """The sizes and path fit of the slanted BMO check, from report.json."""
-    extras = json.loads((out / "report.json").read_text())["checks"]["bmo-slanted"]["extras"]
+    """The sizes and path fit of the slanted BMO check."""
+    extras = _extras(out)["bmo-slanted"]
     kept = {key: extras[key] for key in ("C1", "C2", "path_norms", "path_residual")}
     return (json.dumps(kept, indent=2) + "\n").encode()
+
+
+def all_extras(out: Path) -> bytes:
+    """Every check's extras."""
+    return (json.dumps(_extras(out), indent=2, sort_keys=True) + "\n").encode()
 
 
 # file name -> (subcommand, config, the output kept: a file under --out, a
@@ -65,6 +78,11 @@ CASES = {
     "verify-shear-atom-fine.csv": _campaign(
         0.5, SHEAR, ATOM, ["excess", "holder"], FINE,
         {"excess": {"m_max": 1}, "holder": {"slanted": True}},
+    ),
+    # what the excess, Hölder, Lorentz and comparison checks report beside their rows
+    "verify-shear-atom-density-extras.json": _campaign(
+        0.5, SHEAR, {**ATOM, **DENSITY}, ["excess", "holder", "lorentz", "comparison"], FINE,
+        {"excess": {"m_max": 1}, "holder": {"slanted": True}}, kept=all_extras,
     ),
     # s = 3/4, lacunary drift, an atom and a density: the rows are straight
     "verify-lacunary-atom-density.csv": _campaign(

@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -801,3 +802,14 @@ class TestSnapshotCommand:
         assert "unrecognized magic" in capsys.readouterr().err
         assert main(["snapshot", "roundtrip", str(p), str(tmp_path / "copy.bin")]) == 1
         assert "roundtrip unsupported for magic b'ZZZZ'" in capsys.readouterr().err
+
+    def test_unreadable_or_truncated_file_fails_on_one_line(self, tmp_path, capsys):
+        cut = tmp_path / "cut.nldd"
+        cut.write_bytes(b"NLDT" + struct.pack("<IH", 1 << 16, 1))  # cut in its count word
+        missing = tmp_path / "missing.nldd"
+        for path, message in ((cut, "truncated header"), (missing, "No such file")):
+            for argv in (["info", str(path)], ["roundtrip", str(path), str(tmp_path / "copy")]):
+                assert main(["snapshot", *argv]) == 1
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("nldd snapshot: ") and message in err[0]
+        assert not (tmp_path / "copy").exists()

@@ -92,6 +92,30 @@ class TestCorruption:
             load_field(p)
 
 
+    def test_trajectory_cut_in_its_count_word(self, field, tmp_path):
+        traj = TrajectoryStore(field.grid)
+        traj.append(field)
+        p = tmp_path / "t.nldt"
+        save_trajectory(traj, 0.5, p)
+        p.write_bytes(p.read_bytes()[:10])  # magic, version, half the count
+        with pytest.raises(SnapshotFormatError, match="^truncated header$"):
+            load_trajectory(p)
+
+    @pytest.mark.parametrize("cut", [8, 12, 20, 28], ids=["version", "d", "eta", "y"])
+    def test_kernel_cut_in_its_header(self, field, tmp_path, cut):
+        from nldd.heatkernel import HeatKernelEstimate
+
+        est = HeatKernelEstimate(
+            grid=field.grid, eta=0.125, y=(1.0, 2.5), times=np.array([field.time]),
+            fields=[field], kernel=None,
+        )
+        p = tmp_path / "k.nldk"
+        save_kernel_estimate(est, p)
+        p.write_bytes(p.read_bytes()[:cut])  # cut after the named word
+        with pytest.raises(SnapshotFormatError, match="^truncated header$"):
+            load_kernel_estimate(p)
+
+
 class TestTrajectory:
     def test_roundtrip(self, tmp_path):
         g = make_grid(2, 8, 1.0)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import inspect
+import itertools
 import json
 import re
 
@@ -10,7 +11,7 @@ import pytest
 from nldd import potentials, verify
 from nldd.config import CHECK_PARAMS, INEQUALITY_IDS, ConfigError, ExperimentConfig
 from nldd.evolution import TrajectoryStore
-from nldd.fields import ScalarField, make_grid
+from nldd.fields import ScalarField, ball_mask, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath, cylinder_mass
 from nldd.operators import KernelSpec
 from nldd.potentials import SLANT_STEPS, TailOptions, excess, slant_ode, tail_time_lq
@@ -51,6 +52,17 @@ def density_measure():
             "kind": "uniform", "level": 0.5, "t_start": 0.0, "t_end": 1.0,
         }
     }
+
+
+def spy_solves(monkeypatch) -> list:
+    """The arguments of every solve a check starts, with or without SQG drift."""
+    solves = []
+    for name in ("solve", "solve_sqg"):
+        monkeypatch.setattr(f"nldd.verify.{name}", lambda *a, **k: solves.append(a))
+    return solves
+
+
+ATOM_ONLY = {"atoms": [{"t": 0.4, "x": [4.0, 4.0], "mass": 0.5}]}
 
 
 class TestRunExperiment:
@@ -254,6 +266,14 @@ class TestHolderCheck:
 
 
 class TestBmoSlantedCheck:
+    @pytest.mark.parametrize("family", ["none", "sqg"])
+    def test_needs_an_explicit_drift_before_any_solve(self, family, monkeypatch):
+        solves = spy_solves(monkeypatch)
+        raw = base_raw(drift={"family": family}, measure=ATOM_ONLY)
+        with pytest.raises(ValueError, match="the BMO check needs an explicit drift"):
+            verify_bmo_slanted(ExperimentConfig(raw))
+        assert solves == []
+
     def test_path_missing_the_slab_start_raises(self, monkeypatch):
         # a path that stops at rescaled time -0.5 fails the check instead of
         # dropping its placement
@@ -351,16 +371,11 @@ class TestOneSlantIntegration:
 
 
 class TestLorentzCheck:
-    @staticmethod
-    def spy(monkeypatch):
-        solves = []
-        monkeypatch.setattr("nldd.verify.solve", lambda *a, **k: solves.append(a))
-        return solves
-
     def test_needs_density(self, monkeypatch):
-        solves = self.spy(monkeypatch)
-        with pytest.raises(ValueError, match="density"):
-            verify_lorentz(ExperimentConfig(base_raw()), p=1.2, sigma=np.inf)
+        solves = spy_solves(monkeypatch)
+        for raw in (base_raw(), base_raw(measure=ATOM_ONLY)):
+            with pytest.raises(ValueError, match="the Lorentz check needs a density measure"):
+                verify_lorentz(ExperimentConfig(raw), p=1.2, sigma=np.inf)
         assert solves == []  # rejected before any solve
 
     def test_reports_target_exponent(self):
@@ -371,7 +386,7 @@ class TestLorentzCheck:
         assert rep.rows[0].rhs > 0.0
 
     def test_p_range_guard(self, monkeypatch):
-        solves = self.spy(monkeypatch)
+        solves = spy_solves(monkeypatch)
         cfg = ExperimentConfig(base_raw(measure=density_measure()))
         with pytest.raises(ValueError, match="p must"):
             verify_lorentz(cfg, p=5.0, sigma=2.0)
@@ -379,9 +394,12 @@ class TestLorentzCheck:
 
 
 class TestComparisonCheck:
-    def test_needs_atoms(self):
-        with pytest.raises(ValueError, match="atomic"):
-            verify_comparison(ExperimentConfig(base_raw()))
+    def test_needs_atoms(self, monkeypatch):
+        solves = spy_solves(monkeypatch)
+        for raw in (base_raw(), base_raw(measure=density_measure())):
+            with pytest.raises(ValueError, match="the comparison check needs an atomic measure"):
+                verify_comparison(ExperimentConfig(raw))
+        assert solves == []  # rejected before any solve
 
     def test_linearity_in_the_measure(self):
         raw = base_raw(
@@ -569,9 +587,17 @@ CYLINDER_SITES = {
 WINDOW_SITES = [name for name in CYLINDER_SITES if name != "cylinder_mass"]
 
 
-def _lq_mean_per_snapshot(traj, Q, qs, path):
+def _per_snapshot_balls(traj, Q, path):
+    """The window's times and each snapshot's values in its own ball, one mask
+    per snapshot: the reference for the stacked ``Cylinder.ball_values``."""
+    idx, times, _, _ = Q.window(traj, path)
+    masks = [ball_mask(traj.grid, c, Q.r) for c in Q.centers(times, path)]
+    return times, [traj.snapshots[i].values[m] for i, m in zip(idx, masks)]
+
+
+def _lq_mean_per_snapshot(traj, Q, path, qs=(1.0, 1.5, 2.0, 4.0)):
     """cylinder_lq_mean as one pass per snapshot and q."""
-    times, values = Q.ball_values(traj, path)
+    times, values = _per_snapshot_balls(traj, Q, path)
     span = times[-1] - times[0]
     return np.array([
         (np.trapezoid([(np.abs(v) ** q).mean() for v in values], times) / span) ** (1.0 / q)
@@ -579,19 +605,66 @@ def _lq_mean_per_snapshot(traj, Q, qs, path):
     ])
 
 
+def _oscillation_per_snapshot(traj, Q, path):
+    _, values = _per_snapshot_balls(traj, Q, path)
+    return max(v.max() for v in values) - min(v.min() for v in values)
+
+
+def _excess_interior_per_snapshot(traj, Q, path, q=2.0):
+    times, values = _per_snapshot_balls(traj, Q, path)
+    span = times[-1] - times[0]
+    mean_Q = float(np.trapezoid([v.mean() for v in values], times) / span)
+    osc = np.array([np.abs(v - mean_Q).mean() for v in values])
+    return float((np.trapezoid(osc**q, times) / span) ** (1.0 / q))
+
+
+# each reader of the stacked ball values and its per-snapshot reference
+BALL_VALUE_READERS = {
+    "cylinder_lq_mean": (
+        lambda traj, Q, path: cylinder_lq_mean(traj, Q, (1.0, 1.5, 2.0, 4.0), path),
+        _lq_mean_per_snapshot,
+    ),
+    "holder_oscillation": (_cylinder_oscillation, _oscillation_per_snapshot),
+    "excess_interior": (
+        lambda traj, Q, path: excess(traj, Q.t0, Q.x0, Q.r, 2.0, KERN, OPTS, slant=path).interior,
+        _excess_interior_per_snapshot,
+    ),
+}
+
+
+def _wide_traj(seed):
+    """41 snapshots on [0, 2] whose values spread over eight decades, so that
+    a sum taken in another order moves the last bits of a mean."""
+    g = make_grid(2, 32, 8.0)
+    rng = np.random.default_rng(seed)
+    base, drift = rng.standard_normal((2, *g.shape)) * 10.0 ** rng.uniform(-4, 4, (2, *g.shape))
+    traj = TrajectoryStore(g)
+    for t in np.linspace(0.0, 2.0, 41):
+        traj.append(ScalarField(g, base + t * drift, t))
+    return traj
+
+
 @pytest.mark.parametrize("slanted", [False, True])
-def test_cylinder_lq_mean_matches_per_snapshot_loop(slanted):
-    traj = _random_traj(np.linspace(0.0, 1.0, 21))
-    Q = Cylinder(0.95, (3.3, 4.1), 0.7, 0.5)
-    path = None
-    if slanted:  # every snapshot of the window gets a centre of its own
-        ts = np.linspace(-1.0, 0.0, 9)
-        path = SlantPath(Q.r, ts, np.outer(ts, (0.9, -0.4)), np.tile((0.9, -0.4), (9, 1)), 1.0)
-        assert len(Q.window(traj, path)[2]) == len(Q.window(traj, path)[0]) > 2
-    qs = (1.0, 1.5, 2.0, 4.0)
-    np.testing.assert_array_equal(
-        cylinder_lq_mean(traj, Q, qs, path), _lq_mean_per_snapshot(traj, Q, qs, path)
-    )
+@pytest.mark.parametrize("reader", sorted(BALL_VALUE_READERS))
+def test_stacked_ball_values_match_per_snapshot_balls(reader, slanted):
+    # windows of 15 and 37 rows, with balls of 22 to 27 and 160 to 166
+    # nodes: past the 8 terms and the 128-term blocks of numpy's pairwise sums
+    stacked, reference = BALL_VALUE_READERS[reader]
+    for traj, (Q, rows, nodes) in itertools.product(
+        map(_wide_traj, range(10)),
+        (
+            (Cylinder(0.95, (3.3, 4.1), 0.7, 0.5), 15, 8),
+            (Cylinder(1.95, (3.3, 4.1), 1.8, 0.5), 37, 128),
+        ),
+    ):
+        path = None
+        if slanted:  # every snapshot of the window gets a centre of its own
+            ts = np.linspace(-1.0, 0.0, 9)
+            path = SlantPath(Q.r, ts, np.outer(ts, (0.9, -0.4)), np.tile((0.9, -0.4), (9, 1)), 1.0)
+        times, blocks = Q.ball_values(traj, path)
+        assert times.size == rows and len(blocks) == (rows if slanted else 1)
+        assert min(values.shape[1] for _, values in blocks) > nodes
+        np.testing.assert_array_equal(stacked(traj, Q, path), reference(traj, Q, path))
 
 
 class TestCylinderGeometry:
