@@ -260,6 +260,8 @@ def lacunary_drift(grid: GridSpec, coefficients) -> VectorField:
 @dataclass
 class ExperimentConfig:
     raw: dict = field(default_factory=dict)
+    # verify.run_experiment's solves of this config, one per distinct problem
+    solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def seed(self) -> int:

@@ -25,7 +25,6 @@ from nldd.potentials import TailOptions, riesz_potential, tail
 from nldd.snapshots import load_field, save_field
 from nldd.verify import (
     run_campaign,
-    run_experiment,
     verify_bmo_slanted,
     verify_comparison,
     verify_excess_decay,
@@ -185,20 +184,14 @@ def test_05_pointwise_potential_bound(report):
         raw = random_raw(measure=measure)
         if drift:
             raw["drift"] = drift
-        cfg = ExperimentConfig(raw)
-        r1 = verify_potential_estimate(
-            cfg, exp=run_experiment(cfg), num_placements=10
-        )
+        r1 = verify_potential_estimate(ExperimentConfig(raw), num_placements=10)
         raw2 = random_raw(
             initial={"kind": "random", "amplitude": 2.0, "decay": 2.5},
             measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]},
         )
         if drift:
             raw2["drift"] = drift
-        cfg2 = ExperimentConfig(raw2)
-        r2 = verify_potential_estimate(
-            cfg2, exp=run_experiment(cfg2), num_placements=10
-        )
+        r2 = verify_potential_estimate(ExperimentConfig(raw2), num_placements=10)
         homog = max(homog, abs(r2.fitted_constant / r1.fitted_constant - 1.0))
     ok = worst <= CEILING and homog <= 1e-10
     report(

@@ -88,3 +88,19 @@ def test_text_comparison_allows_only_the_last_printed_digit():
     for got in ("a,0.123456789014,x", "b,0.123456789012,x", "a,0.123456789012"):
         with pytest.raises(AssertionError):
             _assert_text_close(got, "a,0.123456789012,x")
+
+
+def test_extras_campaign_solves_each_problem_once(monkeypatch, tmp_path):
+    # excess (measure scales 0 and 1), Hölder (0), Lorentz (1) and comparison
+    # (1/2, 1 and 2 at stride 1, which the config already has): 4 problems
+    from nldd import evolution
+
+    scales, real = [], evolution._run
+
+    def counted(u0, b, mu, config):
+        scales.append(float(np.abs(mu.atom_masses).sum()))
+        return real(u0, b, mu, config)
+
+    monkeypatch.setattr(evolution, "_run", counted)
+    regen.run_case("verify-shear-atom-density-extras.json", tmp_path)
+    assert sorted(scales) == [0.0, 0.25, 0.5, 1.0]

@@ -72,3 +72,38 @@ def test_blas_products_are_found(tmp_path):
         "m:5 matmul", "m:5 tensordot", "m:5 vecdot",
         "m:6 norm",
     ])
+
+
+SOLVERS = {"solve", "solve_sqg"}
+
+
+def solver_users(path: Path = SRC / "verify.py") -> list[str]:
+    """The top-level definitions of ``path`` (or the line of a top-level
+    statement) that name ``solve`` or ``solve_sqg``, by a call or otherwise."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in SOLVERS:
+                found.add(getattr(top, "name", f"line {top.lineno}"))
+    return sorted(found)
+
+
+def test_every_check_solves_through_run_experiment():
+    # run_experiment solves each distinct problem of a config once, so a
+    # check that reached a solver another way would solve it again
+    assert solver_users() == ["run_experiment"]
+
+
+def test_solver_users_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from nldd.evolution import solve, solve_sqg\n"
+        "from nldd import evolution\n"
+        "def a(u):\n    return solve(u, None, None, c)\n"
+        "class B:\n    def f(self):\n        return evolution.solve_sqg\n"
+        "C = {'x': lambda u: solve_sqg(u, None, c)}\n"
+        "def d(u):\n    return u\n"
+    )
+    assert solver_users(tmp_path / "m.py") == ["B", "a", "line 8"]

@@ -15,7 +15,7 @@ from nldd.fields import ScalarField, ball_mask, make_grid
 from nldd.measures import Cylinder, DensityTrack, MeasureData, SlantPath, cylinder_mass
 from nldd.operators import KernelSpec
 from nldd.potentials import SLANT_STEPS, TailOptions, excess, slant_ode, tail_time_lq
-from nldd.reports import write_csv
+from nldd.reports import VerificationReport, write_csv
 from nldd.verify import (
     _cylinder_oscillation,
     _placements,
@@ -60,6 +60,21 @@ def spy_solves(monkeypatch) -> list:
     for name in ("solve", "solve_sqg"):
         monkeypatch.setattr(f"nldd.verify.{name}", lambda *a, **k: solves.append(a))
     return solves
+
+
+def spy_runs(monkeypatch) -> list:
+    """The solver settings of every solve evolution._run makes; each solve
+    still runs."""
+    from nldd import evolution
+
+    runs, real = [], evolution._run
+
+    def counted(u0, b, mu, config):
+        runs.append(config)
+        return real(u0, b, mu, config)
+
+    monkeypatch.setattr(evolution, "_run", counted)
+    return runs
 
 
 ATOM_ONLY = {"atoms": [{"t": 0.4, "x": [4.0, 4.0], "mass": 0.5}]}
@@ -110,6 +125,48 @@ class TestRunExperiment:
         )
 
 
+class TestSharedSolves:
+    """run_experiment solves each distinct problem of a config object once."""
+
+    def test_excess_calls_on_one_config_share_one_solve(self, monkeypatch):
+        raw = base_raw(
+            grid={"d": 2, "n": 64, "domain_length": 8.0}, solver={"dt": 0.02, "t_end": 1.2}
+        )
+        runs = spy_runs(monkeypatch)
+        cfg = ExperimentConfig(raw)
+        reports = [verify_excess_decay(cfg, m_max=1, salt=salt) for salt in range(8)]
+        assert len(runs) == 1
+        # the shared solve gives what a fresh config's own solve gives
+        fresh = verify_excess_decay(ExperimentConfig(raw), m_max=1, salt=7)
+        assert len(runs) == 2 and fresh.extras == reports[-1].extras
+
+    def test_a_new_seed_is_a_new_problem(self, monkeypatch):
+        # without a measure, every measure scale is the same problem
+        runs = spy_runs(monkeypatch)
+        cfg = ExperimentConfig(base_raw())
+        first = run_experiment(cfg)
+        assert run_experiment(cfg, measure_scale=0.0) is first and len(runs) == 1
+        cfg.raw["seed"] = 8
+        second = run_experiment(cfg)
+        assert len(runs) == 2
+        assert not np.array_equal(first.traj.snapshots[0].values, second.traj.snapshots[0].values)
+
+    @pytest.mark.parametrize("stride, solves", [(1, 1), (2, 2)])
+    def test_comparison_stride_override_shares_only_an_equal_solve(
+        self, monkeypatch, stride, solves
+    ):
+        # the comparison check solves at snapshot stride 1: the same problem
+        # as the config's own solve only when the config's stride is 1
+        runs = spy_runs(monkeypatch)
+        cfg = ExperimentConfig(base_raw(
+            measure=ATOM_ONLY, solver={"dt": 4e-3, "t_end": 1.0, "snapshot_stride": stride}
+        ))
+        verify_potential_estimate(cfg, num_placements=2)
+        verify_comparison(cfg, num_cylinders=1, mass_factors=(1.0,))
+        assert len(runs) == solves
+        assert [run.snapshot_stride for run in runs] == [stride, 1][:solves]
+
+
 class TestPotentialCheck:
     def test_rows_and_finiteness(self):
         cfg = ExperimentConfig(base_raw())
@@ -122,11 +179,11 @@ class TestPotentialCheck:
 
     def test_fitted_constant_scale_invariant(self):
         # the estimate is linear: rescaling the data cannot change the fit
-        cfg = ExperimentConfig(base_raw())
-        exp1 = run_experiment(cfg)
-        exp2 = run_experiment(ExperimentConfig(base_raw(initial=dict(RANDOM, amplitude=2.0))))
-        r1 = verify_potential_estimate(cfg, exp=exp1, num_placements=4)
-        r2 = verify_potential_estimate(cfg, exp=exp2, num_placements=4)
+        # (both configs share the seed, so they draw the same placements)
+        cfg1 = ExperimentConfig(base_raw())
+        cfg2 = ExperimentConfig(base_raw(initial=dict(RANDOM, amplitude=2.0)))
+        r1 = verify_potential_estimate(cfg1, num_placements=4)
+        r2 = verify_potential_estimate(cfg2, num_placements=4)
         assert r2.fitted_constant == pytest.approx(r1.fitted_constant, rel=1e-10)
 
     def test_rows_per_placement_in_q_order(self):
@@ -152,7 +209,8 @@ class TestPotentialCheck:
             if len(thin.window(Cylinder(t0, (0.0, 0.0), R, 0.5).t_start, t0)) >= 2
         ]
         assert 0 < len(resolved) < len(placements)
-        rep = verify_potential_estimate(cfg, exp=exp, num_placements=6)
+        rep = VerificationReport("potential-estimate")
+        verify._potential_rows(rep, exp, (2.0,), placements)
         assert sorted({(r.t0, r.radius) for r in rep.rows}) == sorted(resolved)
 
     def test_q_at_most_one_rejected(self):
