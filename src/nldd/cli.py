@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .config import ConfigError, grid_point, load_config
 from .fields import ScalarField, l2_norm
-from .heatkernel import estimate_kernel, kernel_sanity
+from .heatkernel import estimate_kernel, kernel_sanity, upper_bound_check
 from .potentials import TailOptions, riesz_potential, tail
 from .snapshots import (
     SnapshotFormatError,
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("solve", help="run one evolution"))
     add_common(sub.add_parser("sqg", help="run the self-coupled critical mode"))
     add_common(sub.add_parser("potential", help="evaluate tail and potential at a point"))
-    add_common(sub.add_parser("heatkernel", help="estimate a heat kernel and sanity-check it"))
+    add_common(sub.add_parser("heatkernel", help="estimate a heat kernel, check it, fit its upper bound"))
 
     pv = sub.add_parser("verify", help="run the verification campaign")
     add_common(pv, out_default="reports")
@@ -150,6 +150,8 @@ def _cmd_heatkernel(args) -> int:
         f"semigroup L1 error: {ex['semigroup_l1_error']:.3e} "
         f"({'ok' if ex['semigroup_ok'] else 'FAILED'})"
     )
+    bound = upper_bound_check(est, T=est.times[-1])
+    print(f"upper-bound fitted constant: {bound.fitted_constant:.6g}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_kernel_estimate(est, os.path.join(args.out, "kernel.nldd"))

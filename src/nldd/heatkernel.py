@@ -7,10 +7,8 @@ extrapolation of the two widths' solves.  With three or more times the
 semigroup check's terms ride in the same step loop: g_{h/2} as a second
 member of the stack, and from the middle time the composition through it as
 a third, so ``kernel_sanity`` takes no solver step.  ``check_estimate`` is
-the one home of the rules for an estimate's inputs.  The free kernel (no
-drift) has a closed form at s = 1/2 and is otherwise recovered by radial
-Fourier inversion, the one place here that imports scipy; both serve as
-oracles for the estimated kernel.
+the one home of the rules for an estimate's inputs.  ``upper_bound_check``
+fits the constant of the pointwise upper bound over an estimate's times.
 """
 
 from __future__ import annotations
@@ -32,25 +30,20 @@ from .fields import (
     inverse_half,
     wavevectors,
 )
-from .operators import KernelSpec, QuadratureError
+from .operators import KernelSpec
 from .reports import VerificationReport
 
 __all__ = [
     "HeatKernelEstimate",
     "check_estimate",
     "estimate_kernel",
-    "exact_free_kernel",
-    "periodized_free_kernel",
     "kernel_sanity",
     "upper_bound_check",
-    "gluing_check",
 ]
 
 SANITY_MASS_TOL = 1e-4  # |mass - 1| allowed at every evaluation time
 SANITY_SEMIGROUP_TOL = 0.02  # relative L1 error of the Chapman-Kolmogorov composition
 SEMIGROUP_Z_STRIDE = 2  # intermediate sources on every 2nd grid point per axis
-PERIODIC_IMAGES = 4  # periodized_free_kernel sums the images within 4 periods
-GLUING_SLACK = 1e-8  # p - p_rho below this is roundoff, not a gluing constant
 
 
 @dataclass
@@ -190,91 +183,6 @@ def estimate_kernel(
     )
 
 
-def exact_free_kernel(kernel: KernelSpec, d: int, t: float, r) -> np.ndarray | float:
-    """Free (b = 0) kernel on R^d at time t and radius r.
-
-    Closed form at s = 1/2; radial Fourier inversion of exp(-t |k|^(2s))
-    otherwise, with target relative error 1e-6.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    s = kernel.s
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if abs(s - 0.5) < 1e-14:
-        if d == 2:
-            vals = (1.0 / (2.0 * np.pi)) * t / (t**2 + r**2) ** 1.5
-        elif d == 3:
-            vals = (1.0 / np.pi**2) * t / (t**2 + r**2) ** 2
-        else:
-            raise ValueError("unsupported dimension")
-        return float(vals[0]) if scalar else vals
-    from scipy import integrate, special
-
-    kmax = (45.0 / t) ** (1.0 / (2.0 * s))
-    vals = np.empty(r.size)
-    for i, ri in enumerate(r):
-        if d == 2:
-            f = lambda k: np.exp(-t * k ** (2.0 * s)) * special.j0(k * ri) * k
-            pref = 1.0 / (2.0 * np.pi)
-        elif d == 3:
-            if ri == 0:
-                f = lambda k: np.exp(-t * k ** (2.0 * s)) * k**2
-            else:
-                f = lambda k: np.exp(-t * k ** (2.0 * s)) * np.sin(k * ri) / (k * ri) * k**2
-            pref = 1.0 / (2.0 * np.pi**2)
-        else:
-            raise ValueError("unsupported dimension")
-        val, err = integrate.quad(f, 0.0, kmax, limit=800)
-        # accept absolute errors far below the on-diagonal scale
-        scale = t ** (-d / (2.0 * s))
-        if err > max(1e-6 * abs(val), 1e-7 * scale):
-            raise QuadratureError(
-                f"free kernel inversion did not converge at r = {ri}: err {err:.2e}"
-            )
-        vals[i] = pref * val
-    return float(vals[0]) if scalar else vals
-
-
-def _tail_amplitude(kernel: KernelSpec, d: int) -> float:
-    """A in the far-field asymptote p(t, r) ~ A t r^(-d-2s), fitted at t = 1."""
-    r_ref = 30.0
-    val = float(exact_free_kernel(kernel, d, 1.0, r_ref))
-    return val * r_ref ** (d + 2.0 * kernel.s)
-
-
-def periodized_free_kernel(
-    kernel: KernelSpec, grid: GridSpec, t: float, displacement: np.ndarray
-) -> np.ndarray:
-    """Free kernel summed over periodic images; oracle for torus solves.
-
-    The lattice sum converges only algebraically, so the images outside the
-    covered block are replaced by the integral of the power-law far-field
-    asymptote over the complement (an equal-volume disk/ball approximation).
-    """
-    disp = np.asarray(displacement, dtype=float)
-    L = grid.domain_length
-    disp = disp - L * np.round(disp / L)
-    d = grid.d
-    s = kernel.s
-    total = np.zeros(disp.shape[:-1])
-    shifts = np.arange(-PERIODIC_IMAGES, PERIODIC_IMAGES + 1)
-    for off in np.stack(np.meshgrid(*([shifts] * d), indexing="ij"), axis=-1).reshape(-1, d):
-        rr = np.sqrt(((disp + off * L) ** 2).sum(axis=-1))
-        total += exact_free_kernel(kernel, d, t, rr.ravel()).reshape(rr.shape)
-    side = (2 * PERIODIC_IMAGES + 1) * L
-    if d == 2:
-        r_cut = side / np.sqrt(np.pi)
-        surface = 2.0 * np.pi
-    else:
-        r_cut = side * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
-        surface = 4.0 * np.pi
-    amp = _tail_amplitude(kernel, d)
-    total += amp * t / L**d * surface * r_cut ** (-2.0 * s) / (2.0 * s)
-    return total
-
-
 def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
     """Mass, on-diagonal decay, and Chapman-Kolmogorov composition checks."""
     if est.semigroup is None:
@@ -345,46 +253,4 @@ def upper_bound_check(est: HeatKernelEstimate, T: float) -> VerificationReport:
             lhs=cmax, rhs_terms=(1.0, 0.0, 0.0),
         )
     report.extras["fitted_per_time"] = per_time
-    return report
-
-
-def gluing_check(
-    b, rho_list, eta: float, y, t: float, config: SolverConfig, grid: GridSpec
-) -> VerificationReport:
-    """Fit the smallest constants in both truncated-vs-full kernel bounds of
-    order s = config.kernel.s.
-
-    First bound: p <= p_rho + c (t-eta) rho^(-d-2s).  Second bound:
-    p_rho <= exp(C (t-eta) rho^(-2s)) p.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d, s = grid.d, config.kernel.s
-    gap = t - eta
-    times = np.array([t])
-    full = estimate_kernel(b, eta, y, times, replace(config, kernel=KernelSpec(s)), grid)
-    p = full.fields[0].values
-    report = VerificationReport("gluing-lemma")
-    fits_c, fits_C = [], []
-    agreement = {}
-    for rho in rho_list:
-        if rho > grid.domain_length / 4.0 + 1e-12:
-            raise ValueError("truncation radius must be at most L/4")
-        truncated = replace(config, kernel=KernelSpec(s, rho))
-        p_rho = estimate_kernel(b, eta, y, times, truncated, grid).fields[0].values
-        diff = p - p_rho - GLUING_SLACK
-        c_fit = float(max(diff.max(), 0.0) * rho ** (d + 2.0 * s) / gap)
-        mask = p > 1e-6 * p.max()
-        log_ratio = np.log(np.maximum(p_rho[mask], 1e-300) / p[mask])
-        C_fit = float(max(log_ratio.max(), 0.0) * rho ** (2.0 * s) / gap)
-        fits_c.append(c_fit)
-        fits_C.append(C_fit)
-        agreement[rho] = float(np.abs(p - p_rho).max() / p.max())
-        report.add(
-            q=0.0, t0=t, x0=tuple(y), radius=rho,
-            lhs=float(p.max()),
-            rhs_terms=(float(p_rho.max()), c_fit * gap * rho ** (-d - 2.0 * s), 0.0),
-        )
-    report.extras["fitted_c"] = fits_c
-    report.extras["fitted_C"] = fits_C
-    report.extras["max_rel_difference"] = agreement
     return report

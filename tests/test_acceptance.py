@@ -8,16 +8,12 @@ pytest's output capture.
 import numpy as np
 import pytest
 import yaml
+from heat_oracles import gluing_check, periodized_free_kernel
 
 from nldd.config import ExperimentConfig
 from nldd.evolution import SolverConfig, solve
 from nldd.fields import ScalarField, grid_coordinates, make_grid
-from nldd.heatkernel import (
-    estimate_kernel,
-    gluing_check,
-    periodized_free_kernel,
-    upper_bound_check,
-)
+from nldd.heatkernel import estimate_kernel, upper_bound_check
 from nldd.lorentz import target_exponent
 from nldd.measures import MeasureData
 from nldd.operators import KernelSpec

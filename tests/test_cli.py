@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 import yaml
 
+from nldd import heatkernel
 from nldd.cli import main
 from nldd.config import ConfigError, ExperimentConfig, load_config
+from nldd.heatkernel import upper_bound_check
+from nldd.snapshots import load_kernel_estimate
 from nldd.verify import run_experiment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,6 +129,25 @@ class TestHeatKernel:
         dst = tmp_path / "copy.nldd"
         assert main(["snapshot", "roundtrip", str(out / "kernel.nldd"), str(dst)]) == 0
         assert dst.read_bytes() == (out / "kernel.nldd").read_bytes()
+
+    def test_prints_the_upper_bound_of_the_written_estimate(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw()),
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        est = load_kernel_estimate(out / "kernel.nldd")
+        bound = upper_bound_check(est, T=est.times[-1])
+        assert len(bound.rows) == 3
+        assert f"upper-bound fitted constant: {bound.fitted_constant:.6g}" in printed
+
+    def test_the_exit_code_reads_the_sanity_checks_alone(self, tmp_path, capsys, monkeypatch):
+        # a semigroup check that fails exits 1; the upper bound is printed
+        # and decides nothing
+        monkeypatch.setattr(heatkernel, "SANITY_SEMIGROUP_TOL", 0.0)
+        assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw())]) == 1
+        printed = capsys.readouterr().out
+        assert "(FAILED)" in printed
+        assert "upper-bound fitted constant: " in printed
 
     def test_the_section_the_error_cases_start_from_runs(self, tmp_path, capsys):
         assert main(["heatkernel", "--config", write_cfg(tmp_path, heatkernel_raw())]) == 0

@@ -2,6 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from heat_oracles import (
+    exact_free_kernel,
+    free_kernel_by_panels,
+    free_kernel_by_quad,
+    gluing_check,
+    periodized_free_kernel,
+)
 
 from nldd.config import ExperimentConfig, shear_drift
 from nldd.evolution import CFLError, SolverConfig, _Stepper
@@ -11,10 +18,7 @@ from nldd.heatkernel import (
     _gaussian_spectral,
     _solve_recording,
     estimate_kernel,
-    exact_free_kernel,
-    gluing_check,
     kernel_sanity,
-    periodized_free_kernel,
     upper_bound_check,
 )
 from nldd.operators import KernelSpec
@@ -76,6 +80,19 @@ class TestExactFreeKernel:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             exact_free_kernel(KernelSpec(s=0.5), 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_panel_rule_matches_adaptive_quadrature(self, d, s):
+        # the shared Gauss-Legendre rule against the per-radius quad loop, to
+        # 1e-8 of the on-diagonal scale; past t = 1 at s = 1/4 the quad
+        # loop's own error nears that share of the scale t^(-4)
+        kern = KernelSpec(s=s)
+        radii = np.array([0.0, 0.3, 1.0, 2.5])
+        for t in (0.5, 1.0):
+            got = free_kernel_by_panels(kern, d, t, radii)
+            want = free_kernel_by_quad(kern, d, t, radii)
+            assert np.abs(got - want).max() <= 1e-8 * t ** (-d / (2 * s))
 
 
 class TestEstimate:

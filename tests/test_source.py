@@ -107,3 +107,39 @@ def test_solver_users_are_found(tmp_path):
         "def d(u):\n    return u\n"
     )
     assert solver_users(tmp_path / "m.py") == ["B", "a", "line 8"]
+
+
+def scipy_importers(src: Path = SRC) -> list[str]:
+    """``module:line`` of every ``import scipy...`` and ``from scipy...``
+    in ``src``, at any depth."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_operators_imports_scipy():
+    # the truncated kernel's constant and multiplier table; the free-kernel
+    # oracles live in the tests
+    assert {found.partition(":")[0] for found in scipy_importers()} == {"operators"}
+
+
+def test_scipy_importers_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import scipy\n"
+        "import numpy, scipy.special as sp\n"
+        "from scipy import integrate\n"
+        "def f():\n    from scipy.special import j0\n"
+        "import scipyx\n"
+        "from .scipy import g\n"
+        "from numpy import scipy\n"
+    )
+    assert scipy_importers(tmp_path) == ["m:1", "m:2", "m:3", "m:5"]
