@@ -16,7 +16,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .config import ConfigError, grid_point, load_config
+from .config import HEATKERNEL_FIELDS, ConfigError, config_fields, grid_point, load_config
 from .fields import ScalarField, l2_norm
 from .heatkernel import estimate_kernel, kernel_sanity, upper_bound_check
 from .potentials import TailOptions, riesz_potential, tail
@@ -138,8 +138,9 @@ def _cmd_heatkernel(args) -> int:
     grid = config.build_grid()
     kernel = config.build_kernel()
     b = config.build_drift(grid)
-    eta, y, times, solver = config.build_heatkernel(grid, kernel, b)
-    est = estimate_kernel(b, eta, y, times, solver, grid)
+    eta, y, times, solver = config.build_heatkernel(grid, kernel)
+    with config_fields(**HEATKERNEL_FIELDS):
+        est = estimate_kernel(b, eta, y, times, solver, grid)
     for i, t in enumerate(est.times):
         print(f"t = {t:.6g}: mass = {est.mass(i):.8g}, max = {est.fields[i].values.max():.6g}")
     report = kernel_sanity(est)

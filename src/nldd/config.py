@@ -61,12 +61,12 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .evolution import CFLError, SolverConfig, check_cfl, check_solve
+from .evolution import SolverConfig
 from .fields import (
     GridSpec,
     ParameterError,
@@ -77,7 +77,6 @@ from .fields import (
     make_grid,
     wavenumber_magnitude,
 )
-from .heatkernel import check_estimate
 from .measures import DensityTrack, MeasureData
 from .operators import KernelSpec
 
@@ -88,8 +87,9 @@ __all__ = [
     "read_yaml_file",
     "lacunary_drift",
     "shear_drift",
-    "check_drift_step",
-    "check_solver",
+    "config_fields",
+    "SOLVE_FIELDS",
+    "HEATKERNEL_FIELDS",
     "grid_point",
 ]
 
@@ -163,7 +163,7 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _fields(**paths: str):
+def config_fields(**paths: str):
     """Raise a ParameterError from the block as a ConfigError at the config
     field that sets the parameter it names."""
     try:
@@ -172,6 +172,16 @@ def _fields(**paths: str):
         if exc.parameter not in paths:
             raise
         raise ConfigError(paths[exc.parameter], str(exc)) from None
+
+
+# the config field that sets each parameter a solve (evolution.solve and
+# solve_sqg) or a heat-kernel estimate (heatkernel.estimate_kernel) names
+SOLVE_FIELDS = dict(
+    dt="solver.dt", t_end="solver.t_end", h_moll="solver.h_moll", drift_mode="drift.family"
+)
+HEATKERNEL_FIELDS = dict(
+    dt="solver.dt", times="heatkernel.times", h_moll="heatkernel.h_moll", drift_mode="drift.family"
+)
 
 
 def _read(value, path: str, kind):
@@ -279,14 +289,14 @@ class ExperimentConfig:
 
     def build_grid(self) -> GridSpec:
         sec = self.section("grid")
-        with _fields(d="grid.d", n="grid.n", domain_length="grid.domain_length"):
+        with config_fields(d="grid.d", n="grid.n", domain_length="grid.domain_length"):
             return make_grid(
                 d=sec.get("d", 2), n=sec.get("n", 64),
                 domain_length=sec.get("domain_length", 2.0 * np.pi),
             )
 
     def build_kernel(self) -> KernelSpec:
-        with _fields(s="kernel.s"):
+        with config_fields(s="kernel.s"):
             return KernelSpec(s=self.section("kernel").get("s", 0.5))
 
     @property
@@ -395,19 +405,18 @@ class ExperimentConfig:
         mode = fam if fam in ("none", "sqg") else "given"
         read = {"dt": 1e-3, "t_end": 1.0, "h_moll": 2.0 * self.build_grid().spacing, **sec}
         read = {key: value for key, value in read.items() if key not in overrides}
-        with _fields(**{key: f"solver.{key}" for key in read}):
+        with config_fields(**{key: f"solver.{key}" for key in read}):
             return SolverConfig(kernel=kernel, drift_mode=mode, **read, **overrides)
 
     def build_heatkernel(
-        self, grid: GridSpec, kernel: KernelSpec, b: VectorField | None
+        self, grid: GridSpec, kernel: KernelSpec
     ) -> tuple[float, np.ndarray, np.ndarray, SolverConfig]:
         """The heatkernel section's source time eta, source point y, sorted
-        record times and solver settings, checked before any solve: the
-        section's shape here, b (the config's drift) against the CFL bound at
-        solver.dt, and the rules of an estimate's inputs by
-        heatkernel.check_estimate.  The solve runs from eta to the last time,
-        so solver.t_end is not read; the Dirac width is heatkernel.h_moll, so
-        a solver.h_moll is refused."""
+        record times and solver settings.  Only the section's own shape is
+        checked here; estimate_kernel checks the rules of an estimate's
+        inputs, mapped by HEATKERNEL_FIELDS.  The solve runs from eta to the
+        last time, so solver.t_end is not read; the Dirac width is
+        heatkernel.h_moll, so a solver.h_moll is refused."""
         if "h_moll" in self.section("solver"):
             raise ConfigError(
                 "solver.h_moll",
@@ -425,13 +434,7 @@ class ExperimentConfig:
                 "heatkernel.times",
                 f"needs a list of 3 or more times for the semigroup check, got {times!r}",
             )
-        times = np.sort(np.asarray(times, dtype=float))
-        check_drift_step(b, grid, solver)
-        with _fields(
-            times="heatkernel.times", h_moll="heatkernel.h_moll", drift_mode="drift.family"
-        ):
-            check_estimate(grid, solver, eta, times)
-        return eta, y, times, solver
+        return eta, y, np.sort(np.asarray(times, dtype=float)), solver
 
     @property
     def selection(self) -> list[str]:
@@ -460,32 +463,9 @@ def _default_times(eta: float, solver: SolverConfig) -> list[float]:
     reach max(0.5, 4 h_moll^(2s)): 0.5 itself when it is whole steps and the
     mollified Dirac needs no wider first gap."""
     gap = max(0.5, 4.0 * solver.h_moll ** (2.0 * solver.kernel.s))
-    if replace(solver, t_end=gap).num_steps is None:
+    if solver.steps_to(gap) is None:
         gap = math.ceil(gap / solver.dt) * solver.dt
     return [eta + gap, eta + 2.0 * gap, eta + 4.0 * gap]
-
-
-def check_drift_step(b: VectorField | None, grid: GridSpec, solver: SolverConfig) -> None:
-    """Raise ConfigError('solver.dt', ...) when solver.dt breaks the advective
-    CFL bound of the fixed drift b, which is known before any step."""
-    if b is None:
-        return
-    bmax = b.max_norm()
-    try:
-        check_cfl(grid, solver.dt, bmax)
-    except CFLError as exc:
-        raise ConfigError(
-            "solver.dt",
-            f"dt = {solver.dt} violates the advective CFL of the drift, max|b| = {bmax:.6g}; "
-            f"admissible dt <= {exc.admissible:.3e}",
-        ) from None
-
-
-def check_solver(grid: GridSpec, solver: SolverConfig, mu: MeasureData | None = None) -> None:
-    """evolution.check_solve, raised as a ConfigError at the config field
-    that sets the offending value."""
-    with _fields(t_end="solver.t_end", h_moll="solver.h_moll", drift_mode="drift.family"):
-        check_solve(grid, solver, mu)
 
 
 # libyaml's parser with the safe constructor when PyYAML was built with it:

@@ -83,12 +83,14 @@ __all__ = [
 ]
 
 
-class CFLError(RuntimeError):
-    """Advective CFL violation; carries the admissible step size."""
+class CFLError(ParameterError):
+    """A step dt past the drift's advective CFL bound; carries the admissible dt."""
 
-    def __init__(self, dt: float, admissible: float):
+    def __init__(self, dt: float, bmax: float, admissible: float):
         super().__init__(
-            f"time step {dt:.3e} violates the advective CFL; admissible dt <= {admissible:.3e}"
+            "dt",
+            f"dt = {dt} violates the advective CFL of the drift, max|b| = {bmax:.6g}; "
+            f"admissible dt <= {admissible:.3e}",
         )
         self.admissible = admissible
 
@@ -98,7 +100,7 @@ def check_cfl(grid: GridSpec, dt: float, bmax: float) -> None:
     0.5 * spacing / max|b| of a drift with max norm bmax."""
     admissible = 0.5 * grid.spacing / max(bmax, 1e-12)
     if dt > admissible * (1.0 + 1e-12):
-        raise CFLError(dt, admissible)
+        raise CFLError(dt, bmax, admissible)
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,16 @@ class SolverConfig:
                 "snapshot_stride", f"snapshot stride must be >= 1, got {self.snapshot_stride}"
             )
 
+    def steps_to(self, span: float) -> int | None:
+        """Steps of dt that make up span, or None when span is not a whole
+        number of them (to 1e-9 relative)."""
+        steps = int(round(span / self.dt))
+        return steps if abs(steps * self.dt - span) <= 1e-9 * span else None
+
     @property
     def num_steps(self) -> int | None:
-        """Steps of dt to t_end, or None when t_end is not a whole number of
-        them (to 1e-9 relative)."""
-        steps = int(round(self.t_end / self.dt))
-        return steps if abs(steps * self.dt - self.t_end) <= 1e-9 * self.t_end else None
+        """Steps of dt to t_end (``steps_to``)."""
+        return self.steps_to(self.t_end)
 
 
 @dataclass

@@ -14,7 +14,7 @@ fits the constant of the pointwise upper bound over an estimate's times.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +144,7 @@ def check_estimate(grid: GridSpec, config: SolverConfig, eta: float, times: np.n
             f"h_moll = {h:.4g} needs a gap of at least 4 h_moll^(2s) = {min_gap:.4g}",
         )
     for t in times:
-        if replace(config, t_end=float(t - eta)).num_steps is None:
+        if config.steps_to(float(t - eta)) is None:
             raise ParameterError(
                 "times",
                 f"time {t:g} is not a whole number of steps of dt = {config.dt} after eta = {eta}",

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    SOLVE_FIELDS,
     ConfigError,
     ExperimentConfig,
-    check_drift_step,
-    check_solver,
+    config_fields,
     load_config,
     read_yaml_file,
 )
@@ -88,7 +88,8 @@ def run_experiment(
     """Solve the config's problem, with its measure scaled by ``measure_scale``
     (0 gives the homogeneous run, which steps with no forcing), once per config
     object: a problem is the config's content (seed included), ``measure_scale``
-    and the built SolverConfig, and ``config.solves`` keeps each solve."""
+    and the built SolverConfig, and ``config.solves`` keeps each solve.  The
+    solve's refusal of an input is a ConfigError at its field in SOLVE_FIELDS."""
     grid = config.build_grid()
     kernel = config.build_kernel()
     mu = config.build_measure(grid)
@@ -98,14 +99,13 @@ def run_experiment(
     if key not in config.solves:
         if mu is not None and measure_scale != 1.0:
             mu = mu.scaled(measure_scale)
-        check_solver(grid, solver, mu)
         u0 = config.build_initial(grid)
         b = config.build_drift(grid)
-        check_drift_step(b, grid, solver)
-        if config.drift_family == "sqg":
-            traj = solve_sqg(u0, mu, solver)
-        else:
-            traj = solve(u0, b, mu, solver)
+        with config_fields(**SOLVE_FIELDS):
+            if config.drift_family == "sqg":
+                traj = solve_sqg(u0, mu, solver)
+            else:
+                traj = solve(u0, b, mu, solver)
         config.solves[key] = Experiment(grid, kernel, solver, mu, b, traj)
     return config.solves[key]
 
@@ -144,34 +144,48 @@ def _cylinder_oscillation(
     return max(v.max() for _, v in blocks) - min(v.min() for _, v in blocks)
 
 
-def _knob_error(config: ExperimentConfig, check: str, knob: str, value) -> str | None:
+def _knob_error(config: ExperimentConfig, check: str, name: str, value) -> str | None:
     """Why ``value`` lies outside the range of the knob verification.params
-    .<check>.<knob>, or None when it lies inside."""
-    if (check, knob) == ("excess", "m_max") and value < 1:
+    .<check>.<name>, or, for a field of CHECK_NEEDS (value True), why the
+    config lacks what the check needs; None when neither holds."""
+    if (check, name) == ("excess", "m_max") and value < 1:
         return f"m_max must be at least 1, got {value}"
-    if (check, knob) == ("lorentz", "p"):
+    if (check, name) == ("lorentz", "p"):
         d, s = config.build_grid().d, config.build_kernel().s
         p_max = (d + 2.0 * s) / (2.0 * s)
         if not 1.0 < value < p_max:
             return f"p must lie in (1, (d+2s)/(2s)) = (1, {p_max:g}), got {value}"
-    if (check, knob) == ("lorentz", "sigma") and not value > 0.0:
+    if (check, name) == ("lorentz", "sigma") and not value > 0.0:
         return f"sigma must be positive, got {value}"
-    if (check, knob) == ("bmo", "c0") and not value >= 0.0:
+    if (check, name) == ("bmo", "c0") and not value >= 0.0:
         return f"c0 must be >= 0, got {value}"
-    if (check, knob) == ("holder", "slanted") and value and config.drift_family in ("none", "sqg"):
+    if name in ("slanted", "drift.family") and value and config.drift_family in ("none", "sqg"):
         return f"needs an explicit drift, not {config.drift_family!r}"
+    if name == "measure.density" and not config.section("measure").get("density"):
+        return "needs a density measure"
+    if name == "measure.atoms" and not config.section("measure").get("atoms"):
+        return "needs an atomic measure"
     return None
+
+
+# the config field each check needs set, checked with its knobs
+CHECK_NEEDS = {"lorentz": "measure.density", "comparison": "measure.atoms", "bmo": "drift.family"}
 
 
 def _check_knobs(config: ExperimentConfig, check: str, knobs: dict) -> None:
     """Raise ConfigError at verification.params.<check>.<knob> for the first
-    of ``knobs`` out of its range.  Each check runs it on its own knobs, and
-    run_campaign on the knobs the config sets for every selected check,
+    of ``knobs`` out of its range, then at the field of CHECK_NEEDS if the
+    config lacks what the check needs.  Each check runs it on its own knobs,
+    and run_campaign on the knobs the config sets for every selected check,
     before any solve."""
-    for knob, value in knobs.items():
-        message = _knob_error(config, check, knob, value)
+    for name, value in knobs.items():
+        message = _knob_error(config, check, name, value)
         if message is not None:
-            raise ConfigError(f"verification.params.{check}.{knob}", message)
+            raise ConfigError(f"verification.params.{check}.{name}", message)
+    need = CHECK_NEEDS.get(check)
+    message = need and _knob_error(config, check, need, True)
+    if message:
+        raise ConfigError(need, f"the {check} check {message}")
 
 
 def _grid_node(grid: GridSpec, rng: np.random.Generator) -> tuple:
@@ -409,8 +423,6 @@ def verify_lorentz(
 ) -> VerificationReport:
     """Empirical quasi-norm of u at the target exponent against the mu norm."""
     _check_knobs(config, "lorentz", {"p": p, "sigma": sigma})
-    if not config.section("measure").get("density"):
-        raise ValueError("the Lorentz check needs a density measure")
     exp = run_experiment(config)
     grid, traj, dens = exp.grid, exp.traj, exp.mu.density
     x0, radius = (grid.domain_length / 2.0,) * grid.d, grid.domain_length / 4.0
@@ -446,8 +458,7 @@ def verify_comparison(
     salt: int = 5,
 ) -> VerificationReport:
     """sup-in-time ball mean of u - v against the cylinder measure mass."""
-    if not config.section("measure").get("atoms"):
-        raise ValueError("the comparison check needs an atomic measure")
+    _check_knobs(config, "comparison", {})
     exps = {
         f: run_experiment(config, measure_scale=f, snapshot_stride=1)
         for f in mass_factors
@@ -502,8 +513,6 @@ def verify_bmo_slanted(
     c (C1 + C2 |log r|) functional form and the cylinder enlargement
     1 + c0 (C1 + C2 |log r|) recorded; straight for s > 1/2."""
     _check_knobs(config, "bmo", {"c0": c0})
-    if config.drift_family in ("none", "sqg"):
-        raise ValueError("the BMO check needs an explicit drift")
     exp = run_experiment(config)
     grid, s, b = exp.grid, exp.kernel.s, exp.drift
     scales = [r for r in (0.5, 1.0) if grid.spacing < r <= grid.domain_length / 2.0]
@@ -556,7 +565,9 @@ def run_campaign(
     seed=None,
 ) -> int:
     """Run the selected checks, write report.csv plus a JSON sidecar, and
-    return 0 iff every selected check passes its ceiling."""
+    return 0 iff every selected check passes its ceiling.  A ConfigError,
+    raised before any solve or by a check, ends the campaign with no report
+    written."""
     import os
 
     config = load_config(config_path)
@@ -565,24 +576,24 @@ def run_campaign(
     if ceiling_file is not None:
         ceilings = read_yaml_file(ceiling_file, "--ceiling-file")
         config.add_ceilings(ceilings or {}, "--ceiling-file")
-    # the settings the checks read fail here, before any solve, as config
-    # errors: reading the selection reads the whole verification section
-    if config.selection:  # every check solves with these settings
-        check_solver(config.build_grid(), config.build_solver(config.build_kernel()))
+    # what the checks need and their knobs fail here, before any solve, as
+    # config errors: reading the selection reads the whole verification section
     for name in config.selection:
         _check_knobs(config, name, config.params(name))
 
-    os.makedirs(out_dir, exist_ok=True)
     reports: list[VerificationReport] = []
     errors: dict[str, str] = {}
     tracebacks: dict[str, str] = {}
     for name in config.selection:
         try:
             reports.append(CHECKS[name](config))
+        except ConfigError:  # a setting no check can run with
+            raise
         except Exception as exc:  # flush partial results below
             errors[name] = f"{type(exc).__name__}: {exc}"
             tracebacks[name] = traceback.format_exc()
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     body = write_csv(reports, csv_path)
     sidecar = {

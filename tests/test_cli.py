@@ -1,14 +1,18 @@
+import importlib
 import os
+import pkgutil
 import re
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import nldd
 from nldd import heatkernel
 from nldd.cli import main
 from nldd.config import ConfigError, ExperimentConfig, load_config
@@ -49,6 +53,14 @@ def heatkernel_raw(**section):
         "solver": {"dt": 0.05},
         "heatkernel": {"times": [2.0, 3.0, 4.0], "h_moll": 0.5, **section},
     }
+
+
+def spy_steps(monkeypatch) -> list:
+    """Every solver step taken, none of which runs: a refusal must come
+    before the first."""
+    steps = []
+    monkeypatch.setattr("nldd.evolution._Stepper.step", lambda *a, **k: steps.append(a))
+    return steps
 
 
 class TestSolve:
@@ -159,7 +171,7 @@ class TestHeatKernel:
         # the first whole step of the default dt = 1e-3 past it
         config = ExperimentConfig({"kernel": {"s": 0.5}})
         grid, kernel = config.build_grid(), config.build_kernel()
-        _, _, times, _ = config.build_heatkernel(grid, kernel, None)
+        _, _, times, _ = config.build_heatkernel(grid, kernel)
         np.testing.assert_allclose(times, [0.786, 1.572, 3.144], rtol=1e-12)
         assert main(["heatkernel", "--config", write_cfg(tmp_path, config.raw)]) == 0
         printed = capsys.readouterr().out
@@ -185,7 +197,7 @@ class TestHeatKernel:
         # wherever eta + (0.5, 1, 2) can be estimated, those are the defaults
         config = ExperimentConfig(raw)
         grid, kernel = config.build_grid(), config.build_kernel()
-        eta, _, times, _ = config.build_heatkernel(grid, kernel, None)
+        eta, _, times, _ = config.build_heatkernel(grid, kernel)
         assert times.tolist() == [eta + 0.5, eta + 1.0, eta + 2.0]
 
     @pytest.mark.parametrize("t_end", [0, -1])
@@ -573,8 +585,7 @@ class TestConfigErrors:
     def test_solve_with_a_bad_step_or_mollifier_through_main(
         self, tmp_path, capsys, monkeypatch, extra, message
     ):
-        solves = []
-        monkeypatch.setattr("nldd.verify.solve", lambda *a, **k: solves.append(a))
+        steps = spy_steps(monkeypatch)
         cfg = write_cfg(tmp_path, solve_raw(**extra))
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_experiment(load_config(cfg))
@@ -582,7 +593,7 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd solve: {message}"]
-        assert solves == []
+        assert steps == []
 
     @pytest.mark.parametrize("command", ["solve", "sqg", "verify"])
     @pytest.mark.parametrize(
@@ -604,8 +615,7 @@ class TestConfigErrors:
     def test_sqg_off_the_critical_case_through_main(
         self, tmp_path, capsys, monkeypatch, command, extra, message
     ):
-        solves = []
-        monkeypatch.setattr("nldd.verify.solve_sqg", lambda *a, **k: solves.append(a))
+        steps = spy_steps(monkeypatch)
         raw = solve_raw(
             drift={"family": "sqg"}, verification={"selection": ["potential"]}, **extra
         )
@@ -617,12 +627,11 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd {command}: {message}"]
-        assert solves == []
+        assert steps == []
         assert not out.exists()
 
     def test_heatkernel_with_a_fixed_drift_past_its_cfl_bound(self, tmp_path, capsys, monkeypatch):
-        estimates = []
-        monkeypatch.setattr("nldd.cli.estimate_kernel", lambda *a, **k: estimates.append(a))
+        steps = spy_steps(monkeypatch)
         cfg = write_cfg(tmp_path, {
             "grid": {"d": 2, "n": 16, "domain_length": 8.0},
             "drift": {"family": "shear", "amplitude": 50.0},
@@ -635,7 +644,103 @@ class TestConfigErrors:
             "nldd heatkernel: config field 'solver.dt': dt = 0.02 violates the advective CFL "
             "of the drift, max|b| = 50; admissible dt <= 5.000e-03"
         ]
-        assert estimates == []
+        assert steps == []
+
+    @pytest.mark.parametrize("command", ["solve", "sqg", "verify"])
+    def test_sqg_past_its_cfl_bound_through_main(self, tmp_path, capsys, command):
+        # the SQG drift is built from u, so its CFL bound is checked at each
+        # step; random data of amplitude 50 break it at the first
+        cfg = write_cfg(tmp_path, solve_raw(
+            grid={"d": 2, "n": 16, "domain_length": 8.0},
+            drift={"family": "sqg"},
+            initial={"kind": "random", "amplitude": 50.0},
+            solver={"dt": 0.05, "t_end": 0.5},
+            verification={"selection": ["potential", "excess"]},
+        ))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert re.fullmatch(
+            rf"nldd {command}: config field 'solver\.dt': dt = 0\.05 violates the advective "
+            r"CFL of the drift, max\|b\| = \S+; admissible dt <= \S+",
+            line,
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                {
+                    "solver": {"dt": 5e-3, "t_end": 0.5, "h_moll": 0.1},
+                    "measure": {"atoms": [{"t": 0.1, "x": [4.0, 4.0], "mass": 1.0}]},
+                },
+                "config field 'solver.h_moll': h_moll = 0.1 is below the grid spacing 0.25 "
+                "of a measure with atoms",
+            ),
+            (
+                {
+                    "grid": {"d": 2, "n": 16, "domain_length": 8.0},
+                    "drift": {"family": "shear", "amplitude": 50.0},
+                    "solver": {"dt": 0.02, "t_end": 0.5},
+                },
+                "config field 'solver.dt': dt = 0.02 violates the advective CFL of the "
+                "drift, max|b| = 50; admissible dt <= 5.000e-03",
+            ),
+        ],
+        ids=["solver.h_moll", "solver.dt-cfl"],
+    )
+    def test_verify_refuses_a_solve_setting_once(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        # the first check's solve refuses the setting, which ends the
+        # campaign: one stderr line, not one report error per check
+        steps = spy_steps(monkeypatch)
+        cfg = write_cfg(
+            tmp_path, solve_raw(verification={"selection": ["potential", "excess"]}, **extra)
+        )
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd verify: {message}"]
+        assert steps == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, raw, rules",
+        [
+            (
+                "solve",
+                solve_raw(drift={"family": "shear"}),
+                {"check_solve": 1, "check_cfl": 1},
+            ),
+            (
+                "heatkernel",
+                {**heatkernel_raw(), "drift": {"family": "shear"}},
+                {"check_estimate": 1, "check_cfl": 1},
+            ),
+        ],
+        ids=["solve", "heatkernel"],
+    )
+    def test_each_solve_rule_runs_once(self, tmp_path, capsys, monkeypatch, command, raw, rules):
+        # every module's binding of each rule is spied on, so a copy of a
+        # rule's call anywhere in the package would be counted
+        calls = Counter()
+        for info in pkgutil.iter_modules(nldd.__path__):
+            module = importlib.import_module(f"nldd.{info.name}")
+            for name in ("check_solve", "check_estimate", "check_cfl"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name,
+                        lambda *a, _n=name, _r=real, **k: calls.update([_n]) or _r(*a, **k),
+                    )
+        assert main([command, "--config", write_cfg(tmp_path, raw)]) == 0
+        capsys.readouterr()
+        assert calls == Counter(rules)
 
     @pytest.mark.parametrize("command", ["solve", "sqg"])
     @pytest.mark.parametrize("section", ["grid", "drift", "solver", "measure"])
@@ -714,14 +819,13 @@ class TestConfigErrors:
         ],
     )
     def test_heatkernel_with_a_bad_section(self, tmp_path, capsys, monkeypatch, raw, message):
-        estimates = []
-        monkeypatch.setattr("nldd.cli.estimate_kernel", lambda *a, **k: estimates.append(a))
+        steps = spy_steps(monkeypatch)
         cfg = write_cfg(tmp_path, raw)
         assert main(["heatkernel", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nldd heatkernel: config field {message}"]
-        assert estimates == []
+        assert steps == []
 
     def test_potential_with_a_short_point(self, tmp_path, capsys, monkeypatch):
         potentials = []
@@ -778,12 +882,45 @@ class TestConfigErrors:
     ):
         # a selected check's knobs are checked before the checks ahead of it
         # in the selection solve
-        steps = []
-        monkeypatch.setattr("nldd.evolution._Stepper.step", lambda *a, **k: steps.append(a))
+        steps = spy_steps(monkeypatch)
         cfg = write_cfg(tmp_path, solve_raw(
             measure={"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]},
             verification={"selection": ["potential", check], "params": {check: knobs}},
         ))
+        out = tmp_path / "reports"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nldd verify: config field {message}"]
+        assert steps == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "check, measure, message",
+        [
+            (
+                "lorentz", {"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]},
+                "'measure.density': the lorentz check needs a density measure",
+            ),
+            (
+                "comparison", {"density": {"kind": "uniform", "t_end": 0.5}},
+                "'measure.atoms': the comparison check needs an atomic measure",
+            ),
+            (
+                "bmo", {"atoms": [{"t": 0.3, "x": [4.0, 4.0], "mass": 1.0}]},
+                "'drift.family': the bmo check needs an explicit drift, not 'none'",
+            ),
+        ],
+        ids=["lorentz", "comparison", "bmo"],
+    )
+    def test_verify_without_what_a_check_needs(
+        self, tmp_path, capsys, monkeypatch, check, measure, message
+    ):
+        # checked with the knobs, before the checks ahead of it solve
+        steps = spy_steps(monkeypatch)
+        cfg = write_cfg(
+            tmp_path, solve_raw(measure=measure, verification={"selection": ["potential", check]})
+        )
         out = tmp_path / "reports"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from nldd.evolution import (
     solve_sqg,
 )
 from nldd.fields import (
+    ParameterError,
     ScalarField,
     VectorField,
     ball_mask,
@@ -401,6 +402,8 @@ class TestDrift:
         with pytest.raises(CFLError) as err:
             solve(eigenmode(g), b, None, cfg)
         assert err.value.admissible < 0.05
+        # a refusal of the parameter dt, which the config maps onto solver.dt
+        assert isinstance(err.value, ParameterError) and err.value.parameter == "dt"
 
     def test_constant_drift_translates(self):
         # b = (1, 0) translates the mode sin(3 x_1) while |k|^(2s) = 3 damps
@@ -455,7 +458,8 @@ class TestDrift:
             (
                 shear_drift(g, amplitude=50.0),
                 CFLError,
-                r"time step 5\.000e-02 violates the advective CFL; admissible dt <= 1\.963e-03",
+                r"dt = 0\.05 violates the advective CFL of the drift, max\|b\| = 50; "
+                r"admissible dt <= 1\.963e-03",
             ),
         ]
         for b, error, message in cases:

@@ -347,7 +347,7 @@ class TestSanity:
         })
         grid, kernel = cfg.build_grid(), cfg.build_kernel()
         b = cfg.build_drift(grid)
-        eta, y, times, solver = cfg.build_heatkernel(grid, kernel, b)
+        eta, y, times, solver = cfg.build_heatkernel(grid, kernel)
         est = estimate_kernel(b, eta, y, times, solver, grid)
         error = kernel_sanity(est).extras["semigroup_l1_error"]
         assert error == pytest.approx(0.002187838144121118, rel=1e-12)

@@ -143,3 +143,40 @@ def test_scipy_importers_are_found(tmp_path):
         "from numpy import scipy\n"
     )
     assert scipy_importers(tmp_path) == ["m:1", "m:2", "m:3", "m:5"]
+
+
+SOLVE_RULES = {"check_solve", "check_cfl", "check_estimate"}
+
+
+def solve_rule_calls(path: Path = SRC / "config.py") -> list[str]:
+    """``name:line`` of every call in ``path`` of a rule in SOLVE_RULES, by
+    its name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in SOLVE_RULES:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_config_runs_no_solve_rule():
+    # each rule runs once, in the solve or estimate that needs it; the config
+    # maps the parameter it names onto a field path around that call
+    assert solve_rule_calls() == []
+
+
+def test_solve_rule_calls_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from nldd import evolution, heatkernel\n"
+        "from nldd.evolution import check_solve\n"
+        "def f(g, c, b):\n"
+        "    check_solve(g, c)\n"
+        "    evolution.check_cfl(g, c.dt, b)\n"
+        "    return heatkernel.check_estimate, check_solve\n"
+        "heatkernel.check_estimate(g, c, 0.0, t)\n"
+    )
+    assert sorted(solve_rule_calls(tmp_path / "m.py")) == [
+        "check_cfl:5", "check_estimate:7", "check_solve:4"
+    ]

@@ -328,7 +328,8 @@ class TestBmoSlantedCheck:
     def test_needs_an_explicit_drift_before_any_solve(self, family, monkeypatch):
         solves = spy_solves(monkeypatch)
         raw = base_raw(drift={"family": family}, measure=ATOM_ONLY)
-        with pytest.raises(ValueError, match="the BMO check needs an explicit drift"):
+        message = f"config field 'drift.family': the bmo check needs an explicit drift, not {family!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             verify_bmo_slanted(ExperimentConfig(raw))
         assert solves == []
 
@@ -432,7 +433,8 @@ class TestLorentzCheck:
     def test_needs_density(self, monkeypatch):
         solves = spy_solves(monkeypatch)
         for raw in (base_raw(), base_raw(measure=ATOM_ONLY)):
-            with pytest.raises(ValueError, match="the Lorentz check needs a density measure"):
+            message = "config field 'measure.density': the lorentz check needs a density measure"
+            with pytest.raises(ConfigError, match=re.escape(message)):
                 verify_lorentz(ExperimentConfig(raw), p=1.2, sigma=np.inf)
         assert solves == []  # rejected before any solve
 
@@ -455,7 +457,8 @@ class TestComparisonCheck:
     def test_needs_atoms(self, monkeypatch):
         solves = spy_solves(monkeypatch)
         for raw in (base_raw(), base_raw(measure=density_measure())):
-            with pytest.raises(ValueError, match="the comparison check needs an atomic measure"):
+            message = "config field 'measure.atoms': the comparison check needs an atomic measure"
+            with pytest.raises(ConfigError, match=re.escape(message)):
                 verify_comparison(ExperimentConfig(raw))
         assert solves == []  # rejected before any solve
 
@@ -532,16 +535,20 @@ class TestCampaign:
         assert sidecar["checks"]["lorentz-exponent"]["passed"]
         assert sidecar["errors"] == {}
 
-    def test_check_error_returns_two(self, tmp_path):
-        # lorentz without a density cannot run; the failure is recorded
-        raw = base_raw(verification={"selection": ["lorentz"]})
+    def test_check_error_returns_two(self, tmp_path, monkeypatch):
+        # a check that fails as it runs; the failure is recorded
+        def fails(*args):
+            raise FloatingPointError("the quasi-norm overflowed")
+
+        monkeypatch.setattr("nldd.verify.lorentz_quasi_norm", fails)
+        raw = base_raw(measure=density_measure(), verification={"selection": ["lorentz"]})
         code = run_campaign(self._write(tmp_path, raw), tmp_path / "out")
         assert code == 2
         with open(tmp_path / "out" / "report.json") as fh:
             sidecar = json.load(fh)
         assert "lorentz" in sidecar["errors"]
         error = sidecar["errors"]["lorentz"]
-        assert error == "ValueError: the Lorentz check needs a density measure"
+        assert error == "FloatingPointError: the quasi-norm overflowed"
         trace = sidecar["tracebacks"]["lorentz"]
         assert trace.startswith("Traceback")
         assert "in verify_lorentz" in trace
