@@ -34,7 +34,7 @@ Schema (all sections optional unless a check needs them):
     verification:
       selection: [potential, excess, holder, lorentz, comparison, bmo]
       ceilings: {potential-estimate: 50.0}
-      params: {...}               # per-check knobs, see CHECK_PARAMS
+      params: {...}               # per-check knobs, see CHECK_SPECS
     heatkernel:                   # nldd heatkernel; the drift may not be sqg
       eta: 0.0                    # source time
       y: [3.14, 3.14]             # source point, d coordinates
@@ -62,6 +62,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -79,6 +80,7 @@ from .fields import (
 )
 from .measures import DensityTrack, MeasureData
 from .operators import KernelSpec
+from .reports import VerificationReport
 
 __all__ = [
     "ConfigError",
@@ -94,25 +96,24 @@ __all__ = [
 ]
 
 NUMBERS = "numbers"  # a list of numbers, or one number read as a list of one
-# the knobs verification.params takes for each check of verify (those of
-# potential place nldd potential's point), and the inequality id of each
-# check's report, which names its ceiling
-CHECK_PARAMS = {
-    "potential": {"t0": float, "x0": NUMBERS, "R": float},
-    "excess": {"m_max": int},
-    "holder": {"slanted": bool},
-    "lorentz": {"p": float, "sigma": float},
-    "comparison": {},
-    "bmo": {"c0": float},
+
+
+class CheckSpec(NamedTuple):
+    inequality_id: str  # of the check's report; names its ceiling
+    params: dict  # the kind of each knob verification.params sets for it
+    needs: tuple[str, ...] = ()  # config fields checked with the knobs, before any solve
+
+
+# every check of verify, by its verification.selection word (the potential
+# knobs place nldd potential's point, not the check's placements)
+CHECK_SPECS = {
+    "potential": CheckSpec("potential-estimate", {"t0": float, "x0": NUMBERS, "R": float}),
+    "excess": CheckSpec("excess-decay", {"m_max": int}),
+    "holder": CheckSpec("holder-exponent", {"slanted": bool}),
+    "lorentz": CheckSpec("lorentz-exponent", {"p": float, "sigma": float}, ("measure.density",)),
+    "comparison": CheckSpec("comparison-estimate", {}, ("measure.atoms",)),
+    "bmo": CheckSpec("bmo-slanted", {"c0": float}, ("drift.family", "kernel.s")),
 }
-INEQUALITY_IDS = (
-    "potential-estimate",
-    "excess-decay",
-    "holder-exponent",
-    "lorentz-exponent",
-    "comparison-estimate",
-    "bmo-slanted",
-)
 # every field of a config and its kind: float, int or bool; NUMBERS; a tuple
 # of the words it may be; a mapping of sub-fields; or a list of one kind, [kind]
 SCHEMA = {
@@ -146,9 +147,9 @@ SCHEMA = {
     "solver": {"dt": float, "t_end": float, "h_moll": float, "snapshot_stride": int},
     "heatkernel": {"eta": float, "y": NUMBERS, "times": [float], "h_moll": float},
     "verification": {
-        "selection": [tuple(CHECK_PARAMS)],
-        "ceilings": dict.fromkeys(INEQUALITY_IDS, float),
-        "params": CHECK_PARAMS,
+        "selection": [tuple(CHECK_SPECS)],
+        "ceilings": {spec.inequality_id: float for spec in CHECK_SPECS.values()},
+        "params": {check: spec.params for check, spec in CHECK_SPECS.items()},
     },
     "seed": int,
 }
@@ -440,8 +441,12 @@ class ExperimentConfig:
     def selection(self) -> list[str]:
         return self.section("verification").get("selection", [])
 
-    def ceiling(self, inequality_id: str) -> float:
-        return self.section("verification").get("ceilings", {}).get(inequality_id, np.inf)
+    def report(self, check: str) -> VerificationReport:
+        """An empty report of ``check`` under the ceiling verification.ceilings
+        sets for its inequality id (inf if none)."""
+        inequality_id = CHECK_SPECS[check].inequality_id
+        ceiling = self.section("verification").get("ceilings", {}).get(inequality_id, np.inf)
+        return VerificationReport(inequality_id, ceiling=ceiling)
 
     def params(self, check: str) -> dict:
         """The knobs of one check that verification.params sets."""

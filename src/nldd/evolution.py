@@ -326,12 +326,11 @@ def measure_forcing(
 ) -> ScalarField:
     """Forcing field whose space-time integral over [t, t+dt) matches mu there.
 
-    Atoms landing in the slab become periodic Gaussian bumps of width h_moll,
+    Atoms landing in the slab become periodic Gaussian bumps of width h_moll
+    (at least one grid spacing, which check_solve holds every solve to),
     normalized so the discrete mass is exact; a density component is sampled
     at the slab midpoint.
     """
-    if mu.num_atoms and h_moll < grid.spacing:
-        raise ValueError("mollification width must be at least one grid spacing")
     out = np.zeros(grid.shape)
     if mu.num_atoms:
         in_slab = (mu.atom_times >= t) & (mu.atom_times < t + dt)

@@ -194,8 +194,7 @@ def kernel_sanity(est: HeatKernelEstimate) -> VerificationReport:
         )
     grid = est.grid
     d, s = grid.d, est.kernel.s
-    report = VerificationReport("heat-kernel-sanity")
-    report.ceiling = 1.0
+    report = VerificationReport("heat-kernel-sanity", ceiling=1.0)
 
     masses = np.array([est.mass(i) for i in range(est.times.size)])
     report.extras["masses"] = masses.tolist()

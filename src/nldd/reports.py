@@ -51,7 +51,6 @@ class ReportRow:
     radius: float
     lhs: float
     rhs_terms: tuple[float, float, float]
-    ceiling: float
 
     @property
     def rhs(self) -> float:
@@ -61,13 +60,12 @@ class ReportRow:
     def fitted(self) -> float:
         return fitted_constant(self.lhs, self.rhs)
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.fitted <= self.ceiling)
-
 
 @dataclass
 class VerificationReport:
+    """The rows of one inequality, each of which passes when its fitted
+    constant is at most the report's one ceiling (a NaN constant fails)."""
+
     inequality_id: str
     rows: list[ReportRow] = field(default_factory=list)
     ceiling: float = np.inf
@@ -80,7 +78,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows) and self.fitted_constant <= self.ceiling
+        return all(r.fitted <= self.ceiling for r in self.rows)
 
     def add(self, q, t0, x0, radius, lhs, rhs_terms) -> ReportRow:
         terms = tuple(float(t) for t in rhs_terms) + (0.0,) * (3 - len(rhs_terms))
@@ -91,7 +89,6 @@ class VerificationReport:
             radius=float(radius),
             lhs=float(lhs),
             rhs_terms=terms[:3],
-            ceiling=float(self.ceiling),
         )
         self.rows.append(row)
         return row
@@ -118,8 +115,8 @@ def report_to_rows(report: VerificationReport) -> list[list[str]]:
                 _fmt(r.rhs_terms[1]),
                 _fmt(r.rhs_terms[2]),
                 _fmt(r.fitted),
-                _fmt(r.ceiling),
-                "1" if r.passed else "0",
+                _fmt(report.ceiling),
+                "1" if r.fitted <= report.ceiling else "0",
             ]
         )
     return out

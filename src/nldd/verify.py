@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    CHECK_SPECS,
     SOLVE_FIELDS,
     ConfigError,
     ExperimentConfig,
@@ -146,8 +147,8 @@ def _cylinder_oscillation(
 
 def _knob_error(config: ExperimentConfig, check: str, name: str, value) -> str | None:
     """Why ``value`` lies outside the range of the knob verification.params
-    .<check>.<name>, or, for a field of CHECK_NEEDS (value True), why the
-    config lacks what the check needs; None when neither holds."""
+    .<check>.<name>, or, for a field the check needs (CHECK_SPECS; value True),
+    why the config lacks what the check needs; None when neither holds."""
     if (check, name) == ("excess", "m_max") and value < 1:
         return f"m_max must be at least 1, got {value}"
     if (check, name) == ("lorentz", "p"):
@@ -161,6 +162,12 @@ def _knob_error(config: ExperimentConfig, check: str, name: str, value) -> str |
         return f"c0 must be >= 0, got {value}"
     if name in ("slanted", "drift.family") and value and config.drift_family in ("none", "sqg"):
         return f"needs an explicit drift, not {config.drift_family!r}"
+    if name in ("slanted", "kernel.s") and value:
+        s = config.build_kernel().s
+        if name == "slanted" and abs(s - 0.5) > 1e-12:
+            return f"slanted rows need s = 1/2, got s = {s}"
+        if name == "kernel.s" and s < 0.5 - 1e-12:
+            return f"needs s >= 1/2, below which a BMO drift is supercritical; got s = {s}"
     if name == "measure.density" and not config.section("measure").get("density"):
         return "needs a density measure"
     if name == "measure.atoms" and not config.section("measure").get("atoms"):
@@ -168,24 +175,20 @@ def _knob_error(config: ExperimentConfig, check: str, name: str, value) -> str |
     return None
 
 
-# the config field each check needs set, checked with its knobs
-CHECK_NEEDS = {"lorentz": "measure.density", "comparison": "measure.atoms", "bmo": "drift.family"}
-
-
 def _check_knobs(config: ExperimentConfig, check: str, knobs: dict) -> None:
     """Raise ConfigError at verification.params.<check>.<knob> for the first
-    of ``knobs`` out of its range, then at the field of CHECK_NEEDS if the
-    config lacks what the check needs.  Each check runs it on its own knobs,
-    and run_campaign on the knobs the config sets for every selected check,
-    before any solve."""
+    of ``knobs`` out of its range, then at the first field the check needs in
+    CHECK_SPECS that the config does not set as it must.  Each check runs it
+    on its own knobs, and run_campaign on the knobs the config sets for every
+    selected check, before any solve."""
     for name, value in knobs.items():
         message = _knob_error(config, check, name, value)
         if message is not None:
             raise ConfigError(f"verification.params.{check}.{name}", message)
-    need = CHECK_NEEDS.get(check)
-    message = need and _knob_error(config, check, need, True)
-    if message:
-        raise ConfigError(need, f"the {check} check {message}")
+    for need in CHECK_SPECS[check].needs:
+        message = _knob_error(config, check, need, True)
+        if message is not None:
+            raise ConfigError(need, f"the {check} check {message}")
 
 
 def _grid_node(grid: GridSpec, rng: np.random.Generator) -> tuple:
@@ -288,8 +291,7 @@ def verify_potential_estimate(
     if min(qs) <= 1.0:
         raise ValueError(f"the potential estimate requires q > 1, got {min(qs)}")
     exp = run_experiment(config)
-    report = VerificationReport("potential-estimate")
-    report.ceiling = config.ceiling("potential-estimate")
+    report = config.report("potential")
     _potential_rows(report, exp, qs, _placements(exp, config.rng(salt), num_placements))
     if not report.rows:
         raise ValueError("no admissible placements; solve window or grid too small")
@@ -317,8 +319,7 @@ def verify_excess_decay(
     def excess_at(exp: Experiment, m: int) -> float:
         return excess(exp.traj, t0, x0, R / 2**m, q, exp.kernel, opts).total
 
-    report = VerificationReport("excess-decay")
-    report.ceiling = config.ceiling("excess-decay")
+    report = config.report("excess")
     first = excess_at(exp0, 0)
     if first <= 1e-14:
         # constant solutions have zero excess at every scale: vacuous pass
@@ -372,11 +373,11 @@ def fit_holder_exponent(
     config: ExperimentConfig, num_points: int = 10, salt: int = 3, slanted: bool = False
 ) -> VerificationReport:
     """Oscillation decay exponent over shrinking cylinders on homogeneous runs,
-    along the drift's slant paths if ``slanted`` and s = 1/2."""
+    along the drift's slant paths if ``slanted`` (s = 1/2 only).  The extras
+    keep each placement's slope under its exponent capped at 1 (``alphas``)."""
     _check_knobs(config, "holder", {"slanted": slanted})
     exp = run_experiment(config, measure_scale=0.0)
     grid, s = exp.grid, exp.kernel.s
-    slanted = slanted and abs(s - 0.5) < 1e-12
     r0 = _outer_radius(exp)
     num_scales = HOLDER_SCALES
     while num_scales > 2 and r0 / 2 ** (num_scales - 1) < 3.0 * grid.spacing:
@@ -384,9 +385,8 @@ def fit_holder_exponent(
     if r0 / 2 ** (num_scales - 1) < 3.0 * grid.spacing:
         raise ValueError("grid too coarse for even two oscillation scales")
     opts = exp.tail_options
-    report = VerificationReport("holder-exponent")
-    report.ceiling = config.ceiling("holder-exponent")
-    alphas = []
+    report = config.report("holder")
+    slopes = []
     placements = _placements(exp, config.rng(salt), num_points)
     radii = r0 / 2.0 ** np.arange(num_scales)
     path_sets = [[None] * num_scales] * len(placements)
@@ -402,8 +402,7 @@ def fit_holder_exponent(
         if oscs[0] <= 1e-14:
             continue
         slope, _ = np.polyfit(np.log(radii), np.log(np.maximum(oscs, 1e-300)), 1)
-        alpha = float(min(slope, 1.0))  # measurement cap: smooth fields saturate
-        alphas.append(alpha)
+        slopes.append(float(slope))
         # the right-hand side on the lhs's own cylinder, slanted or straight
         Q = Cylinder(t0, x0, r0, s)
         (rhs1,) = cylinder_lq_mean(exp.traj, Q, (1.0,), path=paths[0])
@@ -412,8 +411,11 @@ def fit_holder_exponent(
             q=HOLDER_Q, t0=t0, x0=x0, radius=r0,
             lhs=float(oscs[0]) * 0.5, rhs_terms=(rhs1, rhs2),
         )
+    alphas = [min(slope, 1.0) for slope in slopes]  # measurement cap: smooth fields saturate
     report.extras["alphas"] = alphas
     report.extras["min_alpha"] = min(alphas) if alphas else None
+    report.extras["slopes"] = slopes
+    report.extras["num_capped"] = alphas.count(1.0)
     report.extras["slanted"] = slanted
     return report
 
@@ -441,8 +443,7 @@ def verify_lorentz(
 
     u_norm = lorentz_quasi_norm(u_samples, vol_u, p_target, sigma)
     mu_norm = lorentz_quasi_norm(mu_samples, vol_mu, p, sigma)
-    report = VerificationReport("lorentz-exponent")
-    report.ceiling = config.ceiling("lorentz-exponent")
+    report = config.report("lorentz")
     report.add(q=p, t0=traj.t_end, x0=x0, radius=radius, lhs=u_norm, rhs_terms=(mu_norm,))
     report.extras["target_exponent"] = p_target
     report.extras["sigma"] = None if np.isinf(sigma) else sigma  # strict JSON has no Infinity
@@ -483,8 +484,7 @@ def verify_comparison(
         )
         cylinders.append(Cylinder(t0, x0, r, s))
 
-    report = VerificationReport("comparison-estimate")
-    report.ceiling = config.ceiling("comparison-estimate")
+    report = config.report("comparison")
     lhs_by_cyl = {}
     for f, exp in exps.items():
         for ci, Q in enumerate(cylinders):
@@ -517,8 +517,7 @@ def verify_bmo_slanted(
     grid, s, b = exp.grid, exp.kernel.s, exp.drift
     scales = [r for r in (0.5, 1.0) if grid.spacing < r <= grid.domain_length / 2.0]
     C1, C2 = bmo_seminorm(b, scales or [2.0 * grid.spacing])
-    report = VerificationReport("bmo-slanted")
-    report.ceiling = config.ceiling("bmo-slanted")
+    report = config.report("bmo")
     report.extras["C1"] = C1
     report.extras["C2"] = C2
     critical = abs(s - 0.5) <= 1e-12

@@ -196,8 +196,10 @@ class TestVerificationSection:
                               "params": {"excess": {"m_max": 2}}}}
         )
         assert cfg.selection == ["excess", "bmo"]
-        assert cfg.ceiling("excess-decay") == 7.5
-        assert cfg.ceiling("other") == np.inf
+        # a check's report comes under the ceiling of its inequality id
+        excess = cfg.report("excess")
+        assert (excess.inequality_id, excess.ceiling, excess.rows) == ("excess-decay", 7.5, [])
+        assert cfg.report("bmo").ceiling == np.inf
         assert cfg.params("excess") == {"m_max": 2}
         assert cfg.params("holder") == {}
 
@@ -211,7 +213,7 @@ class TestVerificationSection:
     def test_bad_ceilings_named(self, verification, path):
         cfg = ExperimentConfig({"verification": verification})
         with pytest.raises(ConfigError, match=rf"^config field '{path}': "):
-            cfg.ceiling("excess-decay")
+            cfg.report("excess")
 
     @pytest.mark.parametrize(
         "params, path",

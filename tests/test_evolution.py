@@ -533,10 +533,13 @@ class TestMeasureForcing:
         assert np.all(f2.values == 0.0)
 
     def test_requires_resolved_mollifier(self):
+        # a solve with atoms refuses h_moll below the spacing before its first step
         g = make_grid(2, 32, 4.0)
         mu = MeasureData.from_atoms([(0.55, (2.0, 2.0), 3.0)], domain_length=4.0)
-        with pytest.raises(ValueError, match="mollification"):
-            measure_forcing(mu, 0.5, 0.1, g, h_moll=0.0)
+        cfg = SolverConfig(kernel=KernelSpec(s=0.5), dt=0.1, t_end=1.0, h_moll=0.1)
+        with pytest.raises(ParameterError, match=r"h_moll = 0\.1 is below the grid spacing 0\.125") as err:
+            solve(ScalarField(g, np.zeros(g.shape)), None, mu, cfg)
+        assert err.value.parameter == "h_moll"
 
     def test_density_forcing_injects_mass(self):
         g = make_grid(2, 32, 4.0)

@@ -45,14 +45,20 @@ class TestReport:
         assert rep.rows[0].fitted == 1.0
 
     def test_pass_logic(self):
+        # every row is judged against the report's one ceiling
         rep = self._report()
-        assert rep.rows[0].passed
-        assert rep.rows[1].passed  # 6/3 = 2 <= 3
         assert rep.fitted_constant == 2.0
-        assert rep.passed
-        rep.rows[1].ceiling = 1.5
-        assert not rep.rows[1].passed
+        assert rep.passed  # 6/3 = 2 <= 3
+        assert [cells[10:] for cells in report_to_rows(rep)] == [["3", "1"], ["3", "1"]]
+        rep.ceiling = 1.5
         assert not rep.passed
+        assert [cells[10:] for cells in report_to_rows(rep)] == [["1.5", "1"], ["1.5", "0"]]
+
+    def test_nan_row_fails(self):
+        rep = VerificationReport("demo")
+        rep.add(2.0, 1.0, (0.5, 0.5), 0.25, lhs=np.nan, rhs_terms=(1.0,))
+        assert not rep.passed
+        assert report_to_rows(rep)[0][9:] == ["nan", "inf", "0"]
 
     def test_rhs_resum_consistency(self):
         # the serialized terms re-sum to the rhs used for the fit

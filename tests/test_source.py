@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from nldd.config import CHECK_SPECS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "nldd"
 
 
@@ -179,4 +181,41 @@ def test_solve_rule_calls_are_found(tmp_path):
     )
     assert sorted(solve_rule_calls(tmp_path / "m.py")) == [
         "check_cfl:5", "check_estimate:7", "check_solve:4"
+    ]
+
+
+def check_declarations(path: Path = SRC / "verify.py") -> list[str]:
+    """``name:line`` of every ``VerificationReport`` call in ``path``, by its
+    name or as an attribute, and of every string literal that is the
+    inequality id of a check in CHECK_SPECS."""
+    ids = {spec.inequality_id for spec in CHECK_SPECS.values()}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "VerificationReport":
+                found.append(f"{name}:{node.lineno}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in ids:
+            found.append(f"{node.value}:{node.lineno}")
+    return found
+
+
+def test_verify_declares_no_check():
+    # config.CHECK_SPECS is the one declaration of a check, and config.report
+    # hands each check its report under its ceiling
+    assert check_declarations() == []
+
+
+def test_check_declarations_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from nldd import reports\n"
+        "from nldd.reports import VerificationReport\n"
+        "a = VerificationReport('x')\n"
+        "b = reports.VerificationReport(name, ceiling=1.0)\n"
+        "c = {'bmo-slanted': 1.0}\n"
+        "def f(cfg):\n    return cfg.report('bmo'), VerificationReport, 'bmo slanted'\n"
+    )
+    assert sorted(check_declarations(tmp_path / "m.py")) == [
+        "VerificationReport:3", "VerificationReport:4", "bmo-slanted:5"
     ]
