@@ -113,7 +113,7 @@ def _cmd_potential(args) -> int:
         print("profile divergent: positive mass below the resolution radius")
     tail_value = None
     if mu.density is not None:
-        u = mu.density.values[0]
+        u = mu.density.profile
         tail_value = tail(
             ScalarField(grid, u, t0), x0, R, kernel,
             TailOptions(truncation_radius=grid.domain_length / 2.0),
@@ -157,8 +157,7 @@ def _cmd_heatkernel(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         save_kernel_estimate(est, os.path.join(args.out, "kernel.nldd"))
         print(f"wrote kernel.nldd to {args.out}")
-    ok = ex["mass_ok"] and ex["semigroup_ok"]
-    return 0 if ok else 1
+    return 0 if report.passed else 1
 
 
 # each kind of snapshot file, by its magic: its loader, which returns the

@@ -23,8 +23,7 @@ Schema (all sections optional unless a check needs them):
         exponent: 1.2
         center: [3.1, 3.1]
         t_start: 0.0
-        t_end: 1.0
-        num_slices: 9
+        t_end: 1.0                # rho is constant in time on [t_start, t_end]
     solver:   {dt: 1e-3, t_end: 1.0, h_moll: 0.25, snapshot_stride: 1}
                                   # h_moll, the atoms' width: at least one grid
                                   # spacing, default two; nldd heatkernel
@@ -140,7 +139,6 @@ SCHEMA = {
             "center": NUMBERS,
             "t_start": float,
             "t_end": float,
-            "num_slices": int,
             "level": float,
         },
     },
@@ -379,23 +377,15 @@ class ExperimentConfig:
         t1 = _required(dsec, path, "t_end")
         if t1 <= t0:
             raise ConfigError("measure.density.t_end", "must exceed t_start")
-        num_slices = dsec.get("num_slices", 9)
-        if num_slices < 2:
-            raise ConfigError(
-                "measure.density.num_slices",
-                f"needs 2 or more slices to span [t_start, t_end], got {num_slices}",
-            )
-        times = np.linspace(t0, t1, num_slices)
         if kind == "inverse_power":
             expo = _required(dsec, path, "exponent")
             center = grid_point(
                 dsec.get("center", [grid.domain_length / 2.0] * grid.d), grid, f"{path}.center"
             )
-            vals = np.maximum(grid_distance(grid, center), grid.spacing) ** (-expo)
-            slices = [vals.copy() for _ in times]
+            profile = np.maximum(grid_distance(grid, center), grid.spacing) ** (-expo)
         else:  # uniform
-            slices = [np.full(grid.shape, dsec.get("level", 1.0)) for _ in times]
-        return DensityTrack(grid, times, slices)
+            profile = np.full(grid.shape, dsec.get("level", 1.0))
+        return DensityTrack(grid, t0, t1, profile)
 
     def build_solver(self, kernel: KernelSpec, **overrides) -> SolverConfig:
         """The solver section's settings.  A field given in ``overrides`` is

@@ -328,8 +328,8 @@ def measure_forcing(
 
     Atoms landing in the slab become periodic Gaussian bumps of width h_moll
     (at least one grid spacing, which check_solve holds every solve to),
-    normalized so the discrete mass is exact; a density component is sampled
-    at the slab midpoint.
+    normalized so the discrete mass is exact; a density adds its profile
+    when the slab midpoint lies in its time interval.
     """
     out = np.zeros(grid.shape)
     if mu.num_atoms:
@@ -339,8 +339,9 @@ def measure_forcing(
             bump = np.exp(-0.5 * (dist / h_moll) ** 2)
             bump /= bump.sum() * grid.cell_volume
             out += (mu.atom_masses[i] / dt) * bump
-    if mu.density is not None:
-        out += mu.density.sample(t + 0.5 * dt)
+    density = mu.density
+    if density is not None and density.t_start <= t + 0.5 * dt <= density.t_end:
+        out += density.profile
     return ScalarField(grid, out, t)
 
 

@@ -1,9 +1,10 @@
 """Finite space-time measures and the parabolic cylinders that slice them.
 
 A measure is a finite list of atoms (t_i, x_i, m_i) plus an optional
-time-indexed density.  All geometry is periodic: ball membership uses the
-minimum-image torus distance, and the time interval of the backward cylinder
-Q_r(t0, x0) = (t0 - r^(2s), t0) x B_r(x0) is open at both ends.
+density, one profile on its time interval.  All geometry is periodic: ball
+membership uses the minimum-image torus distance, and the time interval of
+the backward cylinder Q_r(t0, x0) = (t0 - r^(2s), t0) x B_r(x0) is open at
+both ends.
 
 The ball of a cylinder may ride along a slant path: at time t its centre is
 x0 + r z_r((t - t0)/r).  ``_path_centers`` is the one place that computes
@@ -44,50 +45,41 @@ __all__ = [
 ]
 
 
+# time nodes across a density's support at which a slanted ball's mass is
+# read: along a path the ball moves, so its node sum changes with time
+DENSITY_TIME_NODES = 9
+
+
 @dataclass
 class DensityTrack:
-    """|rho| sampled on a grid at increasing times; d mu = rho dx dt."""
+    """A density |rho| constant in time on [t_start, t_end] and zero off it;
+    d mu = rho dx dt, with rho = ``profile`` on the grid."""
 
     grid: GridSpec
-    times: np.ndarray
-    values: list[np.ndarray]
+    t_start: float
+    t_end: float
+    profile: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("density times must be strictly increasing")
-        if len(self.values) != self.times.size:
-            raise ValueError("one density slice per time is required")
-        self.values = [np.asarray(v, dtype=float).reshape(self.grid.shape) for v in self.values]
-
-    def sample(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation in time, zero outside the track."""
-        ts = self.times
-        if t < ts[0] or t > ts[-1]:
-            return np.zeros(self.grid.shape)
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        if i >= ts.size - 1:
-            return self.values[-1].copy()
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        if not self.t_end > self.t_start:
+            raise ValueError(
+                f"density t_end = {self.t_end:g} must exceed t_start = {self.t_start:g}"
+            )
+        self.profile = np.asarray(self.profile, dtype=float).reshape(self.grid.shape)
 
     def mass(self, Q: Cylinder, path: SlantPath | None = None) -> float:
-        """Integral of |rho| over Q, its ball riding ``path``: node sums over
-        one mask per ball centre, trapezoid in time."""
-        lo, hi = max(Q.t_start, self.times[0]), min(Q.t0, self.times[-1])
+        """Integral of |rho| over Q, its ball riding ``path``: one node sum
+        per ball centre, trapezoid in time over DENSITY_TIME_NODES nodes of
+        the support."""
+        lo, hi = max(Q.t_start, self.t_start), min(Q.t0, self.t_end)
         if hi <= lo:
             return 0.0
-        interior = self.times[(self.times > lo) & (self.times < hi)]
-        ts = np.concatenate(([lo], interior, [hi]))
+        nodes = np.linspace(self.t_start, self.t_end, DENSITY_TIME_NODES)
+        ts = np.concatenate(([lo], nodes[(nodes > lo) & (nodes < hi)], [hi]))
         centers, which = Q.distinct_centers(ts, path)
-        masks = [ball_mask(self.grid, c, Q.r) for c in centers]
-        vals = np.array(
-            [
-                (np.abs(self.sample(t)) * masks[k]).sum() * self.grid.cell_volume
-                for t, k in zip(ts, which)
-            ]
-        )
-        return float(np.trapezoid(vals, ts))
+        weight = np.abs(self.profile)
+        sums = np.array([(weight * ball_mask(self.grid, c, Q.r)).sum() for c in centers])
+        return float(np.trapezoid(sums[which] * self.grid.cell_volume, ts))
 
 
 @dataclass
@@ -140,7 +132,7 @@ class MeasureData:
             density = None  # zero everywhere: it would force nothing at every step
         elif density is not None:
             density = DensityTrack(
-                density.grid, density.times.copy(), [abs(factor) * v for v in density.values]
+                density.grid, density.t_start, density.t_end, abs(factor) * density.profile
             )
         return MeasureData(
             self.atom_times.copy(),
@@ -343,8 +335,7 @@ def slab_holds_mass(mu: MeasureData, t0: float, t_start: np.ndarray) -> np.ndarr
         charged = (mu.atom_times < t0) & (mu.atom_masses != 0.0)
         held |= (mu.atom_times[charged] > t_start[:, None]).any(axis=1)
     if mu.density is not None:
-        ts = mu.density.times
-        held |= np.minimum(t0, ts[-1]) > np.maximum(t_start, ts[0])
+        held |= np.minimum(t0, mu.density.t_end) > np.maximum(t_start, mu.density.t_start)
     return held
 
 

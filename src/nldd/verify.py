@@ -437,9 +437,9 @@ def verify_lorentz(
     span_u = traj.times[idx[-1]] - traj.times[idx[0]] if len(idx) > 1 else 1.0
     vol_u = grid.cell_volume * max(span_u / max(len(idx) - 1, 1), 1e-12)
 
-    mu_samples = np.concatenate([v[window] for v in dens.values])
-    span_mu = dens.times[-1] - dens.times[0]
-    vol_mu = grid.cell_volume * max(span_mu / max(dens.times.size - 1, 1), 1e-12)
+    # |rho| is constant in time, so each ball node carries its whole interval
+    mu_samples = dens.profile[window]
+    vol_mu = grid.cell_volume * (dens.t_end - dens.t_start)
 
     u_norm = lorentz_quasi_norm(u_samples, vol_u, p_target, sigma)
     mu_norm = lorentz_quasi_norm(mu_samples, vol_mu, p, sigma)

@@ -516,7 +516,7 @@ class TestConfigErrors:
             (
                 {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "levl": 2.0}}},
                 "config field 'measure.density.levl': unknown field; the section takes kind, "
-                "exponent, center, t_start, t_end, num_slices, level",
+                "exponent, center, t_start, t_end, level",
             ),
             (
                 {"solvr": {"dt": 5e-3, "t_end": 0.5}},
@@ -560,14 +560,10 @@ class TestConfigErrors:
                 "config field 'initial.modes[1].axis': must lie in [0, 2), got -1",
             ),
             (
-                {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "num_slices": 0}}},
-                "config field 'measure.density.num_slices': needs 2 or more slices to span "
-                "[t_start, t_end], got 0",
-            ),
-            (
-                {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "num_slices": 1}}},
-                "config field 'measure.density.num_slices': needs 2 or more slices to span "
-                "[t_start, t_end], got 1",
+                # a density is one profile on its time interval: it has no slices
+                {"measure": {"density": {"kind": "uniform", "t_end": 0.5, "num_slices": 9}}},
+                "config field 'measure.density.num_slices': unknown field; the section takes "
+                "kind, exponent, center, t_start, t_end, level",
             ),
         ],
         ids=[
@@ -579,7 +575,7 @@ class TestConfigErrors:
             "atom-unknown-key", "density-unknown-key", "unknown-section", "phase-unknown-word",
             "atoms-not-a-list", "modes-not-a-list", "coefficients-item", "vector-item",
             "density-center-short", "mode-axis-past-d", "mode-axis-negative",
-            "num_slices-zero", "num_slices-one",
+            "num_slices-unknown",
         ],
     )
     def test_solve_with_a_bad_step_or_mollifier_through_main(

@@ -163,10 +163,9 @@ class TestMeasure:
         g = make_grid(2, 16, 4.0)
         mu = cfg.build_measure(g)
         assert mu.num_atoms == 0
-        # 9 slices by default, evenly spaced over [t_start, t_end]
-        np.testing.assert_array_equal(mu.density.times, np.linspace(0.0, 1.0, 9))
-        assert len(mu.density.values) == 9
-        assert all(np.array_equal(v, np.full(g.shape, 2.0)) for v in mu.density.values)
+        # one profile on [t_start, t_end]
+        assert (mu.density.t_start, mu.density.t_end) == (0.0, 1.0)
+        np.testing.assert_array_equal(mu.density.profile, np.full(g.shape, 2.0))
 
     def test_inverse_power_density_peaks_at_center(self):
         g = make_grid(2, 32, 4.0)
@@ -175,7 +174,7 @@ class TestMeasure:
                                      "center": [2.0, 2.0], "t_end": 1.0}}}
         )
         mu = cfg.build_measure(g)
-        vals = mu.density.values[0]
+        vals = mu.density.profile
         assert vals[16, 16] == vals.max()
         # capped at spacing^-1, not infinite
         assert np.isfinite(vals).all()

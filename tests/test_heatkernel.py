@@ -10,6 +10,7 @@ from heat_oracles import (
     periodized_free_kernel,
 )
 
+from nldd import heatkernel
 from nldd.config import ExperimentConfig, shear_drift
 from nldd.evolution import CFLError, SolverConfig, _Stepper
 from nldd.fields import ParameterError, VectorField, make_grid, wavevectors
@@ -35,6 +36,19 @@ def width_solve(grid, cfg, b, y, width, t_start, times):
     """The fields of one Gaussian of the given width at y, solved alone."""
     uhat0 = _gaussian_spectral(grid, np.asarray(y, dtype=float), width)
     return _solve_recording(_Stepper(grid, cfg, b), uhat0[None], t_start, np.array(times))[0]
+
+
+def bench_estimate():
+    """The estimate of the benchmark's heatkernel config."""
+    cfg = ExperimentConfig({
+        "grid": {"d": 2, "n": 32, "domain_length": 8.0}, "kernel": {"s": 0.5},
+        "drift": {"family": "shear", "amplitude": 1.0}, "solver": {"dt": 0.02},
+        "heatkernel": {"times": [1.0, 1.5, 2.0], "h_moll": 0.25},
+    })
+    grid, kernel = cfg.build_grid(), cfg.build_kernel()
+    b = cfg.build_drift(grid)
+    eta, y, times, solver = cfg.build_heatkernel(grid, kernel)
+    return estimate_kernel(b, eta, y, times, solver, grid)
 
 
 class TestExactFreeKernel:
@@ -227,7 +241,7 @@ class TestSanity:
         rep = kernel_sanity(est)
         assert rep.extras["mass_ok"]
         assert rep.extras["semigroup_ok"]
-        assert len(rep.rows) == 1 and rep.passed
+        assert len(rep.rows) == 2 and rep.passed
 
     def test_fixed_drift_cfl_violation_raises(self, monkeypatch):
         grid = make_grid(2, 16, 4.0)
@@ -338,19 +352,20 @@ class TestSanity:
         assert direct.values.tobytes() == fine[2].values.tobytes()
 
     def test_bench_semigroup_error_is_pinned(self):
-        # the benchmark's heatkernel config; bench/reference.json pins the
-        # same number, and a change that moves it updates both
-        cfg = ExperimentConfig({
-            "grid": {"d": 2, "n": 32, "domain_length": 8.0}, "kernel": {"s": 0.5},
-            "drift": {"family": "shear", "amplitude": 1.0}, "solver": {"dt": 0.02},
-            "heatkernel": {"times": [1.0, 1.5, 2.0], "h_moll": 0.25},
-        })
-        grid, kernel = cfg.build_grid(), cfg.build_kernel()
-        b = cfg.build_drift(grid)
-        eta, y, times, solver = cfg.build_heatkernel(grid, kernel)
-        est = estimate_kernel(b, eta, y, times, solver, grid)
-        error = kernel_sanity(est).extras["semigroup_l1_error"]
+        # bench/reference.json pins the same number, and a change that moves
+        # it updates both
+        error = kernel_sanity(bench_estimate()).extras["semigroup_l1_error"]
         assert error == pytest.approx(0.002187838144121118, rel=1e-12)
+
+    def test_the_report_gives_each_check_its_own_verdict(self, monkeypatch):
+        # a semigroup error of 2.188e-3 fails a tolerance of 2.15e-3 while
+        # the mass error is far inside its own: the report fails with it,
+        # where a sum of both errors against a sum of both tolerances passed
+        monkeypatch.setattr(heatkernel, "SANITY_SEMIGROUP_TOL", 2.15e-3)
+        rep = kernel_sanity(bench_estimate())
+        assert rep.extras["mass_ok"] and not rep.extras["semigroup_ok"]
+        assert rep.ceiling == 1.0 and not rep.passed
+        assert [row.rhs for row in rep.rows] == [heatkernel.SANITY_MASS_TOL, 2.15e-3]
 
     def test_needs_three_times(self):
         grid = make_grid(2, 64, 16.0)

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nldd.config import ExperimentConfig
-from nldd.fields import ScalarField, VectorField, grid_coordinates, make_grid, torus_distance
+from nldd.fields import (
+    ScalarField,
+    VectorField,
+    ball_mask,
+    grid_coordinates,
+    make_grid,
+    torus_distance,
+)
 from nldd.measures import (
     Cylinder,
     DensityTrack,
@@ -67,8 +74,7 @@ class TestAtomMass:
 class TestDensityMass:
     def _uniform_track(self, value=2.0):
         g = make_grid(2, 32, 4.0)
-        times = np.array([0.0, 1.0, 2.0])
-        return g, DensityTrack(g, times, [np.full(g.shape, value)] * 3)
+        return g, DensityTrack(g, 0.0, 2.0, np.full(g.shape, value))
 
     def test_cylinder_mass_matches_disc_area(self):
         g, track = self._uniform_track()
@@ -77,19 +83,20 @@ class TestDensityMass:
         expected = 2.0 * np.pi * 1.0**2 * Q.time_depth
         assert cylinder_mass(mu, Q) == pytest.approx(expected, rel=0.05)
 
-    def test_sample_interpolates(self):
-        g = make_grid(2, 8, 1.0)
-        track = DensityTrack(
-            g, [0.0, 1.0], [np.zeros(g.shape), np.ones(g.shape)]
-        )
-        assert track.sample(0.25).mean() == pytest.approx(0.25)
-        assert track.sample(-1.0).max() == 0.0
-        assert track.sample(5.0).max() == 0.0
+    def test_straight_mass_is_one_node_sum_times_the_overlap(self):
+        # the ball holds |rho| at its nodes over the part of the slab that
+        # meets [t_start, t_end]: the slab (1.75, 2.5) meets [0, 2] in 0.25
+        g, track = self._uniform_track()
+        Q = Cylinder(t0=2.5, x0=(2.0, 2.0), r=0.75, s=0.5)
+        nodes = ball_mask(g, Q.x0, Q.r).sum()
+        assert track.mass(Q) == pytest.approx(2.0 * nodes * g.cell_volume * 0.25, rel=1e-14)
+        assert track.mass(Cylinder(t0=3.0, x0=(2.0, 2.0), r=0.75, s=0.5)) == 0.0
 
-    def test_rejects_unsorted_times(self):
+    @pytest.mark.parametrize("t_end", [1.0, 0.5])
+    def test_rejects_an_empty_interval(self, t_end):
         g = make_grid(2, 8, 1.0)
-        with pytest.raises(ValueError):
-            DensityTrack(g, [1.0, 0.5], [np.zeros(g.shape)] * 2)
+        with pytest.raises(ValueError, match="density t_end = .* must exceed t_start = 1"):
+            DensityTrack(g, 1.0, t_end, np.ones(g.shape))
 
 
 class TestScaling:
@@ -97,7 +104,7 @@ class TestScaling:
     @given(factor=st.floats(0.1, 10.0))
     def test_mass_scales_linearly(self, factor):
         g = make_grid(2, 16, 4.0)
-        track = DensityTrack(g, [0.0, 1.0], [np.ones(g.shape)] * 2)
+        track = DensityTrack(g, 0.0, 1.0, np.ones(g.shape))
         mu = MeasureData.from_atoms([(0.5, (1.0, 1.0), 2.0)], domain_length=4.0)
         mu.density = track
         Q = Cylinder(t0=1.0, x0=(1.0, 1.0), r=1.5, s=0.5)
@@ -108,8 +115,8 @@ class TestScaling:
 
 
 def _random_measure(seed, with_density):
-    """Twelve signed atoms on [0, 1.5] x T^2_8, and a random density on
-    [0, 1.2] if asked for."""
+    """Twelve signed atoms on [0, 1.5] x T^2_8, and a random density profile
+    on [0, 1.2] if asked for."""
     rng = np.random.default_rng(seed)
     n = 12
     mu = MeasureData(
@@ -120,7 +127,7 @@ def _random_measure(seed, with_density):
     )
     if with_density:
         g = make_grid(2, 16, 8.0)
-        mu.density = DensityTrack(g, [0.0, 0.6, 1.2], [rng.random(g.shape) for _ in range(3)])
+        mu.density = DensityTrack(g, 0.0, 1.2, rng.random(g.shape))
     return mu
 
 
@@ -230,9 +237,10 @@ class TestPinnedMasses:
     them when it replaced the straight and slanted copies it merged.
 
     The density entries come from node sums over ball masks, which are wrong
-    below the grid scale (ROADMAP item 1); fixing that moves them on purpose,
-    most of all the straight value at the default rho_min.  The atom entries
-    should not move.
+    below the grid scale (ROADMAP item 2); fixing that moves them on purpose,
+    most of all the straight value at the default rho_min.  The slanted
+    density entries also depend on the time rule of a moving ball's mass
+    (``measures.DENSITY_TIME_NODES``).  The atom entries should not move.
     """
 
     T0, X0, R, RHO_MIN = 0.9, (3.5, 4.0), 1.0, 1e-2
@@ -251,11 +259,11 @@ class TestPinnedMasses:
             "straight": 27.691189707891063,
             "straight_default_rho_min": 1110.1763952718259,
             "zero_paths": 27.954811949910106,
-            "slant_paths": 26.65665868885826,
+            "slant_paths": 26.639090506496682,
             "mass_0.3": 1.5831866758487678,
-            "mass_0.3_slanted": 1.5653098954385622,
+            "mass_0.3_slanted": 1.5642300537970553,
             "mass_0.7": 2.8586314351377817,
-            "mass_0.7_slanted": 2.775830395634282,
+            "mass_0.7_slanted": 2.773511696379705,
         },
     }
 
@@ -273,7 +281,7 @@ class TestPinnedMasses:
         if with_density:
             measure["density"] = {
                 "kind": "inverse_power", "exponent": 1.2, "center": [3.0, 3.0],
-                "t_start": 0.0, "t_end": 1.0, "num_slices": 5,
+                "t_start": 0.0, "t_end": 1.0,
             }
         mu = ExperimentConfig({"measure": measure}).build_measure(grid)
         kernel = KernelSpec(s=0.5)

@@ -946,7 +946,7 @@ class TestSlantedRiesz:
 
     def test_density_asks_every_radius(self):
         g = make_grid(2, 16, 8.0)
-        track = DensityTrack(g, [0.0, 2.0], [np.ones(g.shape)] * 2)
+        track = DensityTrack(g, 0.0, 2.0, np.ones(g.shape))
         mu = MeasureData(density=track)
         _, all_radii, active = potential_radii(mu, 1.0, 1.0, 0.5, 0.1)
         np.testing.assert_array_equal(active, np.arange(all_radii.size))
@@ -965,7 +965,7 @@ class TestSlantedRiesz:
                 domain_length=8.0,
             )
         else:
-            mu = MeasureData(density=DensityTrack(g, [0.2, 0.6], [np.ones(g.shape)] * 2))
+            mu = MeasureData(density=DensityTrack(g, 0.2, 0.6, np.ones(g.shape)))
         _, all_radii, active = potential_radii(mu, 1.0, 0.8, 0.5)
         paths = self.zero_paths(mu, 1.0, 0.8)
         for x0 in ((4.0, 4.0), (1.3, 6.2)):

@@ -230,6 +230,23 @@ class TestExcessCheck:
         assert rep.extras["alpha"] > 0.0
         assert all(r.lhs <= r.rhs for r in rep.rows)
 
+    def test_measure_term_is_active_with_the_atom_at_x0(self):
+        # acceptance 06's forced run with its atom moved onto the check's own
+        # centre, so every forced row's cylinder holds it
+        raw = base_raw(
+            grid={"d": 2, "n": 128, "domain_length": 8.0},
+            solver={"dt": 4e-3, "t_end": 1.2},
+            seed=1,
+        )
+        x0 = verify._grid_node(make_grid(2, 128, 8.0), ExperimentConfig(raw).rng(2))
+        assert x0 == (6.4375, 0.625)
+        raw["measure"] = {"atoms": [{"t": 0.9, "x": list(x0), "mass": 0.5}]}
+        rep = verify_excess_decay(ExperimentConfig(raw), m_max=2)
+        forced = rep.rows[3:]  # after the three homogeneous rows
+        assert len(forced) == 3 and all(row.x0 == x0 for row in forced)
+        assert all(row.rhs_terms[1] > 0.0 for row in forced)
+        assert all(row.lhs <= row.rhs for row in forced)
+
     def test_each_tail_rule_is_built_once(self):
         # both runs take their excess radius by radius, so the second run at
         # each radius reuses the tail rule the first one built
@@ -449,6 +466,28 @@ class TestLorentzCheck:
         assert rep.rows[0].lhs >= 0.0
         assert rep.rows[0].rhs > 0.0
 
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (0.25, 0.6)])
+    @pytest.mark.parametrize("sigma", [np.inf, 2.0])
+    def test_mu_norm_of_a_uniform_density_is_closed_form(self, support, sigma):
+        # c on [t_start, t_end] puts c on each of the window's M ball nodes
+        # with measure cell * span, so ||mu||_{p,inf} = c (M cell span)^(1/p);
+        # for finite sigma the step sum telescopes to that times (p/sigma)^(1/sigma)
+        t_start, t_end = support
+        level, p = 0.5, 1.2
+        raw = base_raw(
+            measure={"density": {"kind": "uniform", "level": level,
+                                 "t_start": t_start, "t_end": t_end}},
+            solver={"dt": 0.02, "t_end": 1.0},
+        )
+        rep = verify_lorentz(ExperimentConfig(raw), p=p, sigma=sigma)
+        g = make_grid(2, 32, 8.0)
+        nodes = ball_mask(g, (4.0, 4.0), 2.0).sum()
+        want = level * (nodes * g.cell_volume * (t_end - t_start)) ** (1.0 / p)
+        if np.isfinite(sigma):
+            want *= (p / sigma) ** (1.0 / sigma)
+        assert rep.extras["mu_quasi_norm"] == pytest.approx(want, rel=1e-12)
+        assert rep.rows[0].rhs_terms[0] == rep.extras["mu_quasi_norm"]
+
     def test_p_range_guard(self, monkeypatch):
         solves = spy_solves(monkeypatch)
         cfg = ExperimentConfig(base_raw(measure=density_measure()))
@@ -662,9 +701,7 @@ def _atoms_and_density(grid):
         domain_length=8.0,
     )
     rng = np.random.default_rng(13)
-    mu.density = DensityTrack(
-        grid, np.linspace(0.0, 1.0, 5), [np.abs(rng.standard_normal(grid.shape)) for _ in range(5)]
-    )
+    mu.density = DensityTrack(grid, 0.0, 1.0, np.abs(rng.standard_normal(grid.shape)))
     return mu
 
 
